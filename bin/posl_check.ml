@@ -18,7 +18,8 @@
      1   a check ran and the property fails (refinement refuted,
          deadlock found, not composable, ...)
      2   input error: unreadable file, parse error, unknown spec name,
-         malformed manifest
+         malformed manifest, a composition too large to check (its
+         hidden-event closure outgrows the context's cap)
      124 command-line usage error (cmdliner) *)
 
 open Cmdliner
@@ -90,6 +91,18 @@ let context specs extra_objects =
   Tset.ctx universe
 
 let ( let* ) = Result.bind
+
+(* Run [f], which answers queries; a query whose closure outgrows the
+   context's cap has no verdict, which is an input-side error (the
+   specification is too large to check), not a crash. *)
+let answering f =
+  try f ()
+  with Job.Overflow { query; cap } ->
+    Error
+      (Input
+         (Printf.sprintf
+            "%s: hidden-event closure exceeds the %d-composite cap; no verdict"
+            query cap))
 
 (* Destructure a resolved spec list at its known arity, then hand the
    specs to one of the labelled {!Job} constructors. *)
@@ -248,6 +261,7 @@ let run_query file names depth extra json store_dir trace metrics make_query =
      let query = make_query (List.rev resolved) in
      with_observability ~trace ~metrics @@ fun () ->
      let* verdict =
+       answering @@ fun () ->
        match store_dir with
        | None -> Ok (Job.run (context specs extra) ~depth query)
        | Some dir ->
@@ -450,11 +464,7 @@ let consistent_cmd =
        let* a = find specs left in
        let* b = find specs right in
        let ctx = context specs extra in
-       let v =
-         Posl_core.Consistency.verdict
-           ~opts:(Posl_core.Refine.opts ~depth ())
-           ctx a b
-       in
+       let v = Posl_core.Consistency.verdict ~depth ctx a b in
        if json then
          print_endline
            (Json.to_string
@@ -541,6 +551,7 @@ let batch_cmd =
        else begin
          with_observability ~log ~trace ~metrics @@ fun () ->
          let* results, stats =
+           answering @@ fun () ->
            match store_dir with
            | None -> Ok (Engine.run_batch ?domains ~plan requests)
            | Some dir ->
@@ -661,6 +672,7 @@ let metrics_cmd =
             posl_gc_pause_ms histogram *)
          Runtime.start ();
          let* _ =
+           answering @@ fun () ->
            Fun.protect
              ~finally:(fun () -> Runtime.stop ())
              (fun () ->

@@ -33,7 +33,6 @@ let () =
   let universe = Spec.adequate_universe Ex.all_specs in
   let ctx = Tset.ctx universe in
   let depth = 8 in
-  let opts = Refine.opts ~depth () in
 
   (* Example 4 — observable behaviour of Client ‖ WriteAcc. *)
   let comp = Compose.interface Ex.client Ex.write_acc in
@@ -62,7 +61,7 @@ let () =
 
   (* Example 5 — deadlock introduced by a refinement step. *)
   Format.printf "Client2 ⊑ Client?  %a@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx Ex.client2 Ex.client);
+    (Refine.verdict ~depth ctx Ex.client2 Ex.client);
   let comp2 = Compose.interface Ex.client2 Ex.write_acc in
   let alphabet2 = Spec.concrete_alphabet universe comp2 in
   (match Bmc.find_deadlock ctx ~alphabet:alphabet2 ~depth (Spec.tset comp2) with
@@ -75,13 +74,13 @@ let () =
      original composition, which is exactly the paper's point: this
      refinement relation does not preserve liveness. *)
   Format.printf "Client2‖WriteAcc ⊑ Client‖WriteAcc?  %a@.@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx comp2 comp);
+    (Refine.verdict ~depth ctx comp2 comp);
 
   (* Example 6 — RW2 harmonises abstraction levels. *)
   Format.printf "RW2 ⊑ RW?        %a@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx Ex.rw2 Ex.rw);
+    (Refine.verdict ~depth ctx Ex.rw2 Ex.rw);
   Format.printf "RW2 ⊑ WriteAcc?  %a@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx Ex.rw2 Ex.write_acc);
+    (Refine.verdict ~depth ctx Ex.rw2 Ex.write_acc);
   let comp_rw2 = Compose.interface Ex.rw2 Ex.client in
   let comp_wa = Compose.interface Ex.write_acc Ex.client in
   (* The paper equates the *trace sets*; the alphabets legitimately

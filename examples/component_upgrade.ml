@@ -107,7 +107,6 @@ let () =
   in
   let ctx = Tset.ctx universe in
   let depth = 5 in
-  let opts = Refine.opts ~depth () in
 
   (* Static side conditions, decided symbolically. *)
   Format.printf "composable(ReplView , LogView)?  %b@."
@@ -117,7 +116,7 @@ let () =
   Format.printf "proper(ReplView' ⊑ ReplView w.r.t. LogView)?  %b@."
     (Compose.proper ~refined:repl_view' ~abstract:repl_view ~context:log_view);
   Format.printf "ReplView' ⊑ ReplView?  %a@.@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx repl_view' repl_view);
+    (Refine.verdict ~depth ctx repl_view' repl_view);
 
   (* Lemma 15 and Theorem 16: the local upgrade lifts to the composed
      system. *)
@@ -134,12 +133,12 @@ let () =
     (Compose.proper ~refined:repl_view'' ~abstract:repl_view
        ~context:log_view2);
   Format.printf "ReplView'' ⊑ ReplView?  %a@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx repl_view'' repl_view);
+    (Refine.verdict ~depth ctx repl_view'' repl_view);
   (match (Compose.compose repl_view'' log_view2, Compose.compose repl_view log_view2) with
   | Ok refined_comp, Ok abstract_comp ->
       Format.printf "ReplView''‖LogView2 ⊑ ReplView‖LogView2?  %a@."
         Posl_verdict.Verdict.pp
-        (Refine.verdict ~opts ctx refined_comp abstract_comp)
+        (Refine.verdict ~depth ctx refined_comp abstract_comp)
   | Error f, _ | _, Error f ->
       Format.printf "unexpectedly not composable: %a@."
         Compose.pp_composability_failure f);

@@ -28,7 +28,6 @@ let () =
   let universe = Spec.adequate_universe Ex.all_specs in
   let ctx = Tset.ctx universe in
   let depth = 6 in
-  let opts = Refine.opts ~depth () in
 
   (* The obligation: an OW that has been issued must stay answerable by
      a CW — the handshake the access controller expects. *)
@@ -45,7 +44,7 @@ let () =
 
   (* Plain (safety) refinement happily accepts the broken upgrade. *)
   Format.printf "Client2 ⊑ Client (safety, Def. 2)?   %a@." Posl_verdict.Verdict.pp
-    (Refine.verdict ~opts ctx Ex.client2 Ex.client);
+    (Refine.verdict ~depth ctx Ex.client2 Ex.client);
 
   (* Live refinement rejects it: Client2 issues OW but can never answer
      it (it has no CW at all). *)
@@ -53,7 +52,7 @@ let () =
   let refined =
     Live.v ~deadlock_free:false ~obligations:[ ow_answerable ] Ex.client2
   in
-  (let v = Live.refine ~opts ctx refined abstract in
+  (let v = Live.refine ~depth ctx refined abstract in
    if Posl_verdict.Verdict.is_holds v then
      Format.printf "Client2 ⊑live Client?               accepted %a (unexpected!)@."
        Posl_verdict.Verdict.pp v

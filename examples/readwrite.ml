@@ -23,11 +23,10 @@ let () =
   let universe = Spec.adequate_universe Ex.all_specs in
   let ctx = Tset.ctx universe in
   let depth = 6 in
-  let opts = Refine.opts ~depth () in
   let check g' g =
     Format.printf "%-8s ⊑ %-8s?  %a@." (Spec.name g') (Spec.name g)
       Posl_verdict.Verdict.pp
-      (Refine.verdict ~opts ctx g' g)
+      (Refine.verdict ~depth ctx g' g)
   in
   check Ex.read2 Ex.read;
   check Ex.rw Ex.read;

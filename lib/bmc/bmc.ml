@@ -11,12 +11,11 @@
     - deadlock analysis (Examples 4 and 5): reachable monitor states
       with no enabled events.
 
-    Exploration is breadth-first with structural de-duplication of
-    states.  When the reachable state space is exhausted before the
-    depth bound is hit, the verdict holds for {e all} depths over the
-    given concrete alphabet and is reported {!Exact}; otherwise it is
-    {!Bounded} by the depth.  Level expansion fans out across domains
-    via {!Posl_par.Par}. *)
+    All three are answered by one product walk ({!walk}), breadth-first
+    over interned monitor states.  When the reachable state space is
+    exhausted, the verdict holds for {e all} depths over the given
+    concrete alphabet and is reported {!Exact}; otherwise it is
+    {!Bounded} by the depth. *)
 
 module Tset = Posl_tset.Tset
 module Event = Posl_trace.Event
@@ -44,74 +43,6 @@ type 'a verdict = Holds of confidence | Refuted of 'a
 let pp_verdict pp_refutation ppf = function
   | Holds c -> Format.fprintf ppf "holds [%a]" pp_confidence c
   | Refuted r -> Format.fprintf ppf "refuted: %a" pp_refutation r
-
-(** {1 Generic level-wise exploration}
-
-    States are pairs of a key (deduplicated structurally) and the trace
-    that reached them (shortest, by BFS). *)
-
-module Explore = struct
-  type ('k, 'a) outcome = Done of 'a | Continue of ('k * Trace.t) list
-
-  (* [run ~depth ~init ~expand] explores breadth-first from the [init]
-     keyed states.  [expand] maps a (key, witness trace) to either a
-     final result (short-circuits the whole search) or its successor
-     states.  Returns [Ok exhausted] when no result was produced, where
-     [exhausted] says whether the frontier died out before [depth]. *)
-  let run ?domains ~depth ~init ~expand () =
-    let visited = Hashtbl.create 1024 in
-    let add_visited k = Hashtbl.replace visited k () in
-    let is_visited k = Hashtbl.mem visited k in
-    List.iter (fun (k, _) -> add_visited k) init;
-    let rec level d frontier =
-      if frontier = [] then Ok true
-      else if d >= depth then Ok false
-      else begin
-        (* Each level gets its own telemetry span (closed before the
-           recursive call, so levels are siblings, not a nested chain)
-           with the frontier and successor sizes as attributes. *)
-        let outcome =
-          Telemetry.with_span "bmc.level" @@ fun () ->
-          if Telemetry.enabled () then
-            Telemetry.set_attrs
-              [ ("level", string_of_int d);
-                ("frontier", string_of_int (List.length frontier)) ];
-          (* Dynamic scheduling: successor fan-out varies widely between
-             frontier states (dead states are cheap, product closures
-             are not), which starves static partitions. *)
-          let expanded = Posl_par.Par.map_dyn ?domains expand frontier in
-          let result = ref None in
-          let next = ref [] in
-          List.iter
-            (fun outcome ->
-              match (outcome, !result) with
-              | _, Some _ -> ()
-              | Done r, None -> result := Some r
-              | Continue succs, None ->
-                  List.iter
-                    (fun (k, h) ->
-                      if not (is_visited k) then begin
-                        add_visited k;
-                        next := (k, h) :: !next
-                      end)
-                    succs)
-            expanded;
-          match !result with
-          | Some r -> `Found r
-          | None ->
-              let next = List.rev !next in
-              if Telemetry.enabled () then
-                Telemetry.set_attrs
-                  [ ("next", string_of_int (List.length next)) ];
-              `Next next
-        in
-        match outcome with
-        | `Found r -> Error r
-        | `Next next -> level (d + 1) next
-      end
-    in
-    level 0 init
-end
 
 (** {1 Self-certification}
 
@@ -155,302 +86,244 @@ let certify_deadlock ctx ~alphabet t h =
     alphabet;
   h
 
-(** {1 Trace-set inclusion under projection}
+(** {1 The product walk}
 
-    [check_inclusion ctx ~alphabet ~depth ~lhs ~proj ~rhs] decides
-    whether every trace of [lhs] over the concrete [alphabet] (up to
-    [depth]) satisfies [h/proj ∈ rhs].  This is clause 3 of Def. 2 with
-    [lhs = T(Γ′)], [proj = α(Γ)], [rhs = T(Γ)]. *)
-let check_inclusion ?domains (ctx : Tset.ctx) ~(alphabet : Event.t array)
-    ~depth ~(lhs : Tset.t) ~(proj : Eventset.t) ~(rhs : Tset.t) :
-    Trace.t verdict =
-  match Tset.start ctx lhs with
-  | None -> Holds Exact (* T(Γ′) degenerate: even ε is outside it *)
-  | Some lhs0 -> (
-      match Tset.start ctx rhs with
-      | None ->
-          (* ε ∈ T(Γ′) but ε ∉ T(Γ) *)
-          Refuted (certify_inclusion ctx ~lhs ~proj ~rhs Trace.empty)
-      | Some rhs0 ->
-          let expand ((lhs_st, rhs_st), h) =
-            (* Successors are consed while scanning the alphabet in
-               order, so reverse before returning: frontier discovery
-               order must follow alphabet order for witnesses to be
-               the lexicographically-least shortest violation (the
-               canonical form every inclusion route agrees on). *)
-            let rec try_events acc = function
-              | [] -> Explore.Continue (List.rev acc)
-              | e :: rest -> (
-                  match Tset.step ctx lhs lhs_st e with
-                  | None -> try_events acc rest
-                  | Some lhs_st' ->
-                      let h' = Trace.snoc h e in
-                      if Eventset.mem e proj then
-                        match Tset.step ctx rhs rhs_st e with
-                        | None -> Explore.Done h'
-                        | Some rhs_st' ->
-                            try_events (((lhs_st', rhs_st'), h') :: acc) rest
-                      else try_events (((lhs_st', rhs_st), h') :: acc) rest)
-            in
-            try_events [] (Array.to_list alphabet)
-          in
-          (match
-             Explore.run ?domains ~depth
-               ~init:[ ((lhs0, rhs0), Trace.empty) ]
-               ~expand ()
-           with
-          | Error cex -> Refuted (certify_inclusion ctx ~lhs ~proj ~rhs cex)
-          | Ok true -> Holds Exact
-          | Ok false -> Holds (Bounded depth)))
+    One breadth-first walk over the product of a [lhs] monitor with,
+    for inclusion, an [rhs] monitor, on interned small-int state ids
+    with memoized successor rows.  It answers one of three questions:
 
-(** {1 On-the-fly antichain inclusion}
+    - [Escape (proj, rhs, rhs0)]: a step of [lhs] inside [proj] that
+      [rhs] (started in [rhs0]) cannot follow — inclusion, and
+      equality run both ways;
+    - [Stuck]: a reachable [lhs] state with no live successor —
+      deadlock;
+    - [Count]: none; the walk runs to its cut and counts states.
 
-    The same question as {!check_inclusion}, decided by exploring the
-    product of the [lhs] monitor against the [rhs] monitor on interned
-    small-int state ids with memoized successor rows.  Frontier pairs
-    are de-duplicated by packed [(lhs, rhs)] id; when the rhs state is
-    a [Product] (the one genuinely set-shaped state kind — its
+    Pairs are de-duplicated by packed [(lhs, rhs)] id; when the rhs
+    state is a [Product] (the one genuinely set-shaped state kind — its
     hidden-event closure is a subset construction over composites), a
     pair is additionally pruned when an already-visited pair with the
     same lhs state has a ⊆-smaller rhs macro-state ({!Antichain}).
+    Exhaustion of the (pruned) frontier is still exact: macro stepping
+    is monotone, so everything reachable from a pruned pair is covered
+    by the minimal pair that pruned it.  Discovery follows alphabet
+    order, so the first answer found carries the lexicographically-least
+    shortest trace.
 
-    Exhaustion of the (pruned) frontier is still [Exact]: macro
-    stepping is monotone, so everything reachable from a pruned pair
-    is covered by the minimal pair that pruned it.  Refutations are
-    raised at the first rhs death in discovery order, which is the
-    lexicographically-least shortest violating word — the same
-    canonical witness the automata route produces.
+    With [~complete:false] the walk cuts at [depth]: states at depth
+    [depth] are admitted but not expanded.  With [~complete:true] it
+    runs past [depth] until the frontier is exhausted or more than
+    {!budget} pairs have been admitted — unless a monitor is not
+    {!Tset.finitary}: a [Pointwise] member mints a fresh state per path,
+    so completion would enumerate paths exponentially, and the walk
+    keeps the depth cut. *)
 
-    With [complete] (default), exploration continues past [depth]
-    until exhaustion (reported [Exact]) or until more than [budget]
-    pairs have been admitted (reported [Bounded depth]); with
-    [~complete:false] it stops at [depth] exactly like
-    {!check_inclusion}. *)
-exception Cex of Trace.t
+type question =
+  | Escape of Eventset.t * Tset.t * Tset.state
+  | Stuck
+  | Count
 
-let check_inclusion_antichain ?domains:_ ?(complete = true)
-    ?(budget = 200_000) (ctx : Tset.ctx) ~(alphabet : Event.t array) ~depth
-    ~(lhs : Tset.t) ~(proj : Eventset.t) ~(rhs : Tset.t) : Trace.t verdict =
+type outcome = Found of Trace.t | Exhausted | Cut
+
+(* Pair admissions after which a complete walk stops at the next level
+   at or past the depth bound. *)
+let budget = 200_000
+
+exception Answer of Trace.t
+
+let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
+    (lhs : Tset.t) (lhs0 : Tset.state) : outcome * int * Antichain.stats =
+  let complete =
+    complete && Tset.finitary lhs
+    &&
+    match question with
+    | Escape (_, rhs, _) -> Tset.finitary rhs
+    | Stuck | Count -> true
+  in
+  let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
+  let n = Array.length alphabet in
+  let eids = Array.map (Tset.event_id ctx) alphabet in
+  (* Memoized successor rows: interned state id -> per-symbol successor
+     id, [-1] = dead, [-2] = not yet computed.  Cells are filled lazily
+     — rhs states are only stepped at symbols where the lhs survives,
+     and never outside the projection — and each fill goes through the
+     context's persistent row cache ({!Tset.step_id}), so a monitor
+     appearing in many questions — every corpus spec does — steps each
+     state once per context; the per-walk table only short-circuits
+     the per-cell cache lookups. *)
+  let cell tset =
+    let tid = Tset.tset_id ctx tset and tbl = Hashtbl.create 256 in
+    fun id s ->
+      let r =
+        match Hashtbl.find_opt tbl id with
+        | Some r -> r
+        | None ->
+            let r = Array.make n (-2) in
+            Hashtbl.add tbl id r;
+            r
+      in
+      let v = r.(s) in
+      if v <> -2 then v
+      else
+        let v =
+          Tset.step_id ctx tset ~tset_id:tid ~event_id:eids.(s) id alphabet.(s)
+        in
+        r.(s) <- v;
+        v
+  in
+  let lcell = cell lhs in
+  let proj_mask, rcell, r0, macro =
+    match question with
+    | Escape (proj, rhs, rhs0) ->
+        ( Array.map (fun e -> Eventset.mem e proj) alphabet,
+          cell rhs,
+          Tset.intern_state ctx rhs0,
+          Tset.macro_of_id ctx )
+    | Stuck | Count -> (Array.make n false, (fun r _ -> r), 0, fun _ -> None)
+  in
+  let visited_pairs = Hashtbl.create 1024 in
+  let ac = Antichain.create () in
+  let admitted = ref 0 in
+  let admit l r =
+    let fresh =
+      match macro r with
+      | Some ids -> (
+          match Antichain.check_add ac l (Bitset.of_sorted_ids ids) with
+          | `Added -> true
+          | `Subsumed -> false)
+      | None ->
+          (* ids stay well under 2^31 in any feasible run *)
+          let key = (l lsl 31) lor r in
+          if Hashtbl.mem visited_pairs key then false
+          else begin
+            Hashtbl.add visited_pairs key ();
+            true
+          end
+    in
+    if fresh then incr admitted;
+    fresh
+  in
+  let l0 = Tset.intern_state ctx lhs0 in
+  ignore (admit l0 r0);
+  let stuck = match question with Stuck -> true | Escape _ | Count -> false in
+  let expand (l, r, h) next =
+    let live = ref false in
+    for s = 0 to n - 1 do
+      let l' = lcell l s in
+      if l' >= 0 then begin
+        live := true;
+        let r' = if proj_mask.(s) then rcell r s else r in
+        if r' < 0 then raise (Answer (Trace.snoc h alphabet.(s)));
+        if admit l' r' then
+          next := (l', r', Trace.snoc h alphabet.(s)) :: !next
+      end
+    done;
+    if stuck && not !live then raise (Answer h)
+  in
+  let rec level d frontier =
+    match frontier with
+    | [] -> Exhausted
+    | _ when d >= depth && ((not complete) || !admitted > budget) -> Cut
+    | _ ->
+        let next = ref [] in
+        List.iter (fun p -> expand p next) frontier;
+        level (d + 1) (List.rev !next)
+  in
+  let outcome =
+    try level 0 [ (l0, r0, Trace.empty) ] with Answer h -> Found h
+  in
+  (outcome, !admitted, Antichain.stats ac)
+
+(** {1 Trace-set inclusion under projection}
+
+    Does every trace [h] of [lhs] over the concrete [alphabet] satisfy
+    [h/proj ∈ rhs]?  This is clause 3 of Def. 2 with [lhs = T(Γ′)],
+    [proj = α(Γ)], [rhs = T(Γ)].  Refutations are the walk's first
+    escape — the lexicographically-least shortest violating trace. *)
+let check_inclusion_antichain ?(complete = true) (ctx : Tset.ctx)
+    ~(alphabet : Event.t array) ~depth ~(lhs : Tset.t) ~(proj : Eventset.t)
+    ~(rhs : Tset.t) : Trace.t verdict =
   match rhs with
   | Tset.All ->
       (* h/proj ∈ All for every h: clause 3 holds outright, with the
          same confidence and witness story as a full exploration
-         (there is nothing to refute).  The unified checker simplifies
-         algebraically before exploring — Example 1's Read ("no
-         restrictions") is refined by everything, and the compiled
-         route pays a whole lhs compilation to learn that. *)
+         (there is nothing to refute).  Example 1's Read ("no
+         restrictions") is refined by everything. *)
       Holds Exact
   | _ -> (
-  match Tset.start ctx lhs with
-  | None -> Holds Exact (* T(Γ′) degenerate: even ε is outside it *)
-  | Some lhs0 -> (
-      match Tset.start ctx rhs with
-      | None ->
-          (* ε ∈ T(Γ′) but ε ∉ T(Γ) *)
-          Refuted (certify_inclusion ctx ~lhs ~proj ~rhs Trace.empty)
-      | Some rhs0 ->
-          Telemetry.with_span "bmc.antichain" @@ fun () ->
-          (* Running past the depth cut only pays off when revisited
-             states de-duplicate; a [Pointwise] member mints a fresh
-             state per path, so completion would enumerate paths
-             exponentially.  Fall back to the plain depth-cut
-             semantics for those monitors (matching what the automata
-             route does: pointwise monitors never compile either). *)
-          let complete = complete && Tset.finitary lhs && Tset.finitary rhs in
-          let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
-          let n = Array.length alphabet in
-          let proj_mask = Array.map (fun e -> Eventset.mem e proj) alphabet in
-          let all_mask = Array.make n true in
-          let eids = Array.map (Tset.event_id ctx) alphabet in
-          (* Memoized successor rows: interned state id -> per-symbol
-             successor id, [-1] = dead, [-2] = not yet computed.  Cells
-             are filled lazily — rhs states are only stepped at symbols
-             where the lhs survives, and never outside the projection —
-             and each fill goes through the context's persistent row
-             cache ({!Tset.step_id}), so a monitor appearing in many
-             refinement pairs — every corpus spec does — steps each
-             state once per context, not once per pair; the per-call
-             table only short-circuits the per-cell cache lookups. *)
-          let ltid = Tset.tset_id ctx lhs and rtid = Tset.tset_id ctx rhs in
-          let cell tbl tset tid mask =
-            let lookup id s =
-              let r =
-                match Hashtbl.find_opt tbl id with
-                | Some r -> r
-                | None ->
-                    let r = Array.make n (-2) in
-                    Hashtbl.add tbl id r;
-                    r
+      match Tset.start ctx lhs with
+      | None -> Holds Exact (* T(Γ′) degenerate: even ε is outside it *)
+      | Some lhs0 -> (
+          match Tset.start ctx rhs with
+          | None ->
+              (* ε ∈ T(Γ′) but ε ∉ T(Γ) *)
+              Refuted (certify_inclusion ctx ~lhs ~proj ~rhs Trace.empty)
+          | Some rhs0 ->
+              Telemetry.with_span "bmc.antichain" @@ fun () ->
+              let outcome, admitted, st =
+                walk ~complete ctx ~alphabet ~depth
+                  (Escape (proj, rhs, rhs0))
+                  lhs lhs0
               in
-              let v = r.(s) in
-              if v <> -2 then v
-              else
-                let v =
-                  if not mask.(s) then -1
-                  else
-                    Tset.step_id ctx tset ~tset_id:tid ~event_id:eids.(s) id
-                      alphabet.(s)
-                in
-                r.(s) <- v;
-                v
-            in
-            lookup
-          in
-          let lcell = cell (Hashtbl.create 256) lhs ltid all_mask in
-          let rcell = cell (Hashtbl.create 256) rhs rtid proj_mask in
-          let visited_pairs = Hashtbl.create 1024 in
-          let ac = Antichain.create () in
-          let admitted = ref 0 in
-          let admit l r =
-            let fresh =
-              match Tset.macro_of_id ctx r with
-              | Some ids -> (
-                  match Antichain.check_add ac l (Bitset.of_sorted_ids ids) with
-                  | `Added -> true
-                  | `Subsumed -> false)
-              | None ->
-                  (* ids stay well under 2^31 in any feasible run *)
-                  let key = (l lsl 31) lor r in
-                  if Hashtbl.mem visited_pairs key then false
-                  else begin
-                    Hashtbl.add visited_pairs key ();
-                    true
-                  end
-            in
-            if fresh then incr admitted;
-            fresh
-          in
-          let l0 = Tset.intern_state ctx lhs0 in
-          let r0 = Tset.intern_state ctx rhs0 in
-          ignore (admit l0 r0);
-          let expand (l, r, h) next =
-            for s = 0 to n - 1 do
-              let l' = lcell l s in
-              if l' >= 0 then
-                if proj_mask.(s) then begin
-                  let r' = rcell r s in
-                  if r' < 0 then raise (Cex (Trace.snoc h alphabet.(s)));
-                  if admit l' r' then
-                    next := (l', r', Trace.snoc h alphabet.(s)) :: !next
-                end
-                else if admit l' r then
-                  next := (l', r, Trace.snoc h alphabet.(s)) :: !next
-            done
-          in
-          let rec level d frontier =
-            match frontier with
-            | [] -> Holds Exact
-            | _ when d >= depth && ((not complete) || !admitted > budget) ->
-                Holds (Bounded depth)
-            | _ ->
-                let next = ref [] in
-                List.iter (fun p -> expand p next) frontier;
-                level (d + 1) (List.rev !next)
-          in
-          let result =
-            try level 0 [ (l0, r0, Trace.empty) ]
-            with Cex h -> Refuted (certify_inclusion ctx ~lhs ~proj ~rhs h)
-          in
-          let st = Antichain.stats ac in
-          Metrics.add antichain_pairs_c !admitted;
-          Metrics.add antichain_prunes_c st.Antichain.pruned;
-          if Telemetry.enabled () then
-            Telemetry.set_attrs
-              [ ("pairs", string_of_int !admitted);
-                ("prunes", string_of_int st.Antichain.pruned);
-                ("dropped", string_of_int st.Antichain.dropped) ];
-          result))
+              Metrics.add antichain_pairs_c admitted;
+              Metrics.add antichain_prunes_c st.Antichain.pruned;
+              if Telemetry.enabled () then
+                Telemetry.set_attrs
+                  [ ("pairs", string_of_int admitted);
+                    ("prunes", string_of_int st.Antichain.pruned);
+                    ("dropped", string_of_int st.Antichain.dropped) ];
+              (match outcome with
+              | Found h -> Refuted (certify_inclusion ctx ~lhs ~proj ~rhs h)
+              | Exhausted -> Holds Exact
+              | Cut -> Holds (Bounded depth))))
 
-(** Bounded trace-set equality: inclusion both ways over the same
-    concrete alphabet (no projection), on the antichain engine with
-    plain depth-bounded semantics. *)
-let check_equal ?domains ctx ~alphabet ~depth ~(left : Tset.t)
-    ~(right : Tset.t) : (Trace.t * [ `Left_only | `Right_only ]) verdict =
-  let keep_all = Eventset.full in
-  match
-    check_inclusion_antichain ?domains ~complete:false ctx ~alphabet ~depth
-      ~lhs:left ~proj:keep_all ~rhs:right
-  with
+(** Bounded trace-set equality: the depth-cut walk both ways over the
+    same concrete alphabet (no projection). *)
+let check_equal ctx ~alphabet ~depth ~(left : Tset.t) ~(right : Tset.t) :
+    (Trace.t * [ `Left_only | `Right_only ]) verdict =
+  let included lhs rhs =
+    check_inclusion_antichain ~complete:false ctx ~alphabet ~depth ~lhs
+      ~proj:Eventset.full ~rhs
+  in
+  match included left right with
   | Refuted h -> Refuted (h, `Left_only)
   | Holds c1 -> (
-      match
-        check_inclusion_antichain ?domains ~complete:false ctx ~alphabet
-          ~depth ~lhs:right ~proj:keep_all ~rhs:left
-      with
+      match included right left with
       | Refuted h -> Refuted (h, `Right_only)
       | Holds c2 ->
-          let combine =
-            match (c1, c2) with
+          Holds
+            (match (c1, c2) with
             | Exact, Exact -> Exact
-            | Bounded k, _ | _, Bounded k -> Bounded k
-          in
-          Holds combine)
+            | Bounded k, _ | _, Bounded k -> Bounded k))
 
 (** {1 Deadlock analysis}
 
     A reachable monitor state with no enabled event is a deadlock of the
     specification over the given alphabet (Examples 4 and 5 of the
     paper; total deadlock at the start corresponds to a trace set that
-    is just {ε}). *)
-let find_deadlock ?domains:_ ctx ~(alphabet : Event.t array) ~depth
-    (t : Tset.t) : Trace.t option =
+    is just {ε}).  The walk is depth-cut: states first reached at depth
+    [depth] are not examined. *)
+let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
+    Trace.t option =
   match Tset.start ctx t with
   | None ->
       (* not even ε: degenerate, report as stuck *)
       Some (certify_deadlock ctx ~alphabet t Trace.empty)
+  | Some st0 -> (
+      match walk ~complete:false ctx ~alphabet ~depth Stuck t st0 with
+      | Found h, _, _ -> Some (certify_deadlock ctx ~alphabet t h)
+      | (Exhausted | Cut), _, _ -> None)
+
+(** Reachable monitor states up to [depth]; the state-count metric of
+    the performance experiments. *)
+let count_states ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) : int =
+  match Tset.start ctx t with
+  | None -> 0
   | Some st0 ->
-      (* Interned-id BFS over memoized successor rows: a state whose
-         whole row is dead is a deadlock.  Discovery order follows
-         alphabet order, so the first dead state found carries the
-         lexicographically-least shortest witness — the same trace the
-         level-wise exploration used to report. *)
-      let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
-      let n = Array.length alphabet in
-      let rows = Hashtbl.create 256 in
-      let row id =
-        match Hashtbl.find_opt rows id with
-        | Some r -> r
-        | None ->
-            let st = Tset.state_of_id ctx id in
-            let r =
-              Array.init n (fun s ->
-                  match Tset.step ctx t st alphabet.(s) with
-                  | None -> -1
-                  | Some st' -> Tset.intern_state ctx st')
-            in
-            Hashtbl.add rows id r;
-            r
+      let _, admitted, _ =
+        walk ~complete:false ctx ~alphabet ~depth Count t st0
       in
-      let visited = Hashtbl.create 1024 in
-      let id0 = Tset.intern_state ctx st0 in
-      Hashtbl.replace visited id0 ();
-      let exception Stuck of Trace.t in
-      let rec level d frontier =
-        if frontier = [] || d >= depth then None
-        else begin
-          let next = ref [] in
-          List.iter
-            (fun (id, h) ->
-              let r = row id in
-              let alive = ref false in
-              for s = 0 to n - 1 do
-                let id' = r.(s) in
-                if id' >= 0 then begin
-                  alive := true;
-                  if not (Hashtbl.mem visited id') then begin
-                    Hashtbl.replace visited id' ();
-                    next := (id', Trace.snoc h alphabet.(s)) :: !next
-                  end
-                end
-              done;
-              if not !alive then raise (Stuck h))
-            frontier;
-          level (d + 1) (List.rev !next)
-        end
-      in
-      (try
-         level 0 [ (id0, Trace.empty) ]
-       with Stuck witness -> Some (certify_deadlock ctx ~alphabet t witness))
+      admitted
 
 (** The events enabled after [h] — the possible extensions within the
     trace set.  Used by example walkthroughs. *)
@@ -529,37 +402,3 @@ let enumerate ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
       in
       go st0 Trace.empty 0;
       List.rev !out
-
-(** Reachable monitor states up to [depth]; the state-count metric of
-    the performance experiments. *)
-let count_states ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) : int =
-  match Tset.start ctx t with
-  | None -> 0
-  | Some st0 ->
-      let module SM = Set.Make (struct
-        type t = Tset.state
-
-        let compare = Tset.compare_state
-      end) in
-      let visited = ref (SM.singleton st0) in
-      let rec level d frontier =
-        if frontier <> [] && d < depth then begin
-          let next = ref [] in
-          List.iter
-            (fun st ->
-              Array.iter
-                (fun e ->
-                  match Tset.step ctx t st e with
-                  | Some st' ->
-                      if not (SM.mem st' !visited) then begin
-                        visited := SM.add st' !visited;
-                        next := st' :: !next
-                      end
-                  | None -> ())
-                alphabet)
-            frontier;
-          level (d + 1) !next
-        end
-      in
-      level 0 [ st0 ];
-      SM.cardinal !visited

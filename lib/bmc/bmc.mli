@@ -3,12 +3,13 @@
     The verification questions of the paper that are not purely
     set-algebraic all reduce to reachability over products of monitors:
     projected trace-set inclusion (Def. 2 clause 3), trace-set equality
-    (Example 6), and deadlock (Examples 4–5).  Exploration is
-    breadth-first with structural de-duplication; when the reachable
-    space is exhausted before the depth bound, the verdict holds for
-    {e all} depths over the given alphabet and is reported {!Exact}.
+    (Example 6), and deadlock (Examples 4–5).  One breadth-first product
+    walk over interned monitor states answers all three, and counts
+    states ({!count_states}); when the reachable space is exhausted, the
+    verdict holds for {e all} depths over the given alphabet and is
+    reported {!Exact}.
 
-    Every counterexample ({!check_inclusion}, {!check_equal},
+    Every counterexample ({!check_inclusion_antichain}, {!check_equal},
     {!find_deadlock}) is {e self-certifying}: it is replayed through the
     denotational reference semantics [Tset.mem_naive] before being
     reported, and {!Posl_verdict.Verdict.Uncertified} is raised if the
@@ -30,24 +31,8 @@ type 'a verdict = Holds of confidence | Refuted of 'a
 val pp_verdict :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a verdict -> unit
 
-val check_inclusion :
-  ?domains:int ->
-  Tset.ctx ->
-  alphabet:Event.t array ->
-  depth:int ->
-  lhs:Tset.t ->
-  proj:Eventset.t ->
-  rhs:Tset.t ->
-  Trace.t verdict
-(** Does every trace of [lhs] over [alphabet] (up to [depth]) satisfy
-    [h/proj ∈ rhs]?  Clause 3 of Def. 2 is
-    [lhs = T(Γ′), proj = α(Γ), rhs = T(Γ)].  Refutations carry a
-    genuine [lhs] trace. *)
-
 val check_inclusion_antichain :
-  ?domains:int ->
   ?complete:bool ->
-  ?budget:int ->
   Tset.ctx ->
   alphabet:Event.t array ->
   depth:int ->
@@ -55,41 +40,35 @@ val check_inclusion_antichain :
   proj:Eventset.t ->
   rhs:Tset.t ->
   Trace.t verdict
-(** The same question as {!check_inclusion}, decided on-the-fly over
-    interned state ids with memoized successor rows, pruning frontier
-    pairs whose rhs macro-state ([Product] subset construction) is
-    subsumed by an already-visited one ({!Antichain}).  Refutations
-    are the lexicographically-least shortest violating trace — the
-    same canonical witness the automata route produces — and are
-    self-certified as in {!check_inclusion}.
+(** Does every trace of [lhs] over [alphabet] satisfy [h/proj ∈ rhs]?
+    Clause 3 of Def. 2 is [lhs = T(Γ′), proj = α(Γ), rhs = T(Γ)].
+    Decided on the fly over interned state ids with memoized successor
+    rows, pruning frontier pairs whose rhs macro-state ([Product]
+    subset construction) is subsumed by an already-visited one
+    ({!Antichain}).  Refutations are the lexicographically-least
+    shortest violating trace, a genuine [lhs] trace.
 
-    With [complete] (default [true]), exploration continues past
-    [depth] until the frontier is exhausted ([Exact]) or more than
-    [budget] (default 200_000) pairs have been admitted
-    ([Bounded depth]); with [~complete:false] it cuts at [depth]
-    exactly like {!check_inclusion}.  [?domains] is accepted for
-    interface parity and ignored: the scan is sequential so witness
-    order is canonical. *)
+    With [complete] (default [true]), the walk continues past [depth]
+    until the frontier is exhausted ([Exact]) or more than 200_000
+    pairs have been admitted ([Bounded depth]); with [~complete:false],
+    and always for monitors that are not {!Tset.finitary}, it cuts at
+    [depth] — [Exact] then means the frontier emptied first. *)
 
 val check_equal :
-  ?domains:int ->
   Tset.ctx ->
   alphabet:Event.t array ->
   depth:int ->
   left:Tset.t ->
   right:Tset.t ->
   (Trace.t * [ `Left_only | `Right_only ]) verdict
-(** Bounded trace-set equality over the same alphabet. *)
+(** Bounded trace-set equality over the same alphabet: the depth-cut
+    inclusion walk both ways. *)
 
 val find_deadlock :
-  ?domains:int ->
-  Tset.ctx ->
-  alphabet:Event.t array ->
-  depth:int ->
-  Tset.t ->
-  Trace.t option
+  Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> Trace.t option
 (** A shortest reachable trace after which no event of the alphabet is
-    enabled, if any. *)
+    enabled, if any — the lexicographically-least one of length below
+    [depth]. *)
 
 val enabled :
   Tset.ctx -> alphabet:Event.t array -> Tset.t -> Trace.t -> Event.t list

@@ -74,11 +74,10 @@ let to_spec ?(name = "component") t =
 (** Soundness of a specification w.r.t. a component (Sections 2, 7):
     every component trace, projected on the specification alphabet,
     belongs to the specification's trace set.  Checked by exploration
-    over a concrete universe; [Exact] verdicts are exact for that
-    universe. *)
-let sound ?domains ctx ~depth (spec : Spec.t) (t : t) :
-    Trace.t Posl_bmc.Bmc.verdict =
+    over a concrete universe, cut at [depth]; [Exact] verdicts (the
+    frontier emptied first) are exact for that universe. *)
+let sound ctx ~depth (spec : Spec.t) (t : t) : Trace.t Posl_bmc.Bmc.verdict =
   let u = Tset.universe ctx in
   let alphabet = Array.of_list (Eventset.sample u (alpha t)) in
-  Posl_bmc.Bmc.check_inclusion ?domains ctx ~alphabet ~depth ~lhs:(tset t)
-    ~proj:(Spec.alpha spec) ~rhs:(Spec.tset spec)
+  Posl_bmc.Bmc.check_inclusion_antichain ~complete:false ctx ~alphabet ~depth
+    ~lhs:(tset t) ~proj:(Spec.alpha spec) ~rhs:(Spec.tset spec)

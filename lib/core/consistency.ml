@@ -61,11 +61,11 @@ let nonempty_witness ctx ~depth comp =
           ignore depth;
           None)
 
-(** [verdict ?opts ctx g1 g2] decides non-trivial consistency: holds
+(** [verdict ?depth ctx g1 g2] decides non-trivial consistency: holds
     with a [Consistency_witness] trace, refuted when only ε is common,
     and {e vacuous} (carrying the composability failure) when the
     question is not externally answerable. *)
-let verdict ?(opts = Refine.default_opts) ctx g1 g2 : Verdict.t =
+let verdict ?(depth = 6) ctx g1 g2 : Verdict.t =
   match weakest_common_refinement g1 g2 with
   | Error f ->
       {
@@ -75,7 +75,7 @@ let verdict ?(opts = Refine.default_opts) ctx g1 g2 : Verdict.t =
         provenance = Verdict.no_provenance;
       }
   | Ok comp -> (
-      match nonempty_witness ctx ~depth:opts.Refine.depth comp with
+      match nonempty_witness ctx ~depth comp with
       | Some h ->
           Verdict.holds ~confidence:Exact
             ~evidence:[ Verdict.Consistency_witness h ] ()
@@ -88,13 +88,13 @@ let verdict ?(opts = Refine.default_opts) ctx g1 g2 : Verdict.t =
             ])
 
 (** Boolean convenience wrapper: non-trivially consistent? *)
-let consistent ?opts ctx g1 g2 = Verdict.is_holds (verdict ?opts ctx g1 g2)
+let consistent ?depth ctx g1 g2 = Verdict.is_holds (verdict ?depth ctx g1 g2)
 
 (** Every common refinement is below the weakest one: if ∆ refines both
     specifications, it refines their composition (Lemma 6 part 2 /
     soundness of {!verdict}'s reduction).  Exposed for tests and for
     the CLI's explanation output. *)
-let common_refinement_bound ?opts ctx ~delta g1 g2 =
+let common_refinement_bound ?depth ctx ~delta g1 g2 =
   match weakest_common_refinement g1 g2 with
   | Error _ -> None
-  | Ok comp -> Some (Refine.verdict ?opts ctx delta comp)
+  | Ok comp -> Some (Refine.verdict ?depth ctx delta comp)

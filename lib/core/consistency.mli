@@ -8,7 +8,7 @@
     only for composable specifications.
 
     The API is verdict-first, mirroring {!Refine}: {!verdict} is the
-    one entrypoint and reuses {!Refine.opts}. *)
+    one entrypoint and takes the same [?depth]. *)
 
 module Tset = Posl_tset.Tset
 module Verdict = Posl_verdict.Verdict
@@ -19,17 +19,17 @@ val weakest_common_refinement :
     specifications; Def. 11 composition otherwise (requires
     composability). *)
 
-val verdict : ?opts:Refine.opts -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
+val verdict : ?depth:int -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
 (** Non-trivial consistency: holds with a [Consistency_witness] trace
     (certified against [Tset.mem_naive] before being reported),
     refuted when only ε is common, vacuous with the composability
     failure as evidence when not externally determinable. *)
 
-val consistent : ?opts:Refine.opts -> Tset.ctx -> Spec.t -> Spec.t -> bool
+val consistent : ?depth:int -> Tset.ctx -> Spec.t -> Spec.t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)
 
 val common_refinement_bound :
-  ?opts:Refine.opts ->
+  ?depth:int ->
   Tset.ctx ->
   delta:Spec.t ->
   Spec.t ->

@@ -9,8 +9,8 @@
     refinement is the special case with fixed alphabet and objects.
 
     Clauses 1–2 are decided exactly on the symbolic representation;
-    clause 3 over a concrete universe, by the route {!strategy}
-    selects.  The API is verdict-first: {!verdict} is the one
+    clause 3 over a concrete universe, by the product walk of
+    {!Posl_bmc.Bmc}.  The API is verdict-first: {!verdict} is the one
     entrypoint, reporting status, confidence, typed evidence and
     provenance as a {!Posl_verdict.Verdict.t}; {!refines} is a thin
     boolean wrapper over it. *)
@@ -18,42 +18,17 @@
 module Tset = Posl_tset.Tset
 module Verdict = Posl_verdict.Verdict
 
-type strategy =
-  | Auto
-      (** on-the-fly antichain inclusion; depth-cut bounded
-          exploration as fallback on closure overflow *)
-  | Antichain_only
-      (** on-the-fly product/inclusion with antichain subsumption
-          ({!Posl_bmc.Bmc.check_inclusion_antichain}) *)
-  | Automata_only
-      (** compiled-DFA language inclusion; raise if the monitors do
-          not compile *)
-  | Bounded_only  (** depth-cut level-wise exploration *)
-
-type opts = {
-  strategy : strategy;
-  domains : int option;  (** worker domains for the bounded route *)
-  depth : int;
-      (** bound of (and reported by) depth-cut exploration; default 6 *)
-}
-
-val opts : ?strategy:strategy -> ?domains:int -> ?depth:int -> unit -> opts
-(** Defaults: [Auto], no domain override, depth 6. *)
-
-val default_opts : opts
-(** [opts ()]. *)
-
-val verdict : ?opts:opts -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
-(** [verdict ?opts ctx gamma' gamma] decides Γ′ ⊑ Γ.  Trace-clause
+val verdict : ?depth:int -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
+(** [verdict ?depth ctx gamma' gamma] decides Γ′ ⊑ Γ.  Trace-clause
     verdicts are relative to [ctx]'s universe.  Clause 1–2 failures
     report the [Symbolic] procedure with [Objects_missing] /
-    [Events_missing] evidence; clause 3 reports [Automata] for an
-    exact inclusion decision (compiled or antichain-exhausted, both
-    with the same canonical lexicographically-least shortest
-    counterexamples) and [Bounded_search] for a depth-cut run.
-    Counterexamples from every route are certified against
-    [Tset.mem_naive] before being reported
-    ({!Verdict.Uncertified} on disagreement). *)
+    [Events_missing] evidence.  Clause 3 runs the complete inclusion
+    walk and reports [Automata] when it exhausts or refutes (the
+    lexicographically-least shortest counterexample), [Bounded_search]
+    when it is cut; on a closure overflow it falls back to the walk
+    cut at [depth] (default 6), reported [Bounded_search].
+    Counterexamples are certified against [Tset.mem_naive] before being
+    reported ({!Verdict.Uncertified} on disagreement). *)
 
-val refines : ?opts:opts -> Tset.ctx -> Spec.t -> Spec.t -> bool
+val refines : ?depth:int -> Tset.ctx -> Spec.t -> Spec.t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)

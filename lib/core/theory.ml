@@ -55,7 +55,7 @@ let filter_law s1 s2 h =
     two alphabets.  Example 6 of the paper equates
     T(RW2‖Client) = T(WriteAcc‖Client) although the composed alphabets
     differ — the extra events of the refined constituent never occur. *)
-let tset_equal ?domains ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
+let tset_equal ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
   Posl_telemetry.Telemetry.with_span "theory.tset-equal"
     ~attrs:[ ("depth", string_of_int depth) ]
   @@ fun () ->
@@ -64,7 +64,7 @@ let tset_equal ?domains ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
     Array.of_list
       (Eventset.sample u (Eventset.union (Spec.alpha a) (Spec.alpha b)))
   in
-  (* Both decision routes funnel their counterexamples through here:
+  (* Both routes funnel their counterexamples through here:
      the witness must be a trace of exactly one side under the
      reference semantics before it may be reported. *)
   let fail h side =
@@ -88,39 +88,40 @@ let tset_equal ?domains ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
           { trace = h; side; left = Spec.name a; right = Spec.name b };
       ]
   in
-  let automata () =
-    try
-      match
-        ( Tset.compile ctx alphabet (Spec.tset a),
-          Tset.compile ctx alphabet (Spec.tset b) )
-      with
-      | Some da, Some db ->
-          let word_trace w =
-            Trace.of_list (List.map (fun s -> alphabet.(s)) w)
-          in
-          (match Posl_automata.Dfa.included da db with
-          | Error w -> Some (fail (word_trace w) `Left_only)
-          | Ok () -> (
-              match Posl_automata.Dfa.included db da with
-              | Error w -> Some (fail (word_trace w) `Right_only)
-              | Ok () -> Some (pass Exact)))
-      | _, _ -> None
-    with Tset.Closure_overflow _ -> None
+  let ta = Spec.tset a and tb = Spec.tset b in
+  let included ~complete lhs rhs =
+    Bmc.check_inclusion_antichain ~complete ctx ~alphabet ~depth ~lhs
+      ~proj:Eventset.full ~rhs
   in
-  match automata () with
+  (* The exact route: the complete walk both ways.  [None] — fall back
+     to the depth-cut walk — when a monitor is not finitary (the walk
+     could not complete), when either direction is cut by its budget,
+     or when a closure overflows. *)
+  let exact () =
+    if not (Tset.finitary ta && Tset.finitary tb) then None
+    else
+      try
+        match included ~complete:true ta tb with
+        | Bmc.Refuted h -> Some (fail h `Left_only)
+        | Bmc.Holds (Bmc.Bounded _) -> None
+        | Bmc.Holds Bmc.Exact -> (
+            match included ~complete:true tb ta with
+            | Bmc.Refuted h -> Some (fail h `Right_only)
+            | Bmc.Holds (Bmc.Bounded _) -> None
+            | Bmc.Holds Bmc.Exact -> Some (pass Exact))
+      with Tset.Closure_overflow _ -> None
+  in
+  match exact () with
   | Some outcome -> Verdict.with_context ~procedure:Verdict.Automata outcome
   | None ->
       Verdict.with_context ~procedure:Verdict.Bounded_search ~depth
-        (match
-           Bmc.check_equal ?domains ctx ~alphabet ~depth ~left:(Spec.tset a)
-             ~right:(Spec.tset b)
-         with
+        (match Bmc.check_equal ctx ~alphabet ~depth ~left:ta ~right:tb with
         | Bmc.Holds c -> pass c
         | Bmc.Refuted (h, side) -> fail h side)
 
 (** Semantic equality of specifications: equal object sets, equal
     alphabets (exact, symbolic) and equal trace sets. *)
-let spec_equal ?domains ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
+let spec_equal ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
   if not (Oid.Set.equal (Spec.objs a) (Spec.objs b)) then
     symbolic
       (Verdict.refuted ~confidence:Exact
@@ -145,24 +146,16 @@ let spec_equal ?domains ctx ~depth (a : Spec.t) (b : Spec.t) : outcome =
                    (Eventset.diff (Spec.alpha b) (Spec.alpha a));
              };
          ])
-  else tset_equal ?domains ctx ~depth a b
-
-let refine_outcome ?domains ctx ~depth gamma' gamma : outcome =
-  Refine.verdict ~opts:(Refine.opts ?domains ~depth ()) ctx gamma' gamma
-
-(* Premise checks ask the same question as {!refine_outcome} but only
-   need the boolean. *)
-let refines ?domains ctx ~depth gamma' gamma =
-  Refine.refines ~opts:(Refine.opts ?domains ~depth ()) ctx gamma' gamma
+  else tset_equal ctx ~depth a b
 
 (** {1 Property 5} — Γ‖Γ = Γ for an interface specification Γ.  This is
     where object identity departs from process algebra: composing a
     specification with itself adds nothing, because I(o,o) is
     unobservable. *)
-let property5 ?domains ctx ~depth (gamma : Spec.t) : outcome =
+let property5 ctx ~depth (gamma : Spec.t) : outcome =
   if not (Spec.is_interface gamma) then
     Verdict.vacuous "Property 5 concerns interface specifications"
-  else spec_equal ?domains ctx ~depth (Compose.interface gamma gamma) gamma
+  else spec_equal ctx ~depth (Compose.interface gamma gamma) gamma
 
 (** {1 Lemma 6} — for interface specifications Γ₁, Γ₂ of the same
     object, Γ₁‖Γ₂ is the weakest common refinement. *)
@@ -175,32 +168,32 @@ let lemma6_premise g1 g2 =
   else None
 
 (* Part 1: Γ₁‖Γ₂ ⊑ Γ₁ and Γ₁‖Γ₂ ⊑ Γ₂. *)
-let lemma6_refines ?domains ctx ~depth g1 g2 : outcome =
+let lemma6_refines ctx ~depth g1 g2 : outcome =
   match lemma6_premise g1 g2 with
   | Some why -> Verdict.vacuous why
   | None ->
       let comp = Compose.interface g1 g2 in
       all
         [
-          refine_outcome ?domains ctx ~depth comp g1;
-          refine_outcome ?domains ctx ~depth comp g2;
+          Refine.verdict ~depth ctx comp g1;
+          Refine.verdict ~depth ctx comp g2;
         ]
 
 (* Part 2: any ∆ refining both Γ₁ and Γ₂ refines Γ₁‖Γ₂. *)
-let lemma6_weakest ?domains ctx ~depth ~delta g1 g2 : outcome =
+let lemma6_weakest ctx ~depth ~delta g1 g2 : outcome =
   match lemma6_premise g1 g2 with
   | Some why -> Verdict.vacuous why
   | None ->
       if
         not
-          (refines ?domains ctx ~depth delta g1
-          && refines ?domains ctx ~depth delta g2)
+          (Refine.refines ~depth ctx delta g1
+          && Refine.refines ~depth ctx delta g2)
       then Verdict.vacuous "∆ does not refine both Γ₁ and Γ₂"
-      else refine_outcome ?domains ctx ~depth delta (Compose.interface g1 g2)
+      else Refine.verdict ~depth ctx delta (Compose.interface g1 g2)
 
 (** {1 Theorem 7} — compositional refinement for interface
     specifications: Γ′ ⊑ Γ ⟹ Γ′‖∆ ⊑ Γ‖∆. *)
-let theorem7 ?domains ctx ~depth ~gamma' ~gamma ~delta : outcome =
+let theorem7 ctx ~depth ~gamma' ~gamma ~delta : outcome =
   if
     not
       (Spec.is_interface gamma' && Spec.is_interface gamma
@@ -208,19 +201,19 @@ let theorem7 ?domains ctx ~depth ~gamma' ~gamma ~delta : outcome =
   then Verdict.vacuous "Theorem 7 concerns interface specifications"
   else if not (Oid.Set.equal (Spec.objs gamma') (Spec.objs gamma)) then
     Verdict.vacuous "Theorem 7 keeps the object set unchanged"
-  else if not (refines ?domains ctx ~depth gamma' gamma) then
+  else if not (Refine.refines ~depth ctx gamma' gamma) then
     Verdict.vacuous "premise Γ′ ⊑ Γ does not hold"
   else
-    refine_outcome ?domains ctx ~depth
+    Refine.verdict ~depth ctx
       (Compose.interface gamma' delta)
       (Compose.interface gamma delta)
 
 (** {1 Lemma 13} — composition preserves soundness: sound specifications
     Γ, ∆ of a component C compose to a sound specification of C. *)
-let lemma13 ?domains ctx ~depth (c : Component.t) (gamma : Spec.t)
+let lemma13 ctx ~depth (c : Component.t) (gamma : Spec.t)
     (delta : Spec.t) : outcome =
   let sound spec =
-    match Component.sound ?domains ctx ~depth spec c with
+    match Component.sound ctx ~depth spec c with
     | Bmc.Holds _ -> true
     | Bmc.Refuted _ -> false
   in
@@ -231,7 +224,7 @@ let lemma13 ?domains ctx ~depth (c : Component.t) (gamma : Spec.t)
         Verdict.vacuous "premise: Γ and ∆ must both be sound for C"
       else
         Verdict.with_context ~depth
-          (match Component.sound ?domains ctx ~depth comp c with
+          (match Component.sound ctx ~depth comp c with
           | Bmc.Holds conf -> pass conf
           | Bmc.Refuted h ->
               Verdict.refuted
@@ -288,7 +281,7 @@ let lemma15 ~gamma' ~gamma ~delta : outcome =
 (** {1 Theorem 16} — compositional refinement for component
     specifications: if Γ′ is a proper refinement of Γ w.r.t. ∆ and Γ′, ∆
     are composable, then Γ′‖∆ ⊑ Γ‖∆. *)
-let theorem16 ?domains ctx ~depth ~gamma' ~gamma ~delta : outcome =
+let theorem16 ctx ~depth ~gamma' ~gamma ~delta : outcome =
   match Compose.check_composable gamma' delta with
   | Error f ->
       vacuousf "Γ′ and ∆ are not composable (%a)"
@@ -296,7 +289,7 @@ let theorem16 ?domains ctx ~depth ~gamma' ~gamma ~delta : outcome =
   | Ok () ->
       if not (Compose.proper ~refined:gamma' ~abstract:gamma ~context:delta)
       then Verdict.vacuous "Γ′ is not a proper refinement of Γ w.r.t. ∆"
-      else if not (refines ?domains ctx ~depth gamma' gamma) then
+      else if not (Refine.refines ~depth ctx gamma' gamma) then
         Verdict.vacuous "premise Γ′ ⊑ Γ does not hold"
       else (
         match Compose.compose gamma delta with
@@ -308,7 +301,7 @@ let theorem16 ?domains ctx ~depth ~gamma' ~gamma ~delta : outcome =
                  [ Compose.evidence_of_failure f ])
         | Ok abstract_comp ->
             let refined_comp = Compose.compose_exn gamma' delta in
-            refine_outcome ?domains ctx ~depth refined_comp abstract_comp)
+            Refine.verdict ~depth ctx refined_comp abstract_comp)
 
 (** {1 Property 17} — refinement without new objects preserves
     composability.  Note: this holds when the refinement's alphabet
@@ -335,45 +328,45 @@ let property17 ~gamma' ~gamma ~delta : outcome =
 
 (** {1 Theorem 18} — compositional refinement without new objects:
     Γ′ ⊑ Γ ∧ O(Γ′) = O(Γ) ⟹ Γ′‖∆ ⊑ Γ‖∆. *)
-let theorem18 ?domains ctx ~depth ~gamma' ~gamma ~delta : outcome =
+let theorem18 ctx ~depth ~gamma' ~gamma ~delta : outcome =
   if not (Oid.Set.equal (Spec.objs gamma') (Spec.objs gamma)) then
     Verdict.vacuous "Theorem 18 requires O(Γ′) = O(Γ)"
-  else if not (refines ?domains ctx ~depth gamma' gamma) then
+  else if not (Refine.refines ~depth ctx gamma' gamma) then
     Verdict.vacuous "premise Γ′ ⊑ Γ does not hold"
   else
     match (Compose.compose gamma' delta, Compose.compose gamma delta) with
     | Ok refined_comp, Ok abstract_comp ->
-        refine_outcome ?domains ctx ~depth refined_comp abstract_comp
+        Refine.verdict ~depth ctx refined_comp abstract_comp
     | Error f, _ | _, Error f ->
         vacuousf "not composable (%a)" Compose.pp_composability_failure f
 
 (** {1 Refinement partial-order laws} (Section 3: "the refinement
     relation given here is a partial order") *)
 
-let refinement_reflexive ?domains ctx ~depth gamma : outcome =
-  refine_outcome ?domains ctx ~depth gamma gamma
+let refinement_reflexive ctx ~depth gamma : outcome =
+  Refine.verdict ~depth ctx gamma gamma
 
-let refinement_transitive ?domains ctx ~depth ~g1 ~g2 ~g3 : outcome =
+let refinement_transitive ctx ~depth ~g1 ~g2 ~g3 : outcome =
   if
     not
-      (refines ?domains ctx ~depth g1 g2
-      && refines ?domains ctx ~depth g2 g3)
+      (Refine.refines ~depth ctx g1 g2
+      && Refine.refines ~depth ctx g2 g3)
   then Verdict.vacuous "premises Γ₁ ⊑ Γ₂ ⊑ Γ₃ do not hold"
-  else refine_outcome ?domains ctx ~depth g1 g3
+  else Refine.verdict ~depth ctx g1 g3
 
 (** {1 Composition laws} (Property 12: commutative and associative) *)
 
-let composition_commutative ?domains ctx ~depth g d : outcome =
+let composition_commutative ctx ~depth g d : outcome =
   match (Compose.compose g d, Compose.compose d g) with
-  | Ok gd, Ok dg -> spec_equal ?domains ctx ~depth gd dg
+  | Ok gd, Ok dg -> spec_equal ctx ~depth gd dg
   | Error f, _ | _, Error f ->
       vacuousf "not composable (%a)" Compose.pp_composability_failure f
 
-let composition_associative ?domains ctx ~depth g d e : outcome =
+let composition_associative ctx ~depth g d e : outcome =
   let ( >>= ) = Result.bind in
   let left = Compose.compose g d >>= fun gd -> Compose.compose gd e in
   let right = Compose.compose d e >>= fun de -> Compose.compose g de in
   match (left, right) with
-  | Ok l, Ok r -> spec_equal ?domains ctx ~depth l r
+  | Ok l, Ok r -> spec_equal ctx ~depth l r
   | Error f, _ | _, Error f ->
       vacuousf "not composable (%a)" Compose.pp_composability_failure f

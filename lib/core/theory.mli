@@ -32,29 +32,29 @@ val filter_law : Eventset.t -> Eventset.t -> Posl_trace.Trace.t -> bool
 (** h/S₁\S₂ = h\S₂/(S₁−S₂) — the identity the proof of Theorem 7 leans
     on. *)
 
-val tset_equal :
-  ?domains:int -> Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
+val tset_equal : Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Equality of the trace sets alone (Example 6 compares compositions
-    whose alphabets legitimately differ). *)
+    whose alphabets legitimately differ), over the sampled union of
+    the alphabets.  The complete product walk both ways decides it
+    exactly ([Automata]); when a monitor is not finitary, a walk is cut
+    by its budget or a closure overflows, the walk cut at [depth]
+    decides it ([Bounded_search], refutations included). *)
 
-val spec_equal :
-  ?domains:int -> Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
+val spec_equal : Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Full semantic equality: objects, alphabets (symbolic, exact) and
     trace sets. *)
 
 (** {1 The propositions} *)
 
-val property5 : ?domains:int -> Tset.ctx -> depth:int -> Spec.t -> outcome
+val property5 : Tset.ctx -> depth:int -> Spec.t -> outcome
 (** Γ‖Γ = Γ for an interface specification — where object identity
     departs from process algebra. *)
 
-val lemma6_refines :
-  ?domains:int -> Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
+val lemma6_refines : Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Lemma 6 part 1: Γ₁‖Γ₂ ⊑ Γ₁ and Γ₁‖Γ₂ ⊑ Γ₂ (same-object interface
     specifications). *)
 
 val lemma6_weakest :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   delta:Spec.t ->
@@ -64,7 +64,6 @@ val lemma6_weakest :
 (** Lemma 6 part 2: any ∆ refining both refines the composition. *)
 
 val theorem7 :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   gamma':Spec.t ->
@@ -75,7 +74,6 @@ val theorem7 :
     Γ′ ⊑ Γ ⟹ Γ′‖∆ ⊑ Γ‖∆. *)
 
 val lemma13 :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   Component.t ->
@@ -89,7 +87,6 @@ val lemma15 : gamma':Spec.t -> gamma:Spec.t -> delta:Spec.t -> outcome
     visible alphabet.  Purely symbolic — always exact. *)
 
 val theorem16 :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   gamma':Spec.t ->
@@ -104,7 +101,6 @@ val property17 : gamma':Spec.t -> gamma:Spec.t -> delta:Spec.t -> outcome
     well-formed specifications over disjoint component object sets). *)
 
 val theorem18 :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   gamma':Spec.t ->
@@ -115,11 +111,9 @@ val theorem18 :
 
 (** {1 Order and algebra laws} *)
 
-val refinement_reflexive :
-  ?domains:int -> Tset.ctx -> depth:int -> Spec.t -> outcome
+val refinement_reflexive : Tset.ctx -> depth:int -> Spec.t -> outcome
 
 val refinement_transitive :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   g1:Spec.t ->
@@ -128,11 +122,10 @@ val refinement_transitive :
   outcome
 
 val composition_commutative :
-  ?domains:int -> Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
+  Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Property 12 (commutativity), as trace-set equality. *)
 
 val composition_associative :
-  ?domains:int ->
   Tset.ctx ->
   depth:int ->
   Spec.t ->

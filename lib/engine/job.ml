@@ -65,14 +65,12 @@ let universe_digest u =
   Stdlib.Digest.to_hex
     (Stdlib.Digest.string (Format.asprintf "%a" Universe.pp u))
 
-let run ?domains (ctx : Tset.ctx) ~depth query : verdict =
+let decide (ctx : Tset.ctx) ~depth query : verdict =
   let t0 = Unix.gettimeofday () in
   let v =
     match query with
     | Refine { refined; abstract } ->
-        Refine.verdict
-          ~opts:(Refine.opts ?domains ~depth ())
-          ctx refined abstract
+        Refine.verdict ~depth ctx refined abstract
     | Compose { left; right } -> Compose.composable_verdict left right
     | Proper { refined; abstract; context } ->
         Compose.proper_verdict ~refined ~abstract ~context
@@ -92,16 +90,22 @@ let run ?domains (ctx : Tset.ctx) ~depth query : verdict =
             let alphabet = Spec.concrete_alphabet (Tset.universe ctx) comp in
             Verdict.with_context ~procedure:Verdict.Bounded_search
               (match
-                 Bmc.find_deadlock ?domains ctx ~alphabet ~depth
-                   (Spec.tset comp)
+                 Bmc.find_deadlock ctx ~alphabet ~depth (Spec.tset comp)
                with
               | None -> Verdict.holds ~confidence:(Bounded depth) ()
               | Some h ->
                   Verdict.refuted ~confidence:(Bounded depth)
                     [ Verdict.Deadlock h ]))
-    | Equal { left; right } -> Theory.tset_equal ?domains ctx ~depth left right
+    | Equal { left; right } -> Theory.tset_equal ctx ~depth left right
   in
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   Verdict.with_context ~depth
     ~universe_digest:(universe_digest (Tset.universe ctx))
     ~elapsed_ms v
+
+exception Overflow of { query : string; cap : int }
+
+let run ctx ~depth query =
+  try decide ctx ~depth query
+  with Tset.Closure_overflow _ ->
+    raise (Overflow { query = describe query; cap = Tset.closure_cap ctx })

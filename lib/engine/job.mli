@@ -50,12 +50,15 @@ val specs : query -> Spec.t list
 val describe : query -> string
 (** E.g. ["Read2 ⊑ Read"], ["Client ‖ WriteAcc"]. *)
 
-val run : ?domains:int -> Tset.ctx -> depth:int -> query -> verdict
-(** Decide the query over [ctx]'s universe.  [domains] is forwarded to
-    the state-space exploration (the engine passes [~domains:1] so that
-    parallelism lives at the batch level only).  Deterministic: equal
-    inputs produce {!Verdict.equal} verdicts, whatever the domain
-    count. *)
+exception Overflow of { query : string; cap : int }
+(** A hidden-event closure of the query's monitors grew past the
+    context's cap of [cap] composites ({!Tset.Closure_overflow}); the
+    query, named by {!describe}, has no verdict. *)
+
+val run : Tset.ctx -> depth:int -> query -> verdict
+(** Decide the query over [ctx]'s universe.  Deterministic: equal
+    inputs produce {!Verdict.equal} verdicts.
+    @raise Overflow when a closure exceeds the cap. *)
 
 val universe_digest : Posl_ident.Universe.t -> string
 (** MD5 (hex) over the universe's canonical rendering — the

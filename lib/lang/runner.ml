@@ -50,7 +50,7 @@ let run_file ?(depth = 6) ?(extra_objects = 2) (f : file) : result list =
     match a.check with
     | Chk_refines (l, r) ->
         let l, r = find2 l r in
-        let v = Refine.verdict ~opts:(Refine.opts ~depth ()) ctx l r in
+        let v = Refine.verdict ~depth ctx l r in
         let module V = Posl_verdict.Verdict in
         if V.is_holds v then
           ( true,
@@ -74,9 +74,7 @@ let run_file ?(depth = 6) ?(extra_objects = 2) (f : file) : result list =
         (holds, if holds then "proper" else "α₀ meets the context alphabet")
     | Chk_consistent (l, r) ->
         let l, r = find2 l r in
-        let v =
-          Consistency.verdict ~opts:(Refine.opts ~depth ()) ctx l r
-        in
+        let v = Consistency.verdict ~depth ctx l r in
         let module V = Posl_verdict.Verdict in
         if V.is_holds v then
           ( true,

@@ -212,18 +212,17 @@ let check ctx ~depth (t : t) : (Bmc.confidence, violation) result =
                     | Bmc.Bounded k, _ | _, Bmc.Bounded k -> Bmc.Bounded k)))
         (Ok c0) t.obligations
 
-(** [verdict ?opts ctx t]: all liveness requirements of a live
+(** [verdict ?depth ctx t]: all liveness requirements of a live
     specification (deadlock freedom when required, every obligation)
     as a structured verdict. *)
-let verdict ?(opts = Refine.default_opts) ctx (t : t) : Verdict.t =
-  let depth = opts.Refine.depth in
+let verdict ?(depth = 6) ctx (t : t) : Verdict.t =
   Verdict.with_context ~procedure:Verdict.Bounded_search ~depth
     (match check ctx ~depth t with
     | Ok c -> Verdict.holds ~confidence:c ()
     | Error v -> Verdict.refuted [ evidence_of_violation v ])
 
 (** Boolean convenience wrapper. *)
-let live ?opts ctx t = Verdict.is_holds (verdict ?opts ctx t)
+let live ?depth ctx t = Verdict.is_holds (verdict ?depth ctx t)
 
 (** Live refinement: Γ′ ⊑ Γ (Def. 2) {e and} Γ′ honours Γ's
     obligations (obligations name events of α(Γ) ⊆ α(Γ′), so they are
@@ -236,9 +235,8 @@ let live ?opts ctx t = Verdict.is_holds (verdict ?opts ctx t)
     Def. 2 counterexample); otherwise the liveness verdict of the
     refined specification under the {e inherited} obligations is
     joined in with {!Verdict.both}. *)
-let refine ?(opts = Refine.default_opts) ctx (refined : t) (abstract : t) :
-    Verdict.t =
-  let safety = Refine.verdict ~opts ctx refined.spec abstract.spec in
+let refine ?depth ctx (refined : t) (abstract : t) : Verdict.t =
+  let safety = Refine.verdict ?depth ctx refined.spec abstract.spec in
   if not (Verdict.is_holds safety) then safety
   else
     let inherited =
@@ -248,7 +246,7 @@ let refine ?(opts = Refine.default_opts) ctx (refined : t) (abstract : t) :
         deadlock_free = abstract.deadlock_free || refined.deadlock_free;
       }
     in
-    Verdict.both safety (verdict ~opts ctx inherited)
+    Verdict.both safety (verdict ?depth ctx inherited)
 
 (** Example 5 as an analysis: does refining Γ into Γ′ preserve deadlock
     freedom of the composition with ∆?  Returns [Ok] when Γ‖∆ has a

@@ -60,16 +60,16 @@ val check_obligation :
   obligation ->
   (Bmc.confidence, Trace.t) result
 
-val verdict : ?opts:Refine.opts -> Tset.ctx -> t -> Posl_verdict.Verdict.t
+val verdict : ?depth:int -> Tset.ctx -> t -> Posl_verdict.Verdict.t
 (** Deadlock freedom (when required) and every obligation, as a
     structured verdict (refutations carry [Deadlock] /
-    [Unanswerable] evidence).  Mirrors {!Refine.verdict}; only the
-    [depth] of the options is consulted. *)
+    [Unanswerable] evidence).  Mirrors {!Refine.verdict}, with the same
+    [depth] default. *)
 
-val live : ?opts:Refine.opts -> Tset.ctx -> t -> bool
+val live : ?depth:int -> Tset.ctx -> t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)
 
-val refine : ?opts:Refine.opts -> Tset.ctx -> t -> t -> Posl_verdict.Verdict.t
+val refine : ?depth:int -> Tset.ctx -> t -> t -> Posl_verdict.Verdict.t
 (** Live refinement: Def. 2 refinement plus preservation of the
     abstract specification's obligations and deadlock freedom.  A
     refuted safety clause returns the Def. 2 verdict as-is; liveness

@@ -12,8 +12,8 @@
     (the sum of the coefficients of the classes the event belongs to),
     so they are Markovian, and they stay finite whenever the
     specification bounds them — which keeps monitor state spaces finite
-    and lets {!Tset.compile} produce exact automata for specifications
-    like RW. *)
+    and lets exploration exhaust them, exactly, for specifications like
+    RW. *)
 
 open Posl_sets
 

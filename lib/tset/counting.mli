@@ -11,7 +11,7 @@
     values}, not raw counts: expression values change by a per-event
     constant, so they are Markovian and stay finite whenever the
     specification bounds them — which keeps monitor state spaces finite
-    and lets {!Tset.compile} produce exact automata. *)
+    and lets exploration exhaust them exactly. *)
 
 open Posl_sets
 

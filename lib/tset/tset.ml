@@ -22,9 +22,7 @@
 
     All membership questions are answered by one incremental {e monitor}
     semantics ({!start}/{!step}); a denotational reference
-    implementation ({!mem_naive}) exists for differential testing, and
-    {!compile} turns any monitor with a finite reachable state space
-    into an exact DFA over a concrete alphabet. *)
+    implementation ({!mem_naive}) exists for differential testing. *)
 
 open Posl_ident
 open Posl_sets
@@ -628,69 +626,6 @@ let rec mem_naive c t h =
   | Conj ts -> List.for_all (fun t -> mem_naive c t h) ts
   | Restrict (es, t') -> mem_naive c t' (Eventset.restrict_trace es h)
   | Product (_, _) -> mem c t h
-
-(** {1 Compilation to automata}
-
-    Explore the monitor's reachable state space over a concrete
-    alphabet.  If it is finite (and below [max_states]) the result is an
-    {e exact} DFA for the trace set restricted to traces over the given
-    events: state 0 is a rejecting sink, every other state accepts
-    (prefix-closed languages are exactly the survival languages of
-    monitors). *)
-let compile ?(max_states = 200_000) c (events : Event.t array) t :
-    Posl_automata.Dfa.t option =
-  match start c t with
-  | None -> Some (Posl_automata.Dfa.empty ~n_syms:(Array.length events))
-  | Some init -> (
-      let module SM = Map.Make (struct
-        type t = state
-
-        let compare = compare_state
-      end) in
-      let index = ref SM.empty in
-      let states = ref [] in
-      let n = ref 1 (* 0 is the sink *) in
-      let intern st =
-        match SM.find_opt st !index with
-        | Some i -> (i, false)
-        | None ->
-            let i = !n in
-            index := SM.add st i !index;
-            states := st :: !states;
-            incr n;
-            (i, true)
-      in
-      let i0, _ = intern init in
-      let queue = Queue.create () in
-      Queue.add (i0, init) queue;
-      let rows = ref [] in
-      try
-        while not (Queue.is_empty queue) do
-          let i, st = Queue.take queue in
-          let row = Array.make (Array.length events) 0 in
-          Array.iteri
-            (fun sym e ->
-              match step c t st e with
-              | None -> row.(sym) <- 0
-              | Some st' ->
-                  let j, fresh = intern st' in
-                  row.(sym) <- j;
-                  if fresh then Queue.add (j, st') queue;
-                  if !n > max_states then raise Exit)
-            events;
-          rows := (i, row) :: !rows
-        done;
-        let n_states = !n in
-        let n_syms = Array.length events in
-        let delta = Array.init n_states (fun _ -> Array.make n_syms 0) in
-        List.iter (fun (i, row) -> delta.(i) <- row) !rows;
-        let accept = Array.make n_states true in
-        accept.(0) <- false;
-        Some
-          (Posl_automata.Dfa.make ~n_states ~n_syms ~start:i0 ~accept ~delta)
-      with
-      | Exit -> None
-      | Closure_overflow _ -> None)
 
 (** {1 Utilities} *)
 

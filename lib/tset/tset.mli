@@ -4,9 +4,7 @@
     Seq[α(Γ)] (Def. 1 of the paper).  Every constructor below is prefix
     closed {e by construction}; all membership questions are answered
     by one incremental {e monitor} semantics ({!start}/{!step}), with a
-    denotational reference ({!mem_naive}) for differential testing, and
-    {!compile} turns any monitor with a finite reachable state space
-    into an exact DFA over a concrete alphabet. *)
+    denotational reference ({!mem_naive}) for differential testing. *)
 
 open Posl_ident
 open Posl_sets
@@ -182,20 +180,6 @@ val mem : ctx -> t -> Posl_trace.Trace.t -> bool
 val mem_naive : ctx -> t -> Posl_trace.Trace.t -> bool
 (** Denotational reference semantics ([Product] shares the monitor's
     search); for differential testing. *)
-
-(** {1 Compilation} *)
-
-val compile :
-  ?max_states:int ->
-  ctx ->
-  Posl_trace.Event.t array ->
-  t ->
-  Posl_automata.Dfa.t option
-(** Explore the monitor's reachable state space over a concrete
-    alphabet.  [Some dfa] is an {e exact} automaton of the trace set
-    restricted to traces over the given events (state 0 a rejecting
-    sink, all others accepting); [None] when the space exceeds
-    [max_states] or a closure overflows. *)
 
 (** {1 Utilities} *)
 

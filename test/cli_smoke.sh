@@ -130,6 +130,28 @@ refine RW2||Client||Read RW||Client||Read
 EOF
 expect 2 "non-composable composition token" batch "$tmp/noncomp.manifest"
 
+# A composition whose hidden-event closure outgrows the 20,000-composite
+# cap has no verdict: an input error naming the query, single or
+# batched, never an uncaught exception.
+cat >"$tmp/overflow.oun" <<EOF
+spec A { objects a; sort Env = all except { a };
+         alphabet call a -> Env : P, Q; traces count #P - #Q <= 100000; }
+spec B { objects b; sort Env = all except { b };
+         alphabet call Env -> b : P; traces all; }
+EOF
+cat >"$tmp/overflow.manifest" <<EOF
+use $tmp/overflow.oun
+compose A B
+deadlock A B
+EOF
+expect 2 "closure overflow (deadlock)" deadlock "$tmp/overflow.oun" A B
+expect 2 "closure overflow (batch)" batch "$tmp/overflow.manifest"
+if ! "$BIN" batch "$tmp/overflow.manifest" 2>&1 >/dev/null \
+    | grep -q 'deadlock(A ‖ B): .*20000-composite cap'; then
+  echo "FAIL closure overflow: error does not name the query and the cap" >&2
+  fails=$((fails + 1))
+fi
+
 # Single-query --json emits the same per-result document shape.
 "$BIN" refine "$SPECS/paper.oun" Read Read2 --json >"$tmp/single.json" 2>/dev/null
 if [ $? -ne 1 ]; then

@@ -96,7 +96,7 @@ let test_refinement_rule () =
   | o -> Alcotest.failf "rule should apply: %a" Ag.pp_rule_outcome o);
   (* ... and the packaged specifications indeed refine per Def. 2. *)
   (let v =
-     Refine.verdict ~opts:(Refine.opts ~depth:5 ()) ctx (spec_of 4) (spec_of 2)
+     Refine.verdict ~depth:5 ctx (spec_of 4) (spec_of 2)
    in
    if not (Posl_verdict.Verdict.is_holds v) then
      Alcotest.failf "Buf4 ⊑ Buf2: %s" (Posl_verdict.Verdict.to_string v));

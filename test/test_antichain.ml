@@ -1,13 +1,14 @@
-(* Differential tests for the on-the-fly antichain inclusion route:
-   agreement with the compiled-automata route and the level-by-level
-   bounded route, on the paper corpus (bit-for-bit verdicts, witnesses
-   included) and on random specifications with alphabet expansion; and
-   the interning layer's transparency (interned ids never change the
-   reference semantics' answers). *)
+(* Differential tests for the product walk: agreement with the
+   compiled-DFA oracle (refinement and trace-set equality) and with the
+   level-wise depth-cut oracle, on the paper corpus (bit-for-bit
+   verdicts, witnesses included) and on random specifications with
+   alphabet expansion; and the interning layer's transparency (interned
+   ids never change the reference semantics' answers). *)
 
 open Posl_ident
 module Spec = Posl_core.Spec
 module Refine = Posl_core.Refine
+module Theory = Posl_core.Theory
 module Tset = Posl_tset.Tset
 module Bmc = Posl_bmc.Bmc
 module Trace = Posl_trace.Trace
@@ -15,6 +16,7 @@ module Verdict = Posl_verdict.Verdict
 module Ex = Posl_core.Examples_paper
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
+module Oracle = Posl_oracle.Oracle
 
 let ctx = Util.paper_ctx
 let depth = 6
@@ -29,74 +31,72 @@ let corpus =
         Ex.all_specs)
     Ex.all_specs
 
-(* The pre-antichain Auto route: exact automata inclusion when the
-   monitors compile, level-by-level bounded exploration otherwise. *)
-let legacy_auto g' g =
-  match
-    Refine.verdict
-      ~opts:(Refine.opts ~strategy:Refine.Automata_only ~depth ())
-      ctx g' g
-  with
-  | v -> v
-  | exception Invalid_argument _ ->
-      Refine.verdict
-        ~opts:(Refine.opts ~strategy:Refine.Bounded_only ~depth ())
-        ctx g' g
+let expect_equal what walk oracle =
+  if not (Verdict.equal walk oracle) then
+    Alcotest.failf "%s: walk %s vs oracle %s" what (Verdict.to_string walk)
+      (Verdict.to_string oracle)
 
+(* The walk against the pre-walk Auto route: exact compiled-DFA
+   inclusion when the monitors compile, level-wise bounded exploration
+   otherwise — procedure labels and witnesses included. *)
 let test_corpus_verdicts_agree () =
   Util.check_int "corpus size" 56 (List.length corpus);
   List.iter
     (fun (g', g) ->
-      let new_route =
-        Refine.verdict ~opts:(Refine.opts ~depth ()) ctx g' g
-      in
-      let old_route = legacy_auto g' g in
-      if not (Verdict.equal new_route old_route) then
-        Alcotest.failf "%s ⊑ %s: antichain %s vs legacy %s" (Spec.name g')
-          (Spec.name g)
-          (Verdict.to_string new_route)
-          (Verdict.to_string old_route))
+      expect_equal
+        (Printf.sprintf "%s ⊑ %s" (Spec.name g') (Spec.name g))
+        (Refine.verdict ~depth ctx g' g)
+        (Oracle.refine Oracle.Legacy_auto ~depth ctx g' g))
     corpus
 
-(* At the Bmc level with [~complete:false], the antichain route answers
-   the exact question {!Bmc.check_inclusion} answers: same depth cut,
-   same canonical lex-least witnesses.  On non-[Product] right-hand
-   sides the two are step-for-step identical; on [Product] ones the
-   antichain may exhaust a pruned frontier earlier, so [Exact] where
-   the legacy route still reports the cut — never the reverse, and
-   refutations always coincide. *)
+(* Trace-set equality: complete walks both ways against compiled DFAs
+   both ways, falling back to the same depth-cut walk. *)
+let test_corpus_equality_agrees () =
+  List.iter
+    (fun (a, b) ->
+      expect_equal
+        (Printf.sprintf "T(%s) = T(%s)" (Spec.name a) (Spec.name b))
+        (Theory.tset_equal ctx ~depth a b)
+        (Oracle.tset_equal ctx ~depth a b))
+    corpus
+
+(* With [~complete:false] the walk answers the question the level-wise
+   oracle answers: same depth cut, same canonical lex-least witnesses.
+   On non-[Product] right-hand sides the two are step-for-step
+   identical; on [Product] ones the walk may exhaust a pruned frontier
+   earlier, so [Exact] where the oracle still reports the cut — never
+   the reverse, and refutations always coincide. *)
+let cut_agrees ctx ~alphabet ~depth ~lhs ~proj ~rhs =
+  match
+    ( Oracle.inclusion_levelwise ctx ~alphabet ~depth ~lhs ~proj ~rhs,
+      Bmc.check_inclusion_antichain ~complete:false ctx ~alphabet ~depth ~lhs
+        ~proj ~rhs )
+  with
+  | Bmc.Refuted h1, Bmc.Refuted h2 ->
+      if Trace.equal h1 h2 then Ok ()
+      else
+        Error
+          (Format.asprintf "witnesses differ: %a vs %a" Trace.pp h1 Trace.pp
+             h2)
+  | Bmc.Holds c1, Bmc.Holds c2 ->
+      if c1 = c2 || c2 = Bmc.Exact then Ok ()
+      else Error "confidence fell from Exact to Bounded"
+  | Bmc.Refuted h, Bmc.Holds _ ->
+      Error (Format.asprintf "walk missed refutation %a" Trace.pp h)
+  | Bmc.Holds _, Bmc.Refuted h ->
+      Error (Format.asprintf "walk over-refuted with %a" Trace.pp h)
+
 let test_bmc_differential () =
   List.iter
     (fun (g', g) ->
-      let alphabet = Spec.concrete_alphabet Util.paper_universe g' in
-      let lhs = Spec.tset g'
-      and proj = Spec.alpha g
-      and rhs = Spec.tset g in
-      let legacy = Bmc.check_inclusion ctx ~alphabet ~depth ~lhs ~proj ~rhs in
-      let anti =
-        Bmc.check_inclusion_antichain ~complete:false ctx ~alphabet ~depth
-          ~lhs ~proj ~rhs
-      in
-      match (legacy, anti) with
-      | Bmc.Refuted h1, Bmc.Refuted h2 ->
-          if not (Trace.equal h1 h2) then
-            Alcotest.failf "%s ⊑ %s: witnesses differ: %a vs %a" (Spec.name g')
-              (Spec.name g) Trace.pp h1 Trace.pp h2
-      | Bmc.Holds c1, Bmc.Holds c2 ->
-          let upgrade_ok =
-            match (c1, c2) with
-            | Bmc.Exact, Bmc.Bounded _ -> false
-            | _ -> true
-          in
-          if not (c1 = c2 || upgrade_ok) then
-            Alcotest.failf "%s ⊑ %s: confidences differ" (Spec.name g')
-              (Spec.name g)
-      | Bmc.Refuted h, Bmc.Holds _ ->
-          Alcotest.failf "%s ⊑ %s: antichain missed refutation %a"
-            (Spec.name g') (Spec.name g) Trace.pp h
-      | Bmc.Holds _, Bmc.Refuted h ->
-          Alcotest.failf "%s ⊑ %s: antichain over-refuted with %a"
-            (Spec.name g') (Spec.name g) Trace.pp h)
+      match
+        cut_agrees ctx
+          ~alphabet:(Spec.concrete_alphabet Util.paper_universe g')
+          ~depth ~lhs:(Spec.tset g') ~proj:(Spec.alpha g) ~rhs:(Spec.tset g)
+      with
+      | Ok () -> ()
+      | Error why ->
+          Alcotest.failf "%s ⊑ %s: %s" (Spec.name g') (Spec.name g) why)
     corpus
 
 (* Random specifications, with the refined side's alphabet expanded by
@@ -111,20 +111,57 @@ let gen_pair =
   let* g' = Gen.refinement_of sc g in
   pure (g', g)
 
-let route strategy g' g =
-  Refine.verdict ~opts:(Refine.opts ~strategy ~depth:4 ()) gctx g' g
+(* A refinement-by-construction pair plus a rival of the abstract side:
+   same objects and alphabet, an unrelated trace set, so clause 3
+   against it is a genuine question. *)
+let gen_triple =
+  let open G in
+  let* g', g = gen_pair in
+  let* t =
+    Gen.tset_within sc
+      (Posl_sets.Eventset.sample sc.Gen.universe (Spec.alpha g))
+  in
+  let rival =
+    Spec.v ~name:"Rival"
+      ~objs:(Oid.Set.elements (Spec.objs g))
+      ~alpha:(Spec.alpha g) t
+  in
+  pure (g', g, rival)
 
-(* The antichain route may settle past the depth bound (it explores to
-   exhaustion), so it can refute a pair the depth-cut route accepts
+(* The complete walk may settle past the depth bound (it explores to
+   exhaustion), so it can refute a pair the depth-cut oracle accepts
    with bounded confidence, and it can upgrade [Bounded] to [Exact] —
-   but the two routes may never contradict each other within the
-   bounded route's claim. *)
+   but the two may never contradict each other within the depth-cut
+   oracle's claim. *)
 let qsuite =
   [
+    Util.qtest ~count:60 "walk ≡ compiled DFAs on generated pairs" gen_triple
+      (fun (g', g, rival) ->
+        List.for_all
+          (fun (l, r) ->
+            Verdict.equal
+              (Refine.verdict ~depth:4 gctx l r)
+              (Oracle.refine Oracle.Legacy_auto ~depth:4 gctx l r)
+            && Verdict.equal
+                 (Theory.tset_equal gctx ~depth:4 l r)
+                 (Oracle.tset_equal gctx ~depth:4 l r))
+          [ (g', g); (g, g'); (g', rival); (rival, g) ]);
+    Util.qtest ~count:60 "depth-cut walk ≡ level-wise on generated pairs"
+      gen_triple (fun (g', g, rival) ->
+        List.for_all
+          (fun ((l, r), depth) ->
+            cut_agrees gctx
+              ~alphabet:(Spec.concrete_alphabet sc.Gen.universe l)
+              ~depth ~lhs:(Spec.tset l) ~proj:(Spec.alpha r)
+              ~rhs:(Spec.tset r)
+            = Ok ())
+          (List.concat_map
+             (fun p -> List.map (fun d -> (p, d)) [ 1; 2; 3; 4 ])
+             [ (g', g); (g', rival); (rival, g) ]));
     Util.qtest ~count:60 "antichain vs bounded route agreement" gen_pair
       (fun (g', g) ->
-        let anti = route Refine.Antichain_only g' g in
-        let bounded = route Refine.Bounded_only g' g in
+        let anti = Refine.verdict ~depth:4 gctx g' g in
+        let bounded = Oracle.refine Oracle.Bounded ~depth:4 gctx g' g in
         (if Verdict.is_refuted bounded then
            Verdict.is_refuted anti
            && List.for_all2 Trace.equal
@@ -177,6 +214,8 @@ let suite =
   [
     Alcotest.test_case "56-pair corpus: antichain Auto ≡ legacy Auto" `Quick
       test_corpus_verdicts_agree;
+    Alcotest.test_case "56-pair corpus: equality walk ≡ compiled DFAs" `Quick
+      test_corpus_equality_agrees;
     Alcotest.test_case "Bmc differential: antichain ≡ bounded at the cut"
       `Quick test_bmc_differential;
   ]

@@ -56,7 +56,7 @@ let test_sync_refines_async () =
   (* The synchronous discipline restricts the asynchronous one: same
      alphabet, stronger trace set. *)
   let v =
-    Refine.verdict ~opts:(Refine.opts ~depth:5 ()) ctx sync_read async_read
+    Refine.verdict ~depth:5 ctx sync_read async_read
   in
   if not (Posl_verdict.Verdict.is_holds v) then
     Alcotest.failf "SyncRead ⊑ AsyncRead: %s" (Posl_verdict.Verdict.to_string v)

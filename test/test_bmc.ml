@@ -1,5 +1,6 @@
 (* The state-space exploration engine: inclusion, equality, deadlock,
-   counting, enumeration, and serial/parallel agreement. *)
+   counting and enumeration, with deadlock cross-checked against trace
+   enumeration. *)
 
 module Bmc = Posl_bmc.Bmc
 module Tset = Posl_tset.Tset
@@ -9,11 +10,11 @@ module Ex = Posl_core.Examples_paper
 module Eventset = Posl_sets.Eventset
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
+module Oracle = Posl_oracle.Oracle
 
 let ctx = Util.paper_ctx
 let u = Util.paper_universe
 
-let read_alphabet = Spec.concrete_alphabet u Ex.read
 let write_alphabet = Spec.concrete_alphabet u Ex.write
 
 let test_count_matches_enumerate () =
@@ -39,8 +40,9 @@ let test_inclusion_positive () =
   (* T(Read2) projected on α(Read) is included in T(Read) = All. *)
   let alphabet = Spec.concrete_alphabet u Ex.read2 in
   match
-    Bmc.check_inclusion ctx ~alphabet ~depth:5 ~lhs:(Spec.tset Ex.read2)
-      ~proj:(Spec.alpha Ex.read) ~rhs:(Spec.tset Ex.read)
+    Bmc.check_inclusion_antichain ~complete:false ctx ~alphabet ~depth:5
+      ~lhs:(Spec.tset Ex.read2) ~proj:(Spec.alpha Ex.read)
+      ~rhs:(Spec.tset Ex.read)
   with
   | Bmc.Holds _ -> ()
   | Bmc.Refuted h -> Alcotest.failf "unexpected refutation: %a" Trace.pp h
@@ -50,8 +52,9 @@ let test_inclusion_negative_witness () =
      genuine member of T(RW) whose projection escapes. *)
   let alphabet = Spec.concrete_alphabet u Ex.rw in
   match
-    Bmc.check_inclusion ctx ~alphabet ~depth:5 ~lhs:(Spec.tset Ex.rw)
-      ~proj:(Spec.alpha Ex.read2) ~rhs:(Spec.tset Ex.read2)
+    Bmc.check_inclusion_antichain ~complete:false ctx ~alphabet ~depth:5
+      ~lhs:(Spec.tset Ex.rw) ~proj:(Spec.alpha Ex.read2)
+      ~rhs:(Spec.tset Ex.read2)
   with
   | Bmc.Holds _ -> Alcotest.fail "expected refutation"
   | Bmc.Refuted h ->
@@ -89,27 +92,16 @@ let test_enabled () =
     enabled
 
 let test_exact_on_exhaustion () =
-  (* Read's monitor has one state: exploration exhausts immediately and
-     the verdict is exact even with a huge depth. *)
+  (* Write's monitor has finitely many states: even the depth-cut walk
+     exhausts them long before a huge depth, and the verdict is exact. *)
   match
-    Bmc.check_inclusion ctx ~alphabet:read_alphabet ~depth:1_000_000
-      ~lhs:(Spec.tset Ex.read) ~proj:(Spec.alpha Ex.read)
-      ~rhs:(Spec.tset Ex.read)
+    Bmc.check_inclusion_antichain ~complete:false ctx
+      ~alphabet:write_alphabet ~depth:1_000_000 ~lhs:(Spec.tset Ex.write)
+      ~proj:(Spec.alpha Ex.write) ~rhs:(Spec.tset Ex.write)
   with
   | Bmc.Holds Bmc.Exact -> ()
   | Bmc.Holds (Bmc.Bounded _) -> Alcotest.fail "expected exhaustion"
   | Bmc.Refuted _ -> Alcotest.fail "reflexive inclusion refuted"
-
-let test_parallel_agrees_with_serial () =
-  let alphabet = Spec.concrete_alphabet u Ex.rw in
-  let run domains =
-    Bmc.check_inclusion ~domains ctx ~alphabet ~depth:4 ~lhs:(Spec.tset Ex.rw)
-      ~proj:(Spec.alpha Ex.write) ~rhs:(Spec.tset Ex.write)
-  in
-  match (run 1, run 4) with
-  | Bmc.Holds _, Bmc.Holds _ -> ()
-  | Bmc.Refuted _, Bmc.Refuted _ -> ()
-  | _, _ -> Alcotest.fail "serial and parallel disagree"
 
 let test_count_states () =
   let n = Bmc.count_states ctx ~alphabet:write_alphabet ~depth:6 (Spec.tset Ex.write) in
@@ -121,6 +113,20 @@ let test_count_states () =
 let sc = Util.sc
 let gctx = Util.ctx
 let probes = Eventset.sample sc.Gen.universe Eventset.full
+
+(* A generated spec's trace set, often cut down by the prefix closure
+   of a star-free expression: its finite words end in deadlocks at
+   several lengths, where generated specs alone mostly deadlock at ε
+   or never. *)
+let gen_stuck =
+  let open G in
+  let* g = Gen.spec sc [ Posl_ident.Oid.v "k0" ] in
+  let events = Eventset.sample sc.Gen.universe (Spec.alpha g) in
+  let* r = Gen.regex_within sc events in
+  let* cut = bool in
+  pure
+    ( Spec.concrete_alphabet sc.Gen.universe g,
+      if cut then Tset.conj [ Spec.tset g; Tset.prs r ] else Spec.tset g )
 
 let qsuite =
   [
@@ -137,11 +143,24 @@ let qsuite =
     Util.qtest ~count:40 "reflexive inclusion always holds"
       (Gen.tset_within sc probes) (fun t ->
         match
-          Bmc.check_inclusion gctx ~alphabet:(Array.of_list probes) ~depth:3
-            ~lhs:t ~proj:Eventset.full ~rhs:t
+          Bmc.check_inclusion_antichain ~complete:false gctx
+            ~alphabet:(Array.of_list probes) ~depth:3 ~lhs:t
+            ~proj:Eventset.full ~rhs:t
         with
         | Bmc.Holds _ -> true
         | Bmc.Refuted _ -> false);
+    (* Both sides of the deadlock walk against enumeration, at every
+       depth up to 3: the witness is the first stuck trace in (length,
+       alphabet) order, and "no deadlock" means no trace shorter than
+       the depth is stuck. *)
+    Util.qtest ~count:100 "deadlock agrees with enumeration" gen_stuck
+      (fun (alphabet, t) ->
+        List.for_all
+          (fun depth ->
+            Option.equal Trace.equal
+              (Bmc.find_deadlock gctx ~alphabet ~depth t)
+              (Oracle.first_stuck gctx ~alphabet ~depth t))
+          [ 1; 2; 3 ]);
   ]
 
 let suite =
@@ -159,8 +178,6 @@ let suite =
       test_no_deadlock_client;
     Alcotest.test_case "enabled events" `Quick test_enabled;
     Alcotest.test_case "exact on exhaustion" `Quick test_exact_on_exhaustion;
-    Alcotest.test_case "parallel agrees with serial" `Quick
-      test_parallel_agrees_with_serial;
     Alcotest.test_case "count_states" `Quick test_count_states;
   ]
   @ qsuite

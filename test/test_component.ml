@@ -92,9 +92,7 @@ let test_to_spec_refines_views () =
      partial view whose alphabet it covers. *)
   let concrete = Component.to_spec ~name:"C" component in
   Util.check_bool "concrete ⊑ PingView" true
-    (Posl_core.Refine.refines
-       ~opts:(Posl_core.Refine.opts ~depth:5 ())
-       ctx concrete ping_view)
+    (Posl_core.Refine.refines ~depth:5 ctx concrete ping_view)
 
 let test_lemma13 () =
   (* Composition preserves soundness: PingView ‖ PingView2. *)

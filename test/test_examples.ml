@@ -15,7 +15,7 @@ let ctx = Util.paper_ctx
 let u = Util.paper_universe
 let depth = 6
 
-let refines g' g = Refine.refines ~opts:(Refine.opts ~depth ()) ctx g' g
+let refines g' g = Refine.refines ~depth ctx g' g
 
 (* Example 1: Read allows concurrent reads; Write brackets and
    serialises writers. *)

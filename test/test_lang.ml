@@ -84,7 +84,7 @@ let test_refinements_via_surface_syntax () =
   let specs = parse_ok source_read_write in
   let find name = Option.get (Lang.lookup specs name) in
   let ctx = Util.paper_ctx in
-  let refines g' g = Refine.refines ~opts:(Refine.opts ~depth:5 ()) ctx g' g in
+  let refines g' g = Refine.refines ~depth:5 ctx g' g in
   Util.check_bool "Read2 ⊑ Read" true (refines (find "Read2") (find "Read"));
   Util.check_bool "RW ⊑ Write" true (refines (find "RW") (find "Write"));
   Util.check_bool "RW ⋢ Read2" false (refines (find "RW") (find "Read2"))

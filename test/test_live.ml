@@ -15,7 +15,6 @@ module Ex = Posl_core.Examples_paper
 
 let ctx = Util.paper_ctx
 let depth = 6
-let opts = Posl_core.Refine.opts ~depth ()
 
 (* Obligation on the write protocol: every open OW is answerable by a
    CW. *)
@@ -30,7 +29,7 @@ let write_progress =
 
 let test_write_is_live () =
   let lspec = Live.v ~obligations:[ write_progress ] Ex.write in
-  let v = Live.verdict ~opts ctx lspec in
+  let v = Live.verdict ~depth ctx lspec in
   if not (Verdict.is_holds v) then
     Alcotest.failf "Write should be live: %s" (Verdict.to_string v)
 
@@ -46,7 +45,7 @@ let test_obligation_violation_detected () =
   let lspec =
     Live.v ~deadlock_free:false ~obligations:[ write_progress ] stuck
   in
-  match (Live.verdict ~opts ctx lspec).Verdict.evidence with
+  match (Live.verdict ~depth ctx lspec).Verdict.evidence with
   | [ Verdict.Unanswerable { obligation; trace = h } ] ->
       Alcotest.(check string) "right obligation" "write-bracket" obligation;
       Util.check_bool "witness nonempty" false (Trace.is_empty h)
@@ -57,7 +56,7 @@ let test_obligation_violation_detected () =
 let test_deadlock_detected () =
   let comp = Compose.interface Ex.client2 Ex.write_acc in
   let lspec = Live.v comp in
-  match (Live.verdict ~opts ctx lspec).Verdict.evidence with
+  match (Live.verdict ~depth ctx lspec).Verdict.evidence with
   | [ Verdict.Deadlock h ] ->
       Util.check_bool "deadlock at ε" true (Trace.is_empty h)
   | [ Verdict.Unanswerable _ ] -> Alcotest.fail "expected a deadlock"
@@ -66,7 +65,7 @@ let test_deadlock_detected () =
 let test_live_refinement_rejects_client2 () =
   (* Safety refinement accepts Client2 ⊑ Client (Example 5)... *)
   Util.check_bool "safety accepts" true
-    (Posl_core.Refine.refines ~opts ctx Ex.client2 Ex.client);
+    (Posl_core.Refine.refines ~depth ctx Ex.client2 Ex.client);
   (* ... but live refinement, with an obligation that every W is
      answerable by an OK confirmation, rejects it: after W OK OW, the
      client must emit W before the next OK, and for WriteAcc-composed
@@ -86,7 +85,7 @@ let test_live_refinement_rejects_client2 () =
   let refined =
     Live.v ~deadlock_free:false ~obligations:[ ow_answerable ] Ex.client2
   in
-  let v = Live.refine ~opts ctx refined abstract in
+  let v = Live.refine ~depth ctx refined abstract in
   if Verdict.is_holds v then
     Alcotest.fail "live refinement should reject Client2"
   else if
@@ -99,7 +98,7 @@ let test_live_refinement_rejects_client2 () =
 let test_live_refinement_accepts_read2 () =
   let abstract = Live.v ~deadlock_free:false Ex.read in
   let refined = Live.v ~deadlock_free:false Ex.read2 in
-  let v = Live.refine ~opts ctx refined abstract in
+  let v = Live.refine ~depth ctx refined abstract in
   if not (Verdict.is_holds v) then
     Alcotest.failf "Read2 should live-refine Read: %s" (Verdict.to_string v)
 

@@ -1,28 +1,29 @@
 (* The refinement relation (Def. 2): examples from the paper, failure
    witnesses, partial-order laws, generated-refinement soundness, and
-   agreement between the exact and bounded strategies. *)
+   agreement between the walk and the exact and bounded procedures of
+   the test oracle.  Bit-for-bit differential checks are in
+   test_antichain.ml. *)
 
 open Posl_ident
 module Spec = Posl_core.Spec
 module Refine = Posl_core.Refine
 module Tset = Posl_tset.Tset
-module Bmc = Posl_bmc.Bmc
 module Verdict = Posl_verdict.Verdict
 module Ex = Posl_core.Examples_paper
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
+module Oracle = Posl_oracle.Oracle
 
 let ctx = Util.paper_ctx
 let depth = 6
-let opts = Refine.opts ~depth ()
 
 let expect_refines name g' g =
-  let v = Refine.verdict ~opts ctx g' g in
+  let v = Refine.verdict ~depth ctx g' g in
   if not (Verdict.is_holds v) then
     Alcotest.failf "%s: %s" name (Verdict.to_string v)
 
 let expect_fails name g' g =
-  if Verdict.is_holds (Refine.verdict ~opts ctx g' g) then
+  if Verdict.is_holds (Refine.verdict ~depth ctx g' g) then
     Alcotest.failf "%s unexpectedly refines" name
 
 let test_paper_refinements () =
@@ -41,14 +42,14 @@ let test_paper_non_refinements () =
 
 let test_failure_witnesses () =
   (* Alphabet failure carries the missing events. *)
-  (match (Refine.verdict ~opts ctx Ex.read Ex.read2).Verdict.evidence with
+  (match (Refine.verdict ~depth ctx Ex.read Ex.read2).Verdict.evidence with
   | [ Verdict.Events_missing es ] ->
       Util.check_bool "missing events nonempty" false
         (Posl_sets.Eventset.is_empty es)
   | _ -> Alcotest.fail "expected alphabet failure");
   (* Trace failure carries a genuine counterexample: a trace of Γ′
      whose projection escapes T(Γ). *)
-  match (Refine.verdict ~opts ctx Ex.rw Ex.read2).Verdict.evidence with
+  match (Refine.verdict ~depth ctx Ex.rw Ex.read2).Verdict.evidence with
   | [ Verdict.Trace_escape { trace = h; projected } ] ->
       Util.check_bool "counterexample in T(RW)" true
         (Tset.mem ctx (Spec.tset Ex.rw) h);
@@ -68,12 +69,14 @@ let test_object_clause () =
            (Posl_sets.Mset.of_list [ Mth.v "R" ]))
       Tset.all
   in
-  match (Refine.verdict ~opts ctx Ex.read other).Verdict.evidence with
+  match (Refine.verdict ~depth ctx Ex.read other).Verdict.evidence with
   | [ Verdict.Objects_missing os ] ->
       Util.check_bool "missing zz" true (Oid.Set.mem (Oid.v "zz") os)
   | _ -> Alcotest.fail "expected object failure"
 
 let test_strategies_agree () =
+  (* The product walk, compiled-DFA inclusion and level-wise bounded
+     search reach the same verdict on each pair. *)
   let pairs =
     [
       (Ex.read2, Ex.read, true);
@@ -82,24 +85,20 @@ let test_strategies_agree () =
       (Ex.rw2, Ex.write_acc, true);
     ]
   in
-  let holds strategy g' g =
-    Verdict.is_holds
-      (Refine.verdict ~opts:(Refine.opts ~strategy ~depth ()) ctx g' g)
-  in
   List.iter
     (fun (g', g, expected) ->
-      Util.check_bool "exact verdict" expected (holds Refine.Automata_only g' g);
+      Util.check_bool "exact verdict" expected
+        (Verdict.is_holds (Oracle.refine Oracle.Automata ~depth ctx g' g));
       Util.check_bool "bounded verdict" expected
-        (holds Refine.Bounded_only g' g);
-      Util.check_bool "antichain verdict" expected
-        (holds Refine.Antichain_only g' g))
+        (Verdict.is_holds (Oracle.refine Oracle.Bounded ~depth ctx g' g));
+      Util.check_bool "walk verdict" expected
+        (Verdict.is_holds (Refine.verdict ~depth ctx g' g)))
     pairs
 
 (* Random-instance properties over the generator scenario. *)
 let sc = Util.sc
 let gctx = Util.ctx
-let qopts = Refine.opts ~depth:4 ()
-let refines g' g = Refine.refines ~opts:qopts gctx g' g
+let refines g' g = Refine.refines ~depth:4 gctx g' g
 
 let gen_spec = Gen.spec sc [ Oid.v "k0" ]
 

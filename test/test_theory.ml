@@ -109,14 +109,14 @@ let test_improper_refinement_breaks_thm16 () =
     Spec.v ~name:"Gm'" ~objs:[ k0; mon ] ~alpha:(Spec.alpha gamma)
       (Spec.tset gamma)
   in
-  Util.check_bool "Γ′ ⊑ Γ" true (Refine.refines ~opts:(Refine.opts ~depth ()) ctx gamma' gamma);
+  Util.check_bool "Γ′ ⊑ Γ" true (Refine.refines ~depth ctx gamma' gamma);
   Util.check_bool "not proper" false
     (Compose.proper ~refined:gamma' ~abstract:gamma ~context:delta);
   match (Compose.compose gamma' delta, Compose.compose gamma delta) with
   | Ok refined_comp, Ok abstract_comp ->
       (* The conclusion of Theorem 16 fails: hiding ate ∆'s events. *)
       Util.check_bool "compositional refinement broken" false
-        (Refine.refines ~opts:(Refine.opts ~depth ()) ctx refined_comp abstract_comp)
+        (Refine.refines ~depth ctx refined_comp abstract_comp)
   | _ -> Alcotest.fail "compositions should exist"
 
 let test_theorem16_on_paper_style_instance () =

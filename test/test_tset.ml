@@ -1,6 +1,6 @@
 (* Trace sets: the unified monitor semantics against the denotational
-   reference, prefix closure by construction, and exact DFA
-   compilation. *)
+   reference, prefix closure by construction, and the oracle's exact DFA
+   compilation of monitors. *)
 
 open Posl_sets
 module Tset = Posl_tset.Tset
@@ -37,7 +37,7 @@ let qsuite =
     Util.qtest ~count:100 "compile agrees with membership"
       (G.pair gen_tset gen_trace) (fun (t, h) ->
         let alphabet = Array.of_list probes in
-        match Tset.compile ctx alphabet t with
+        match Posl_oracle.Oracle.compile ctx alphabet t with
         | None -> QCheck2.assume_fail ()
         | Some dfa ->
             let word = List.map (word_index alphabet) (Trace.to_list h) in
@@ -112,7 +112,7 @@ let test_compile_pointwise_unbounded () =
      so compilation must give up (None) rather than loop. *)
   let t = Tset.pointwise "accept-all" (fun _ -> true) in
   let alphabet = Array.of_list probes in
-  match Tset.compile ~max_states:50 ctx alphabet t with
+  match Posl_oracle.Oracle.compile ~max_states:50 ctx alphabet t with
   | None -> ()
   | Some _ -> Alcotest.fail "expected compilation to give up"
 

@@ -25,7 +25,7 @@ let depth = 5
    replay under the reference semantics — a genuine trace of T(RW)
    whose projection on α(Read2) is not a trace of T(Read2). *)
 let test_refine_witness_replays () =
-  let v = Refine.verdict ~opts:(Refine.opts ~depth ()) ctx Ex.rw Ex.read2 in
+  let v = Refine.verdict ~depth ctx Ex.rw Ex.read2 in
   Util.check_bool "refuted" true (V.is_refuted v);
   let traces = V.witness_traces v in
   Util.check_bool "carries a witness" true (traces <> []);
