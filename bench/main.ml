@@ -6,7 +6,8 @@
    Output, in order:
      1. reproduction verdicts, one table per experiment family
         (E1..E13 of DESIGN.md): paper claim vs measured verdict;
-     2. performance sweeps P1..P3 (scaling series, printed as tables);
+     2. performance campaigns P1..P11, each printed as a table and
+        written as BENCH_<name>.json from the same rows;
      3. Bechamel micro-benchmarks: one Test.make per experiment,
         reporting ns/op with the goodness of fit.
 
@@ -618,19 +619,106 @@ let ablations () =
   Report.print t
 
 (* ------------------------------------------------------------------ *)
-(* Section 2: performance sweeps                                        *)
+(* Section 2: performance campaigns                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* A campaign row is a list of (field, cell): the row of its
+   BENCH_<name>.json, fields in file order.  Its table is rendered from
+   the same rows, one column per field name in first-seen order. *)
+type cell = I of int | F of float | B of bool | S of string | Rows of row list
+and row = (string * cell) list
+
+type campaign = {
+  name : string;  (* BENCH_<name>.json *)
+  title : string;
+  snapshot : bool;  (* copied next to the sources by --commit-snapshot *)
+  run : unit -> row list;  (* [] when the campaign skipped itself *)
+}
+
+let rec json_of_cell = function
+  | I i -> Json.Int i
+  | F f -> Json.Float f
+  | B b -> Json.Bool b
+  | S s -> Json.Str s
+  | Rows rows -> Json.List (List.map json_of_row rows)
+
+and json_of_row row = Json.Obj (List.map (fun (k, c) -> (k, json_of_cell c)) row)
+
+let text_of_cell = function
+  | S s -> s
+  | Rows rows -> Printf.sprintf "(%d rows)" (List.length rows)
+  | c -> Json.to_string (json_of_cell c)
+
+let run_campaign c =
+  Report.section (Printf.sprintf "%s: %s" c.name c.title);
+  match c.run () with
+  | [] -> ()
+  | rows ->
+      let columns =
+        List.fold_left
+          (fun cols row ->
+            cols @ List.filter (fun k -> not (List.mem k cols)) (List.map fst row))
+          [] rows
+      in
+      let t = Report.create columns in
+      List.iter
+        (fun row ->
+          Report.add_row t
+            (List.map
+               (fun k ->
+                 Option.fold ~none:"" ~some:text_of_cell (List.assoc_opt k row))
+               columns))
+        rows;
+      Report.print t;
+      write_campaign ~name:c.name ~title:c.title (List.map json_of_row rows)
+
+(* Cold totals at this scale are tens of milliseconds, where timer and
+   allocator noise moves single runs by 2×; a timed pass [f] (returning
+   its result and milliseconds) is therefore reported as the best of
+   [reps] — the minimum-of-N estimator standard for cold-cost
+   comparisons. *)
+let best_of ?(reps = 5) f =
+  let best = ref (f ()) in
+  for _ = 2 to reps do
+    let (_, ms) as r = f () in
+    if ms < snd !best then best := r
+  done;
+  !best
+
+(* The spans recorded while [f] runs, aggregated by name into (name,
+   count, total ns), largest total first. *)
+let span_totals f =
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  ignore (f ());
+  Telemetry.set_enabled false;
+  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Telemetry.span) ->
+      let c, tot =
+        Option.value (Hashtbl.find_opt tbl s.Telemetry.name) ~default:(0, 0)
+      in
+      Hashtbl.replace tbl s.Telemetry.name (c + 1, tot + s.Telemetry.dur_ns))
+    (Telemetry.spans ());
+  Telemetry.reset ();
+  Hashtbl.fold (fun name (c, tot) acc -> (name, c, tot) :: acc) tbl []
+  |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+
+(* Every ordered pair of distinct specs: over the paper cast, the
+   56-pair corpus of P4, P7 and P8. *)
+let ordered_pairs specs =
+  List.concat_map
+    (fun g' ->
+      List.filter_map
+        (fun g -> if g' == g then None else Some (g', g))
+        specs)
+    specs
 
 (* P1 — bounded-exploration scaling: reachable states and wall time per
    depth of the product walk cut at that depth. *)
 let p1 () =
-  Report.section "P1: state-space exploration scaling (RW ⊑ Write, bounded)";
   let alphabet = Spec.concrete_alphabet universe Ex.rw in
-  let t =
-    Report.create [ "depth"; "reachable states"; "serial ms"; "verdict" ]
-  in
-  let jrows = ref [] in
-  List.iter
+  List.map
     (fun d ->
       let states =
         Bmc.count_states ctx ~alphabet ~depth:d (Spec.tset Ex.rw)
@@ -641,41 +729,20 @@ let p1 () =
               ~depth:d ~lhs:(Spec.tset Ex.rw) ~proj:(Spec.alpha Ex.write)
               ~rhs:(Spec.tset Ex.write))
       in
-      let verdict = pp_str (Bmc.pp_verdict Trace.pp) v in
-      Report.add_row t
-        [
-          string_of_int d;
-          string_of_int states;
-          Printf.sprintf "%.1f" ms;
-          verdict;
-        ];
-      jrows :=
-        Json.Obj
-          [
-            ("depth", Json.Int d);
-            ("reachable_states", Json.Int states);
-            ("serial_ms", Json.Float ms);
-            (* not "verdict": that key is reserved for verdict objects,
-               which `posl-check json` round-trips *)
-            ("outcome", Json.Str verdict);
-          ]
-        :: !jrows)
-    [ 2; 3; 4; 5; 6 ];
-  Report.print t;
-  write_campaign ~name:"P1"
-    ~title:"state-space exploration scaling (RW <= Write, bounded)"
-    (List.rev !jrows)
+      [
+        ("depth", I d);
+        ("reachable_states", I states);
+        ("serial_ms", F ms);
+        (* not "verdict": that key is reserved for verdict objects,
+           which `posl-check json` round-trips *)
+        ("outcome", S (pp_str (Bmc.pp_verdict Trace.pp) v));
+      ])
+    [ 2; 3; 4; 5; 6 ]
 
 (* P2 — automata pipeline scaling: regex → NFA → DFA → minimise, with
    growing environment (alphabet) size. *)
 let p2 () =
-  Report.section "P2: automata pipeline scaling (Write spec, growing universe)";
-  let t =
-    Report.create
-      [ "env objects"; "alphabet"; "nfa states"; "dfa states"; "min states"; "ms" ]
-  in
-  let jrows = ref [] in
-  List.iter
+  List.map
     (fun n_env ->
       let extra =
         List.init n_env (fun i -> Oid.v (Printf.sprintf "env%d" i))
@@ -696,42 +763,21 @@ let p2 () =
             let mini = Posl_automata.Dfa.minimize dfa in
             (nfa, dfa, mini))
       in
-      Report.add_row t
-        [
-          string_of_int n_env;
-          string_of_int (Array.length events);
-          string_of_int (Posl_automata.Nfa.n_states nfa);
-          string_of_int (Posl_automata.Dfa.n_states dfa);
-          string_of_int (Posl_automata.Dfa.n_states mini);
-          Printf.sprintf "%.2f" ms;
-        ];
-      jrows :=
-        Json.Obj
-          [
-            ("env_objects", Json.Int n_env);
-            ("alphabet", Json.Int (Array.length events));
-            ("nfa_states", Json.Int (Posl_automata.Nfa.n_states nfa));
-            ("dfa_states", Json.Int (Posl_automata.Dfa.n_states dfa));
-            ("min_states", Json.Int (Posl_automata.Dfa.n_states mini));
-            ("ms", Json.Float ms);
-          ]
-        :: !jrows)
-    [ 1; 2; 3; 4; 6; 8 ];
-  Report.print t;
-  write_campaign ~name:"P2"
-    ~title:"automata pipeline scaling (Write spec, growing universe)"
-    (List.rev !jrows)
+      [
+        ("env_objects", I n_env);
+        ("alphabet", I (Array.length events));
+        ("nfa_states", I (Posl_automata.Nfa.n_states nfa));
+        ("dfa_states", I (Posl_automata.Dfa.n_states dfa));
+        ("min_states", I (Posl_automata.Dfa.n_states mini));
+        ("ms", F ms);
+      ])
+    [ 1; 2; 3; 4; 6; 8 ]
 
 (* P3 — symbolic set algebra scaling: decision procedures on rectangle
    unions of growing width. *)
 let p3 () =
-  Report.section "P3: symbolic event-set algebra scaling";
   let sc = Gen.default_scenario in
-  let t =
-    Report.create [ "width"; "union ms"; "inter ms"; "diff ms"; "subset ms" ]
-  in
-  let jrows = ref [] in
-  List.iter
+  List.map
     (fun w ->
       let sets =
         generate 20 (Gen.eventset ~max_width:w sc)
@@ -753,65 +799,28 @@ let p3 () =
       let inter_ms = timed Eventset.inter in
       let diff_ms = timed (fun a b -> Eventset.diff a b) in
       let subset_ms = timed (fun a b -> Eventset.subset a b) in
-      Report.add_row t
-        [
-          string_of_int w;
-          Printf.sprintf "%.3f" union_ms;
-          Printf.sprintf "%.3f" inter_ms;
-          Printf.sprintf "%.3f" diff_ms;
-          Printf.sprintf "%.3f" subset_ms;
-        ];
-      jrows :=
-        Json.Obj
-          [
-            ("width", Json.Int w);
-            ("union_ms", Json.Float union_ms);
-            ("inter_ms", Json.Float inter_ms);
-            ("diff_ms", Json.Float diff_ms);
-            ("subset_ms", Json.Float subset_ms);
-          ]
-        :: !jrows)
-    [ 2; 4; 8; 16 ];
-  Report.print t;
-  write_campaign ~name:"P3" ~title:"symbolic event-set algebra scaling"
-    (List.rev !jrows)
+      [
+        ("width", I w);
+        ("union_ms", F union_ms);
+        ("inter_ms", F inter_ms);
+        ("diff_ms", F diff_ms);
+        ("subset_ms", F subset_ms);
+      ])
+    [ 2; 4; 8; 16 ]
 
 (* P4 — engine batch throughput: every ordered refinement pair over the
-   paper cast, scheduled across 1/2/4 domains, cold cache then warm
+   paper cast, scheduled across 1/2/4/8 domains, cold cache then warm
    cache (the warm pass answers everything from the verdict store). *)
 let engine_batch ~depth =
-  List.concat_map
-    (fun g' ->
-      List.filter_map
-        (fun g ->
-          if g' == g then None
-          else
-            Some
-              (Engine.request ~depth ~universe
-                 (Job.Refine { refined = g'; abstract = g })))
-        Ex.all_specs)
-    Ex.all_specs
+  List.map
+    (fun (g', g) ->
+      Engine.request ~depth ~universe
+        (Job.Refine { refined = g'; abstract = g }))
+    (ordered_pairs Ex.all_specs)
 
 let p4 () =
-  Report.section
-    "P4: engine batch throughput (shared DFA cache, cold vs warm, domains 1-8)";
   let batch = engine_batch ~depth:4 in
-  let t =
-    Report.create
-      [
-        "domains";
-        "cache";
-        "jobs";
-        "wall ms";
-        "hits";
-        "dfa compiles";
-        "dfa hits";
-        "busy ms";
-        "util %";
-      ]
-  in
-  let jrows = ref [] in
-  List.iter
+  List.concat_map
     (fun domains ->
       (* fresh verdict cache AND fresh DFA registry per domain count:
          the cold row shows compiles staying at the distinct-regex
@@ -820,44 +829,24 @@ let p4 () =
       let cache = Vcache.create () in
       let dfa_cache = Engine.dfa_cache () in
       let pass label =
-        let _, (stats : Engine.stats) =
+        let _, (s : Engine.stats) =
           Engine.run_batch ~domains ~cache ~dfa_cache batch
         in
-        Report.add_row t
-          [
-            string_of_int domains;
-            label;
-            string_of_int stats.Engine.jobs;
-            Printf.sprintf "%.1f" stats.Engine.wall_ms;
-            string_of_int stats.Engine.cache_hits;
-            string_of_int stats.Engine.dfa_compiles;
-            string_of_int stats.Engine.dfa_cache_hits;
-            Printf.sprintf "%.1f" stats.Engine.busy_ms;
-            Printf.sprintf "%.0f" (100. *. stats.Engine.utilization);
-          ];
-        jrows :=
-          Json.Obj
-            [
-              ("domains", Json.Int domains);
-              ("cache", Json.Str label);
-              ("jobs", Json.Int stats.Engine.jobs);
-              ("wall_ms", Json.Float stats.Engine.wall_ms);
-              ("cache_hits", Json.Int stats.Engine.cache_hits);
-              ("dfa_compiles", Json.Int stats.Engine.dfa_compiles);
-              ("dfa_cache_hits", Json.Int stats.Engine.dfa_cache_hits);
-              ("busy_ms", Json.Float stats.Engine.busy_ms);
-              ("utilization", Json.Float stats.Engine.utilization);
-            ]
-          :: !jrows
+        [
+          ("domains", I domains);
+          ("cache", S label);
+          ("jobs", I s.jobs);
+          ("wall_ms", F s.wall_ms);
+          ("cache_hits", I s.cache_hits);
+          ("dfa_compiles", I s.dfa_compiles);
+          ("dfa_cache_hits", I s.dfa_cache_hits);
+          ("busy_ms", F s.busy_ms);
+          ("utilization", F s.utilization);
+        ]
       in
-      pass "cold";
-      pass "warm")
-    [ 1; 2; 4; 8 ];
-  Report.print t;
-  write_campaign ~name:"P4"
-    ~title:
-      "engine batch throughput (shared DFA cache, cold vs warm, domains 1-8)"
-    (List.rev !jrows)
+      let cold = pass "cold" in
+      [ cold; pass "warm" ])
+    [ 1; 2; 4; 8 ]
 
 (* P5 — the persistent verdict store across process lifetimes: the same
    paper-corpus batch cold (empty store, computes and write-behinds),
@@ -868,128 +857,59 @@ let p4 () =
    with a fresh in-memory cache, which is exactly what a new
    posl-check invocation does. *)
 let p5 () =
-  Report.section
-    "P5: persistent verdict store (cold vs warm-in-process vs \
-     warm-across-process)";
   let batch = engine_batch ~depth:4 in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "posl-bench-store-%d" (Unix.getpid ()))
   in
-  let t =
-    Report.create
-      [
-        "pass";
-        "jobs";
-        "wall ms";
-        "computed";
-        "cache hits";
-        "store hits";
-        "store writes";
-      ]
-  in
-  let jrows = ref [] in
   let pass label ~cache store =
-    let _, (stats : Engine.stats) =
+    let _, (s : Engine.stats) =
       Engine.run_batch ~domains:1 ~cache ~store batch
     in
-    Report.add_row t
-      [
-        label;
-        string_of_int stats.Engine.jobs;
-        Printf.sprintf "%.1f" stats.Engine.wall_ms;
-        string_of_int stats.Engine.cache_misses;
-        string_of_int stats.Engine.cache_hits;
-        string_of_int stats.Engine.store_hits;
-        string_of_int stats.Engine.store_writes;
-      ];
-    jrows :=
-      Json.Obj
-        [
-          ("pass", Json.Str label);
-          ("jobs", Json.Int stats.Engine.jobs);
-          ("wall_ms", Json.Float stats.Engine.wall_ms);
-          ("computed", Json.Int stats.Engine.cache_misses);
-          ("cache_hits", Json.Int stats.Engine.cache_hits);
-          ("store_hits", Json.Int stats.Engine.store_hits);
-          ("store_writes", Json.Int stats.Engine.store_writes);
-        ]
-      :: !jrows
+    [
+      ("pass", S label);
+      ("jobs", I s.jobs);
+      ("wall_ms", F s.wall_ms);
+      ("computed", I s.cache_misses);
+      ("cache_hits", I s.cache_hits);
+      ("store_hits", I s.store_hits);
+      ("store_writes", I s.store_writes);
+    ]
   in
   let cache = Vcache.create () in
   let s = Store.open_ dir in
-  pass "cold" ~cache s;
-  pass "warm in-process" ~cache s;
+  let cold = pass "cold" ~cache s in
+  let warm = pass "warm in-process" ~cache s in
   Store.close s;
   (* a new process: new store handle, cold in-memory verdict cache *)
   let s = Store.open_ dir in
-  pass "warm across-process" ~cache:(Vcache.create ()) s;
+  let across = pass "warm across-process" ~cache:(Vcache.create ()) s in
   Store.close s;
-  Report.print t;
-  write_campaign ~name:"P5"
-    ~title:
-      "persistent verdict store (cold vs warm-in-process vs \
-       warm-across-process)"
-    (List.rev !jrows);
   (try
      Sys.remove (Store.log_path dir);
      Sys.remove (Filename.concat dir "lock");
      Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ())
+   with Sys_error _ | Unix.Unix_error _ -> ());
+  [ cold; warm; across ]
 
 (* P6 — where the time actually goes: the span-level decomposition of
    one cold engine batch.  Telemetry is switched on for the batch only;
-   the table aggregates the resulting trace by span name.  This is the
+   the rows aggregate the resulting trace by span name.  This is the
    observability counterpart of P4's wall-clock row: the same run,
    broken down by subsystem instead of summed. *)
 let p6 () =
-  Report.section "P6: span-level time decomposition (cold batch, 1 domain)";
   let batch = engine_batch ~depth:4 in
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  let cache = Vcache.create () in
-  let _ = Engine.run_batch ~domains:1 ~cache batch in
-  Telemetry.set_enabled false;
-  let spans = Telemetry.spans () in
-  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Telemetry.span) ->
-      let c, tot =
-        Option.value (Hashtbl.find_opt tbl s.Telemetry.name) ~default:(0, 0)
-      in
-      Hashtbl.replace tbl s.Telemetry.name (c + 1, tot + s.Telemetry.dur_ns))
-    spans;
-  let rows =
-    Hashtbl.fold (fun name (c, tot) acc -> (name, c, tot) :: acc) tbl []
-    |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-  in
-  let t = Report.create [ "span"; "count"; "total ms"; "mean ms" ] in
-  let jrows =
-    List.map
-      (fun (name, c, tot) ->
-        let total_ms = float_of_int tot /. 1e6 in
-        let mean_ms = total_ms /. float_of_int (max 1 c) in
-        Report.add_row t
-          [
-            name;
-            string_of_int c;
-            Printf.sprintf "%.1f" total_ms;
-            Printf.sprintf "%.3f" mean_ms;
-          ];
-        Json.Obj
-          [
-            ("span", Json.Str name);
-            ("count", Json.Int c);
-            ("total_ms", Json.Float total_ms);
-            ("mean_ms", Json.Float mean_ms);
-          ])
-      rows
-  in
-  Report.print t;
-  Telemetry.reset ();
-  write_campaign ~name:"P6"
-    ~title:"span-level time decomposition (cold batch, 1 domain)" jrows
+  span_totals (fun () ->
+      Engine.run_batch ~domains:1 ~cache:(Vcache.create ()) batch)
+  |> List.map (fun (name, c, tot) ->
+         let total_ms = float_of_int tot /. 1e6 in
+         [
+           ("span", S name);
+           ("count", I c);
+           ("total_ms", F total_ms);
+           ("mean_ms", F (total_ms /. float_of_int (max 1 c)));
+         ])
 
 (* P7 — the resident service under sustained load.  An in-process
    server (worker domains behind the admission queue, process-lifetime
@@ -1003,8 +923,6 @@ let p6 () =
    DFA registry) per query, serially — the cost a per-invocation CLI
    pays for every question. *)
 let p7 () =
-  Report.section
-    "P7: sustained service throughput (warm server vs cold per-invocation)";
   let spec_file =
     List.find_opt Sys.file_exists
       [
@@ -1019,31 +937,16 @@ let p7 () =
       (* the corpus travels with the repo; still, never crash the whole
          harness over a relocated checkout *)
       Format.printf "  [P7 skipped: examples/specs/paper.oun not found]@.";
-      write_campaign ~name:"P7"
-        ~title:"sustained service throughput (warm server vs cold)"
-        [ Json.Obj [ ("pass", Json.Str "skipped"); ("qps", Json.Float 0.) ] ]
+      [ [ ("pass", S "skipped"); ("qps", F 0.) ] ]
   | Some spec_file ->
-      let spec_text =
-        let ic = open_in_bin spec_file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
+      let spec_text = In_channel.with_open_bin spec_file In_channel.input_all in
       let specs =
         match Lang.specs_of_string spec_text with
         | Ok specs -> specs
         | Error e -> failwith (Format.asprintf "P7: %a" Lang.pp_error e)
       in
       let p7_depth = 4 in
-      let pairs =
-        List.concat_map
-          (fun g' ->
-            List.filter_map
-              (fun g -> if g' == g then None else Some (g', g))
-              specs)
-          specs
-      in
+      let pairs = ordered_pairs specs in
       let pool =
         List.map
           (fun (g', g) ->
@@ -1052,46 +955,6 @@ let p7 () =
                 [ { Wire.kind = "refine"; names = [ Spec.name g'; Spec.name g ] } ]
               (`Spec_text spec_text))
           pairs
-      in
-      let t =
-        Report.create
-          [
-            "pass"; "clients"; "repeat"; "requests"; "wall ms"; "qps";
-            "p50 ms"; "p90 ms"; "p99 ms"; "cached";
-          ]
-      in
-      let jrows = ref [] in
-      let add_row ~pass ~clients ~repeat ~requests ~wall_ms ~qps ~p50 ~p90
-          ~p99 ~cached extra =
-        Report.add_row t
-          [
-            pass;
-            string_of_int clients;
-            Printf.sprintf "%.2f" repeat;
-            string_of_int requests;
-            Printf.sprintf "%.1f" wall_ms;
-            Printf.sprintf "%.1f" qps;
-            Printf.sprintf "%.2f" p50;
-            Printf.sprintf "%.2f" p90;
-            Printf.sprintf "%.2f" p99;
-            string_of_int cached;
-          ];
-        jrows :=
-          Json.Obj
-            ([
-               ("pass", Json.Str pass);
-               ("clients", Json.Int clients);
-               ("repeat", Json.Float repeat);
-               ("requests", Json.Int requests);
-               ("wall_ms", Json.Float wall_ms);
-               ("qps", Json.Float qps);
-               ("p50_ms", Json.Float p50);
-               ("p90_ms", Json.Float p90);
-               ("p99_ms", Json.Float p99);
-               ("cached", Json.Int cached);
-             ]
-            @ extra)
-          :: !jrows
       in
       (* Baseline: fresh engine per query, serial — the process-per-
          query cost (sans fork/exec and spec parsing, so a lower bound
@@ -1106,11 +969,10 @@ let p7 () =
               Engine.request ~depth:p7_depth ~universe:u7
                 (Job.Refine { refined = g'; abstract = g })
             in
-            let _, ms =
-              wall (fun () ->
-                  ignore (Engine.run_batch ~domains:1 ~cache ~dfa_cache [ req ]))
-            in
-            ms)
+            snd
+              (wall (fun () ->
+                   ignore
+                     (Engine.run_batch ~domains:1 ~cache ~dfa_cache [ req ]))))
           pairs
       in
       let sorted = Array.of_list lats in
@@ -1121,11 +983,22 @@ let p7 () =
         else sorted.(min (n - 1) (int_of_float (p /. 100. *. float_of_int n)))
       in
       let cold_wall = List.fold_left ( +. ) 0. lats in
-      add_row ~pass:"cold per-invocation" ~clients:1 ~repeat:0.
-        ~requests:(List.length pairs) ~wall_ms:cold_wall
-        ~qps:(float_of_int (List.length pairs) /. Float.max 0.001 cold_wall *. 1000.)
-        ~p50:(pct 50.) ~p90:(pct 90.) ~p99:(pct 99.) ~cached:0
-        [ ("mode", Json.Str "serial") ];
+      let n_pairs = List.length pairs in
+      let cold =
+        [
+          ("pass", S "cold per-invocation");
+          ("clients", I 1);
+          ("repeat", F 0.);
+          ("requests", I n_pairs);
+          ("wall_ms", F cold_wall);
+          ("qps", F (float_of_int n_pairs /. Float.max 0.001 cold_wall *. 1000.));
+          ("p50_ms", F (pct 50.));
+          ("p90_ms", F (pct 90.));
+          ("p99_ms", F (pct 99.));
+          ("cached", I 0);
+          ("mode", S "serial");
+        ]
+      in
       (* The server: in-process, unix socket in the temp dir, no signal
          handlers (it is our own process), telemetry spans off (P6 owns
          span measurement). *)
@@ -1159,11 +1032,11 @@ let p7 () =
       done;
       Mutex.unlock ready_lock;
       let addr : Wire.addr = `Unix sock in
-      (* The loadgen now seeds each client from (seed, client index),
-         so recording the seed makes every campaign row replayable with
+      (* The loadgen seeds each client from (seed, client index), so
+         recording the seed makes every campaign row replayable with
          posl-check loadgen --seed. *)
       let p7_seed = 0x9e51 in
-      let campaign ~pass ~clients ~repeat ~requests =
+      let loadgen ~pass ~clients ~repeat ~requests =
         match
           Loadgen.run addr ~pool
             { Loadgen.requests; clients; repeat; mode = Loadgen.Closed;
@@ -1171,44 +1044,50 @@ let p7 () =
         with
         | Error msg -> failwith ("P7 loadgen: " ^ msg)
         | Ok (r : Loadgen.report) ->
-            add_row ~pass ~clients:r.Loadgen.clients ~repeat:r.Loadgen.repeat
-              ~requests:r.Loadgen.requests ~wall_ms:r.Loadgen.wall_ms
-              ~qps:r.Loadgen.qps ~p50:r.Loadgen.p50_ms ~p90:r.Loadgen.p90_ms
-              ~p99:r.Loadgen.p99_ms ~cached:r.Loadgen.cached
-              [
-                ("mode", Json.Str r.Loadgen.mode);
-                ("seed", Json.Int p7_seed);
-                ("answered", Json.Int r.Loadgen.answered);
-                ("rejected", Json.Int r.Loadgen.rejected);
-                ("expired", Json.Int r.Loadgen.expired);
-                ("failed", Json.Int r.Loadgen.failed);
-                ("errors", Json.Int r.Loadgen.errors);
-              ];
-            if r.Loadgen.errors > 0 then
-              Format.printf "  [P7 %s: %d transport errors]@." pass
-                r.Loadgen.errors
+            if r.errors > 0 then
+              Format.printf "  [P7 %s: %d transport errors]@." pass r.errors;
+            [
+              ("pass", S pass);
+              ("clients", I r.clients);
+              ("repeat", F r.repeat);
+              ("requests", I r.requests);
+              ("wall_ms", F r.wall_ms);
+              ("qps", F r.qps);
+              ("p50_ms", F r.p50_ms);
+              ("p90_ms", F r.p90_ms);
+              ("p99_ms", F r.p99_ms);
+              ("cached", I r.cached);
+              ("mode", S r.mode);
+              ("seed", I p7_seed);
+              ("answered", I r.answered);
+              ("rejected", I r.rejected);
+              ("expired", I r.expired);
+              ("failed", I r.failed);
+              ("errors", I r.errors);
+            ]
       in
       (* First contact fills the caches (fresh pool order, no repeats);
          the warm-server sweep then measures the resident steady state
          the service exists to provide. *)
       let n_pool = List.length pool in
-      campaign ~pass:"server first-contact" ~clients:2 ~repeat:0.
-        ~requests:n_pool;
-      List.iter
-        (fun clients ->
-          campaign ~pass:"warm server" ~clients ~repeat:0.5
-            ~requests:(2 * n_pool))
-        [ 1; 2; 4 ];
+      let first =
+        loadgen ~pass:"server first-contact" ~clients:2 ~repeat:0.
+          ~requests:n_pool
+      in
+      let warm =
+        List.map
+          (fun clients ->
+            loadgen ~pass:"warm server" ~clients ~repeat:0.5
+              ~requests:(2 * n_pool))
+          [ 1; 2; 4 ]
+      in
       (* graceful drain via the protocol, then join the server thread *)
       let c = Client.connect addr in
       (match Client.call c (Wire.request_json Wire.Shutdown) with
       | Ok _ | Error _ -> ());
       Client.close c;
       Thread.join server;
-      Report.print t;
-      write_campaign ~name:"P7"
-        ~title:"sustained service throughput (warm server vs cold per-invocation)"
-        (List.rev !jrows)
+      cold :: first :: warm
 
 (* P8 — the on-the-fly antichain inclusion route (Def. 2 clause 3) on
    the cold 56-pair corpus: the new Auto route (antichain with interned
@@ -1221,37 +1100,15 @@ let p7 () =
    (Verdict.equal, witnesses included); the differential suite
    enforces the same corpus-wide. *)
 let p8 () =
-  Report.section
-    "P8: antichain inclusion vs legacy routes (cold 56-pair corpus)";
-  let module Metrics = Posl_telemetry.Metrics in
-  let pairs =
-    List.concat_map
-      (fun g' ->
-        List.filter_map
-          (fun g -> if g' == g then None else Some (g', g))
-          Ex.all_specs)
-      Ex.all_specs
-  in
-  let n_pairs = List.length pairs in
-  (* Cold totals at this scale are tens of milliseconds, where timer
-     and allocator noise moves single runs by 2×; each route therefore
-     reports its best of [reps] passes, each on a fresh context — the
-     minimum-of-N estimator standard for cold-cost comparisons. *)
+  let pairs = ordered_pairs Ex.all_specs in
   let reps = 5 in
   let run_route f =
-    let once () =
-      let cctx = Tset.ctx universe in
-      let t0 = Unix.gettimeofday () in
-      let vs = List.map (fun (g', g) -> f cctx g' g) pairs in
-      (vs, cctx, (Unix.gettimeofday () -. t0) *. 1000.)
-    in
-    let best = ref (once ()) in
-    for _ = 2 to reps do
-      let (_, _, ms) as r = once () in
-      let _, _, best_ms = !best in
-      if ms < best_ms then best := r
-    done;
-    !best
+    best_of ~reps (fun () ->
+        let cctx = Tset.ctx universe in
+        let vs, ms =
+          wall (fun () -> List.map (fun (g', g) -> f cctx g' g) pairs)
+        in
+        ((vs, cctx), ms))
   in
   let auto cctx g' g = Refine.verdict ~depth cctx g' g in
   (* The legacy rows measure the pre-walk decision procedures, kept as
@@ -1259,120 +1116,74 @@ let p8 () =
   let legacy cctx g' g = Oracle.refine Oracle.Legacy_auto ~depth cctx g' g in
   let bounded cctx g' g = Oracle.refine Oracle.Bounded ~depth cctx g' g in
   let pairs_c =
-    Metrics.counter ~help:"antichain pairs" "posl_bmc_antichain_pairs_total"
+    Pmetrics.counter ~help:"antichain pairs" "posl_bmc_antichain_pairs_total"
   in
   let prunes_c =
-    Metrics.counter ~help:"antichain prunes" "posl_bmc_antichain_prunes_total"
+    Pmetrics.counter ~help:"antichain prunes" "posl_bmc_antichain_prunes_total"
   in
   let interned_c =
-    Metrics.counter ~help:"interned states" "posl_tset_interned_states_total"
+    Pmetrics.counter ~help:"interned states" "posl_tset_interned_states_total"
   in
-  let ac0 = Metrics.value pairs_c
-  and pr0 = Metrics.value prunes_c
-  and in0 = Metrics.value interned_c in
-  let auto_vs, auto_ctx, auto_ms = run_route auto in
+  let ac0 = Pmetrics.value pairs_c
+  and pr0 = Pmetrics.value prunes_c
+  and in0 = Pmetrics.value interned_c in
+  let (auto_vs, auto_ctx), auto_ms = run_route auto in
   (* Every rep redoes the same cold work on a fresh context, so the
      counter deltas divide evenly back to one pass. *)
-  let admitted = (Metrics.value pairs_c - ac0) / reps
-  and pruned = (Metrics.value prunes_c - pr0) / reps
-  and interned = (Metrics.value interned_c - in0) / reps in
-  let states, composites, events = Tset.intern_counts auto_ctx in
+  let admitted = (Pmetrics.value pairs_c - ac0) / reps
+  and pruned = (Pmetrics.value prunes_c - pr0) / reps
+  and interned = (Pmetrics.value interned_c - in0) / reps in
   (* A warm repeat on the same context: memo rows and interning tables
      already populated — the steady-state cost a resident service
      pays. *)
-  let warm_once () =
-    let t0 = Unix.gettimeofday () in
-    let _ = List.map (fun (g', g) -> auto auto_ctx g' g) pairs in
-    (Unix.gettimeofday () -. t0) *. 1000.
+  let _, warm_ms =
+    best_of ~reps:3 (fun () ->
+        wall (fun () -> List.map (fun (g', g) -> auto auto_ctx g' g) pairs))
   in
-  let warm_ms =
-    List.fold_left min (warm_once ()) [ warm_once (); warm_once () ]
-  in
-  let legacy_vs, _, legacy_ms = run_route legacy in
-  let _, _, bounded_ms = run_route bounded in
+  let (legacy_vs, _), legacy_ms = run_route legacy in
+  let _, bounded_ms = run_route bounded in
   let agree = List.for_all2 Verdict.equal auto_vs legacy_vs in
-  let speedup = legacy_ms /. auto_ms in
-  let t = Report.create [ "route"; "total ms"; "mean ms"; "notes" ] in
-  let row name ms notes =
-    Report.add_row t
-      [
-        name;
-        Printf.sprintf "%.1f" ms;
-        Printf.sprintf "%.3f" (ms /. float_of_int n_pairs);
-        notes;
-      ]
-  in
-  row "antichain (Auto, cold)" auto_ms
-    (Printf.sprintf "%d pairs admitted, %d pruned, %d states interned"
-       admitted pruned interned);
-  row "antichain (Auto, warm)" warm_ms
-    (Printf.sprintf "%d states / %d composites / %d events interned" states
-       composites events);
-  row "legacy auto (automata, cold)" legacy_ms
-    (Printf.sprintf "verdicts agree bit-for-bit: %s"
-       (if agree then "yes" else "NO"));
-  row "bounded only (cold)" bounded_ms "depth-cut exploration";
-  row "speedup (legacy/antichain)" speedup "target ≥5×";
-  Report.print t;
   (* Span decomposition of one cold antichain pass, for EXPERIMENTS
      (a single pass, not [run_route]'s best-of-[reps]: span totals
      must add up to one cold corpus). *)
-  Telemetry.reset ();
-  Telemetry.set_enabled true;
-  let span_ctx = Tset.ctx universe in
-  let _ = List.map (fun (g', g) -> auto span_ctx g' g) pairs in
-  Telemetry.set_enabled false;
-  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Telemetry.span) ->
-      let c, tot =
-        Option.value (Hashtbl.find_opt tbl s.Telemetry.name) ~default:(0, 0)
-      in
-      Hashtbl.replace tbl s.Telemetry.name (c + 1, tot + s.Telemetry.dur_ns))
-    (Telemetry.spans ());
-  Telemetry.reset ();
-  let span_rows =
-    Hashtbl.fold (fun name (c, tot) acc -> (name, c, tot) :: acc) tbl []
-    |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-    |> List.map (fun (name, c, tot) ->
-           Json.Obj
-             [
-               ("span", Json.Str name);
-               ("count", Json.Int c);
-               ("total_ms", Json.Float (float_of_int tot /. 1e6));
-             ])
+  let spans =
+    span_totals (fun () ->
+        let span_ctx = Tset.ctx universe in
+        List.map (fun (g', g) -> auto span_ctx g' g) pairs)
   in
-  write_campaign ~name:"P8"
-    ~title:"antichain inclusion vs legacy routes (cold 56-pair corpus)"
+  [
     [
-      Json.Obj
-        [
-          ("route", Json.Str "antichain_auto_cold");
-          ("total_ms", Json.Float auto_ms);
-          ("pairs_admitted", Json.Int admitted);
-          ("pairs_pruned", Json.Int pruned);
-          ("states_interned", Json.Int interned);
-        ];
-      Json.Obj
-        [
-          ("route", Json.Str "antichain_auto_warm");
-          ("total_ms", Json.Float warm_ms);
-        ];
-      Json.Obj
-        [
-          ("route", Json.Str "legacy_auto_cold");
-          ("total_ms", Json.Float legacy_ms);
-          ("verdicts_agree", Json.Bool agree);
-        ];
-      Json.Obj
-        [ ("route", Json.Str "bounded_only_cold"); ("total_ms", Json.Float bounded_ms) ];
-      Json.Obj
-        [
-          ("route", Json.Str "speedup");
-          ("legacy_over_antichain", Json.Float speedup);
-        ];
-      Json.Obj [ ("route", Json.Str "spans"); ("rows", Json.List span_rows) ];
-    ]
+      ("route", S "antichain_auto_cold");
+      ("total_ms", F auto_ms);
+      ("pairs_admitted", I admitted);
+      ("pairs_pruned", I pruned);
+      ("states_interned", I interned);
+    ];
+    [ ("route", S "antichain_auto_warm"); ("total_ms", F warm_ms) ];
+    [
+      ("route", S "legacy_auto_cold");
+      ("total_ms", F legacy_ms);
+      ("verdicts_agree", B agree);
+    ];
+    [ ("route", S "bounded_only_cold"); ("total_ms", F bounded_ms) ];
+    [
+      ("route", S "speedup");
+      ("legacy_over_antichain", F (legacy_ms /. auto_ms));
+    ];
+    [
+      ("route", S "spans");
+      ( "rows",
+        Rows
+          (List.map
+             (fun (name, c, tot) ->
+               [
+                 ("span", S name);
+                 ("count", I c);
+                 ("total_ms", F (float_of_int tot /. 1e6));
+               ])
+             spans) );
+    ];
+  ]
 
 (* P9 — the compositional planner: composite refine/equal queries over
    a multi-component corpus, answered by direct product checking
@@ -1385,20 +1196,19 @@ let p8 () =
    on this) — and strictly fewer product explorations (antichain pairs
    admitted, DFAs compiled) when the planner is on. *)
 let p9 () =
-  Report.section
-    "P9: compositional planner vs direct checking (composite corpus)";
   let manifest =
     Filename.concat (Filename.concat "examples" "specs") "fleet.manifest"
   in
   let fleet =
     if Sys.file_exists manifest then
       match
-        Manifest.requests_of_file ~default_depth:depth ~extra_objects:2
+        Manifest.requests_of_file_typed ~default_depth:depth ~extra_objects:2
           manifest
       with
       | Ok rs -> rs
-      | Error m ->
-          Format.printf "  (fleet manifest skipped: %s)@." m;
+      | Error e ->
+          Format.printf "  (fleet manifest skipped: %s)@."
+            (Manifest.input_error_message e);
           []
     else begin
       Format.printf
@@ -1436,47 +1246,23 @@ let p9 () =
     ]
   in
   let requests = fleet @ paper in
-  let n = List.length requests in
-  (* Cold totals are tens of milliseconds; best-of-[reps] on fresh
-     caches, as in P8. *)
-  let reps = 5 in
   let run_route plan =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      let results, stats = Engine.run_batch ~domains:1 ~plan requests in
-      (results, stats, (Unix.gettimeofday () -. t0) *. 1000.)
-    in
-    let best = ref (once ()) in
-    for _ = 2 to reps do
-      let (_, _, ms) as r = once () in
-      let _, _, best_ms = !best in
-      if ms < best_ms then best := r
-    done;
-    !best
+    best_of (fun () -> wall (fun () -> Engine.run_batch ~domains:1 ~plan requests))
   in
-  let off_vs, (off_stats : Engine.stats), off_ms = run_route Plan.Off in
-  let auto_vs, (auto_stats : Engine.stats), auto_ms = run_route Plan.Auto in
+  let (off_vs, (off_stats : Engine.stats)), off_ms = run_route Plan.Off in
+  let (auto_vs, (auto_stats : Engine.stats)), auto_ms = run_route Plan.Auto in
   (* Warm pass: same batch against the caches the cold planner pass
      populated — every composite (and every premise) is a hit. *)
   let cache = Vcache.create () in
-  let dfa = Engine.dfa_cache () in
-  let _ =
-    Engine.run_batch ~domains:1 ~plan:Plan.Auto ~cache ~dfa_cache:dfa requests
+  let dfa_cache = Engine.dfa_cache () in
+  let warm () =
+    wall (fun () ->
+        snd
+          (Engine.run_batch ~domains:1 ~plan:Plan.Auto ~cache ~dfa_cache
+             requests))
   in
-  let warm_once () =
-    let t0 = Unix.gettimeofday () in
-    let _, (s : Engine.stats) =
-      Engine.run_batch ~domains:1 ~plan:Plan.Auto ~cache ~dfa_cache:dfa
-        requests
-    in
-    (s, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  let warm_stats, warm_ms =
-    List.fold_left
-      (fun (bs, bm) (s, m) -> if m < bm then (s, m) else (bs, bm))
-      (warm_once ())
-      [ warm_once (); warm_once () ]
-  in
+  ignore (warm ());
+  let warm_stats, warm_ms = best_of ~reps:3 warm in
   (* The soundness gate, measured: planner and direct verdicts agree on
      status, confidence and evidence for every query — only provenance
      (which rule fired vs which procedure ran) differs. *)
@@ -1486,69 +1272,32 @@ let p9 () =
         Verdict.equal_modulo_provenance a.Engine.verdict d.Engine.verdict)
       auto_vs off_vs
   in
-  let fewer_products = auto_stats.antichain_pairs < off_stats.antichain_pairs in
-  let speedup = off_ms /. auto_ms in
-  let t =
-    Report.create
-      [ "route"; "total ms"; "derived"; "fallback"; "ac pairs"; "dfa"; "notes" ]
-  in
-  let row name ms (s : Engine.stats) notes =
-    Report.add_row t
-      [
-        name;
-        Printf.sprintf "%.1f" ms;
-        string_of_int s.derived_hits;
-        string_of_int s.plan_fallbacks;
-        string_of_int s.antichain_pairs;
-        string_of_int s.dfa_compiles;
-        notes;
-      ]
-  in
-  row "direct (plan off, cold)" off_ms off_stats
-    (Printf.sprintf "%d composite+atomic jobs" n);
-  row "planner (plan auto, cold)" auto_ms auto_stats
-    (Printf.sprintf "verdicts agree modulo provenance: %s"
-       (if agree then "yes" else "NO"));
-  row "planner (plan auto, warm)" warm_ms warm_stats
-    (Printf.sprintf "%d/%d cache hits" warm_stats.cache_hits warm_stats.jobs);
-  Report.print t;
-  Format.printf
-    "  product explorations: %d antichain pairs (off) vs %d (auto), \
-     strictly fewer: %s; speedup (off/auto): %.2fx@."
-    off_stats.antichain_pairs auto_stats.antichain_pairs
-    (if fewer_products then "yes" else "NO")
-    speedup;
-  let stats_row route ms (s : Engine.stats) extra =
-    Json.Obj
-      ([
-         ("route", Json.Str route);
-         ("total_ms", Json.Float ms);
-         ("jobs", Json.Int s.jobs);
-         ("cache_hits", Json.Int s.cache_hits);
-         ("derived_hits", Json.Int s.derived_hits);
-         ("plan_fallbacks", Json.Int s.plan_fallbacks);
-         ("antichain_pairs", Json.Int s.antichain_pairs);
-         ("dfa_compiles", Json.Int s.dfa_compiles);
-       ]
-      @ extra)
-  in
-  write_campaign ~name:"P9"
-    ~title:"compositional planner vs direct checking (composite corpus)"
+  let stats_row route ms (s : Engine.stats) =
     [
-      stats_row "plan_off_cold" off_ms off_stats [];
-      stats_row "plan_auto_cold" auto_ms auto_stats [];
-      stats_row "plan_auto_warm" warm_ms warm_stats [];
-      Json.Obj
-        [
-          ("route", Json.Str "agreement");
-          ("derived_agree", Json.Bool agree);
-          ("fewer_product_explorations", Json.Bool fewer_products);
-          ( "product_pairs_saved",
-            Json.Int (off_stats.antichain_pairs - auto_stats.antichain_pairs)
-          );
-          ("speedup_off_over_auto", Json.Float speedup);
-        ];
+      ("route", S route);
+      ("total_ms", F ms);
+      ("jobs", I s.jobs);
+      ("cache_hits", I s.cache_hits);
+      ("derived_hits", I s.derived_hits);
+      ("plan_fallbacks", I s.plan_fallbacks);
+      ("antichain_pairs", I s.antichain_pairs);
+      ("dfa_compiles", I s.dfa_compiles);
     ]
+  in
+  [
+    stats_row "plan_off_cold" off_ms off_stats;
+    stats_row "plan_auto_cold" auto_ms auto_stats;
+    stats_row "plan_auto_warm" warm_ms warm_stats;
+    [
+      ("route", S "agreement");
+      ("derived_agree", B agree);
+      ( "fewer_product_explorations",
+        B (auto_stats.antichain_pairs < off_stats.antichain_pairs) );
+      ( "product_pairs_saved",
+        I (off_stats.antichain_pairs - auto_stats.antichain_pairs) );
+      ("speedup_off_over_auto", F (off_ms /. auto_ms));
+    ];
+  ]
 
 (* P10: one edit in the ten-query fleet — an incremental watch round
    against a cold batch over the whole manifest.  The edit doubles
@@ -1559,13 +1308,13 @@ let p9 () =
    acceptance bar is a >=10x wall-clock win for the incremental
    round. *)
 let p10 () =
-  Report.section
-    "P10: incremental re-verification (posl.watch) vs cold batch";
   let src_dir = Filename.concat "examples" "specs" in
   let src_manifest = Filename.concat src_dir "fleet.manifest" in
   let src_spec = Filename.concat src_dir "fleet.oun" in
-  if not (Sys.file_exists src_manifest && Sys.file_exists src_spec) then
-    Format.printf "  (fleet corpus not found — campaign skipped)@."
+  if not (Sys.file_exists src_manifest && Sys.file_exists src_spec) then begin
+    Format.printf "  (fleet corpus not found — campaign skipped)@.";
+    []
+  end
   else begin
     (* Scratch copy: the campaign edits the spec file in place.  [use]
        targets resolve relative to the manifest, so the copy is
@@ -1646,44 +1395,36 @@ let p10 () =
       | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + nl) (sl - i - nl)
     in
     let edited = replace ~needle ~by:doubled original in
-    if edited = original then
-      Format.printf "  (GaugeR traces line not found — campaign skipped)@."
+    let requests () =
+      Manifest.requests_of_file_typed ~default_depth:depth ~extra_objects:2
+        manifest
+    in
+    if edited = original then begin
+      Format.printf "  (GaugeR traces line not found — campaign skipped)@.";
+      []
+    end
     else
-      match
-        Manifest.requests_of_file ~default_depth:depth ~extra_objects:2
-          manifest
-      with
-      | Error m -> Format.printf "  (fleet manifest skipped: %s)@." m
-      | Ok requests ->
-          let n = List.length requests in
+      match requests () with
+      | Error e ->
+          Format.printf "  (fleet manifest skipped: %s)@."
+            (Manifest.input_error_message e);
+          []
+      | Ok rs ->
           let reps = 5 in
           (* Cold baseline: the full cold [batch] pipeline — manifest
              parse, spec elaboration, verification — on fresh caches
              every repetition, best-of.  That is what a plain
              [posl-check batch] pays on every invocation and what the
              watcher's incremental round is up against. *)
-          let cold_once () =
-            let t0 = Unix.gettimeofday () in
-            let requests =
-              match
-                Manifest.requests_of_file ~default_depth:depth
-                  ~extra_objects:2 manifest
-              with
-              | Ok rs -> rs
-              | Error m -> failwith ("P10 cold batch: " ^ m)
-            in
-            let _, (s : Engine.stats) =
-              Engine.run_batch ~domains:1 ~plan:Plan.Auto requests
-            in
-            (s, (Unix.gettimeofday () -. t0) *. 1000.)
-          in
           let cold_stats, cold_ms =
-            let best = ref (cold_once ()) in
-            for _ = 2 to reps do
-              let (_, ms) as r = cold_once () in
-              if ms < snd !best then best := r
-            done;
-            !best
+            best_of ~reps (fun () ->
+                wall (fun () ->
+                    match requests () with
+                    | Ok rs ->
+                        snd (Engine.run_batch ~domains:1 ~plan:Plan.Auto rs)
+                    | Error e ->
+                        failwith
+                          ("P10 cold batch: " ^ Manifest.input_error_message e)))
           in
           let w =
             Watch.create ~default_depth:depth ~extra_objects:2 manifest
@@ -1715,77 +1456,33 @@ let p10 () =
               Float.infinity incs
           in
           let speedup = cold_ms /. best_ms in
-          let ge10x = speedup >= 10. in
-          let t =
-            Report.create
-              [ "route"; "total ms"; "invalidated"; "reused"; "notes" ]
-          in
-          Report.add_row t
+          [
             [
-              "cold batch (plan auto)";
-              Printf.sprintf "%.1f" cold_ms;
-              string_of_int n;
-              "0";
-              Printf.sprintf "%d jobs, best of %d" cold_stats.jobs reps;
+              ("route", S "cold_batch");
+              ("total_ms", F cold_ms);
+              ("queries", I (List.length rs));
+              ("jobs", I cold_stats.jobs);
             ];
-          Report.add_row t
             [
-              "watch cold round";
-              Printf.sprintf "%.1f" cold_round.Watch.elapsed_ms;
-              string_of_int cold_round.Watch.invalidated;
-              string_of_int cold_round.Watch.reused;
-              "first poll verifies everything";
+              ("route", S "watch_cold_round");
+              ("total_ms", F cold_round.Watch.elapsed_ms);
+              ("queries_invalidated", I cold_round.Watch.invalidated);
+              ("queries_reused", I cold_round.Watch.reused);
             ];
-          Report.add_row t
             [
-              "watch incremental round";
-              Printf.sprintf "%.1f" best_ms;
-              string_of_int first.Watch.invalidated;
-              string_of_int first.Watch.reused;
-              Printf.sprintf "%d flip(s), best of %d rounds"
-                (List.length first.Watch.flips)
-                (List.length incs);
+              ("route", S "watch_incremental");
+              ("total_ms", F best_ms);
+              ("queries_invalidated", I first.Watch.invalidated);
+              ("queries_reused", I first.Watch.reused);
+              ("flips", I (List.length first.Watch.flips));
+              ("rounds_measured", I (List.length incs));
             ];
-          Report.print t;
-          Format.printf
-            "  single-edit speedup (cold batch / incremental round): %.1fx \
-             (>=10x: %s)@."
-            speedup
-            (if ge10x then "yes" else "NO");
-          write_campaign ~name:"P10"
-            ~title:"incremental watch round vs cold batch (single fleet edit)"
             [
-              Json.Obj
-                [
-                  ("route", Json.Str "cold_batch");
-                  ("total_ms", Json.Float cold_ms);
-                  ("queries", Json.Int n);
-                  ("jobs", Json.Int cold_stats.jobs);
-                ];
-              Json.Obj
-                [
-                  ("route", Json.Str "watch_cold_round");
-                  ("total_ms", Json.Float cold_round.Watch.elapsed_ms);
-                  ( "queries_invalidated",
-                    Json.Int cold_round.Watch.invalidated );
-                  ("queries_reused", Json.Int cold_round.Watch.reused);
-                ];
-              Json.Obj
-                [
-                  ("route", Json.Str "watch_incremental");
-                  ("total_ms", Json.Float best_ms);
-                  ("queries_invalidated", Json.Int first.Watch.invalidated);
-                  ("queries_reused", Json.Int first.Watch.reused);
-                  ("flips", Json.Int (List.length first.Watch.flips));
-                  ("rounds_measured", Json.Int (List.length incs));
-                ];
-              Json.Obj
-                [
-                  ("route", Json.Str "summary");
-                  ("speedup_cold_over_incremental", Json.Float speedup);
-                  ("ge10x", Json.Bool ge10x);
-                ];
-            ]
+              ("route", S "summary");
+              ("speedup_cold_over_incremental", F speedup);
+              ("ge10x", B (speedup >= 10.));
+            ];
+          ]
   end
 
 (* P11: observability overhead.  The same refinement batch with span
@@ -1798,30 +1495,15 @@ let p10 () =
    in milliseconds, reported but not gated (it measures the OS
    scheduler as much as the GC). *)
 let p11 () =
-  Report.section
-    "P11: observability overhead (spans off vs on, log events, gc sampler)";
   let batch = engine_batch ~depth:4 in
-  let reps = 5 in
-  let best_of f =
-    let best = ref (f ()) in
-    for _ = 2 to reps do
-      let m = f () in
-      if m < !best then best := m
-    done;
-    !best
-  in
-  let run_once () =
-    let t0 = Unix.gettimeofday () in
-    let _ = Engine.run_batch ~domains:1 batch in
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
+  let run_once () = wall (fun () -> ignore (Engine.run_batch ~domains:1 batch)) in
   Telemetry.set_enabled false;
-  let off_ms = best_of run_once in
+  let _, off_ms = best_of run_once in
   Telemetry.reset ();
   Telemetry.set_enabled true;
   Runtime.start ();
   let stat0 = Gc.quick_stat () in
-  let on_ms = best_of run_once in
+  let _, on_ms = best_of run_once in
   let stat1 = Gc.quick_stat () in
   Runtime.stop ();
   Telemetry.set_enabled false;
@@ -1842,96 +1524,79 @@ let p11 () =
     float_of_int (Telemetry.now_ns () - t0) /. float_of_int log_events
   in
   let pause = Pmetrics.histogram "posl_gc_pause_ms" in
-  let pause_samples = Pmetrics.count pause in
-  let pause_p99 = Pmetrics.percentile pause 99. in
-  let overhead = on_ms /. off_ms in
-  let le2x = on_ms <= 2. *. off_ms in
-  let t = Report.create [ "route"; "value"; "notes" ] in
-  Report.add_row t
+  [
     [
-      "spans off";
-      Printf.sprintf "%.1f ms" off_ms;
-      Printf.sprintf "%d jobs, best of %d" (List.length batch) reps;
+      ("route", S "spans_off");
+      ("total_ms", F off_ms);
+      ("jobs", I (List.length batch));
     ];
-  Report.add_row t
     [
-      "spans on";
-      Printf.sprintf "%.1f ms" on_ms;
-      Printf.sprintf "%d spans recorded, %d dropped, gc sampler running"
-        spans dropped;
+      ("route", S "spans_on");
+      ("total_ms", F on_ms);
+      ("spans_recorded", I spans);
+      ("spans_dropped", I dropped);
+      ( "gc_minor_collections",
+        I (stat1.Gc.minor_collections - stat0.Gc.minor_collections) );
+      ( "gc_major_collections",
+        I (stat1.Gc.major_collections - stat0.Gc.major_collections) );
     ];
-  Report.add_row t
     [
-      "log event";
-      Printf.sprintf "%.0f ns" log_ns;
-      Printf.sprintf "%d events, no sink" log_events;
+      ("route", S "log");
+      ("events", I log_events);
+      ("ns_per_event", F log_ns);
     ];
-  Report.add_row t
     [
-      "gc pauses";
-      Printf.sprintf "%d samples" pause_samples;
-      Printf.sprintf "p99 <= %.2f ms (heartbeat oversleep proxy)" pause_p99;
+      ("route", S "gc");
+      ("pause_samples", I (Pmetrics.count pause));
+      ("pause_p99", F (Pmetrics.percentile pause 99.));
     ];
-  Report.print t;
-  Format.printf "  tracing overhead: %.2fx (<=2x: %s)@." overhead
-    (if le2x then "yes" else "NO");
-  let minor1 = stat1.Gc.minor_collections - stat0.Gc.minor_collections in
-  let major1 = stat1.Gc.major_collections - stat0.Gc.major_collections in
-  write_campaign ~name:"P11"
-    ~title:"observability overhead (tracing, structured log, gc sampler)"
     [
-      Json.Obj
-        [
-          ("route", Json.Str "spans_off");
-          ("total_ms", Json.Float off_ms);
-          ("jobs", Json.Int (List.length batch));
-        ];
-      Json.Obj
-        [
-          ("route", Json.Str "spans_on");
-          ("total_ms", Json.Float on_ms);
-          ("spans_recorded", Json.Int spans);
-          ("spans_dropped", Json.Int dropped);
-          ("gc_minor_collections", Json.Int minor1);
-          ("gc_major_collections", Json.Int major1);
-        ];
-      Json.Obj
-        [
-          ("route", Json.Str "log");
-          ("events", Json.Int log_events);
-          ("ns_per_event", Json.Float log_ns);
-        ];
-      Json.Obj
-        [
-          ("route", Json.Str "gc");
-          ("pause_samples", Json.Int pause_samples);
-          ("pause_p99", Json.Float pause_p99);
-        ];
-      Json.Obj
-        [
-          ("route", Json.Str "summary");
-          ("overhead_on_over_off", Json.Float overhead);
-          ("tracing_le_2x", Json.Bool le2x);
-        ];
-    ]
+      ("route", S "summary");
+      ("overhead_on_over_off", F (on_ms /. off_ms));
+      ("tracing_le_2x", B (on_ms <= 2. *. off_ms));
+    ];
+  ]
 
-(* Per-PR bench snapshots: with [--commit-snapshot], after all
-   campaigns have landed under [out_dir], copy the P4..P11 trajectories
-   next to the sources so the repository records the numbers each PR
-   shipped with (CI uploads the same files as artifacts).  Off by
-   default: a plain [dune exec bench/main.exe] writes only under
-   [_build/bench] and leaves the committed baselines — the reference
-   the [report] gate compares against — untouched. *)
+let campaigns =
+  let c ?(snapshot = true) name title run = { name; title; snapshot; run } in
+  [
+    c ~snapshot:false "P1"
+      "state-space exploration scaling (RW <= Write, bounded)" p1;
+    c ~snapshot:false "P2"
+      "automata pipeline scaling (Write spec, growing universe)" p2;
+    c ~snapshot:false "P3" "symbolic event-set algebra scaling" p3;
+    c "P4"
+      "engine batch throughput (shared DFA cache, cold vs warm, domains 1-8)"
+      p4;
+    c "P5"
+      "persistent verdict store (cold vs warm-in-process vs warm-across-process)"
+      p5;
+    c "P6" "span-level time decomposition (cold batch, 1 domain)" p6;
+    c "P7"
+      "sustained service throughput (warm server vs cold per-invocation)" p7;
+    c "P8" "antichain inclusion vs legacy routes (cold 56-pair corpus)" p8;
+    c "P9" "compositional planner vs direct checking (composite corpus)" p9;
+    c "P10" "incremental watch round vs cold batch (single fleet edit)" p10;
+    c "P11" "observability overhead (tracing, structured log, gc sampler)" p11;
+  ]
+
+(* Committed bench snapshots: with [--commit-snapshot], after all
+   campaigns have landed under [out_dir], copy the snapshot campaigns'
+   trajectories next to the sources so the repository records the
+   numbers each change shipped with (CI uploads the same files as
+   artifacts).  Off by default: a plain [dune exec bench/main.exe]
+   writes only under [_build/bench] and leaves the committed baselines
+   — the reference the [report] gate compares against — untouched. *)
 let commit_snapshot =
   Array.exists (fun a -> a = "--commit-snapshot") Sys.argv
 
 let snapshot_reports_to_root () =
   if commit_snapshot && Sys.file_exists "dune-project" then
     List.iter
-      (fun name ->
-        let file = Printf.sprintf "BENCH_%s.json" name in
+      (fun c ->
+        let file = Printf.sprintf "BENCH_%s.json" c.name in
         let src = Filename.concat out_dir file in
-        if Sys.file_exists src then begin
+        if c.snapshot && Sys.file_exists src then begin
           let contents =
             In_channel.with_open_bin src In_channel.input_all
           in
@@ -1939,7 +1604,7 @@ let snapshot_reports_to_root () =
               Out_channel.output_string oc contents);
           Format.printf "  [snapshot -> %s]@." file
         end)
-      [ "P4"; "P5"; "P6"; "P7"; "P8"; "P9"; "P10"; "P11" ]
+      campaigns
 
 (* ------------------------------------------------------------------ *)
 (* Section 3: Bechamel micro-benchmarks                                 *)
@@ -2066,17 +1731,7 @@ let () =
   e14 ();
   e15 ();
   ablations ();
-  p1 ();
-  p2 ();
-  p3 ();
-  p4 ();
-  p5 ();
-  p6 ();
-  p7 ();
-  p8 ();
-  p9 ();
-  p10 ();
-  p11 ();
+  List.iter run_campaign campaigns;
   snapshot_reports_to_root ();
   run_bechamel ();
   Format.printf "@.done.@."

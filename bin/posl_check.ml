@@ -11,16 +11,8 @@
 
    Verdicts are printed with their confidence (exact for the sampled
    universe, or bounded by the exploration depth), and failures carry
-   counterexample traces.
-
-   Exit codes (CI contracts rely on these being distinct):
-     0   every checked property holds
-     1   a check ran and the property fails (refinement refuted,
-         deadlock found, not composable, ...)
-     2   input error: unreadable file, parse error, unknown spec name,
-         malformed manifest, a composition too large to check (its
-         hidden-event closure outgrows the context's cap)
-     124 command-line usage error (cmdliner) *)
+   counterexample traces.  The exit codes are declared once, in
+   [exits], and every help page lists them. *)
 
 open Cmdliner
 module Spec = Posl_core.Spec
@@ -30,7 +22,6 @@ module Bmc = Posl_bmc.Bmc
 module Lang = Posl_lang.Lang
 module Job = Posl_engine.Job
 module Engine = Posl_engine.Engine
-module Cache = Posl_engine.Cache
 module Manifest = Posl_engine.Manifest
 module Plan = Posl_engine.Plan
 module Wire = Posl_serve.Wire
@@ -48,8 +39,30 @@ module Tlog = Posl_telemetry.Log
 module Runtime = Posl_telemetry.Runtime
 module Trajectory = Posl_report.Trajectory
 
+(* CI contracts rely on these codes being distinct. *)
 let exit_verdict = 1
 let exit_input = 2
+
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success: every checked property holds.";
+      info exit_verdict
+        ~doc:
+          "when a check ran and the property fails (refinement refuted, \
+           deadlock found, not composable, a failing batch query, ...).";
+      info exit_input
+        ~doc:
+          "on input errors: an unreadable file, a parse error, an unknown \
+           spec name, a malformed manifest, or a composition too large to \
+           check (its hidden-event closure outgrows the context's cap).";
+      info cli_error ~doc:"on command line parsing errors.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
+(* Every subcommand is declared through here, so every help page
+   documents the same exit codes. *)
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc ~exits) term
 
 (* A failed run is either a failed verdict (the check worked; the
    property does not hold) or an input-side error.  CI scripts branch
@@ -65,11 +78,22 @@ let code = function
       Format.eprintf "%s@." msg;
       exit_input
 
+let ( let* ) = Result.bind
+
 let read_whole_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path content =
+  try
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc content);
+    Ok ()
+  with Sys_error m -> Error (Input m)
 
 let load file =
   match Lang.specs_of_file file with
@@ -90,8 +114,6 @@ let context specs extra_objects =
   let universe = Spec.adequate_universe ~extra_objects specs in
   Tset.ctx universe
 
-let ( let* ) = Result.bind
-
 (* Run [f], which answers queries; a query whose closure outgrows the
    context's cap has no verdict, which is an input-side error (the
    specification is too large to check), not a crash. *)
@@ -103,11 +125,6 @@ let answering f =
          (Printf.sprintf
             "%s: hidden-event closure exceeds the %d-composite cap; no verdict"
             query cap))
-
-(* Destructure a resolved spec list at its known arity, then hand the
-   specs to one of the labelled {!Job} constructors. *)
-let spec2 k = function [ a; b ] -> k a b | _ -> assert false
-let spec3 k = function [ a; b; c ] -> k a b c | _ -> assert false
 
 (* Shared options. *)
 let file_arg =
@@ -132,10 +149,15 @@ let store_arg =
            verdicts are reused from it and fresh ones appended to it.")
 
 (* Open a store around [f], mapping store failures to input errors. *)
-let with_store dir f =
-  match Store.open_ dir with
+let with_store ?readonly dir f =
+  match Store.open_ ?readonly dir with
   | exception Store.Error m -> Error (Input m)
   | s -> Fun.protect ~finally:(fun () -> Store.close s) (fun () -> f s)
+
+let with_store_opt dir f =
+  match dir with
+  | None -> f None
+  | Some dir -> with_store dir (fun s -> f (Some s))
 
 let trace_arg =
   Arg.(
@@ -165,135 +187,81 @@ let log_arg =
            slow-request exemplars) to $(docv) as JSON lines while the \
            command runs.")
 
-(* Enable span recording when --trace was given, run [f], then write
-   the requested telemetry artifacts.  Artifacts are written even when
-   the run fails its verdict — the trace of a failing run is the
-   interesting one — and a write failure is an input error that
-   supersedes the verdict failure.  A trace written after ring
-   wrap-around warns on stderr: silent drops read as "nothing else
-   happened". *)
-let with_observability ?(log = None) ~trace ~metrics f =
-  if trace <> None then begin
-    Telemetry.reset ();
-    Telemetry.set_enabled true
-  end;
-  let* log_oc =
-    match log with
-    | None -> Ok None
-    | Some path -> (
-        try
-          let oc = open_out path in
+(* Stream structured log events to [log] (if given) while [f] runs. *)
+let with_log_sink log f =
+  match log with
+  | None -> f ()
+  | Some path -> (
+      match open_out path with
+      | exception Sys_error m -> Error (Input m)
+      | oc ->
           Tlog.set_sink
             (Some
                (fun line ->
                  output_string oc line;
                  output_char oc '\n';
                  flush oc));
-          Ok (Some oc)
-        with Sys_error m -> Error (Input m))
-  in
+          Fun.protect
+            ~finally:(fun () ->
+              Tlog.set_sink None;
+              close_out_noerr oc)
+            f)
+
+(* Export the recorded spans.  A trace written after ring wrap-around
+   warns on stderr: silent drops read as "nothing else happened". *)
+let write_trace path =
+  match Telemetry.write_trace path with
+  | exception Sys_error m -> Error (Input m)
+  | () ->
+      let d = Telemetry.dropped () in
+      if d > 0 then
+        Format.eprintf
+          "posl-check: warning: %d span(s) were dropped by ring wrap-around; \
+           %s is incomplete@."
+          d path;
+      Ok ()
+
+(* Enable span recording when --trace was given, run [f], then write
+   the requested telemetry artifacts.  Artifacts are written even when
+   the run fails its verdict — the trace of a failing run is the
+   interesting one — and a write failure is an input error that
+   supersedes the verdict failure. *)
+let with_observability ?(log = None) ~trace ~metrics f =
+  if trace <> None then begin
+    Telemetry.reset ();
+    Telemetry.set_enabled true
+  end;
+  with_log_sink log @@ fun () ->
   let result = f () in
   Telemetry.set_enabled false;
-  (match log_oc with
-  | Some oc ->
-      Tlog.set_sink None;
-      close_out_noerr oc
-  | None -> ());
-  let write path content =
-    try
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc content);
-      Ok ()
-    with Sys_error m -> Error (Input m)
-  in
+  let* () = Option.fold ~none:(Ok ()) ~some:write_trace trace in
   let* () =
-    match trace with
-    | None -> Ok ()
-    | Some path ->
-        let* () = write path (Telemetry.trace_json () ^ "\n") in
-        let d = Telemetry.dropped () in
-        if d > 0 then
-          Format.eprintf
-            "posl-check: warning: %d span(s) were dropped by ring \
-             wrap-around; %s is incomplete@."
-            d path;
-        Ok ()
-  in
-  let* () =
-    match metrics with
-    | None -> Ok ()
-    | Some path ->
+    Option.fold ~none:(Ok ())
+      ~some:(fun path ->
         Runtime.sample ();
-        write path (Metrics.expose ())
+        write_file path (Metrics.expose ()))
+      metrics
   in
   result
 
-(* The single-query JSON document: the same verdict schema the batch
-   --json file uses per result (see the README's "Verdict schema"). *)
-let json_of_query ~depth query verdict =
-  Json.Obj
-    [
-      ("label", Json.Str (Job.describe query));
-      ("kind", Json.Str (Job.kind query));
-      ("depth", Json.Int depth);
-      ("holds", Json.Bool (Verdict.to_bool verdict));
-      ("verdict", Verdict.to_json verdict);
-    ]
-
-(* One query subcommand = load file, resolve names, run the job the
-   engine would run, print its verdict.  Batch answers and single-shot
-   answers agree by construction: with [--store] the job goes through
-   [Engine.run_batch] itself (one request, one domain) so the store
-   consult/write-behind path is literally the batch one. *)
-let run_query file names depth extra json store_dir trace metrics make_query =
-  code
-    (let* specs = load file in
-     let* resolved =
-       List.fold_left
-         (fun acc n ->
-           let* acc = acc in
-           let* s = find specs n in
-           Ok (s :: acc))
-         (Ok []) names
-     in
-     let query = make_query (List.rev resolved) in
-     with_observability ~trace ~metrics @@ fun () ->
-     let* verdict =
-       answering @@ fun () ->
-       match store_dir with
-       | None -> Ok (Job.run (context specs extra) ~depth query)
-       | Some dir ->
-           with_store dir (fun s ->
-               let universe =
-                 Spec.adequate_universe ~extra_objects:extra specs
-               in
-               let req = Engine.request ~depth ~universe query in
-               let results, _ =
-                 Engine.run_batch ~domains:1 ~store:s [ req ]
-               in
-               Ok (List.hd results).Engine.verdict)
-     in
-     let holds = Verdict.to_bool verdict in
-     if json then
-       print_endline (Json.to_string (json_of_query ~depth query verdict))
-     else begin
-       Format.printf "%s: %s@." (Job.describe query)
-         (Verdict.to_string verdict);
-       (* compose additionally displays the composition itself *)
-       match (query, holds) with
-       | Job.Compose { left; right }, true -> (
-           match Compose.compose left right with
-           | Ok comp -> Format.printf "@.%a@." Spec.pp comp
-           | Error _ -> ())
-       | _ -> ()
-     end;
-     if holds then Ok ()
-     else
-       Error
-         (Verdict
-            (Format.asprintf "check failed: %s" (Verdict.to_string verdict))))
+(* Print one verdict — a line, or with --json the single-query document
+   (the verdict schema the batch --json file uses per result, see the
+   README's "Verdict schema") — and fail on a failing verdict. *)
+let print_verdict ~json ~label ~kind ~depth v =
+  if json then
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [
+              ("label", Json.Str label);
+              ("kind", Json.Str kind);
+              ("depth", Json.Int depth);
+              ("holds", Json.Bool (Verdict.to_bool v));
+              ("verdict", Verdict.to_json v);
+            ]))
+  else Format.printf "%s: %s@." label (Verdict.to_string v);
+  if Verdict.to_bool v then Ok ()
+  else Error (Verdict (Format.asprintf "check failed: %s" (Verdict.to_string v)))
 
 (* --json for single queries: print the machine-readable document
    instead of the human-readable line. *)
@@ -303,6 +271,79 @@ let query_json_arg =
     & info [ "json" ]
         ~doc:"Print the verdict as a JSON document on stdout.")
 
+(* The query subcommands: (kind, spec-name DOCVs in positional order,
+   doc).  The kind names the {!Job} query, as in a manifest. *)
+let query_kinds =
+  [
+    ("refine", [ "REFINED"; "ABSTRACT" ],
+     "Decide whether the first spec refines the second (Def. 2).");
+    ("compose", [ "LEFT"; "RIGHT" ],
+     "Check composability (Def. 10) and display the composition (Def. 11).");
+    ("proper", [ "REFINED"; "ABSTRACT"; "CONTEXT" ],
+     "Check properness of a refinement w.r.t. a context spec (Def. 14).");
+    ("deadlock", [ "LEFT"; "RIGHT" ],
+     "Search the composition of two specs for deadlocks.");
+    ("equal", [ "LEFT"; "RIGHT" ],
+     "Decide trace-set equality of two specs over the sampled universe.");
+  ]
+
+(* One query subcommand = load file, resolve names, run the job the
+   engine would run, print its verdict.  Batch answers and single-shot
+   answers agree by construction: with [--store] the job goes through
+   [Engine.run_batch] itself (one request, one domain) so the store
+   consult/write-behind path is literally the batch one; without it
+   the job runs directly, sparing a one-shot call the digest. *)
+let query_cmd (kind, docvs, doc) =
+  let run file names depth extra json store_dir trace metrics =
+    code
+      (let* specs = load file in
+       let* resolved =
+         List.fold_left
+           (fun acc n ->
+             let* acc = acc in
+             let* s = find specs n in
+             Ok (s :: acc))
+           (Ok []) names
+       in
+       let* query =
+         Result.map_error
+           (fun m -> Input m)
+           (Manifest.query ~kind (List.rev resolved))
+       in
+       with_observability ~trace ~metrics @@ fun () ->
+       let* verdict =
+         answering @@ fun () ->
+         with_store_opt store_dir @@ function
+         | None -> Ok (Job.run (context specs extra) ~depth query)
+         | Some s ->
+             let universe = Spec.adequate_universe ~extra_objects:extra specs in
+             let req = Engine.request ~depth ~universe query in
+             let results, _ = Engine.run_batch ~domains:1 ~store:s [ req ] in
+             Ok (List.hd results).Engine.verdict
+       in
+       let result =
+         print_verdict ~json ~label:(Job.describe query) ~kind ~depth verdict
+       in
+       (* compose additionally displays the composition itself *)
+       (match (query, json, result) with
+       | Job.Compose { left; right }, false, Ok () -> (
+           match Compose.compose left right with
+           | Ok comp -> Format.printf "@.%a@." Spec.pp comp
+           | Error _ -> ())
+       | _ -> ());
+       result)
+  in
+  let names =
+    List.fold_right
+      (fun (i, docv) acc -> Term.(const List.cons $ name_arg i docv $ acc))
+      (List.mapi (fun i docv -> (i + 1, docv)) docvs)
+      (Term.const [])
+  in
+  cmd kind ~doc
+    Term.(
+      const run $ file_arg $ names $ depth_arg $ extra_objects_arg
+      $ query_json_arg $ store_arg $ trace_arg $ metrics_arg)
+
 (* show *)
 let show_cmd =
   let run file =
@@ -311,75 +352,8 @@ let show_cmd =
        List.iter (fun s -> Format.printf "%a@.@." Spec.pp s) specs;
        Ok ())
   in
-  Cmd.v (Cmd.info "show" ~doc:"Parse a specification file and display it.")
+  cmd "show" ~doc:"Parse a specification file and display it."
     Term.(const run $ file_arg)
-
-(* refine *)
-let refine_cmd =
-  let run file refined abstract depth extra json store trace metrics =
-    run_query file [ refined; abstract ] depth extra json store trace metrics
-      (spec2 (fun refined abstract -> Job.refine ~refined ~abstract))
-  in
-  Cmd.v
-    (Cmd.info "refine" ~doc:"Decide whether the first spec refines the second (Def. 2).")
-    Term.(
-      const run $ file_arg $ name_arg 1 "REFINED" $ name_arg 2 "ABSTRACT"
-      $ depth_arg $ extra_objects_arg $ query_json_arg $ store_arg $ trace_arg
-      $ metrics_arg)
-
-(* compose *)
-let compose_cmd =
-  let run file left right depth extra json store trace metrics =
-    run_query file [ left; right ] depth extra json store trace metrics
-      (spec2 (fun left right -> Job.compose ~left ~right))
-  in
-  Cmd.v
-    (Cmd.info "compose" ~doc:"Check composability (Def. 10) and display the composition (Def. 11).")
-    Term.(
-      const run $ file_arg $ name_arg 1 "LEFT" $ name_arg 2 "RIGHT" $ depth_arg
-      $ extra_objects_arg $ query_json_arg $ store_arg $ trace_arg
-      $ metrics_arg)
-
-(* proper *)
-let proper_cmd =
-  let run file refined abstract ctx_name depth extra json store trace metrics =
-    run_query file [ refined; abstract; ctx_name ] depth extra json store trace
-      metrics
-      (spec3 (fun refined abstract context ->
-           Job.proper ~refined ~abstract ~context))
-  in
-  Cmd.v
-    (Cmd.info "proper" ~doc:"Check properness of a refinement w.r.t. a context spec (Def. 14).")
-    Term.(
-      const run $ file_arg $ name_arg 1 "REFINED" $ name_arg 2 "ABSTRACT"
-      $ name_arg 3 "CONTEXT" $ depth_arg $ extra_objects_arg
-      $ query_json_arg $ store_arg $ trace_arg $ metrics_arg)
-
-(* deadlock *)
-let deadlock_cmd =
-  let run file left right depth extra json store trace metrics =
-    run_query file [ left; right ] depth extra json store trace metrics
-      (spec2 (fun left right -> Job.deadlock ~left ~right))
-  in
-  Cmd.v
-    (Cmd.info "deadlock" ~doc:"Search the composition of two specs for deadlocks.")
-    Term.(
-      const run $ file_arg $ name_arg 1 "LEFT" $ name_arg 2 "RIGHT" $ depth_arg
-      $ extra_objects_arg $ query_json_arg $ store_arg $ trace_arg
-      $ metrics_arg)
-
-(* equal *)
-let equal_cmd =
-  let run file left right depth extra json store trace metrics =
-    run_query file [ left; right ] depth extra json store trace metrics
-      (spec2 (fun left right -> Job.equal ~left ~right))
-  in
-  Cmd.v
-    (Cmd.info "equal" ~doc:"Decide trace-set equality of two specs over the sampled universe.")
-    Term.(
-      const run $ file_arg $ name_arg 1 "LEFT" $ name_arg 2 "RIGHT" $ depth_arg
-      $ extra_objects_arg $ query_json_arg $ store_arg $ trace_arg
-      $ metrics_arg)
 
 (* run: evaluate the assert statements of a file *)
 let run_cmd =
@@ -413,8 +387,7 @@ let run_cmd =
               Error
                 (Input (Format.asprintf "%a: %s" Posl_lang.Ast.pp_pos pos message))))
   in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Evaluate the assert statements of a specification file.")
+  cmd "run" ~doc:"Evaluate the assert statements of a specification file."
     Term.(const run $ file_arg $ depth_arg $ extra_objects_arg)
 
 (* simulate: random walk through a spec's monitor *)
@@ -450,8 +423,7 @@ let simulate_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
   in
-  Cmd.v
-    (Cmd.info "simulate" ~doc:"Random walk through a specification's admissible traces.")
+  cmd "simulate" ~doc:"Random walk through a specification's admissible traces."
     Term.(
       const run $ file_arg $ name_arg 1 "SPEC" $ steps_arg $ seed_arg
       $ extra_objects_arg)
@@ -463,29 +435,12 @@ let consistent_cmd =
       (let* specs = load file in
        let* a = find specs left in
        let* b = find specs right in
-       let ctx = context specs extra in
-       let v = Posl_core.Consistency.verdict ~depth ctx a b in
-       if json then
-         print_endline
-           (Json.to_string
-              (Json.Obj
-                 [
-                   ( "label",
-                     Json.Str
-                       (Printf.sprintf "consistent(%s, %s)" left right) );
-                   ("kind", Json.Str "consistent");
-                   ("depth", Json.Int depth);
-                   ("holds", Json.Bool (Verdict.to_bool v));
-                   ("verdict", Verdict.to_json v);
-                 ]))
-       else
-         Format.printf "consistent(%s, %s): %s@." left right
-           (Verdict.to_string v);
-       if Verdict.to_bool v then Ok ()
-       else Error (Verdict (Format.asprintf "check failed: %s" (Verdict.to_string v))))
+       let v = Posl_core.Consistency.verdict ~depth (context specs extra) a b in
+       print_verdict ~json
+         ~label:(Printf.sprintf "consistent(%s, %s)" left right)
+         ~kind:"consistent" ~depth v)
   in
-  Cmd.v
-    (Cmd.info "consistent" ~doc:"Check non-trivial consistency of two specs (Section 7).")
+  cmd "consistent" ~doc:"Check non-trivial consistency of two specs (Section 7)."
     Term.(
       const run $ file_arg $ name_arg 1 "LEFT" $ name_arg 2 "RIGHT" $ depth_arg
       $ extra_objects_arg $ query_json_arg)
@@ -504,11 +459,19 @@ let parse_manifest ~default_depth ~extra path =
   | Ok requests -> Ok requests
   | Error e -> Error (Input (Manifest.input_error_detail e))
 
-(* All JSON is built with posl.verdict's document AST — the result and
-   stats serializers are the ones the server's submit responses use
-   (posl.serve's Wire). *)
-let json_of_stats = Wire.json_of_stats
-let json_of_result = Wire.json_of_result
+(* batch and metrics: parse the manifest, then answer it with the batch
+   engine inside [observe] and hand the answers to [k]. *)
+let run_manifest ~manifest ~depth ~extra ~domains ~plan ~store_dir ~observe k =
+  let* requests = parse_manifest ~default_depth:depth ~extra manifest in
+  if requests = [] then Error (Input (manifest ^ ": no queries"))
+  else
+    observe @@ fun () ->
+    let* results, stats =
+      answering @@ fun () ->
+      with_store_opt store_dir (fun store ->
+          Ok (Engine.run_batch ?domains ~plan ?store requests))
+    in
+    k results stats
 
 let manifest_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MANIFEST"
@@ -546,112 +509,90 @@ let batch_cmd =
   let run manifest depth extra domains plan json_path store_dir trace metrics
       log slow_ms =
     code
-      (let* requests = parse_manifest ~default_depth:depth ~extra manifest in
-       if requests = [] then Error (Input (manifest ^ ": no queries"))
-       else begin
-         with_observability ~log ~trace ~metrics @@ fun () ->
-         let* results, stats =
-           answering @@ fun () ->
-           match store_dir with
-           | None -> Ok (Engine.run_batch ?domains ~plan requests)
-           | Some dir ->
-               with_store dir (fun s ->
-                   Ok (Engine.run_batch ?domains ~plan ~store:s requests))
-         in
-         let table =
-           Report.create [ "#"; "query"; "verdict"; "plan"; "cached"; "ms" ]
-         in
-         List.iteri
-           (fun i (r : Engine.result) ->
-             Report.add_row table
-               [
-                 string_of_int (i + 1);
-                 r.Engine.request.Engine.label;
-                 Verdict.to_string r.Engine.verdict;
-                 (match r.Engine.verdict.Verdict.provenance.Verdict.procedure
-                  with
-                 | Some (Verdict.Derived { rule; _ }) -> rule
-                 | Some _ | None -> "");
-                 (if r.Engine.from_store then "store"
-                  else if r.Engine.cached then "hit"
-                  else "");
-                 Printf.sprintf "%.1f" r.Engine.ms;
-               ])
-           results;
-         Report.print table;
-         (match slow_ms with
-         | None -> ()
-         | Some thresh ->
-             let slow =
-               List.filter
-                 (fun (r : Engine.result) ->
-                   r.Engine.ms >= float_of_int thresh)
-                 results
-               |> List.sort (fun (a : Engine.result) (b : Engine.result) ->
-                      compare b.Engine.ms a.Engine.ms)
-             in
-             if slow <> [] then begin
-               Format.printf "@.slow queries (>= %d ms):@." thresh;
-               List.iter
-                 (fun (r : Engine.result) ->
-                   Tlog.event ~level:Tlog.Warn
-                     ~fields:
-                       [
-                         ("query", Tlog.S r.Engine.request.Engine.label);
-                         ("ms", Tlog.F r.Engine.ms);
-                         ("slow_ms", Tlog.I thresh);
-                       ]
-                     "batch.slow";
-                   Format.printf "  %8.1f ms  %s%s@." r.Engine.ms
-                     r.Engine.request.Engine.label
-                     (match r.Engine.span_id with
-                     | Some id -> Printf.sprintf "  [span %d]" id
-                     | None -> ""))
-                 slow
-             end);
-         let failed =
-           List.length
-             (List.filter
-                (fun (r : Engine.result) ->
-                  not (Verdict.to_bool r.Engine.verdict))
-                results)
-         in
-         Format.printf "@.%a@." Engine.pp_stats stats;
-         Format.printf "%s@." (Json.to_string (json_of_stats stats ~failed));
-         let* () =
-           match json_path with
-           | None -> Ok ()
-           | Some path -> (
-               try
-                 let oc = open_out path in
-                 Fun.protect
-                   ~finally:(fun () -> close_out_noerr oc)
-                   (fun () ->
-                     output_string oc
-                       (Json.to_string
-                          (Json.Obj
-                             [
-                               ("stats", json_of_stats stats ~failed);
-                               ( "results",
-                                 Json.List (List.map json_of_result results)
-                               );
-                             ]));
-                     output_string oc "\n");
-                 Ok ()
-               with Sys_error m -> Error (Input m))
-         in
-         if failed = 0 then Ok ()
-         else
-           Error
-             (Verdict
-                (Printf.sprintf "%d of %d quer%s failed" failed
-                   (List.length results)
-                   (if List.length results = 1 then "y" else "ies")))
-       end)
+      (run_manifest ~manifest ~depth ~extra ~domains ~plan ~store_dir
+         ~observe:(with_observability ~log ~trace ~metrics)
+       @@ fun results stats ->
+       let table =
+         Report.create [ "#"; "query"; "verdict"; "plan"; "cached"; "ms" ]
+       in
+       List.iteri
+         (fun i (r : Engine.result) ->
+           Report.add_row table
+             [
+               string_of_int (i + 1);
+               r.Engine.request.Engine.label;
+               Verdict.to_string r.Engine.verdict;
+               (match r.Engine.verdict.Verdict.provenance.Verdict.procedure
+                with
+               | Some (Verdict.Derived { rule; _ }) -> rule
+               | Some _ | None -> "");
+               (if r.Engine.from_store then "store"
+                else if r.Engine.cached then "hit"
+                else "");
+               Printf.sprintf "%.1f" r.Engine.ms;
+             ])
+         results;
+       Report.print table;
+       (match slow_ms with
+       | None -> ()
+       | Some thresh ->
+           let slow =
+             List.filter
+               (fun (r : Engine.result) -> r.Engine.ms >= float_of_int thresh)
+               results
+             |> List.sort (fun (a : Engine.result) (b : Engine.result) ->
+                    compare b.Engine.ms a.Engine.ms)
+           in
+           if slow <> [] then begin
+             Format.printf "@.slow queries (>= %d ms):@." thresh;
+             List.iter
+               (fun (r : Engine.result) ->
+                 Tlog.event ~level:Tlog.Warn
+                   ~fields:
+                     [
+                       ("query", Tlog.S r.Engine.request.Engine.label);
+                       ("ms", Tlog.F r.Engine.ms);
+                       ("slow_ms", Tlog.I thresh);
+                     ]
+                   "batch.slow";
+                 Format.printf "  %8.1f ms  %s%s@." r.Engine.ms
+                   r.Engine.request.Engine.label
+                   (match r.Engine.span_id with
+                   | Some id -> Printf.sprintf "  [span %d]" id
+                   | None -> ""))
+               slow
+           end);
+       let failed =
+         List.length
+           (List.filter
+              (fun (r : Engine.result) -> not (Verdict.to_bool r.Engine.verdict))
+              results)
+       in
+       Format.printf "@.%a@." Engine.pp_stats stats;
+       Format.printf "%s@." (Json.to_string (Wire.json_of_stats stats ~failed));
+       let* () =
+         match json_path with
+         | None -> Ok ()
+         | Some path ->
+             write_file path
+               (Json.to_string
+                  (Json.Obj
+                     [
+                       ("stats", Wire.json_of_stats stats ~failed);
+                       ( "results",
+                         Json.List (List.map Wire.json_of_result results) );
+                     ])
+               ^ "\n")
+       in
+       if failed = 0 then Ok ()
+       else
+         Error
+           (Verdict
+              (Printf.sprintf "%d of %d quer%s failed" failed
+                 (List.length results)
+                 (if List.length results = 1 then "y" else "ies"))))
   in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:"Answer a manifest of queries with the parallel batch engine.")
+  cmd "batch" ~doc:"Answer a manifest of queries with the parallel batch engine."
     Term.(
       const run $ manifest_arg $ depth_arg $ extra_objects_arg $ domains_arg
       $ plan_arg $ json_arg $ store_arg $ trace_arg $ metrics_arg $ log_arg
@@ -664,35 +605,25 @@ let batch_cmd =
 let metrics_cmd =
   let run manifest depth extra domains plan store_dir =
     code
-      (let* requests = parse_manifest ~default_depth:depth ~extra manifest in
-       if requests = [] then Error (Input (manifest ^ ": no queries"))
-       else begin
+      (let* () =
          (* observe the run with the GC alarm + pause heartbeat, so the
             exposition includes live gc/heap gauges and the
             posl_gc_pause_ms histogram *)
-         Runtime.start ();
-         let* _ =
-           answering @@ fun () ->
-           Fun.protect
-             ~finally:(fun () -> Runtime.stop ())
-             (fun () ->
-               match store_dir with
-               | None -> Ok (Engine.run_batch ?domains ~plan requests)
-               | Some dir ->
-                   with_store dir (fun s ->
-                       Ok (Engine.run_batch ?domains ~plan ~store:s requests)))
-         in
-         print_string (Metrics.expose ());
-         Ok ()
-       end)
+         run_manifest ~manifest ~depth ~extra ~domains ~plan ~store_dir
+           ~observe:(fun f ->
+             Runtime.start ();
+             Fun.protect ~finally:Runtime.stop f)
+           (fun _ _ -> Ok ())
+       in
+       print_string (Metrics.expose ());
+       Ok ())
   in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Answer a manifest of queries and print the Prometheus-style text \
-          exposition of the process metrics registry (counters, gauges, \
-          latency histograms) to stdout.  Exits non-zero only on input \
-          errors.")
+  cmd "metrics"
+    ~doc:
+      "Answer a manifest of queries and print the Prometheus-style text \
+       exposition of the process metrics registry (counters, gauges, \
+       latency histograms) to stdout.  Exits non-zero only on input \
+       errors."
     Term.(
       const run $ manifest_arg $ depth_arg $ extra_objects_arg $ domains_arg
       $ plan_arg $ store_arg)
@@ -710,20 +641,14 @@ let store_dir_arg =
 let store_stats_cmd =
   let run dir =
     code
-      (match Store.open_ ~readonly:true dir with
-      | exception Store.Error m -> Error (Input m)
-      | s ->
-          Fun.protect
-            ~finally:(fun () -> Store.close s)
-            (fun () ->
-              Format.printf "%a@." Store.pp_stats (Store.stats s);
-              List.iter
-                (fun d -> Format.printf "damage: %a@." Store.pp_damage d)
-                (Store.damage s);
-              Ok ()))
+      (with_store ~readonly:true dir @@ fun s ->
+       Format.printf "%a@." Store.pp_stats (Store.stats s);
+       List.iter
+         (fun d -> Format.printf "damage: %a@." Store.pp_damage d)
+         (Store.damage s);
+       Ok ())
   in
-  Cmd.v
-    (Cmd.info "stats" ~doc:"Show index and log statistics of a verdict store.")
+  cmd "stats" ~doc:"Show index and log statistics of a verdict store."
     Term.(const run $ store_dir_arg)
 
 let store_verify_cmd =
@@ -752,12 +677,11 @@ let store_verify_cmd =
                     r.Store.torn_bytes
                     (if r.Store.torn_bytes = 1 then "" else "s"))))
   in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Integrity-scan a verdict store: every record must frame, checksum \
-          and round-trip through the verdict parser.  Exits 1 if any damage \
-          is found.")
+  cmd "verify"
+    ~doc:
+      "Integrity-scan a verdict store: every record must frame, checksum \
+       and round-trip through the verdict parser.  Exits 1 if any damage \
+       is found."
     Term.(const run $ store_dir_arg)
 
 let store_gc_cmd =
@@ -773,7 +697,8 @@ let store_gc_cmd =
       (with_observability ~trace ~metrics @@ fun () ->
        let* requests = parse_manifest ~default_depth:depth ~extra manifest in
        (* The store is keyed by the depth-independent digest, so the
-          keep-set is the manifest's base digests. *)
+          keep-set is the manifest's base digests.  An empty manifest
+          keeps nothing. *)
        let keep_tbl = Hashtbl.create 64 in
        List.iter
          (fun (r : Engine.request) ->
@@ -784,32 +709,25 @@ let store_gc_cmd =
            | Some d -> Hashtbl.replace keep_tbl d ()
            | None -> ())
          requests;
-       match Store.open_ dir with
-       | exception Store.Error m -> Error (Input m)
-       | s ->
-           Fun.protect
-             ~finally:(fun () -> Store.close s)
-             (fun () ->
-               let kept, dropped =
-                 Store.gc s ~keep:(Hashtbl.mem keep_tbl)
-               in
-               Format.printf "gc %s: kept %d record%s, dropped %d@." dir kept
-                 (if kept = 1 then "" else "s")
-                 dropped;
-               Ok ()))
+       with_store dir @@ fun s ->
+       let kept, dropped = Store.gc s ~keep:(Hashtbl.mem keep_tbl) in
+       Format.printf "gc %s: kept %d record%s, dropped %d@." dir kept
+         (if kept = 1 then "" else "s")
+         dropped;
+       Ok ())
   in
-  Cmd.v
-    (Cmd.info "gc"
-       ~doc:
-         "Compact a verdict store, dropping superseded and damaged records \
-          and records not referenced by the given manifest.")
+  cmd "gc"
+    ~doc:
+      "Compact a verdict store, dropping superseded and damaged records \
+       and records not referenced by the given manifest."
     Term.(
       const run $ store_dir_arg $ manifest_opt_arg $ depth_arg
       $ extra_objects_arg $ trace_arg $ metrics_arg)
 
 let store_cmd =
   Cmd.group
-    (Cmd.info "store" ~doc:"Inspect and maintain a persistent verdict store.")
+    (Cmd.info "store" ~exits
+       ~doc:"Inspect and maintain a persistent verdict store.")
     [ store_stats_cmd; store_verify_cmd; store_gc_cmd ]
 
 (* ------------------------------------------------------------------ *)
@@ -856,6 +774,14 @@ let deadline_ms_arg =
           "Per-job admission deadline: jobs still queued after $(docv) \
            milliseconds answer deadline_exceeded instead of running.")
 
+(* --json PATH of loadgen and report *)
+let report_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"PATH"
+        ~doc:"Write the machine-readable report to this file.")
+
 let serve_cmd =
   let workers_arg =
     Arg.(
@@ -897,31 +823,9 @@ let serve_cmd =
          Serve.config ?workers ~max_queue ?deadline_ms ?store_dir ~max_frame
            ?slow_ms addr
        in
-       (* serve runs until interrupted, so the log sink streams directly
-          to the file rather than going through with_observability *)
-       let* log_oc =
-         match log with
-         | None -> Ok None
-         | Some path -> (
-             try
-               let oc = open_out path in
-               Tlog.set_sink
-                 (Some
-                    (fun line ->
-                      output_string oc line;
-                      output_char oc '\n';
-                      flush oc));
-               Ok (Some oc)
-             with Sys_error m -> Error (Input m))
-       in
-       Fun.protect
-         ~finally:(fun () ->
-           match log_oc with
-           | Some oc ->
-               Tlog.set_sink None;
-               close_out_noerr oc
-           | None -> ())
-       @@ fun () ->
+       (* serve runs until interrupted, so the log sink streams for the
+          server's whole life *)
+       with_log_sink log @@ fun () ->
        match
          Serve.run
            ~on_ready:(fun bound ->
@@ -934,37 +838,20 @@ let serve_cmd =
            (* spans are on for the whole server lifetime; the export
               after drain holds the most recent rings' worth, keyed by
               request trace id *)
-           (match trace with
-           | None -> Ok ()
-           | Some path -> (
-               try
-                 let oc = open_out path in
-                 Fun.protect
-                   ~finally:(fun () -> close_out_noerr oc)
-                   (fun () ->
-                     output_string oc (Telemetry.trace_json () ^ "\n"));
-                 let d = Telemetry.dropped () in
-                 if d > 0 then
-                   Format.eprintf
-                     "posl-check: warning: %d span(s) were dropped by ring \
-                      wrap-around; %s is incomplete@."
-                     d path;
-                 Ok ()
-               with Sys_error m -> Error (Input m)))
+           Option.fold ~none:(Ok ()) ~some:write_trace trace
        | exception Unix.Unix_error (e, fn, arg) ->
            Error
              (Input
                 (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
        | exception Store.Error m -> Error (Input m))
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the resident verification service: length-prefixed JSON frames \
-          over a Unix or TCP socket, answered by worker domains behind a \
-          bounded admission queue, with every submission landing on the \
-          process-lifetime warm caches.  SIGINT/SIGTERM (or the shutdown op) \
-          drain gracefully and exit 0.")
+  cmd "serve"
+    ~doc:
+      "Run the resident verification service: length-prefixed JSON frames \
+       over a Unix or TCP socket, answered by worker domains behind a \
+       bounded admission queue, with every submission landing on the \
+       process-lifetime warm caches.  SIGINT/SIGTERM (or the shutdown op) \
+       drain gracefully and exit 0."
     Term.(
       const run $ socket_arg $ tcp_arg $ workers_arg $ max_queue_arg
       $ deadline_ms_arg $ store_arg $ max_frame_arg $ slow_ms_arg $ trace_arg
@@ -1011,13 +898,6 @@ let loadgen_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"SEED" ~doc:"Repeat-draw random seed.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the machine-readable report to this file.")
-  in
   let server_metrics_arg =
     Arg.(
       value
@@ -1036,12 +916,12 @@ let loadgen_cmd =
        in
        let* entries =
          match
-           Manifest.entries ~path:manifest
+           Manifest.entries_typed ~path:manifest
              ~dir:(Filename.dirname manifest) ~default_depth:depth text
          with
          | Ok [] -> Error (Input (manifest ^ ": no queries"))
          | Ok entries -> Ok entries
-         | Error m -> Error (Input m)
+         | Error e -> Error (Input (Manifest.input_error_message e))
        in
        let pool =
          (* spec paths travel to a server with its own cwd — absolutize *)
@@ -1075,20 +955,11 @@ let loadgen_cmd =
          | Error m -> Error (Input m)
        in
        Format.printf "%a@." Loadgen.pp_report report;
-       let write path content =
-         try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out_noerr oc)
-             (fun () -> output_string oc content);
-           Ok ()
-         with Sys_error m -> Error (Input m)
-       in
        let* () =
          match json_path with
          | None -> Ok ()
          | Some path ->
-             write path
+             write_file path
                (Json.to_string (Loadgen.json_of_report report) ^ "\n")
        in
        let* () =
@@ -1112,7 +983,7 @@ let loadgen_cmd =
                      | Error m -> Error (Input ("metrics fetch: " ^ m))
                      | Ok (Json.Obj fields) -> (
                          match List.assoc_opt "metrics" fields with
-                         | Some (Json.Str text) -> write path text
+                         | Some (Json.Str text) -> write_file path text
                          | _ ->
                              Error
                                (Input "metrics fetch: malformed response"))
@@ -1125,18 +996,17 @@ let loadgen_cmd =
                  report.Loadgen.errors report.Loadgen.requests))
        else Ok ())
   in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Drive a running verification server with concurrent clients: \
-          closed- or open-loop arrival, a configurable repeat ratio to \
-          exercise warm caches, and a latency/throughput report.  Exits \
-          non-zero only on transport errors (overload rejections are counted, \
-          not fatal).")
+  cmd "loadgen"
+    ~doc:
+      "Drive a running verification server with concurrent clients: \
+       closed- or open-loop arrival, a configurable repeat ratio to \
+       exercise warm caches, and a latency/throughput report.  Exits \
+       non-zero only on transport errors (overload rejections are counted, \
+       not fatal)."
     Term.(
       const run $ socket_arg $ tcp_arg $ manifest_arg $ requests_arg
       $ clients_arg $ repeat_arg $ rate_arg $ depth_arg $ deadline_ms_arg
-      $ seed_arg $ json_arg $ server_metrics_arg)
+      $ seed_arg $ report_json_arg $ server_metrics_arg)
 
 (* json: native validation of the CLI's own JSON documents (used by the
    smoke test instead of shelling out to python). *)
@@ -1189,12 +1059,11 @@ let json_cmd =
            Error
              (Input (Printf.sprintf "%s: verdict does not round-trip: %s" file e)))
   in
-  Cmd.v
-    (Cmd.info "json"
-       ~doc:
-         "Validate a JSON document produced by this tool: parse it and \
-          round-trip every embedded verdict object through the typed verdict \
-          parser.")
+  cmd "json"
+    ~doc:
+      "Validate a JSON document produced by this tool: parse it and \
+       round-trip every embedded verdict object through the typed verdict \
+       parser."
     Term.(const run $ file_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1227,30 +1096,26 @@ let watch_json_arg =
    [on_round] with the per-round report and whether json was asked. *)
 let run_watch_loop ~manifest ~depth ~extra ~domains ~plan ~store_dir ~poll_ms
     ~rounds ~on_round =
-  let go store =
-    let session = Engine.session ?store () in
-    let w =
-      Watch.create ~default_depth:depth ~extra_objects:extra ~plan ?domains
-        ~session manifest
-    in
-    let stopped = ref false in
-    let handler = Sys.Signal_handle (fun _ -> stopped := true) in
-    let old_int = Sys.signal Sys.sigint handler in
-    let old_term = Sys.signal Sys.sigterm handler in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.set_signal Sys.sigint old_int;
-        Sys.set_signal Sys.sigterm old_term)
-      (fun () ->
-        ignore
-          (Watch.run ~poll_ms ?max_rounds:rounds
-             ~stop:(fun () -> !stopped)
-             ~on_round w);
-        Ok ())
+  with_store_opt store_dir @@ fun store ->
+  let session = Engine.session ?store () in
+  let w =
+    Watch.create ~default_depth:depth ~extra_objects:extra ~plan ?domains
+      ~session manifest
   in
-  match store_dir with
-  | None -> go None
-  | Some dir -> with_store dir (fun s -> go (Some s))
+  let stopped = ref false in
+  let handler = Sys.Signal_handle (fun _ -> stopped := true) in
+  let old_int = Sys.signal Sys.sigint handler in
+  let old_term = Sys.signal Sys.sigterm handler in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigint old_int;
+      Sys.set_signal Sys.sigterm old_term)
+    (fun () ->
+      ignore
+        (Watch.run ~poll_ms ?max_rounds:rounds
+           ~stop:(fun () -> !stopped)
+           ~on_round w);
+      Ok ())
 
 let print_round ~json r =
   if json then begin
@@ -1268,14 +1133,13 @@ let watch_cmd =
        run_watch_loop ~manifest ~depth ~extra ~domains ~plan ~store_dir
          ~poll_ms ~rounds ~on_round:(print_round ~json))
   in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:
-         "Re-verify a manifest incrementally as its spec files change: only \
-          the queries an edit can have moved are re-run (spec→query \
-          dependency map over a resident warm session), and each round \
-          reports only the verdicts that flipped.  Parse errors in a \
-          half-saved file are diagnostics; previous verdicts stand.")
+  cmd "watch"
+    ~doc:
+      "Re-verify a manifest incrementally as its spec files change: only \
+       the queries an edit can have moved are re-run (spec→query \
+       dependency map over a resident warm session), and each round \
+       reports only the verdicts that flipped.  Parse errors in a \
+       half-saved file are diagnostics; previous verdicts stand."
     Term.(
       const run $ manifest_arg $ depth_arg $ extra_objects_arg $ domains_arg
       $ plan_arg $ store_arg $ poll_ms_arg $ rounds_limit_arg $ watch_json_arg
@@ -1300,17 +1164,6 @@ let session_cmd =
             "Rounds of history the convergence signal looks at: converging \
              means the failing count fell at every step of the window.")
   in
-  let json_of_journal_round (r : Journal.round) =
-    Json.Obj
-      [
-        ("round", Json.Int r.Journal.round);
-        ("failing", Json.Int r.Journal.failing);
-        ("flips", Json.Int r.Journal.flips);
-        ("invalidated", Json.Int r.Journal.invalidated);
-        ("reused", Json.Int r.Journal.reused);
-        ("elapsed_ms", Json.Float r.Journal.elapsed_ms);
-      ]
-  in
   let run manifest depth extra domains plan store_dir poll_ms rounds json
       session_dir window trace metrics log =
     code
@@ -1333,8 +1186,7 @@ let session_cmd =
                   (Json.Obj
                      [
                        ( "replayed",
-                         Json.List (List.map json_of_journal_round replayed)
-                       );
+                         Json.List (List.map Journal.json_of_round replayed) );
                        ("signal", Json.Str (signal replayed));
                      ]));
              print_newline ();
@@ -1388,15 +1240,14 @@ let session_cmd =
            run_watch_loop ~manifest ~depth ~extra ~domains ~plan ~store_dir
              ~poll_ms ~rounds ~on_round)
   in
-  Cmd.v
-    (Cmd.info "session"
-       ~doc:
-         "An interactive refinement session: the watch loop plus a durable \
-          round journal.  Every edit round is recorded (failing count, \
-          flips, counters, elapsed) in $(b,--session) DIR, the loop reports \
-          whether the session is converging (failures strictly decreasing \
-          over the last $(b,--window) rounds), and a restarted session \
-          replays its history and continues the numbering.")
+  cmd "session"
+    ~doc:
+      "An interactive refinement session: the watch loop plus a durable \
+       round journal.  Every edit round is recorded (failing count, \
+       flips, counters, elapsed) in $(b,--session) DIR, the loop reports \
+       whether the session is converging (failures strictly decreasing \
+       over the last $(b,--window) rounds), and a restarted session \
+       replays its history and continues the numbering."
     Term.(
       const run $ manifest_arg $ depth_arg $ extra_objects_arg $ domains_arg
       $ plan_arg $ store_arg $ poll_ms_arg $ rounds_limit_arg $ watch_json_arg
@@ -1439,13 +1290,6 @@ let report_cmd =
              and rates may fall to baseline / $(docv) before a check fails. \
              Boolean claims get no slack.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the machine-readable report to this file.")
-  in
   let md_arg =
     Arg.(
       value
@@ -1473,22 +1317,14 @@ let report_cmd =
       | Ok t ->
           let md = Trajectory.to_markdown t in
           print_string md;
-          let write path content =
-            try
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () -> output_string oc content);
-              Ok ()
-            with Sys_error m -> Error (Input m)
+          let* () =
+            Option.fold ~none:(Ok ()) ~some:(fun p -> write_file p md) md_path
           in
           let* () =
-            match md_path with None -> Ok () | Some p -> write p md
-          in
-          let* () =
-            match json_path with
-            | None -> Ok ()
-            | Some p -> write p (Json.to_string (Trajectory.to_json t) ^ "\n")
+            Option.fold ~none:(Ok ())
+              ~some:(fun p ->
+                write_file p (Json.to_string (Trajectory.to_json t) ^ "\n"))
+              json_path
           in
           if gate && not t.Trajectory.ok then
             Error
@@ -1501,41 +1337,36 @@ let report_cmd =
                           t.Trajectory.campaigns))))
           else Ok ())
   in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Compare a fresh bench run against the committed BENCH_*.json \
-          snapshots and render a perf-trajectory report (markdown to \
-          stdout, optionally JSON): boolean paper claims are hard gates, \
-          timings and rates get a slack multiplier.  With $(b,--gate), any \
-          regression or missing live campaign exits 1 — CI's perf gate.")
+  cmd "report"
+    ~doc:
+      "Compare a fresh bench run against the committed BENCH_*.json \
+       snapshots and render a perf-trajectory report (markdown to \
+       stdout, optionally JSON): boolean paper claims are hard gates, \
+       timings and rates get a slack multiplier.  With $(b,--gate), any \
+       regression or missing live campaign exits 1 — CI's perf gate."
     Term.(
       const run $ baseline_arg $ live_arg $ report_metrics_arg $ slack_arg
-      $ json_arg $ md_arg $ gate_arg)
+      $ report_json_arg $ md_arg $ gate_arg)
 
 let main_cmd =
   let doc = "composition and refinement checker for partial object specifications" in
-  let info = Cmd.info "posl-check" ~version:"1.1.0" ~doc in
+  let info = Cmd.info "posl-check" ~version:"1.1.0" ~doc ~exits in
+  let query_cmds = List.map query_cmd query_kinds in
   Cmd.group info
-    [
-      show_cmd;
-      refine_cmd;
-      compose_cmd;
-      proper_cmd;
-      deadlock_cmd;
-      equal_cmd;
-      run_cmd;
-      simulate_cmd;
-      consistent_cmd;
-      batch_cmd;
-      watch_cmd;
-      session_cmd;
-      metrics_cmd;
-      store_cmd;
-      serve_cmd;
-      loadgen_cmd;
-      report_cmd;
-      json_cmd;
-    ]
+    ((show_cmd :: query_cmds)
+    @ [
+        run_cmd;
+        simulate_cmd;
+        consistent_cmd;
+        batch_cmd;
+        watch_cmd;
+        session_cmd;
+        metrics_cmd;
+        store_cmd;
+        serve_cmd;
+        loadgen_cmd;
+        report_cmd;
+        json_cmd;
+      ])
 
 let () = exit (Cmd.eval' main_cmd)

@@ -130,11 +130,6 @@ let entries_typed ?(path = "manifest") ?dir ~default_depth text =
   in
   go 1 None default_depth [] lines
 
-let entries ?path ?dir ~default_depth text =
-  Result.map_error input_error_message
-    (entries_typed ?path ?dir ~default_depth text)
-
-type loader = string -> (Spec.t list * Universe.t, string) result
 type typed_loader = string -> (Spec.t list * Universe.t, input_error) result
 
 let read_file path =
@@ -171,18 +166,6 @@ let file_loader_typed ~extra_objects () =
         in
         Hashtbl.add cache f v;
         v
-
-let file_loader ~extra_objects () =
-  let load = file_loader_typed ~extra_objects () in
-  fun f -> Result.map_error input_error_message (load f)
-
-(* Lift a string-error loader into the typed pipeline; the failing file
-   is the one we asked for, with no finer position information. *)
-let typed_of_loader (load : loader) : typed_loader =
- fun f ->
-  Result.map_error
-    (fun m -> { input_file = f; input_offset = None; input_message = m })
-    (load f)
 
 let ( let* ) = Result.bind
 
@@ -230,8 +213,7 @@ let resolve_name specs ~file n =
 
 (* Elaborate one entry.  A loader failure keeps the loader's typed
    position (the spec file and offset at fault) while gaining the
-   manifest context in its message, so the rendered string is the same
-   ["manifest:line: ..."] the string API always produced. *)
+   manifest context in its message: ["manifest:line: ..."]. *)
 let request_of_entry ?(path = "manifest") ~load (e : entry) =
   let err msg =
     Error
@@ -280,18 +262,9 @@ let elaborate_typed ?path ~load entries =
   in
   go [] entries
 
-let elaborate ?path ~load entries =
-  Result.map_error input_error_message
-    (elaborate_typed ?path ~load:(typed_of_loader load) entries)
-
 let requests_of_string_typed ?path ?dir ~default_depth ~load text =
   let* es = entries_typed ?path ?dir ~default_depth text in
   elaborate_typed ?path ~load es
-
-let requests_of_string ?path ?dir ~default_depth ~load text =
-  Result.map_error input_error_message
-    (requests_of_string_typed ?path ?dir ~default_depth
-       ~load:(typed_of_loader load) text)
 
 let requests_of_file_typed ~default_depth ~extra_objects path =
   let* text =
@@ -303,7 +276,3 @@ let requests_of_file_typed ~default_depth ~extra_objects path =
   requests_of_string_typed ~path ~dir:(Filename.dirname path) ~default_depth
     ~load:(file_loader_typed ~extra_objects ())
     text
-
-let requests_of_file ~default_depth ~extra_objects path =
-  Result.map_error input_error_message
-    (requests_of_file_typed ~default_depth ~extra_objects path)

@@ -3,8 +3,9 @@
     Until the verification service existed this grammar lived inside
     the CLI; a resident server must construct {!Engine.request}s from
     text it received over a socket without round-tripping through the
-    filesystem, so parsing ({!entries}) and elaboration ({!elaborate})
-    are split and the spec-file loader is pluggable.
+    filesystem, so parsing ({!entries_typed}) and elaboration
+    ({!elaborate_typed}) are split and the spec-file loader is
+    pluggable.
 
     Grammar (['#'] and ["//"] start comments):
 
@@ -25,13 +26,12 @@
     over it eligible for the engine's compositional {!Plan}ner.
     Non-composable parts are an elaboration error.
 
-    Errors come in two shapes.  The legacy string API renders
-    everything as ["path:line: message"] — the CLI maps those to its
-    input-error exit code, the server to a typed [input] error
-    response.  The [_typed] variants return {!input_error}, which keeps
-    the failing {e file} and a byte {e offset} alongside the rendered
-    message, so interactive consumers (the watch loop) can point an
-    editor at a half-saved spec file instead of dying on it. *)
+    Errors are {!input_error}s: the rendered ["path:line: message"]
+    ({!input_error_message}) plus the failing {e file} and a byte
+    {e offset}, so interactive consumers (the watch loop) can point an
+    editor at a half-saved spec file instead of dying on it.  The CLI
+    maps them to its input-error exit code, the server to a typed
+    [input] error response. *)
 
 module Spec = Posl_core.Spec
 open Posl_ident
@@ -41,14 +41,11 @@ type input_error = {
   input_offset : int option;
       (** byte offset of the failure in [input_file]'s content, when
           the parser located it *)
-  input_message : string;
-      (** complete human-readable message — exactly the string the
-          legacy string-error API renders *)
+  input_message : string;  (** complete human-readable message *)
 }
 
 val input_error_message : input_error -> string
-(** The legacy rendering — byte-identical to what the string-error API
-    returns for the same failure. *)
+(** The rendered message, without position detail. *)
 
 val input_error_detail : input_error -> string
 (** The message plus ["(byte N of FILE)"] when the failure was located
@@ -90,43 +87,29 @@ val composition_parts : string -> string list
     move a query over it (the watch subsystem's dep map is built on
     it). *)
 
-val entries :
-  ?path:string ->
-  ?dir:string ->
-  default_depth:int ->
-  string ->
-  (entry list, string) result
-(** Parse manifest {e text}.  [path] (default ["manifest"]) is used in
-    error messages only; relative [use] targets resolve against [dir]
-    when given (the CLI passes the manifest's directory). *)
-
 val entries_typed :
   ?path:string ->
   ?dir:string ->
   default_depth:int ->
   string ->
   (entry list, input_error) result
-(** {!entries} with the typed error: [input_file] is the manifest
-    [path], [input_offset] the start of the offending line. *)
-
-type loader = string -> (Spec.t list * Universe.t, string) result
-(** Resolve one spec-file reference to its specifications and the
-    universe queries over it are posed in.  Called once per distinct
-    [use] target ({!elaborate} memoizes nothing — memoize in the
-    loader). *)
+(** Parse manifest {e text}.  [path] (default ["manifest"]) is used in
+    error messages only; relative [use] targets resolve against [dir]
+    when given (the CLI passes the manifest's directory).  On error,
+    [input_file] is the manifest [path] and [input_offset] the start
+    of the offending line. *)
 
 type typed_loader = string -> (Spec.t list * Universe.t, input_error) result
-(** {!loader} with the typed error — the watch loop's loaders live
-    here so a half-saved file yields a diagnostic, not a crash. *)
-
-val file_loader : extra_objects:int -> unit -> loader
-(** The filesystem loader the CLI uses: {!Posl_lang.Lang.specs_of_file}
-    plus {!Spec.adequate_universe}, memoized per path for the lifetime
-    of the returned closure. *)
+(** Resolve one spec-file reference to its specifications and the
+    universe queries over it are posed in.  Called once per distinct
+    [use] target ({!elaborate_typed} memoizes nothing — memoize in the
+    loader).  A half-saved file yields a diagnostic, not a crash. *)
 
 val file_loader_typed : extra_objects:int -> unit -> typed_loader
-(** {!file_loader} with typed errors: a parse failure carries the spec
-    file and the byte offset of the failing position. *)
+(** The filesystem loader the CLI uses: {!Posl_lang.Lang.specs_of_file}
+    plus {!Spec.adequate_universe}, memoized per path for the lifetime
+    of the returned closure.  A parse failure carries the spec file and
+    the byte offset of the failing position. *)
 
 val specs_of_source :
   extra_objects:int ->
@@ -136,15 +119,6 @@ val specs_of_source :
 (** Parse spec-file {e text} already in hand (the watch loop reads and
     digests file content itself): specs plus their adequate universe,
     or a typed error positioned in [file]. *)
-
-val elaborate :
-  ?path:string ->
-  load:loader ->
-  entry list ->
-  (Engine.request list, string) result
-(** Resolve every entry's spec names through [load] and build engine
-    requests, labelled ["basename(file): description"] exactly as the
-    batch table shows them. *)
 
 val request_of_entry :
   ?path:string ->
@@ -161,16 +135,9 @@ val elaborate_typed :
   load:typed_loader ->
   entry list ->
   (Engine.request list, input_error) result
-
-val requests_of_string :
-  ?path:string ->
-  ?dir:string ->
-  default_depth:int ->
-  load:loader ->
-  string ->
-  (Engine.request list, string) result
-(** {!entries} composed with {!elaborate} — the server's whole path
-    from received manifest text to runnable requests. *)
+(** Resolve every entry's spec names through [load] and build engine
+    requests, labelled ["basename(file): description"] exactly as the
+    batch table shows them. *)
 
 val requests_of_string_typed :
   ?path:string ->
@@ -179,21 +146,16 @@ val requests_of_string_typed :
   load:typed_loader ->
   string ->
   (Engine.request list, input_error) result
-
-val requests_of_file :
-  default_depth:int ->
-  extra_objects:int ->
-  string ->
-  (Engine.request list, string) result
-(** Read a manifest file and elaborate it with {!file_loader};
-    relative [use] targets resolve against the manifest's directory.
-    May not raise: unreadable files are [Error]. *)
+(** {!entries_typed} composed with {!elaborate_typed} — the server's
+    whole path from received manifest text to runnable requests. *)
 
 val requests_of_file_typed :
   default_depth:int ->
   extra_objects:int ->
   string ->
   (Engine.request list, input_error) result
-(** {!requests_of_file} with the typed error — batch and serve report
-    [input_file]/[input_offset] instead of an opaque string when a spec
-    file is half-saved. *)
+(** Read a manifest file and elaborate it with {!file_loader_typed};
+    relative [use] targets resolve against the manifest's directory.
+    May not raise: unreadable files are [Error].  Batch and serve
+    report [input_file]/[input_offset] when a spec file is
+    half-saved. *)

@@ -15,10 +15,13 @@
      baseline / [slack];
    - everything else (job counts, cache hits) is context, not a gate.
 
+   A field that would be gated and is missing from the matched live row
+   fails its check.
+
    The same comparison renders as markdown (for humans and CI job
    summaries) and JSON (for tooling). *)
 
-module Json = Posl_verdict.Verdict.Json
+module Json = Posl_json.Json
 
 type kind = Lower_ms | Higher | Claim
 
@@ -27,7 +30,7 @@ type check = {
   field : string;
   kind : kind;
   base : float;  (* booleans: 1. = true *)
-  live : float;
+  live : float option;  (* None: the field is missing from the live row *)
   ok : bool;
 }
 
@@ -132,30 +135,30 @@ let number = function
    CI-runner resolution; the campaigns' boolean claims carry those. *)
 let min_gated_ms = 1.0
 
+(* A gated baseline field absent from the live row (deleted, renamed,
+   or no longer a number) is a failed check: a gate must not vanish
+   with its field. *)
 let checks_of_row ~slack ~key base_fields live_fields =
   List.filter_map
     (fun (field, bv) ->
+      let lv = List.assoc_opt field live_fields in
+      let check kind base live ok = Some { key; field; kind; base; live; ok } in
+      let within gate live = match live with Some l -> gate l | None -> false in
       if List.mem field identity_fields then None
       else
-        match (bv, List.assoc_opt field live_fields) with
-        | Json.Bool true, lv ->
-            let live_true = lv = Some (Json.Bool true) in
-            Some
-              { key; field; kind = Claim; base = 1.;
-                live = (if live_true then 1. else 0.); ok = live_true }
-        | Json.Bool false, _ -> None
-        | _, None -> None
-        | _, Some lv -> (
-            match (classify field, number bv, number lv) with
-            | Some Lower_ms, Some base, Some live when base >= min_gated_ms ->
-                Some
-                  { key; field; kind = Lower_ms; base; live;
-                    ok = live <= slack *. base }
-            | Some Higher, Some base, Some live when base > 0. ->
-                Some
-                  { key; field; kind = Higher; base; live;
-                    ok = live >= base /. slack }
-            | _ -> None))
+        match (bv, classify field, number bv) with
+        | Json.Bool true, _, _ ->
+            let live =
+              Option.map (fun v -> if v = Json.Bool true then 1. else 0.) lv
+            in
+            check Claim 1. live (live = Some 1.)
+        | _, Some Lower_ms, Some base when base >= min_gated_ms ->
+            let live = Option.bind lv number in
+            check Lower_ms base live (within (fun l -> l <= slack *. base) live)
+        | _, Some Higher, Some base when base > 0. ->
+            let live = Option.bind lv number in
+            check Higher base live (within (fun l -> l >= base /. slack) live)
+        | _ -> None)
     base_fields
 
 let compare_campaign ~slack ~name ~title base_rows live_rows =
@@ -295,7 +298,7 @@ let json_of_check c =
       ("field", Json.Str c.field);
       ("kind", Json.Str (kind_string c.kind));
       ("baseline", Json.Float c.base);
-      ("live", Json.Float c.live);
+      ("live", match c.live with Some l -> Json.Float l | None -> Json.Null);
       ("ok", Json.Bool c.ok);
     ]
 
@@ -329,12 +332,13 @@ let to_json t =
     ]
 
 let quantity c =
-  match c.kind with
-  | Claim -> Printf.sprintf "%s -> %s" "true"
-               (if c.live = 1. then "true" else "FALSE")
-  | Lower_ms | Higher ->
-      Printf.sprintf "%.3g -> %.3g (x%.2f)" c.base c.live
-        (if c.base = 0. then 0. else c.live /. c.base)
+  match (c.kind, c.live) with
+  | Claim, None -> "true -> missing"
+  | (Lower_ms | Higher), None -> Printf.sprintf "%.3g -> missing" c.base
+  | Claim, Some l -> if l = 1. then "true -> true" else "true -> FALSE"
+  | (Lower_ms | Higher), Some l ->
+      Printf.sprintf "%.3g -> %.3g (x%.2f)" c.base l
+        (if c.base = 0. then 0. else l /. c.base)
 
 let to_markdown t =
   let b = Buffer.create 2048 in

@@ -19,9 +19,13 @@
       within [slack] x baseline;
     - {e rates} — [qps] and [speedup]/[*_over_*] fields must stay
       above baseline / [slack];
-    - counters and sub-millisecond timings are not gated. *)
+    - counters and sub-millisecond timings are not gated.
 
-module Json = Posl_verdict.Verdict.Json
+    A field that would be gated (a [true] claim, a timing with a
+    baseline >= 1 ms, a rate with a baseline > 0) and is missing from
+    the matched live row fails its check, shown as missing. *)
+
+module Json = Posl_json.Json
 
 type kind =
   | Lower_ms  (** timing: live must be <= slack x baseline *)
@@ -33,7 +37,9 @@ type check = {
   field : string;
   kind : kind;
   base : float;  (** claims: [1.] = true *)
-  live : float;
+  live : float option;
+      (** claims: [1.] = true; [None] when the field is missing from
+          the live row (the check fails) *)
   ok : bool;
 }
 

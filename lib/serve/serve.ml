@@ -98,9 +98,10 @@ type server = {
   conns_lock : Mutex.t;
   conns : (Unix.file_descr, unit) Hashtbl.t;
   load_lock : Mutex.t;
-  (* keyed by (extra_objects, path) resp. (extra_objects, source text) *)
-  file_memo : (int * string, (Spec.t list * Posl_ident.Universe.t, string) result) Hashtbl.t;
-  text_memo : (int * string, (Spec.t list * Posl_ident.Universe.t, string) result) Hashtbl.t;
+  (* parsed spec sources keyed by (extra_objects, source text): a file
+     is re-read on every submission, so an edit is never answered from
+     a stale parse *)
+  text_memo : (int * string, (Spec.t list * Posl_ident.Universe.t, Lang.error) result) Hashtbl.t;
 }
 
 let sched server = Option.get server.sched
@@ -120,20 +121,19 @@ let memoized lock memo key compute =
   Mutex.unlock lock;
   r
 
-let load_file server ~extra path =
-  memoized server.load_lock server.file_memo (extra, path) (fun () ->
-      match Lang.specs_of_file path with
-      | exception Sys_error e -> Error e
-      | Error e -> Error (Format.asprintf "%s: %a" path Lang.pp_error e)
-      | Ok specs ->
-          Ok (specs, Spec.adequate_universe ~extra_objects:extra specs))
-
-let load_text server ~extra text =
+(* Spec source [text] with its adequate universe; [origin] names the
+   source in error messages. *)
+let load_text server ~extra ~origin text =
   memoized server.load_lock server.text_memo (extra, text) (fun () ->
-      match Lang.specs_of_string text with
-      | Error e -> Error (Format.asprintf "inline spec: %a" Lang.pp_error e)
-      | Ok specs ->
-          Ok (specs, Spec.adequate_universe ~extra_objects:extra specs))
+      Result.map
+        (fun specs -> (specs, Spec.adequate_universe ~extra_objects:extra specs))
+        (Lang.specs_of_string text))
+  |> Result.map_error (fun e -> Format.asprintf "%s: %a" origin Lang.pp_error e)
+
+let load_file server ~extra path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> load_text server ~extra ~origin:path text
 
 (* Resolve a [queries] array against loaded specs, labelling results the
    way the CLI batch table does. *)
@@ -171,16 +171,21 @@ let requests_of_submit server (s : Wire.submit) =
       let* loaded = load_file server ~extra path in
       named_requests ~origin:path ~depth loaded s.Wire.queries
   | _, Some text, _, _ ->
-      let* loaded = load_text server ~extra text in
+      let* loaded = load_text server ~extra ~origin:"inline spec" text in
       named_requests ~origin:"inline" ~depth loaded s.Wire.queries
   | _, _, Some path, _ ->
       Result.map_error Manifest.input_error_detail
         (Manifest.requests_of_file_typed ~default_depth:depth
            ~extra_objects:extra path)
   | _, _, _, Some text ->
-      Manifest.requests_of_string ~default_depth:depth
-        ~load:(fun path -> load_file server ~extra path)
-        text
+      let load path =
+        Result.map_error
+          (fun m ->
+            { Manifest.input_file = path; input_offset = None; input_message = m })
+          (load_file server ~extra path)
+      in
+      Result.map_error Manifest.input_error_message
+        (Manifest.requests_of_string_typed ~default_depth:depth ~load text)
   | None, None, None, None -> Error "submit carried no spec source"
 
 (* --- worker ----------------------------------------------------------- *)
@@ -541,7 +546,6 @@ let run ?on_ready cfg =
       conns_lock = Mutex.create ();
       conns = Hashtbl.create 16;
       load_lock = Mutex.create ();
-      file_memo = Hashtbl.create 8;
       text_memo = Hashtbl.create 8;
     }
   in

@@ -50,19 +50,7 @@ let set_sink s =
 
 (* --- JSON rendering ------------------------------------------------- *)
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let add_escaped = Posl_json.Json.add_escaped
 
 let add_field b (k, v) =
   Buffer.add_string b ",\"";

@@ -245,23 +245,11 @@ let reset () =
 
 (* --- Chrome trace_event export ---------------------------------------
 
-   posl.telemetry sits below posl.verdict (which records certify spans),
-   so it cannot use [Verdict.Json] and emits its own JSON; tests and the
-   CLI validate the output through [Verdict.Json.of_string]. *)
+   Streamed into one buffer rather than built as a [Json.t] tree (a
+   trace can hold every ring's worth of spans); strings go through the
+   shared escaper. *)
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let add_escaped = Posl_json.Json.add_escaped
 
 let trace_json () =
   let sps = spans () in

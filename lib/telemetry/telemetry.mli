@@ -109,7 +109,7 @@ val trace_json : unit -> string
     events, timestamps in microseconds rebased to the earliest span),
     directly loadable in Perfetto or [chrome://tracing].  Span id,
     parent id and attributes are carried in each event's ["args"].
-    The output parses with [Verdict.Json.of_string]. *)
+    The output parses with [Posl_json.Json.of_string]. *)
 
 val write_trace : string -> unit
 (** [write_trace path] writes {!trace_json} to [path]. *)

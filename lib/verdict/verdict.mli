@@ -230,35 +230,8 @@ val to_string : t -> string
 
 (** {1 JSON} *)
 
-module Json : sig
-  (** A minimal JSON document AST and serializer — the single JSON
-      emission path of the project (the CLI builds its whole [--json]
-      output from it). *)
-
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val escape : string -> string
-  (** JSON string-body escaping (quotes, backslash, control
-      characters); UTF-8 passes through byte-for-byte. *)
-
-  val to_string : t -> string
-  val pp : Format.formatter -> t -> unit
-
-  val of_string : string -> (t, string) result
-  (** Parse a standard JSON document (the inverse of {!to_string}, but
-      accepting any valid JSON, not only our own output): objects,
-      arrays, strings with escapes ([\uXXXX] decoded to UTF-8,
-      surrogate pairs included), numbers (integers parse to {!Int},
-      anything with a fraction or exponent to {!Float}), booleans and
-      [null].  Errors carry the byte offset of the first problem. *)
-end
+module Json = Posl_json.Json
+(** The JSON document model every serializer below builds on. *)
 
 val json_of_confidence : confidence option -> Json.t
 val json_of_evidence : evidence -> Json.t

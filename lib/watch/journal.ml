@@ -68,18 +68,18 @@ type t = {
 
 (* --- record encoding -------------------------------------------------- *)
 
-let payload_of_round r =
-  "\001"
-  ^ J.to_string
-      (J.Obj
-         [
-           ("round", J.Int r.round);
-           ("failing", J.Int r.failing);
-           ("flips", J.Int r.flips);
-           ("invalidated", J.Int r.invalidated);
-           ("reused", J.Int r.reused);
-           ("elapsed_ms", J.Float r.elapsed_ms);
-         ])
+let json_of_round r =
+  J.Obj
+    [
+      ("round", J.Int r.round);
+      ("failing", J.Int r.failing);
+      ("flips", J.Int r.flips);
+      ("invalidated", J.Int r.invalidated);
+      ("reused", J.Int r.reused);
+      ("elapsed_ms", J.Float r.elapsed_ms);
+    ]
+
+let payload_of_round r = "\001" ^ J.to_string (json_of_round r)
 
 let round_of_payload payload =
   let n = String.length payload in

@@ -21,6 +21,10 @@ type round = {
 
 val pp_round : Format.formatter -> round -> unit
 
+val json_of_round : round -> Posl_verdict.Verdict.Json.t
+(** The round as the JSON object its journal record carries (and
+    [posl-check session --json] prints). *)
+
 (** The convergence signal over a window of recent rounds: is the edit
     session driving the failing-verdict count down? *)
 type signal =

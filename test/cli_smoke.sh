@@ -41,6 +41,15 @@ expect 2 "unknown spec" refine "$SPECS/paper.oun" Nope Read
 expect 2 "missing file" refine "$SPECS/no_such_file.oun" Read2 Read
 expect 124 "unknown subcommand" frobnicate
 
+# The help pages document the exit codes above.
+help=$("$BIN" refine --help=plain 2>&1)
+if printf '%s\n' "$help" | grep -q '^ *2 *on input errors'; then
+  echo "ok   refine --help documents exit 2"
+else
+  echo "FAIL refine --help: EXIT STATUS does not document exit 2" >&2
+  fails=$((fails + 1))
+fi
+
 # -- batch ------------------------------------------------------------
 expect 0 "batch manifest holds" batch "$SPECS/batch.manifest" --domains 2
 expect 2 "batch missing manifest" batch "$SPECS/no_such.manifest"

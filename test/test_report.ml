@@ -189,6 +189,40 @@ let test_trajectory_missing_live () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty baseline dir should be an error"
 
+(* A gated field that vanishes from the live row (a deleted timing, a
+   renamed rate) fails its check as missing; an ungated one (a counter,
+   a sub-millisecond timing) may vanish freely. *)
+let test_trajectory_missing_field () =
+  with_temp_dir @@ fun base ->
+  with_temp_dir @@ fun live ->
+  write_file (Filename.concat base "BENCH_P8.json")
+    {|{"campaign":"P8","title":"example campaign","rows":[
+       {"route":"legacy","total_ms":120.0,"jobs":10,"fast_ms":0.2},
+       {"route":"speedup","legacy_over_antichain":6.5}]}|};
+  write_file (Filename.concat live "BENCH_P8.json")
+    {|{"campaign":"P8","title":"example campaign","rows":[
+       {"route":"legacy"},
+       {"route":"speedup","legacy_over_walk":6.5}]}|};
+  let t =
+    trajectory_ok
+      (Trajectory.run ~slack:2.0 ~baseline_dir:base ~live_dir:live ())
+  in
+  Util.check_bool "gate fails" false t.Trajectory.ok;
+  let c = List.hd t.Trajectory.campaigns in
+  Util.check_bool "campaign regressed" true
+    (c.Trajectory.status = Trajectory.Regressed);
+  Util.check_bool "exactly the two gated fields, both failed" true
+    (List.map
+       (fun (ck : Trajectory.check) -> (ck.Trajectory.field, ck.Trajectory.ok))
+       c.Trajectory.checks
+    = [ ("total_ms", false); ("legacy_over_antichain", false) ]);
+  Util.check_bool "markdown shows the field as missing" true
+    (Util.contains_substring ~needle:"120 -> missing"
+       (Trajectory.to_markdown t));
+  Util.check_bool "json records no live value" true
+    (Util.contains_substring ~needle:{|"live":null|}
+       (Json.to_string (Trajectory.to_json t)))
+
 (* Sub-millisecond baseline timings are not gated (noise), and the
    runtime metrics snapshot lands in the report. *)
 let test_trajectory_noise_floor_and_metrics () =
@@ -233,6 +267,8 @@ let suite =
       test_trajectory_gates;
     Alcotest.test_case "trajectory: missing live and vanished rows" `Quick
       test_trajectory_missing_live;
+    Alcotest.test_case "trajectory: a missing gated field fails" `Quick
+      test_trajectory_missing_field;
     Alcotest.test_case "trajectory: noise floor and runtime snapshot" `Quick
       test_trajectory_noise_floor_and_metrics;
   ]

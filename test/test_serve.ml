@@ -434,6 +434,55 @@ let test_repeat_hits_warm_cache () =
       Alcotest.(check bool) "repeated digest answered from warm cache" true
         (get_field "cached" second = Json.Bool true))
 
+(* A [file] submission reads its file on every request: once an edit
+   renames a spec, the old name is an input error, not a verdict
+   remembered from the first parse. *)
+let test_file_submission_sees_edits () =
+  let dir = Filename.temp_file "posl-serve-file" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "p.oun" in
+  let write text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  write spec_text;
+  with_server (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let ask () =
+        call_ok c
+          (Wire.request_json
+             (Wire.Submit
+                (Wire.submission ~depth
+                   ~queries:[ { Wire.kind = "refine"; names = [ "A"; "B" ] } ]
+                   (`File path))))
+      in
+      (match results_of (ask ()) with
+      | [ r ] ->
+          Alcotest.(check bool) "A refines B" true
+            (V.is_holds (verdict_of_result r))
+      | _ -> Alcotest.fail "one result expected");
+      let needle = "spec A {" in
+      let rec find i =
+        if String.sub spec_text i (String.length needle) = needle then i
+        else find (i + 1)
+      in
+      let i = find 0 and n = String.length needle in
+      write
+        (String.sub spec_text 0 i ^ "spec ATwo {"
+        ^ String.sub spec_text (i + n) (String.length spec_text - i - n));
+      let after = ask () in
+      Alcotest.(check (option string)) "renamed spec is an input error"
+        (Some "input") (error_code after);
+      Alcotest.(check bool) "the error names the missing spec" true
+        (Util.contains_substring ~needle:"no spec named A in"
+           (Json.to_string after)))
+
 let test_queue_full_rejects () =
   with_server ~max_queue:0 (fun addr ->
       let c = Client.connect addr in
@@ -665,6 +714,8 @@ let suite =
       test_concurrent_clients_agree;
     Alcotest.test_case "live: repeated digest hits the warm cache" `Quick
       test_repeat_hits_warm_cache;
+    Alcotest.test_case "live: file submissions re-read an edited file" `Quick
+      test_file_submission_sees_edits;
     Alcotest.test_case "live: queue-full submissions get typed overloaded"
       `Quick test_queue_full_rejects;
     Alcotest.test_case "live: queued jobs expire past their deadline" `Quick
