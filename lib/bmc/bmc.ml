@@ -206,19 +206,22 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
   let l0 = Tset.intern_state ctx lhs0 in
   ignore (admit l0 r0);
   let stuck = match question with Stuck -> true | Escape _ | Count -> false in
-  let expand (l, r, h) next =
+  (* Frontier traces are kept reversed, so admitting a pair is one cons
+     however deep the walk goes; only an answer's trace is turned
+     round. *)
+  let answer rev_h = raise (Answer (Trace.of_list (List.rev rev_h))) in
+  let expand (l, r, rev_h) next =
     let live = ref false in
     for s = 0 to n - 1 do
       let l' = lcell l s in
       if l' >= 0 then begin
         live := true;
         let r' = if proj_mask.(s) then rcell r s else r in
-        if r' < 0 then raise (Answer (Trace.snoc h alphabet.(s)));
-        if admit l' r' then
-          next := (l', r', Trace.snoc h alphabet.(s)) :: !next
+        if r' < 0 then answer (alphabet.(s) :: rev_h);
+        if admit l' r' then next := (l', r', alphabet.(s) :: rev_h) :: !next
       end
     done;
-    if stuck && not !live then raise (Answer h)
+    if stuck && not !live then answer rev_h
   in
   let rec level d frontier =
     match frontier with
@@ -230,7 +233,7 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
         level (d + 1) (List.rev !next)
   in
   let outcome =
-    try level 0 [ (l0, r0, Trace.empty) ] with Answer h -> Found h
+    try level 0 [ (l0, r0, []) ] with Answer h -> Found h
   in
   (outcome, !admitted, Antichain.stats ac)
 

@@ -38,7 +38,16 @@ let rec ser_tset buf ~(universe : Universe.t) (t : Tset.t) =
       field buf "prs";
       fieldf buf "%a" Regex.pp r
   | Tset.Counting c ->
-      field buf "count";
+      (* The proposition names classes by index only, so the class
+         table (what each count counts) is part of the key.  The tag
+         differs from the proposition-only form's, so no key already in
+         a persistent store can equal a key written this way. *)
+      field buf "counting";
+      let classes = Counting.classes c in
+      field buf (string_of_int (Array.length classes));
+      Array.iter
+        (fun es -> fieldf buf "%a" Eventset.pp (Eventset.normalise es))
+        classes;
       fieldf buf "%a" Counting.pp c
   | Tset.Pointwise _ -> raise Opaque
   | Tset.Forall_obj (sort, body) ->

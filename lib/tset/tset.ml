@@ -135,6 +135,12 @@ type intern = {
          its inner regex) one physically stable value, so per-step
          applications stop allocating and downstream caches get a
          stable key. *)
+  i_hidden : (int, Event.t list) Hashtbl.t;
+      (* tset id of a [Product] node -> its concrete hidden events.
+         They depend only on the node and the universe, yet every
+         [start] and [step] of a composite monitor needs them; deriving
+         them once per node saves a union, a difference and a sample
+         over the universe per step. *)
   mutable i_prs_phys : (Regex.t * compiled_prs) list;
       (* physical-identity front cache over [prs_cache], capped at
          [prs_phys_cap]: hot-path regexes are stable values (module
@@ -163,6 +169,7 @@ let intern_create () =
     i_tset_count = 0;
     i_rows = Hashtbl.create 4096;
     i_forall_bodies = Hashtbl.create 64;
+    i_hidden = Hashtbl.create 16;
     i_prs_phys = [];
   }
 
@@ -280,21 +287,25 @@ let tset_id c (t : t) : int =
       it.i_tset_count <- id + 1;
       id
 
-(* Memoized [body o] for a [Forall_obj] node.  On a race both domains
-   build structurally equal values and the first insert wins, so every
-   caller shares one physical sub-monitor. *)
-let forall_body c (node : t) (body : Oid.t -> t) (o : Oid.t) : t =
-  let key = (tset_id c node, o) in
-  match with_intern c (fun it -> Hashtbl.find_opt it.i_forall_bodies key) with
-  | Some bt -> bt
+(* A per-context memo over one of the intern tables.  [f] runs outside
+   the lock; on a race both domains build structurally equal values and
+   the first insert wins, so every caller shares one physical value. *)
+let memo c table key f =
+  match with_intern c (fun it -> Hashtbl.find_opt (table it) key) with
+  | Some v -> v
   | None ->
-      let bt = body o in
+      let v = f () in
       with_intern c (fun it ->
-          match Hashtbl.find_opt it.i_forall_bodies key with
+          let tbl = table it in
+          match Hashtbl.find_opt tbl key with
           | Some winner -> winner
           | None ->
-              Hashtbl.add it.i_forall_bodies key bt;
-              bt)
+              Hashtbl.add tbl key v;
+              v)
+
+(* Memoized [body o] for a [Forall_obj] node. *)
+let forall_body c (node : t) (body : Oid.t -> t) (o : Oid.t) : t =
+  memo c (fun it -> it.i_forall_bodies) (tset_id c node, o) (fun () -> body o)
 
 let intern_counts c =
   with_intern c @@ fun it -> (it.i_count, it.i_comp_count, it.i_event_count)
@@ -434,7 +445,7 @@ let rec start (c : ctx) (t : t) : state option =
       match starts [] parts with
       | None -> None
       | Some composite ->
-          let hidden = hidden_events c parts vis in
+          let hidden = hidden_events c t parts vis in
           let set =
             product_closure c parts hidden (Composite_set.singleton composite)
           in
@@ -502,7 +513,7 @@ and step (c : ctx) (t : t) (s : state) (e : Event.t) : state option =
         let stepped =
           List.filter_map (fun comp -> step_composite c parts comp e) composites
         in
-        let hidden = hidden_events c parts vis in
+        let hidden = hidden_events c t parts vis in
         let set = product_closure c parts hidden (Composite_set.of_list stepped) in
         if Composite_set.is_empty set then None
         else Some (S_product (Composite_set.elements set))
@@ -524,9 +535,11 @@ and step_composite c parts comp e =
   in
   loop [] parts comp
 
-(* Concrete internal events of a composition: the union of the part
-   alphabets minus the visible alphabet, sampled over the universe. *)
-and hidden_events c parts vis =
+(* Concrete internal events of the composition [node]: the union of the
+   part alphabets minus the visible alphabet, sampled over the universe;
+   derived once per (context, node). *)
+and hidden_events c node parts vis =
+  memo c (fun it -> it.i_hidden) (tset_id c node) @@ fun () ->
   let union_alpha =
     List.fold_left
       (fun acc p -> Eventset.union acc p.part_alpha)

@@ -109,6 +109,7 @@ type file_state = {
   mutable fdigest : string;  (* content MD5 of the last read, "" = unread *)
   mutable good : (Spec.t list * Universe.t) option;  (* last good parse *)
   mutable last_error : Manifest.input_error option;
+  mutable gen : int;  (* moved whenever [good] changes *)
   mutable ukey : string;  (* universe digest of the last good parse *)
   keys : (string, string option) Hashtbl.t;
       (* spec name -> [Digest.spec_key] under the last good parse;
@@ -131,21 +132,24 @@ type t = {
   session : Engine.session;
   mutable round : int;
   mutable mdigest : string;  (* manifest content MD5, "" = unread *)
-  mutable entries : Manifest.entry list;
+  mutable entries : (Manifest.entry * string) list;
+      (* with their slot keys, computed once per manifest parse *)
   mutable deps : Deps.t;
   files : (string, file_state) Hashtbl.t;
   last : (string, Verdict.t) Hashtbl.t;  (* slot key -> standing verdict *)
   labels : (string, string) Hashtbl.t;  (* slot key -> batch-table label *)
   bases : (string, string option) Hashtbl.t;  (* slot key -> last base *)
-  slots : (string, string * slot) Hashtbl.t;
-      (* slot key -> (dependency token at elaboration, slot): only
-         dirty specs are re-elaborated.  The token is the file's
-         universe digest plus the [Digest.spec_key] of every
-         composition part the entry names — exactly the per-spec
-         content that feeds [Digest.query_base] — so an entry whose
-         parts are all where they were reuses the built request and
-         base digest untouched, even when {e other} specs in the same
-         file moved. *)
+  slots : (string, int * string * slot) Hashtbl.t;
+      (* slot key -> (file generation the token was last confirmed at,
+         dependency token, slot): only dirty specs are re-elaborated.
+         The token is the file's universe digest plus the
+         [Digest.spec_key] of every composition part the entry names —
+         exactly the per-spec content that feeds [Digest.query_base] —
+         so an entry whose parts are all where they were reuses the
+         built request and base digest untouched, even when {e other}
+         specs in the same file moved.  The token only moves with the
+         file's last good parse, so while the file's generation stands
+         the slot is reused without building its token. *)
 }
 
 let create ?(default_depth = 6) ?(extra_objects = 2) ?(plan = Plan.Auto)
@@ -231,13 +235,13 @@ let refresh t =
             ~default_depth:t.default_depth text
         with
         | Ok es ->
-            t.entries <- es;
+            t.entries <- List.map (fun e -> (e, slot_key e)) es;
             t.deps <- Deps.of_entries es
         | Error e -> diags := e :: !diags (* previous entries stand *)
       end);
   let watched =
     List.sort_uniq String.compare
-      (List.map (fun (e : Manifest.entry) -> e.Manifest.file) t.entries)
+      (List.map (fun ((e : Manifest.entry), _) -> e.Manifest.file) t.entries)
   in
   List.iter
     (fun path ->
@@ -250,6 +254,7 @@ let refresh t =
                 fdigest = "";
                 good = None;
                 last_error = None;
+                gen = 0;
                 ukey = "";
                 keys = Hashtbl.create 8;
               }
@@ -281,6 +286,7 @@ let refresh t =
                       @ !changed
                 | None -> changed := Deps.In_file path :: !changed);
                 fs.good <- Some (specs, universe);
+                fs.gen <- fs.gen + 1;
                 fs.last_error <- None;
                 fs.ukey <- Job.universe_digest universe;
                 Hashtbl.reset fs.keys;
@@ -330,30 +336,41 @@ let slot_token t (e : Manifest.entry) =
 (* Elaborate only dirty specs: an entry reuses its built slot while
    its dependency token stands where the slot was built (same parts ⇒
    same composite ⇒ same request and base digest), so an edit
-   re-elaborates the queries over the edited spec and nothing else. *)
+   re-elaborates the queries over the edited spec and nothing else.
+   Tokens are only built for entries over a file whose generation moved
+   since the slot was last confirmed. *)
 let elaborate_slots t =
   let load = loader t in
   List.map
-    (fun (e : Manifest.entry) ->
-      let key = slot_key e in
-      let token = slot_token t e in
-      match (Hashtbl.find_opt t.slots key, token) with
-      | Some (tok, slot), Some token when String.equal tok token -> slot
-      | _, _ ->
-          let slot =
-            match Manifest.request_of_entry ~path:t.manifest ~load e with
-            | Ok req ->
-                let base =
-                  Qdigest.query_base ~universe:req.Engine.universe
-                    req.Engine.query
-                in
-                { entry = e; key; request = Some req; base }
-            | Error _ -> { entry = e; key; request = None; base = None }
-          in
-          (match token with
-          | Some tok -> Hashtbl.replace t.slots key (tok, slot)
-          | None -> Hashtbl.remove t.slots key);
-          slot)
+    (fun ((e : Manifest.entry), key) ->
+      let gen =
+        match Hashtbl.find_opt t.files e.Manifest.file with
+        | Some fs -> fs.gen
+        | None -> -1
+      in
+      match Hashtbl.find_opt t.slots key with
+      | Some (g, _, slot) when g = gen -> slot
+      | stored -> (
+          let token = slot_token t e in
+          match (stored, token) with
+          | Some (_, tok, slot), Some token when String.equal tok token ->
+              Hashtbl.replace t.slots key (gen, tok, slot);
+              slot
+          | _, _ ->
+              let slot =
+                match Manifest.request_of_entry ~path:t.manifest ~load e with
+                | Ok req ->
+                    let base =
+                      Qdigest.query_base ~universe:req.Engine.universe
+                        req.Engine.query
+                    in
+                    { entry = e; key; request = Some req; base }
+                | Error _ -> { entry = e; key; request = None; base = None }
+              in
+              (match token with
+              | Some tok -> Hashtbl.replace t.slots key (gen, tok, slot)
+              | None -> Hashtbl.remove t.slots key);
+              slot))
     t.entries
 
 let round t changed diags =
@@ -466,8 +483,7 @@ let poll t =
 
 let verdicts t =
   List.filter_map
-    (fun (e : Manifest.entry) ->
-      let key = slot_key e in
+    (fun (_, key) ->
       match (Hashtbl.find_opt t.last key, Hashtbl.find_opt t.labels key) with
       | Some v, Some label -> Some (label, v)
       | _ -> None)

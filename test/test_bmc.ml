@@ -8,6 +8,7 @@ module Trace = Posl_trace.Trace
 module Spec = Posl_core.Spec
 module Ex = Posl_core.Examples_paper
 module Eventset = Posl_sets.Eventset
+module Counting = Posl_tset.Counting
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
 module Oracle = Posl_oracle.Oracle
@@ -163,6 +164,29 @@ let qsuite =
           [ 1; 2; 3 ]);
   ]
 
+(* A counter unbounded below, #OW - #CW <= 1: its reachable monitor
+   states form a chain, one new count per level, so a complete walk
+   admits about one pair per level and runs ~200,000 levels deep before
+   its pair budget stops it.  That must stay linear in the pairs. *)
+let test_chain_reaches_budget () =
+  let ow = Util.ev "x" "o" "OW" and cw = Util.ev "x" "o" "CW" in
+  let counter () =
+    let open Counting.Build in
+    let b = create () in
+    let c_ow = cls b (Eventset.of_event ow) in
+    let c_cw = cls b (Eventset.of_event cw) in
+    Tset.counting (finish b (count c_ow -- count c_cw <=. 1))
+  in
+  let t0 = Unix.gettimeofday () in
+  let v =
+    Bmc.check_inclusion_antichain (Tset.ctx u) ~alphabet:[| ow; cw |] ~depth:2
+      ~lhs:(counter ()) ~proj:Eventset.full ~rhs:(counter ())
+  in
+  let secs = Unix.gettimeofday () -. t0 in
+  Util.check_bool "holds, bounded at depth 2" true
+    (match v with Bmc.Holds (Bmc.Bounded 2) -> true | _ -> false);
+  Util.check_bool (Printf.sprintf "under 10 s (%.1f s)" secs) true (secs < 10.)
+
 let suite =
   [
     Alcotest.test_case "count matches enumerate (Write)" `Quick
@@ -179,5 +203,7 @@ let suite =
     Alcotest.test_case "enabled events" `Quick test_enabled;
     Alcotest.test_case "exact on exhaustion" `Quick test_exact_on_exhaustion;
     Alcotest.test_case "count_states" `Quick test_count_states;
+    Alcotest.test_case "chain monitor reaches the pair budget" `Slow
+      test_chain_reaches_budget;
   ]
   @ qsuite

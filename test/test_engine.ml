@@ -5,6 +5,7 @@
 
 module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
+module Manifest = Posl_engine.Manifest
 module Cache = Posl_engine.Cache
 module Dig = Posl_engine.Digest
 module Spec = Posl_core.Spec
@@ -227,10 +228,307 @@ let test_digest_separates_kinds_and_depth () =
   Util.check_bool "depth separated" true
     (Dig.query ~universe:u ~depth:4 q <> Dig.query ~universe:u ~depth:6 q)
 
+let count_request ~counted =
+  match
+    Manifest.specs_of_source ~extra_objects:2 ~file:"count.oun"
+      (Util.count_source ~counted)
+  with
+  | Error e -> Alcotest.failf "count.oun: %s" (Manifest.input_error_message e)
+  | Ok (specs, universe) ->
+      let find n = List.find (fun s -> Spec.name s = n) specs in
+      Engine.request ~depth:6 ~universe
+        (Job.Refine { refined = find "S"; abstract = find "Bound" })
+
+let test_count_classes_key_apart () =
+  let a = count_request ~counted:("OW", "CW")
+  and b = count_request ~counted:("OR", "CR") in
+  Util.check_bool "distinct base keys" true
+    (Dig.query_base ~universe:a.Engine.universe a.Engine.query
+    <> Dig.query_base ~universe:b.Engine.universe b.Engine.query);
+  let fresh (r : Engine.request) =
+    Job.run (Tset.ctx r.Engine.universe) ~depth:6 r.Engine.query
+  in
+  Util.check_bool "a holds" true (V.to_bool (fresh a));
+  Util.check_bool "b fails" false (V.to_bool (fresh b));
+  (* one batch, one cache, both orders: neither answers the other *)
+  List.iter
+    (fun batch ->
+      let results, stats = Engine.run_batch ~domains:1 batch in
+      Util.check_int "no cache hits" 0 stats.Engine.cache_hits;
+      List.iter2
+        (fun (r : Engine.result) q ->
+          Util.check_bool "batch ≡ fresh" true (V.equal r.Engine.verdict (fresh q)))
+        results batch)
+    [ [ a; b ]; [ b; a ] ]
+
+(* --- one shared context ≡ fresh contexts ------------------------------ *)
+
+(* Two templates of the benchmark's scale corpus (perfbench/corpus.py),
+   the ones whose composites hide internal events: Boiten's granularity
+   refinements and Sekerinski & Zhang's channels, deadlock queries
+   included, each plus one [A||B] refinement the benchmark does not
+   pose.  [$TRACE] and [$VOCAB] pick one of a family's four edit
+   states; every other [$name] is renamed per family. *)
+type template = {
+  names : string list;
+  text : string;
+  trace : string * string;
+  vocab : string * string;
+  queries : string list;
+}
+
+let boiten =
+  {
+    names =
+      [ "b"; "u"; "PUT"; "ACK"; "GET"; "DONE"; "SYNC"; "FLUSH"; "Put";
+        "PutAck"; "PutAckSync"; "PutEarly"; "PutAcc"; "User"; "User2" ];
+    text =
+      {|spec $Put {
+  objects $b;
+  sort Env = all except { $b };
+  alphabet call Env -> $b : $PUT(data), $GET;
+  traces prs (bind x in Env . (<x,$b,$PUT(_)> <x,$b,$GET>))*;
+}
+spec $PutAck {
+  objects $b;
+  sort Env = all except { $b };
+  alphabet call Env -> $b : $PUT(data), $ACK, $GET;
+$TRACE}
+spec $PutAckSync {
+  objects $b;
+  sort Env = all except { $b };
+  alphabet call Env -> $b : $PUT(data), $ACK, $GET, $VOCAB;
+  traces prs (bind x in Env . (<x,$b,$PUT(_)> <x,$b,$ACK> <x,$b,$GET> <x,$b,$VOCAB>))*;
+}
+spec $PutEarly {
+  objects $b;
+  sort Env = all except { $b };
+  alphabet call Env -> $b : $PUT(data), $ACK, $GET;
+  traces prs (bind x in Env . (<x,$b,$ACK> <x,$b,$GET> <x,$b,$PUT(_)>))*;
+}
+spec $PutAcc {
+  objects $b;
+  sort Env = all except { $b };
+  alphabet call Env -> $b : $PUT(data), $ACK, $GET;
+  traces prs (bind x in Env . (<x,$b,$ACK> <x,$b,$PUT(_)>* <x,$b,$GET>))*;
+  traces prs <$u,_,_>*;
+}
+spec $User {
+  objects $u;
+  sort Srv = all except { $u };
+  sort Ext = all except { $u, $b };
+  alphabet call $u -> Srv : $PUT(data), $DONE;
+  traces prs (<$u,$b,$PUT(_)> bind y in Ext . (<$u,y,$DONE>))*;
+}
+spec $User2 {
+  objects $u;
+  sort Srv = all except { $u };
+  sort Ext = all except { $u, $b };
+  alphabet call $u -> Srv : $PUT(data), $DONE, $ACK;
+  traces prs (<$u,$b,$PUT(_)> bind y in Ext . (<$u,y,$DONE>) <$u,$b,$ACK>)*;
+}
+|};
+    trace =
+      ( "  traces prs (bind x in Env . (<x,$b,$PUT(_)> <x,$b,$ACK> <x,$b,$GET>))*;\n",
+        "  traces prs (bind x in Env . (<x,$b,$ACK> <x,$b,$GET> <x,$b,$PUT(_)>))*;\n"
+      );
+    vocab = ("SYNC", "FLUSH");
+    queries =
+      [ "refine PutAck Put"; "refine PutAckSync PutAck"; "refine PutAckSync Put";
+        "refine PutEarly Put"; "refine Put PutAck"; "refine PutAcc PutAck";
+        "refine User2 User"; "refine User User2"; "equal PutAck PutEarly";
+        "equal Put Put"; "compose User PutAcc"; "compose User2 PutAck";
+        "deadlock User PutAcc"; "deadlock User2 PutAcc";
+        "refine User2||PutAck User||PutAck" ];
+  }
+
+let sz =
+  {
+    names =
+      [ "n"; "s"; "SEND"; "DELIV"; "LOSS"; "RETRY"; "RESEND"; "Ideal";
+        "Partial"; "Real"; "Retry"; "Sender" ];
+    text =
+      {|spec $Ideal {
+  objects $n;
+  sort Env = all except { $n };
+  alphabet call Env -> $n : $SEND(data), $DELIV;
+  traces forall x in Env . prs (<x,$n,$SEND(_)> <x,$n,$DELIV>)*;
+}
+spec $Partial {
+  objects $n;
+  sort Env = all except { $n };
+  alphabet call Env -> $n : $SEND(data), $DELIV;
+$TRACE}
+spec $Real {
+  objects $n;
+  sort Env = all except { $n };
+  alphabet call Env -> $n : $SEND(data), $DELIV, $LOSS;
+  traces forall x in Env . prs (<x,$n,$SEND(_)> (<x,$n,$DELIV> | <x,$n,$LOSS>))*;
+}
+spec $Retry {
+  objects $n;
+  sort Env = all except { $n };
+  alphabet call Env -> $n : $SEND(data), $DELIV, $LOSS, $VOCAB;
+  traces forall x in Env . prs (<x,$n,$SEND(_)> (<x,$n,$LOSS> <x,$n,$VOCAB>)* <x,$n,$DELIV>)*;
+}
+spec $Sender {
+  objects $s;
+  sort Net = all except { $s };
+  alphabet call $s -> Net : $SEND(data);
+  traces prs (<$s,$n,$SEND(_)>)*;
+}
+|};
+    trace =
+      ( "  traces forall x in Env . prs (<x,$n,$SEND(_)> (<x,$n,$DELIV> | eps))*;\n",
+        "  traces forall x in Env . prs (<x,$n,$SEND(_)> <x,$n,$DELIV>)*;\n" );
+    vocab = ("RETRY", "RESEND");
+    queries =
+      [ "refine Real Partial"; "refine Ideal Partial"; "refine Partial Ideal";
+        "refine Real Ideal"; "refine Retry Ideal"; "refine Retry Partial";
+        "refine Retry Real"; "refine Ideal Real"; "equal Partial Ideal";
+        "equal Ideal Ideal"; "compose Sender Ideal"; "compose Sender Real";
+        "deadlock Sender Ideal"; "refine Sender||Retry Sender||Ideal" ];
+  }
+
+(* Family [idx] of a template in edit state (trace, vocab): the spec
+   text and its manifest, with seeded family-unique names. *)
+let family rng tpl idx ~trace ~vocab =
+  let tag () =
+    String.init 2 (fun _ -> Char.chr (Char.code 'a' + Random.State.int rng 26))
+  in
+  let names = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      let fresh =
+        if Char.uppercase_ascii n.[0] = n.[0] && String.uppercase_ascii n <> n
+        then Printf.sprintf "%s%s%d" n (tag ()) idx (* a spec *)
+        else if String.uppercase_ascii n = n then
+          n ^ String.uppercase_ascii (tag ()) (* a method *)
+        else Printf.sprintf "%s%s%d" n (tag ()) idx (* an object *)
+      in
+      Hashtbl.replace names n fresh)
+    tpl.names;
+  let pick (a, b) bit = if bit then b else a in
+  let subst text =
+    let buf = Buffer.create (String.length text) in
+    Buffer.add_substitute buf
+      (function
+        | "TRACE" -> pick tpl.trace trace
+        | "VOCAB" -> "$" ^ pick tpl.vocab vocab
+        | n -> Hashtbl.find names n)
+      text;
+    Buffer.contents buf
+  in
+  (* [$TRACE] and [$VOCAB] expand to text with placeholders of their own *)
+  let spec_text = subst (subst tpl.text) in
+  let rename_token tok =
+    String.concat "||"
+      (List.map (Hashtbl.find names) (String.split_on_char '|' tok
+                                      |> List.filter (( <> ) "")))
+  in
+  let query q =
+    match String.split_on_char ' ' q with
+    | kind :: toks -> String.concat " " (kind :: List.map rename_token toks)
+    | [] -> q
+  in
+  (spec_text, String.concat "\n" (List.map query tpl.queries))
+
+let template_corpus ~seed =
+  let rng = Random.State.make [| seed |] in
+  List.concat_map
+    (fun (i, tpl) ->
+      List.concat_map
+        (fun (trace, vocab) ->
+          let text, queries = family rng tpl i ~trace ~vocab in
+          let load _ =
+            Manifest.specs_of_source ~extra_objects:2 ~file:"family.oun" text
+          in
+          match
+            Manifest.requests_of_string_typed ~default_depth:6 ~load
+              ("use family.oun\n" ^ queries)
+          with
+          | Ok rs -> rs
+          | Error e ->
+              Alcotest.failf "family %d: %s" i (Manifest.input_error_detail e))
+        [ (false, false); (false, true); (true, false); (true, true) ])
+    [ (0, boiten); (1, sz); (2, boiten); (3, sz) ]
+
+(* Answer every query on one context per universe and on a fresh
+   context: a context's memo tables (compiled automata, successor rows,
+   forall bodies, hidden events of composites) must never change an
+   answer.  Refuted verdicts are certified either way; this is also the
+   check for holds verdicts over [Product] monitors, which certification
+   cannot make. *)
+let test_shared_ctx_equals_fresh () =
+  let manifest name =
+    match
+      Manifest.requests_of_file_typed ~default_depth:6 ~extra_objects:2
+        (Util.spec_file name)
+    with
+    | Ok rs -> rs
+    | Error e -> Alcotest.failf "%s: %s" name (Manifest.input_error_detail e)
+  in
+  let ctxs = Hashtbl.create 16 in
+  let shared (r : Engine.request) =
+    let key = Job.universe_digest r.Engine.universe in
+    match Hashtbl.find_opt ctxs key with
+    | Some c -> c
+    | None ->
+        let c = Tset.ctx r.Engine.universe in
+        Hashtbl.add ctxs key c;
+        c
+  in
+  let requests =
+    manifest "batch.manifest" @ manifest "fleet.manifest"
+    @ template_corpus ~seed:7
+  in
+  let composites = ref 0 in
+  List.iter
+    (fun (r : Engine.request) ->
+      if
+        List.exists
+          (fun s -> Spec.parts s <> None)
+          (Job.specs r.Engine.query)
+        || Job.kind r.Engine.query = "deadlock"
+      then incr composites;
+      let run ctx = Job.run ctx ~depth:r.Engine.depth r.Engine.query in
+      let a = run (shared r) and b = run (Tset.ctx r.Engine.universe) in
+      if not (V.equal a b) then
+        Alcotest.failf "%s: shared %s, fresh %s" r.Engine.label
+          (V.to_string a) (V.to_string b))
+    requests;
+  Util.check_bool "composite and deadlock queries exercised" true
+    (!composites >= 20)
+
 (* --- randomized properties ------------------------------------------ *)
 
 let sc = Gen.default_scenario
 let k0 = Oid.v "k0"
+
+(* Pairs of specs under one name, so equal keys are possible at all:
+   independent interface specs, and specs sharing an alphabet whose
+   trace sets lean towards count clauses. *)
+let same_name_pair =
+  let open G in
+  let shared_alpha =
+    let* alpha = Gen.alpha_for sc [ k0 ] in
+    let events = Eventset.sample sc.Gen.universe alpha in
+    let tset =
+      frequency
+        [
+          (1, Gen.tset_within sc events);
+          (1, Gen.counting_within sc events >|= Tset.counting);
+        ]
+    in
+    let* ta = tset in
+    let* tb = tset in
+    let spec t = Spec.v ~name:"S" ~objs:[ k0 ] ~alpha t in
+    pure (spec ta, spec tb)
+  in
+  let* a, b =
+    oneof [ pair (Gen.interface_spec sc k0) (Gen.interface_spec sc k0); shared_alpha ]
+  in
+  pure (Spec.with_name "S" a, Spec.with_name "S" b)
 
 let qsuite =
   [
@@ -250,17 +548,16 @@ let qsuite =
         && verdicts_equal (verdicts first) (verdicts second)
         && verdicts_equal (verdicts second) [ fresh ]);
     (* (c) digest collisions do not conflate distinct queries *)
-    Util.qtest ~count:60 "digest: equal keys ⟹ semantically equal specs"
-      (G.pair (Gen.interface_spec sc k0) (Gen.interface_spec sc k0))
+    Util.qtest ~count:200 "digest: equal keys ⟹ semantically equal specs"
+      same_name_pair
       (fun (a, b) ->
         let ka = Dig.spec_key ~universe:sc.Gen.universe a
         and kb = Dig.spec_key ~universe:sc.Gen.universe b in
         match (ka, kb) with
         | Some ka, Some kb when ka = kb ->
             (* identical content addresses must mean identical
-               specifications (names included by construction) *)
-            Spec.name a = Spec.name b
-            && Theory.is_pass
+               specifications *)
+            Theory.is_pass
                  (Theory.spec_equal
                     (Tset.ctx sc.Gen.universe)
                     ~depth:3 a b)
@@ -300,5 +597,9 @@ let suite =
       test_digest_separates_paper_specs;
     Alcotest.test_case "digest separates kinds and depths" `Quick
       test_digest_separates_kinds_and_depth;
+    Alcotest.test_case "digest: count clauses over different methods key apart"
+      `Quick test_count_classes_key_apart;
+    Alcotest.test_case "one shared context ≡ fresh contexts" `Slow
+      test_shared_ctx_equals_fresh;
   ]
   @ qsuite

@@ -73,20 +73,7 @@ let test_assertion_roundtrip () =
   | Ok ast' ->
       Util.check_bool "round trip" true (Ast.equal_file ast ast')
 
-(* The test may run from the workspace root (dune exec) or from the
-   staged test directory (dune runtest); resolve the shipped spec file
-   either way. *)
-let spec_file name =
-  let candidates =
-    [
-      Filename.concat "../examples/specs" name;
-      Filename.concat "examples/specs" name;
-      Filename.concat "../../../examples/specs" name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> path
-  | None -> Alcotest.failf "cannot locate %s from %s" name (Sys.getcwd ())
+let spec_file = Util.spec_file
 
 let test_paper_script () =
   (* The shipped paper.oun file must keep verifying. *)

@@ -18,17 +18,7 @@ module V = Posl_verdict.Verdict
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let spec_file name =
-  let candidates =
-    [
-      Filename.concat "../examples/specs" name;
-      Filename.concat "examples/specs" name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some f -> f
-  | None -> Alcotest.failf "example file %s not found" name
-
+let spec_file = Util.spec_file
 let read_file f = In_channel.with_open_bin f In_channel.input_all
 
 let write_file f s =
@@ -319,6 +309,98 @@ let test_watch_parse_error () =
   write_file spec original;
   check_bool "restore: no round" true (Watch.poll w = None)
 
+(* An edit that only changes what a count clause counts moves the
+   spec's content address, so the watcher runs a round and reports the
+   flip. *)
+let test_watch_count_classes () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "count.manifest" in
+  let spec = Filename.concat dir "s.oun" in
+  write_file spec (Util.count_source ~counted:("OW", "CW"));
+  write_file manifest "use s.oun\nrefine S Bound\n";
+  let w = Watch.create manifest in
+  let r1 = poll_round w in
+  check_int "S refines Bound" 0 r1.Watch.failing;
+  write_file spec (Util.count_source ~counted:("OR", "CR"));
+  match Watch.poll w with
+  | None -> Alcotest.fail "a count-class edit ran no round"
+  | Some r2 ->
+      check_int "one invalidated" 1 r2.Watch.invalidated;
+      (match r2.Watch.flips with
+      | [ f ] -> check_bool "now refuted" false (V.to_bool f.Watch.verdict)
+      | fs -> Alcotest.failf "expected one flip, got %d" (List.length fs));
+      check_int "one failing" 1 r2.Watch.failing
+
+(* A scripted session over two spec files: edit A, half-save A, fix A
+   to new content, edit B, reorder and extend the manifest (a manifest
+   edit alone runs no round), then revert B.  Every poll's counters are
+   pinned, so a change to how rounds reuse slots cannot move them. *)
+let test_watch_script () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "two.manifest" in
+  let a = Filename.concat dir "a.oun" and b = Filename.concat dir "b.oun" in
+  let fleet = read_file (spec_file "fleet.oun")
+  and paper = read_file (spec_file "paper.oun") in
+  let fleet_queries =
+    [
+      "refine Gauge2||Log Gauge||Log";
+      "refine Gauge2||Clock Gauge||Clock";
+      "equal GaugeR||Log Gauge||Log";
+      "refine Gauge2||Log2 Gauge||Log";
+      "deadlock Gauge2||Log Clock";
+      "refine Gauge2 Gauge";
+    ]
+  and paper_queries =
+    [
+      "refine RW2 WriteAcc";
+      "refine Read2 Read";
+      "proper RW2 WriteAcc Client";
+      "deadlock Client WriteAcc";
+      "deadlock Client2 WriteAcc";
+    ]
+  in
+  let manifest_text fq pq =
+    String.concat "\n"
+      ((("use a.oun" :: fq) @ ("use b.oun" :: pq)) @ [ "" ])
+  in
+  write_file a fleet;
+  write_file b paper;
+  write_file manifest (manifest_text fleet_queries paper_queries);
+  let w = Watch.create manifest in
+  (* invalidated, reused, errored, flips, failing; [None]: no round *)
+  let expect name want edit =
+    edit ();
+    Alcotest.(check (option (list int)))
+      name want
+      (Option.map
+         (fun (r : Watch.report) ->
+           [
+             r.Watch.invalidated;
+             r.Watch.reused;
+             r.Watch.errored;
+             List.length r.Watch.flips;
+             r.Watch.failing;
+           ])
+         (Watch.poll w))
+  in
+  expect "cold" (Some [ 11; 0; 0; 0; 1 ]) ignore;
+  expect "edit A" (Some [ 5; 6; 0; 0; 1 ]) (fun () ->
+      write_file a (replace ~needle:gauge2_line ~by:gauge2_edited fleet));
+  expect "half-save A" (Some [ 0; 11; 0; 0; 1 ]) (fun () ->
+      write_file a (String.sub fleet 0 (String.length fleet / 2)));
+  expect "fix A to new content" (Some [ 6; 5; 0; 1; 2 ]) (fun () ->
+      write_file a (replace ~needle:gauger_line ~by:gauger_doubled fleet));
+  (* WriteAcc (the first spec with the line) loses its client
+     restriction *)
+  expect "edit B" (Some [ 4; 7; 0; 1; 1 ]) (fun () ->
+      write_file b (replace ~needle:"  traces prs <c,_,_>*;\n" ~by:"" paper));
+  expect "reorder and add manifest lines" None (fun () ->
+      write_file manifest
+        (manifest_text
+           (List.rev fleet_queries @ [ "compose Gauge||Log Clock" ])
+           ("equal Read Read" :: List.rev paper_queries)));
+  expect "revert B" (Some [ 6; 7; 0; 1; 2 ]) (fun () -> write_file b paper)
+
 (* --- the session journal ---------------------------------------------- *)
 
 let jr ~round ~failing ~flips =
@@ -421,6 +503,10 @@ let suite =
       test_watch_flip;
     Alcotest.test_case "watch: half-saved file leaves verdicts standing"
       `Quick test_watch_parse_error;
+    Alcotest.test_case "watch: count-class edit flips its query" `Quick
+      test_watch_count_classes;
+    Alcotest.test_case "watch: scripted two-file session" `Quick
+      test_watch_script;
     Alcotest.test_case "journal: restart replays history and signal" `Quick
       test_journal_restart;
     Alcotest.test_case "journal: torn tail truncated, never fatal" `Quick

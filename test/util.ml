@@ -16,6 +16,21 @@ let trace = Alcotest.testable Trace.pp Trace.equal
 let sc = Posl_gen.Gen.default_scenario
 let ctx = Tset.ctx sc.Posl_gen.Gen.universe
 
+(* The test may run from the workspace root (dune exec) or from the
+   staged test directory (dune runtest); resolve a shipped spec file
+   either way. *)
+let spec_file name =
+  let candidates =
+    [
+      Filename.concat "../examples/specs" name;
+      Filename.concat "examples/specs" name;
+      Filename.concat "../../../examples/specs" name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> path
+  | None -> Alcotest.failf "cannot locate %s from %s" name (Sys.getcwd ())
+
 (* A fixed tiny universe mirroring the paper's cast. *)
 let paper_universe =
   Posl_core.Spec.adequate_universe Posl_core.Examples_paper.all_specs
@@ -38,3 +53,21 @@ let contains_substring ~needle haystack =
     else scan (i + 1)
   in
   nl = 0 || scan 0
+
+(* A spec file with [S] and [Bound] over OW, CW, OR, CR: Bound counts
+   the OW/CW sessions, S the [counted] pair.  With ("OW", "CW") S
+   refines Bound; with ("OR", "CR") it does not.  Either way the two S
+   share a name, objects, alphabet and proposition, so only the counting
+   classes tell their content addresses apart. *)
+let count_source ~counted =
+  let spec name counted =
+    Printf.sprintf
+      "spec %s {\n\
+      \  objects o;\n\
+      \  sort Env = all except { o };\n\
+      \  alphabet call Env -> o : OW, CW, OR, CR;\n\
+      \  traces count #%s - #%s <= 1 and #%s - #%s >= 0;\n\
+       }\n"
+      name (fst counted) (snd counted) (fst counted) (snd counted)
+  in
+  spec "S" counted ^ spec "Bound" ("OW", "CW")
