@@ -809,8 +809,10 @@ let p3 () =
     [ 2; 4; 8; 16 ]
 
 (* P4 — engine batch throughput: every ordered refinement pair over the
-   paper cast, scheduled across 1/2/4/8 domains, cold cache then warm
-   cache (the warm pass answers everything from the verdict store). *)
+   paper cast, scheduled across 1 and 2 domains, cold cache then warm
+   cache (the warm pass answers everything from the verdict store).
+   More domains than a 2-vCPU runner has would time its scheduler;
+   test_engine checks compile sharing at 4 domains. *)
 let engine_batch ~depth =
   List.map
     (fun (g', g) ->
@@ -846,7 +848,7 @@ let p4 () =
       in
       let cold = pass "cold" in
       [ cold; pass "warm" ])
-    [ 1; 2; 4; 8 ]
+    [ 1; 2 ]
 
 (* P5 — the persistent verdict store across process lifetimes: the same
    paper-corpus batch cold (empty store, computes and write-behinds),
@@ -921,7 +923,8 @@ let p6 () =
    the traffic the warm caches exist for.  The baseline row answers
    the same stream cold: one fresh engine (empty verdict cache, empty
    DFA registry) per query, serially — the cost a per-invocation CLI
-   pays for every question. *)
+   pays for every question.  Rows report p50 and p90 only: a row has at
+   most 112 samples, so a p99 would rest on a single one. *)
 let p7 () =
   let spec_file =
     List.find_opt Sys.file_exists
@@ -994,7 +997,6 @@ let p7 () =
           ("qps", F (float_of_int n_pairs /. Float.max 0.001 cold_wall *. 1000.));
           ("p50_ms", F (pct 50.));
           ("p90_ms", F (pct 90.));
-          ("p99_ms", F (pct 99.));
           ("cached", I 0);
           ("mode", S "serial");
         ]
@@ -1055,7 +1057,6 @@ let p7 () =
               ("qps", F r.qps);
               ("p50_ms", F r.p50_ms);
               ("p90_ms", F r.p90_ms);
-              ("p99_ms", F r.p99_ms);
               ("cached", I r.cached);
               ("mode", S r.mode);
               ("seed", I p7_seed);
@@ -1296,14 +1297,15 @@ let p9 () =
       ( "product_pairs_saved",
         I (off_stats.antichain_pairs - auto_stats.antichain_pairs) );
       ("speedup_off_over_auto", F (off_ms /. auto_ms));
+      ("ge2x", B (off_ms /. auto_ms >= 2.));
     ];
   ]
 
 (* P10: one edit in the ten-query fleet — an incremental watch round
    against a cold batch over the whole manifest.  The edit doubles
    GaugeR's sample step, a trace-set-only change (the universe is
-   untouched), so the dependency map resolves it to exactly one query
-   (`equal GaugeR||Log Gauge||Log`); the other nine are answered by
+   untouched), so exactly one query's dependency token moves
+   (`equal GaugeR||Log Gauge||Log`); the others are answered by
    their standing verdicts without touching the engine.  The
    acceptance bar is a >=10x wall-clock win for the incremental
    round. *)
@@ -1566,7 +1568,7 @@ let campaigns =
       "automata pipeline scaling (Write spec, growing universe)" p2;
     c ~snapshot:false "P3" "symbolic event-set algebra scaling" p3;
     c "P4"
-      "engine batch throughput (shared DFA cache, cold vs warm, domains 1-8)"
+      "engine batch throughput (shared DFA cache, cold vs warm, domains 1-2)"
       p4;
     c "P5"
       "persistent verdict store (cold vs warm-in-process vs warm-across-process)"

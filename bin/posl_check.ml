@@ -1093,9 +1093,11 @@ let watch_json_arg =
 
 (* Run the watch loop with clean SIGINT/SIGTERM shutdown (exit 0 — an
    interactive loop being told to stop is not a failure), invoking
-   [on_round] with the per-round report and whether json was asked. *)
+   [on_round] with the per-round report and whether json was asked.  A
+   closure overflow ends the loop as an input error, as in batch. *)
 let run_watch_loop ~manifest ~depth ~extra ~domains ~plan ~store_dir ~poll_ms
     ~rounds ~on_round =
+  answering @@ fun () ->
   with_store_opt store_dir @@ fun store ->
   let session = Engine.session ?store () in
   let w =
@@ -1135,11 +1137,12 @@ let watch_cmd =
   in
   cmd "watch"
     ~doc:
-      "Re-verify a manifest incrementally as its spec files change: only \
-       the queries an edit can have moved are re-run (spec→query \
-       dependency map over a resident warm session), and each round \
-       reports only the verdicts that flipped.  Parse errors in a \
-       half-saved file are diagnostics; previous verdicts stand."
+      "Re-verify a manifest incrementally, over a resident warm session, \
+       as its spec files change: a query re-runs only when its file's \
+       universe or one of the specs it names moved, or when it has no \
+       verdict yet, and each round reports only the verdicts that \
+       flipped.  Parse errors in a half-saved file are diagnostics; \
+       previous verdicts stand."
     Term.(
       const run $ manifest_arg $ depth_arg $ extra_objects_arg $ domains_arg
       $ plan_arg $ store_arg $ poll_ms_arg $ rounds_limit_arg $ watch_json_arg

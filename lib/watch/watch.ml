@@ -1,9 +1,8 @@
 (* The incremental re-verification loop.  Change detection is content
-   hashing (portable, mtime-resolution-proof); invalidation is the
-   conservative name-level dep map (Deps) backed by a digest-level
-   safety net — a query whose depth-independent [Digest.query_base]
-   moved is re-run even if the dep map somehow missed it, so "reused"
-   is always sound. *)
+   hashing (portable, mtime-resolution-proof).  One rule decides what a
+   round re-runs: a query re-runs iff its dependency token moved or it
+   has no standing verdict.  The token (see [slot_token]) determines
+   the query's [Digest.query_base], so "reused" is always sound. *)
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine
@@ -105,22 +104,24 @@ let pp_report ppf r =
 
 (* --- watcher state ----------------------------------------------------- *)
 
+module Smap = Map.Make (String)
+
 type file_state = {
   mutable fdigest : string;  (* content MD5 of the last read, "" = unread *)
   mutable good : (Spec.t list * Universe.t) option;  (* last good parse *)
   mutable last_error : Manifest.input_error option;
-  mutable gen : int;  (* moved whenever [good] changes *)
-  mutable ukey : string;  (* universe digest of the last good parse *)
-  keys : (string, string option) Hashtbl.t;
-      (* spec name -> [Digest.spec_key] under the last good parse;
-         [None] = opaque (uncacheable) body *)
+  mutable gen : int;  (* moved whenever [ukey] or [keys] moves *)
+  mutable ukey : string;  (* universe digest of [good] *)
+  mutable keys : string option Smap.t;
+      (* spec name -> [Digest.spec_key] of its first spec in [good] (the
+         one [Lang.lookup] resolves); [None] = opaque body *)
 }
 
 type slot = {
-  entry : Manifest.entry;
-  key : string;  (* stable identity across rounds *)
-  request : Engine.request option;  (* None: not elaborable this round *)
-  base : string option;  (* depth-independent digest, None = uncacheable *)
+  mutable gen : int;  (* file generation [token] was last confirmed at *)
+  token : string option;  (* dependency token, [None] = never reuse *)
+  request : Engine.request option;  (* [None]: not elaborable *)
+  mutable standing : (string * Verdict.t) option;  (* label, verdict *)
 }
 
 type t = {
@@ -134,22 +135,8 @@ type t = {
   mutable mdigest : string;  (* manifest content MD5, "" = unread *)
   mutable entries : (Manifest.entry * string) list;
       (* with their slot keys, computed once per manifest parse *)
-  mutable deps : Deps.t;
   files : (string, file_state) Hashtbl.t;
-  last : (string, Verdict.t) Hashtbl.t;  (* slot key -> standing verdict *)
-  labels : (string, string) Hashtbl.t;  (* slot key -> batch-table label *)
-  bases : (string, string option) Hashtbl.t;  (* slot key -> last base *)
-  slots : (string, int * string * slot) Hashtbl.t;
-      (* slot key -> (file generation the token was last confirmed at,
-         dependency token, slot): only dirty specs are re-elaborated.
-         The token is the file's universe digest plus the
-         [Digest.spec_key] of every composition part the entry names —
-         exactly the per-spec content that feeds [Digest.query_base] —
-         so an entry whose parts are all where they were reuses the
-         built request and base digest untouched, even when {e other}
-         specs in the same file moved.  The token only moves with the
-         file's last good parse, so while the file's generation stands
-         the slot is reused without building its token. *)
+  slots : (string, slot) Hashtbl.t;  (* slot key -> slot *)
 }
 
 let create ?(default_depth = 6) ?(extra_objects = 2) ?(plan = Plan.Auto)
@@ -164,27 +151,32 @@ let create ?(default_depth = 6) ?(extra_objects = 2) ?(plan = Plan.Auto)
     round = 0;
     mdigest = "";
     entries = [];
-    deps = Deps.of_entries [];
     files = Hashtbl.create 4;
-    last = Hashtbl.create 16;
-    labels = Hashtbl.create 16;
-    bases = Hashtbl.create 16;
     slots = Hashtbl.create 16;
   }
 
 let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
 let unreadable = "<unreadable>"
 
-let read_file path =
+(* [path]'s content hash and content, when the hash moved since [seen]
+   ([unreadable] hashes an unreadable file, so a standing breakage is
+   reported once). *)
+let read_changed path ~seen =
   match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Ok s
+  | text ->
+      let d = md5 text in
+      if String.equal d seen then None else Some (d, Ok text)
   | exception Sys_error m ->
-      Error
-        {
-          Manifest.input_file = path;
-          input_offset = None;
-          input_message = m;
-        }
+      if String.equal seen unreadable then None
+      else
+        Some
+          ( unreadable,
+            Error
+              {
+                Manifest.input_file = path;
+                input_offset = None;
+                input_message = m;
+              } )
 
 (* A slot's identity across rounds: the query as the manifest spells
    it, plus its depth (an edited [depth] line is a different
@@ -213,32 +205,50 @@ let loader t : Manifest.typed_loader =
 
 (* --- one round --------------------------------------------------------- *)
 
-(* Refresh the manifest and every watched spec file, collecting the
-   changed dependency inputs and the diagnostics that surfaced.  A
-   file is processed only when its content hash moved, so a standing
-   breakage is reported exactly once. *)
+(* Name -> [spec_key]; a duplicated name keeps its first spec, the one
+   name resolution picks. *)
+let key_map ~universe specs =
+  List.fold_left
+    (fun m s ->
+      let name = Spec.name s in
+      if Smap.mem name m then m
+      else Smap.add name (Qdigest.spec_key ~universe s) m)
+    Smap.empty specs
+
+(* An opaque body has no key, so it never compares equal: its edits
+   would otherwise be invisible. *)
+let same_keys =
+  Smap.equal (fun a b ->
+      match (a, b) with Some a, Some b -> String.equal a b | _ -> false)
+
+(* Refresh the manifest and every watched spec file.  Returns whether
+   anything a token can see moved — the manifest's slot keys or some
+   file's generation — and the diagnostics that surfaced.  A file is
+   re-parsed only when its content hash moved, and its generation moves
+   only when its universe or a spec's key did, so a standing breakage
+   is reported once and a comment-only edit moves nothing. *)
 let refresh t =
-  let diags = ref [] and changed = ref [] in
-  (match read_file t.manifest with
-  | Error e ->
-      if not (String.equal t.mdigest unreadable) then begin
-        t.mdigest <- unreadable;
-        diags := e :: !diags
-      end
-  | Ok text ->
-      let d = md5 text in
-      if not (String.equal d t.mdigest) then begin
-        t.mdigest <- d;
-        match
-          Manifest.entries_typed ~path:t.manifest
-            ~dir:(Filename.dirname t.manifest)
-            ~default_depth:t.default_depth text
-        with
-        | Ok es ->
-            t.entries <- List.map (fun e -> (e, slot_key e)) es;
-            t.deps <- Deps.of_entries es
-        | Error e -> diags := e :: !diags (* previous entries stand *)
-      end);
+  let diags = ref [] and moved = ref false in
+  (match read_changed t.manifest ~seen:t.mdigest with
+  | None -> ()
+  | Some (d, content) -> (
+      t.mdigest <- d;
+      match
+        Result.bind content
+          (Manifest.entries_typed ~path:t.manifest
+             ~dir:(Filename.dirname t.manifest)
+             ~default_depth:t.default_depth)
+      with
+      | Ok es ->
+          let entries = List.map (fun e -> (e, slot_key e)) es in
+          if
+            not
+              (List.equal
+                 (fun (_, a) (_, b) -> String.equal a b)
+                 entries t.entries)
+          then moved := true;
+          t.entries <- entries
+      | Error e -> diags := e :: !diags (* previous entries stand *)));
   let watched =
     List.sort_uniq String.compare
       (List.map (fun ((e : Manifest.entry), _) -> e.Manifest.file) t.entries)
@@ -256,155 +266,121 @@ let refresh t =
                 last_error = None;
                 gen = 0;
                 ukey = "";
-                keys = Hashtbl.create 8;
+                keys = Smap.empty;
               }
             in
             Hashtbl.add t.files path fs;
             fs
       in
-      match read_file path with
-      | Error e ->
-          if not (String.equal fs.fdigest unreadable) then begin
-            fs.fdigest <- unreadable;
-            fs.last_error <- Some e;
-            diags := e :: !diags
-          end
-      | Ok text ->
-          let d = md5 text in
-          if not (String.equal d fs.fdigest) then begin
-            fs.fdigest <- d;
-            match
-              Manifest.specs_of_source ~extra_objects:t.extra_objects
-                ~file:path text
-            with
-            | Ok (specs, universe) ->
-                (match fs.good with
-                | Some (old_specs, old_universe) ->
-                    changed :=
-                      Deps.corpus_changes ~file:path ~old_specs ~old_universe
-                        ~specs ~universe
-                      @ !changed
-                | None -> changed := Deps.In_file path :: !changed);
+      match read_changed path ~seen:fs.fdigest with
+      | None -> ()
+      | Some (d, content) -> (
+          fs.fdigest <- d;
+          match
+            Result.bind content
+              (Manifest.specs_of_source ~extra_objects:t.extra_objects
+                 ~file:path)
+          with
+          | Ok (specs, universe) ->
+              fs.last_error <- None;
+              let ukey = Job.universe_digest universe in
+              let keys = key_map ~universe specs in
+              if
+                Option.is_none fs.good
+                || (not (String.equal ukey fs.ukey))
+                || not (same_keys keys fs.keys)
+              then begin
                 fs.good <- Some (specs, universe);
+                fs.ukey <- ukey;
+                fs.keys <- keys;
                 fs.gen <- fs.gen + 1;
-                fs.last_error <- None;
-                fs.ukey <- Job.universe_digest universe;
-                Hashtbl.reset fs.keys;
-                List.iter
-                  (fun s ->
-                    Hashtbl.replace fs.keys (Spec.name s)
-                      (Qdigest.spec_key ~universe s))
-                  specs
-            | Error e ->
-                (* half-saved file: report, keep the last good parse
-                   (and with it every standing verdict) *)
-                fs.last_error <- Some e;
-                diags := e :: !diags
-          end)
+                moved := true
+              end
+          | Error e ->
+              (* unreadable or half-saved: report, keep the last good
+                 parse (and with it every standing verdict) *)
+              fs.last_error <- Some e;
+              diags := e :: !diags))
     watched;
-  (!changed, List.rev !diags)
+  (!moved, List.rev !diags)
 
 (* An entry's dependency token: its file's universe digest plus the
-   [spec_key] of every composition part it names — the exact per-spec
-   content [Digest.query_base] serializes.  [None] (never reuse) when
-   the file has no good parse yet, a part does not resolve, or a
-   part's body is opaque.  The [keys] table reflects the last {e good}
-   parse, so a broken file leaves tokens — and with them every cached
-   slot — standing, in step with the loader serving that same parse. *)
-let slot_token t (e : Manifest.entry) =
-  match Hashtbl.find_opt t.files e.Manifest.file with
-  | Some fs when not (String.equal fs.ukey "") -> (
-      let parts =
-        List.concat_map Manifest.composition_parts e.Manifest.names
-        |> List.sort_uniq String.compare
-      in
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf fs.ukey;
-      try
-        List.iter
-          (fun name ->
-            match Hashtbl.find_opt fs.keys name with
-            | Some (Some k) ->
-                Buffer.add_char buf '|';
-                Buffer.add_string buf k
-            | Some None | None -> raise Exit)
-          parts;
-        Some (Buffer.contents buf)
-      with Exit -> None)
-  | Some _ | None -> None
+   [spec_key] of every composition part it names.  Together with the
+   slot key (which holds the query kind) that is everything
+   [Digest.query_base] serializes — a composite's body is fixed by its
+   parts — so an equal token means the same question.  [None] (never
+   reuse) when the file has no good parse yet (no keys), a part does
+   not resolve, or a part's body is opaque.  The keys reflect the last
+   {e good} parse, so a broken file leaves tokens standing, in step
+   with the loader serving that same parse. *)
+let slot_token fs (e : Manifest.entry) =
+  List.concat_map Manifest.composition_parts e.Manifest.names
+  |> List.sort_uniq String.compare
+  |> List.fold_left
+       (fun token name ->
+         match (token, Smap.find_opt name fs.keys) with
+         | Some token, Some (Some k) -> Some (token ^ "|" ^ k)
+         | _ -> None)
+       (Some fs.ukey)
 
-(* Elaborate only dirty specs: an entry reuses its built slot while
-   its dependency token stands where the slot was built (same parts ⇒
-   same composite ⇒ same request and base digest), so an edit
-   re-elaborates the queries over the edited spec and nothing else.
-   Tokens are only built for entries over a file whose generation moved
-   since the slot was last confirmed. *)
-let elaborate_slots t =
-  let load = loader t in
-  List.map
-    (fun ((e : Manifest.entry), key) ->
-      let gen =
-        match Hashtbl.find_opt t.files e.Manifest.file with
-        | Some fs -> fs.gen
-        | None -> -1
-      in
-      match Hashtbl.find_opt t.slots key with
-      | Some (g, _, slot) when g = gen -> slot
-      | stored -> (
-          let token = slot_token t e in
-          match (stored, token) with
-          | Some (_, tok, slot), Some token when String.equal tok token ->
-              Hashtbl.replace t.slots key (gen, tok, slot);
-              slot
-          | _, _ ->
-              let slot =
-                match Manifest.request_of_entry ~path:t.manifest ~load e with
-                | Ok req ->
-                    let base =
-                      Qdigest.query_base ~universe:req.Engine.universe
-                        req.Engine.query
-                    in
-                    { entry = e; key; request = Some req; base }
-                | Error _ -> { entry = e; key; request = None; base = None }
-              in
-              (match token with
-              | Some tok -> Hashtbl.replace t.slots key (gen, tok, slot)
-              | None -> Hashtbl.remove t.slots key);
-              slot))
-    t.entries
+(* The one reuse rule.  A slot at its file's current generation stands;
+   otherwise its token is rebuilt, and an equal token confirms the slot
+   at the new generation.  Anything else rebuilds the request, carrying
+   the standing verdict over for flip detection.  Returns the slot and
+   whether it was rebuilt; [round] stores a rebuilt slot.  [refresh]
+   has a state for every watched file. *)
+let confirm t load ((e : Manifest.entry), key) =
+  let fs = Hashtbl.find t.files e.Manifest.file in
+  match Hashtbl.find_opt t.slots key with
+  | Some slot when slot.gen = fs.gen -> (slot, false)
+  | stored -> (
+      let token = slot_token fs e in
+      match stored with
+      | Some slot
+        when Option.is_some token && Option.equal String.equal slot.token token
+        ->
+          slot.gen <- fs.gen;
+          (slot, false)
+      | _ ->
+          ( {
+              gen = fs.gen;
+              token;
+              request =
+                Result.to_option
+                  (Manifest.request_of_entry ~path:t.manifest ~load e);
+              standing = Option.bind stored (fun s -> s.standing);
+            },
+            true ))
 
-let round t changed diags =
+let round t diags =
   let t0 = Telemetry.now_ns () in
   t.round <- t.round + 1;
   Metrics.incr rounds_total;
   Telemetry.with_span "watch.round"
     ~attrs:[ ("round", string_of_int t.round) ]
   @@ fun () ->
-  let slots = elaborate_slots t in
-  let invalidated_idx =
-    Telemetry.with_span "watch.invalidate" (fun () ->
-        Deps.invalidate t.deps ~changed)
+  (* Partition: run what was rebuilt; a slot with no request is errored
+     and keeps its standing verdict. *)
+  let load = loader t in
+  let rebuilt = Hashtbl.create 8 and to_run = ref [] in
+  let reused = ref 0 and errored = ref 0 in
+  let slots =
+    List.map
+      (fun ((_, key) as entry) ->
+        (* a repeated query shares the slot its first occurrence rebuilt *)
+        let slot, fresh =
+          match Hashtbl.find_opt rebuilt key with
+          | Some slot -> (slot, true)
+          | None -> confirm t load entry
+        in
+        if fresh then Hashtbl.replace rebuilt key slot;
+        (match slot.request with
+        | None -> incr errored
+        | Some req when fresh -> to_run := (slot, req) :: !to_run
+        | Some _ -> incr reused);
+        slot)
+      t.entries
   in
-  let invalidated = Hashtbl.create 16 in
-  List.iter (fun i -> Hashtbl.replace invalidated i ()) invalidated_idx;
-  (* Partition: run = invalidated by the dep map, never answered
-     before, or digest safety net (base moved under us). *)
-  let to_run = ref [] and reused = ref 0 and errored = ref 0 in
-  List.iteri
-    (fun i slot ->
-      match slot.request with
-      | None -> incr errored
-      | Some req ->
-          let seen = Hashtbl.mem t.last slot.key in
-          let base_moved =
-            match Hashtbl.find_opt t.bases slot.key with
-            | Some old_base -> old_base <> slot.base
-            | None -> true
-          in
-          if Hashtbl.mem invalidated i || (not seen) || base_moved then
-            to_run := (slot, req) :: !to_run
-          else incr reused)
-    slots;
   let to_run = List.rev !to_run in
   let results, stats =
     match to_run with
@@ -419,22 +395,23 @@ let round t changed diags =
   let flips = ref [] in
   List.iter2
     (fun (slot, (req : Engine.request)) (r : Engine.result) ->
-      let v = r.Engine.verdict in
-      (match Hashtbl.find_opt t.last slot.key with
-      | Some old when Verdict.changed old v ->
-          flips := { label = req.Engine.label; previous = old; verdict = v }
-                   :: !flips
+      let label = req.Engine.label and v = r.Engine.verdict in
+      (match slot.standing with
+      | Some (_, old) when Verdict.changed old v ->
+          flips := { label; previous = old; verdict = v } :: !flips
       | Some _ | None -> ());
-      Hashtbl.replace t.last slot.key v;
-      Hashtbl.replace t.labels slot.key req.Engine.label;
-      Hashtbl.replace t.bases slot.key slot.base)
+      slot.standing <- Some (label, v))
     to_run results;
+  (* Stored only now that their verdicts landed, so a stored slot with a
+     request always has one: if the engine raised, the next round
+     rebuilds and re-runs them. *)
+  Hashtbl.iter (Hashtbl.replace t.slots) rebuilt;
   let flips = List.rev !flips in
   let failing =
     List.fold_left
       (fun acc slot ->
-        match Hashtbl.find_opt t.last slot.key with
-        | Some v when not (Verdict.to_bool v) -> acc + 1
+        match slot.standing with
+        | Some (_, v) when not (Verdict.to_bool v) -> acc + 1
         | Some _ | None -> acc)
       0 slots
   in
@@ -476,17 +453,13 @@ let round t changed diags =
   }
 
 let poll t =
-  let changed, diags = refresh t in
-  let first = t.round = 0 in
-  if first || changed <> [] || diags <> [] then Some (round t changed diags)
-  else None
+  let moved, diags = refresh t in
+  if t.round = 0 || moved || diags <> [] then Some (round t diags) else None
 
 let verdicts t =
   List.filter_map
     (fun (_, key) ->
-      match (Hashtbl.find_opt t.last key, Hashtbl.find_opt t.labels key) with
-      | Some v, Some label -> Some (label, v)
-      | _ -> None)
+      Option.bind (Hashtbl.find_opt t.slots key) (fun s -> s.standing))
     t.entries
 
 let run ?(poll_ms = 200) ?max_rounds ?(stop = fun () -> false) ~on_round t =

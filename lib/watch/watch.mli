@@ -7,11 +7,19 @@
       file (the manifest and every [use] target) is re-read and MD5'd,
       so equal-mtime edits are never missed and no inotify binding is
       needed;
-    - a changed spec file is {e re-elaborated alone}; the per-spec /
-      per-universe diff ({!Deps.corpus_changes}) plus the manifest's
-      dependency map ({!Deps.invalidate}) selects the invalidated
-      queries, and every other query's verdict is {e reused} without
-      touching the engine;
+    - a changed spec file is {e re-parsed alone}, once; its universe
+      digest and the {!Posl_engine.Digest.spec_key} of each spec name
+      (the first spec of a name, as name resolution picks) are taken
+      then, and the file's {e generation} moves only when one of them
+      did — so a comment-only edit runs no round;
+    - one rule decides what a round re-runs: a query re-runs iff its
+      {e dependency token} — its file's universe digest plus the
+      [spec_key] of every composition part it names
+      ({!Posl_engine.Manifest.composition_parts}) — moved, or it has no
+      standing verdict.  Together with the query's kind and names the
+      token fixes its {!Posl_engine.Digest.query_base}, so every other
+      query's verdict is {e reused} without touching the engine.  A
+      manifest edit that adds or reorders queries runs a round too;
     - parse failures in a half-saved file are typed diagnostics
       ({!Posl_engine.Manifest.input_error}) in the round report; the
       file's last good elaboration — and all verdicts over it — stand,
@@ -21,8 +29,8 @@
       each with its full typed verdict, plus the
       [queries_invalidated] / [queries_reused] / [flips] counters.
 
-    Rounds are instrumented with [watch.round] / [watch.invalidate]
-    telemetry spans and [posl_watch_*] counters. *)
+    Rounds are instrumented with a [watch.round] telemetry span and
+    [posl_watch_*] counters. *)
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine
@@ -79,11 +87,14 @@ val create :
     the CLI defaults. *)
 
 val poll : t -> report option
-(** Look once.  [None] when no watched content changed; otherwise run
-    one round — re-elaborate what moved, re-verify what that
-    invalidated — and report it.  The first call always runs the cold
-    round (everything invalidated).  Never raises on input failures:
-    broken files surface as [diagnostics]. *)
+(** Look once.  [None] when the manifest's queries and every file's
+    generation stand and no diagnostic surfaced; otherwise run one
+    round — re-elaborate what moved, re-verify what that invalidated —
+    and report it.  The first call always runs the cold round
+    (everything invalidated).  Never raises on input failures: broken
+    files surface as [diagnostics].  A query whose closure outgrows its
+    context's cap raises {!Posl_engine.Job.Overflow}; the queries that
+    raise left without a verdict re-run in the next round. *)
 
 val verdicts : t -> (string * Verdict.t) list
 (** The standing verdict of every query that has one, in manifest

@@ -140,8 +140,8 @@ EOF
 expect 2 "non-composable composition token" batch "$tmp/noncomp.manifest"
 
 # A composition whose hidden-event closure outgrows the 20,000-composite
-# cap has no verdict: an input error naming the query, single or
-# batched, never an uncaught exception.
+# cap has no verdict: an input error naming the query — single,
+# batched or watched — never an uncaught exception.
 cat >"$tmp/overflow.oun" <<EOF
 spec A { objects a; sort Env = all except { a };
          alphabet call a -> Env : P, Q; traces count #P - #Q <= 100000; }
@@ -155,11 +155,17 @@ deadlock A B
 EOF
 expect 2 "closure overflow (deadlock)" deadlock "$tmp/overflow.oun" A B
 expect 2 "closure overflow (batch)" batch "$tmp/overflow.manifest"
-if ! "$BIN" batch "$tmp/overflow.manifest" 2>&1 >/dev/null \
-    | grep -q 'deadlock(A ‖ B): .*20000-composite cap'; then
-  echo "FAIL closure overflow: error does not name the query and the cap" >&2
-  fails=$((fails + 1))
-fi
+expect 2 "closure overflow (watch)" watch "$tmp/overflow.manifest" --rounds 1
+expect 2 "closure overflow (session)" session "$tmp/overflow.manifest" \
+  --session "$tmp/overflow-session" --rounds 1
+for args in "batch" "watch --rounds 1" \
+    "session --session $tmp/overflow-session --rounds 1"; do
+  if ! "$BIN" $args "$tmp/overflow.manifest" 2>&1 >/dev/null \
+      | grep -q 'deadlock(A ‖ B): .*20000-composite cap'; then
+    echo "FAIL closure overflow ($args): error does not name the query and the cap" >&2
+    fails=$((fails + 1))
+  fi
+done
 
 # Single-query --json emits the same per-result document shape.
 "$BIN" refine "$SPECS/paper.oun" Read Read2 --json >"$tmp/single.json" 2>/dev/null

@@ -1,16 +1,20 @@
-(* posl.watch: the spec→query dependency map (footprints, invalidation,
-   corpus diffing), the incremental watcher over the fleet corpus
-   (counters, flips, parse-error resilience), and the refinement-
-   session journal (restart replay, torn tail, convergence signal).
-   Plus the dep-set soundness property: an edit to a spec outside a
-   query's footprint never moves that query's base digest. *)
+(* posl.watch: the incremental watcher over the fleet corpus (counters,
+   flips, parse-error resilience, census and manifest-only edits,
+   duplicate spec names), the refinement-session journal (restart
+   replay, torn tail, convergence signal), and the proof obligation of
+   reuse.  A round re-runs a query iff its dependency token moved, so
+   two things are checked: as a property, a query's base digest moves
+   exactly when its token does; end to end, the watcher's standing
+   verdicts equal a cold batch over the same manifest after every
+   scripted edit.  The counters pin the reach of an edit: a GaugeR
+   edit re-runs one fleet query, a Gauge2 edit six, a comment edit
+   none (no round at all). *)
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
 module Qdigest = Posl_engine.Digest
 module Spec = Posl_core.Spec
-module Deps = Posl_watch.Deps
 module Watch = Posl_watch.Watch
 module Journal = Posl_watch.Journal
 module V = Posl_verdict.Verdict
@@ -80,7 +84,7 @@ let fleet_entries () =
   | Error e ->
       Alcotest.failf "fleet.manifest: %s" (Manifest.input_error_message e)
 
-(* --- Manifest name plumbing the dep map is built on ------------------- *)
+(* --- Manifest name plumbing the dependency token is built on ---------- *)
 
 let test_composition_parts () =
   Alcotest.(check (list string))
@@ -103,82 +107,16 @@ let test_resolve_name () =
   check_bool "unknown name is an error" true
     (Result.is_error (Manifest.resolve_name specs ~file:"fleet.oun" "Nope"))
 
-let test_footprints () =
-  let entries = fleet_entries () in
-  let deps = Deps.of_entries entries in
-  check_int "one footprint per query" (List.length entries) (Deps.size deps);
-  (* Entry 0 is [refine Gauge2||Log Gauge||Log]: the file plus the
-     three distinct component names. *)
-  let fp = Deps.inputs deps 0 in
-  let e0 = List.nth entries 0 in
-  let file = e0.Manifest.file in
-  check_int "file + 3 distinct names" 4 (List.length fp);
-  List.iter
-    (fun i -> check_bool (Format.asprintf "%a" Deps.pp_input i) true
-        (List.exists (Deps.equal_input i) fp))
-    [
-      Deps.In_file file;
-      Deps.In_spec { file; name = "Gauge" };
-      Deps.In_spec { file; name = "Gauge2" };
-      Deps.In_spec { file; name = "Log" };
-    ]
-
-(* --- corpus diff + invalidation over the real fleet ------------------- *)
-
-let invalidated_by_edit ~needle ~by =
-  let original = read_file (spec_file "fleet.oun") in
-  let old_specs, old_universe = parse_specs original in
-  let specs, universe = parse_specs (replace ~needle ~by original) in
-  let entries = fleet_entries () in
-  let file = (List.nth entries 0).Manifest.file in
-  let changed =
-    Deps.corpus_changes ~file ~old_specs ~old_universe ~specs ~universe
-  in
-  (changed, Deps.invalidate (Deps.of_entries entries) ~changed)
-
-let test_corpus_changes_gauger () =
-  let changed, hit =
-    invalidated_by_edit ~needle:gauger_line ~by:gauger_doubled
-  in
-  check_int "one changed input" 1 (List.length changed);
-  check_bool "the changed input is GaugeR" true
-    (match changed with
-    | [ Deps.In_spec { name = "GaugeR"; _ } ] -> true
-    | _ -> false);
-  (* GaugeR appears in exactly one fleet query. *)
-  check_int "one invalidated query" 1 (List.length hit)
-
-let test_corpus_changes_gauge2 () =
-  let changed, hit =
-    invalidated_by_edit ~needle:gauge2_line ~by:gauge2_edited
-  in
-  check_bool "the changed input is Gauge2" true
-    (match changed with
-    | [ Deps.In_spec { name = "Gauge2"; _ } ] -> true
-    | _ -> false);
-  (* Gauge2 appears in six of the ten fleet queries. *)
-  check_int "six invalidated queries" 6 (List.length hit)
-
-let test_corpus_changes_neutral () =
-  let original = read_file (spec_file "fleet.oun") in
-  let old_specs, old_universe = parse_specs original in
-  let specs, universe = parse_specs (original ^ "\n// digest-neutral\n") in
-  let changed =
-    Deps.corpus_changes ~file:"fleet.oun" ~old_specs ~old_universe ~specs
-      ~universe
-  in
-  check_int "comment edit changes nothing" 0 (List.length changed)
-
-(* The soundness direction of the dep map, as a property: under a
-   universe-preserving edit to GaugeR's body, every query whose
-   footprint does NOT mention GaugeR keeps its exact base digest (the
-   reused verdicts are answers to the same question), and the edited
-   query's digest moves. *)
-let test_depset_property =
+(* The token invariant, as a property: over universe-preserving edits
+   to GaugeR's body, a fleet query's base digest moves exactly when its
+   dependency token does — the file's universe digest or the [spec_key]
+   of some composition part it names.  This is what lets a watch round
+   answer an unmoved token from the standing verdict. *)
+let test_token_property =
   let gen = QCheck2.Gen.int_range 2 5 in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:4 ~name:"untouched footprint, unmoved digest"
-       gen (fun k ->
+    (QCheck2.Test.make ~count:4 ~name:"unmoved token, unmoved digest" gen
+       (fun k ->
          let original = read_file (spec_file "fleet.oun") in
          let sample = "<x,g,SAMPLE(_)>" in
          let by =
@@ -188,35 +126,57 @@ let test_depset_property =
          let edited = replace ~needle:gauger_line ~by original in
          let old_corpus = parse_specs original in
          let new_corpus = parse_specs edited in
-         if
-           not
-             (String.equal
-                (Job.universe_digest (snd old_corpus))
-                (Job.universe_digest (snd new_corpus)))
-         then QCheck2.Test.fail_report "edit was not universe-preserving";
-         let entries = fleet_entries () in
-         let deps = Deps.of_entries entries in
+         let token (specs, universe) (e : Manifest.entry) =
+           let key name =
+             match List.find_opt (fun s -> Spec.name s = name) specs with
+             | Some s -> Qdigest.spec_key ~universe s
+             | None -> Alcotest.failf "no spec %s" name
+           in
+           Some (Job.universe_digest universe)
+           :: List.map key
+                (List.concat_map Manifest.composition_parts e.Manifest.names)
+         in
          let base corpus e =
-           match
-             Manifest.request_of_entry ~load:(fun _ -> Ok corpus) e
-           with
+           match Manifest.request_of_entry ~load:(fun _ -> Ok corpus) e with
            | Ok (r : Engine.request) ->
                Qdigest.query_base ~universe:r.Engine.universe r.Engine.query
            | Error e ->
                Alcotest.failf "elaborate: %s" (Manifest.input_error_message e)
          in
-         List.for_all
-           (fun (i, e) ->
-             let touched =
-               List.exists
-                 (function
-                   | Deps.In_spec { name = "GaugeR"; _ } -> true
-                   | Deps.In_spec _ | Deps.In_file _ -> false)
-                 (Deps.inputs deps i)
-             in
-             let same = base old_corpus e = base new_corpus e in
-             if touched then not same else same)
-           (List.mapi (fun i e -> (i, e)) entries)))
+         let entries = fleet_entries () in
+         let moved e = token old_corpus e <> token new_corpus e in
+         List.exists moved entries
+         && List.for_all
+              (fun e ->
+                moved e = (base old_corpus e <> base new_corpus e))
+              entries))
+
+(* Watch ≡ cold batch: every standing verdict equals, label by label
+   and modulo provenance, what a fresh batch over the same manifest
+   answers.  This is what makes "reused" sound. *)
+let check_agrees_with_batch name manifest w =
+  match
+    Manifest.requests_of_file_typed ~default_depth:6 ~extra_objects:2 manifest
+  with
+  | Error e -> Alcotest.failf "%s: %s" name (Manifest.input_error_message e)
+  | Ok rs ->
+      let cold =
+        List.map
+          (fun (r : Engine.result) ->
+            (r.Engine.request.Engine.label, r.Engine.verdict))
+          (fst (Engine.run_batch ~domains:1 rs))
+      in
+      let standing = Watch.verdicts w in
+      check_int (name ^ ": one standing verdict per query") (List.length cold)
+        (List.length standing);
+      List.iter2
+        (fun (la, va) (lb, vb) ->
+          Alcotest.(check string) (name ^ ": label") lb la;
+          check_bool
+            (Printf.sprintf "%s: %s agrees with a cold batch" name la)
+            true
+            (V.equal_modulo_provenance va vb))
+        standing cold
 
 (* --- the watcher over a live corpus ----------------------------------- *)
 
@@ -331,10 +291,145 @@ let test_watch_count_classes () =
       | fs -> Alcotest.failf "expected one flip, got %d" (List.length fs));
       check_int "one failing" 1 r2.Watch.failing
 
+(* Two specs named S: name resolution picks the first, so editing the
+   first S must flip [refine S Bound] — the second S is invisible. *)
+let test_watch_duplicate_names () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "dup.manifest" in
+  let spec = Filename.concat dir "s.oun" in
+  let spec_text name traces =
+    Printf.sprintf
+      "spec %s {\n\
+      \  objects o;\n\
+      \  sort Env = all except { o };\n\
+      \  alphabet call Env -> o : OW, CW;\n\
+      \  traces %s;\n\
+       }\n"
+      name traces
+  in
+  let bounded = "count #OW - #CW <= 1 and #OW - #CW >= 0" in
+  let source first =
+    spec_text "Bound" bounded ^ spec_text "S" first ^ spec_text "S" "all"
+  in
+  write_file spec (source bounded);
+  write_file manifest "use s.oun\nrefine S Bound\n";
+  let w = Watch.create manifest in
+  let r1 = poll_round w in
+  check_int "the first S refines Bound" 0 r1.Watch.failing;
+  write_file spec (source "all");
+  let r2 = poll_round w in
+  check_int "one invalidated" 1 r2.Watch.invalidated;
+  (match r2.Watch.flips with
+  | [ f ] -> check_bool "now refuted" false (V.to_bool f.Watch.verdict)
+  | fs -> Alcotest.failf "expected one flip, got %d" (List.length fs));
+  check_int "one failing" 1 r2.Watch.failing;
+  check_agrees_with_batch "edit the first S" manifest w
+
+let gauger_spec =
+  "spec GaugeR {\n\
+  \  objects g;\n\
+  \  sort Env = all except { g, l, k };\n\
+  \  alphabet call Env -> g : SAMPLE(data);\n\
+  \  " ^ gauger_line ^ "\n}\n"
+
+(* A spec that no query names moves its file's generation but no
+   query's token: the round re-runs nothing. *)
+let test_watch_add_spec () =
+  let manifest, spec = fleet_copy () in
+  let original = read_file spec in
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  let gauge3 =
+    "\nspec Gauge3 {\n\
+    \  objects g;\n\
+    \  sort Env = all except { g, l, k };\n\
+    \  alphabet call Env -> g : SAMPLE(data);\n\
+    \  traces all;\n\
+     }\n"
+  in
+  write_file spec (original ^ gauge3);
+  let r = poll_round w in
+  check_int "nothing invalidated" 0 r.Watch.invalidated;
+  check_int "everything reused" 10 r.Watch.reused;
+  check_agrees_with_batch "add Gauge3" manifest w
+
+(* Deleting GaugeR errors its one query and leaves the other nine
+   standing; restoring it re-runs that query alone. *)
+let test_watch_delete_restore_spec () =
+  let manifest, spec = fleet_copy () in
+  let original = read_file spec in
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  write_file spec (replace ~needle:gauger_spec ~by:"" original);
+  let r2 = poll_round w in
+  check_int "nothing invalidated" 0 r2.Watch.invalidated;
+  check_int "nine reused" 9 r2.Watch.reused;
+  check_int "GaugeR's query errored" 1 r2.Watch.errored;
+  write_file spec original;
+  let r3 = poll_round w in
+  check_int "restore re-runs one" 1 r3.Watch.invalidated;
+  check_int "restore reuses nine" 9 r3.Watch.reused;
+  check_int "restore errors none" 0 r3.Watch.errored;
+  check_agrees_with_batch "restore GaugeR" manifest w
+
+(* Manifest edits over an already-watched file: an added query runs
+   alone, a reorder re-runs nothing, a comment runs no round. *)
+let test_watch_manifest_edits () =
+  let manifest, _spec = fleet_copy () in
+  let manifest_text qs = String.concat "\n" ("use fleet.oun" :: qs) ^ "\n" in
+  let q1 = "refine Gauge2||Log Gauge||Log"
+  and q2 = "equal GaugeR||Log Gauge||Log"
+  and q3 = "refine Gauge GaugeR" in
+  write_file manifest (manifest_text [ q1; q2 ]);
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  write_file manifest (manifest_text [ q1; q2; q3 ]);
+  let r2 = poll_round w in
+  check_int "the added query runs" 1 r2.Watch.invalidated;
+  check_int "the others stand" 2 r2.Watch.reused;
+  check_agrees_with_batch "add a query" manifest w;
+  write_file manifest (manifest_text [ q3; q1; q2 ]);
+  let r3 = poll_round w in
+  check_int "reorder runs nothing" 0 r3.Watch.invalidated;
+  check_int "reorder reuses all" 3 r3.Watch.reused;
+  check_agrees_with_batch "reorder" manifest w;
+  write_file manifest (manifest_text [ q3; q1; q2; "# a comment" ]);
+  check_bool "comment edit: no round" true (Watch.poll w = None)
+
+(* A round cut short by a closure overflow stores none of the slots it
+   rebuilt, so the edit it was answering is not lost: once the
+   overflowing query is gone, the next round re-runs [refine S Bound]
+   and reports its flip. *)
+let test_watch_overflow () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "ovf.manifest" in
+  let spec = Filename.concat dir "s.oun" in
+  let overflow =
+    "spec A { objects a; sort Env = all except { a };\n\
+    \  alphabet call a -> Env : P, Q; traces count #P - #Q <= 100000; }\n\
+     spec B { objects b; sort Env = all except { b };\n\
+    \  alphabet call Env -> b : P; traces all; }\n"
+  in
+  write_file spec (Util.count_source ~counted:("OW", "CW") ^ overflow);
+  write_file manifest "use s.oun\nrefine S Bound\n";
+  let w = Watch.create manifest in
+  check_int "S refines Bound" 0 (poll_round w).Watch.failing;
+  write_file spec (Util.count_source ~counted:("OR", "CR") ^ overflow);
+  write_file manifest "use s.oun\nrefine S Bound\ndeadlock A B\n";
+  (match Watch.poll w with
+  | exception Job.Overflow _ -> ()
+  | _ -> Alcotest.fail "expected a closure overflow");
+  write_file manifest "use s.oun\nrefine S Bound\n";
+  let r = poll_round w in
+  check_int "the edited query re-runs" 1 r.Watch.invalidated;
+  check_int "and flips" 1 (List.length r.Watch.flips);
+  check_agrees_with_batch "after the overflow" manifest w
+
 (* A scripted session over two spec files: edit A, half-save A, fix A
-   to new content, edit B, reorder and extend the manifest (a manifest
-   edit alone runs no round), then revert B.  Every poll's counters are
-   pinned, so a change to how rounds reuse slots cannot move them. *)
+   to new content, edit B, reorder and extend the manifest, then revert
+   B.  Every poll's counters are pinned, so a change to how rounds
+   reuse slots cannot move them, and after every step with no
+   half-saved file the standing verdicts agree with a cold batch. *)
 let test_watch_script () =
   let dir = fresh_dir () in
   let manifest = Filename.concat dir "two.manifest" in
@@ -368,7 +463,7 @@ let test_watch_script () =
   write_file manifest (manifest_text fleet_queries paper_queries);
   let w = Watch.create manifest in
   (* invalidated, reused, errored, flips, failing; [None]: no round *)
-  let expect name want edit =
+  let expect ?(settled = true) name want edit =
     edit ();
     Alcotest.(check (option (list int)))
       name want
@@ -381,12 +476,13 @@ let test_watch_script () =
              List.length r.Watch.flips;
              r.Watch.failing;
            ])
-         (Watch.poll w))
+         (Watch.poll w));
+    if settled then check_agrees_with_batch name manifest w
   in
   expect "cold" (Some [ 11; 0; 0; 0; 1 ]) ignore;
   expect "edit A" (Some [ 5; 6; 0; 0; 1 ]) (fun () ->
       write_file a (replace ~needle:gauge2_line ~by:gauge2_edited fleet));
-  expect "half-save A" (Some [ 0; 11; 0; 0; 1 ]) (fun () ->
+  expect ~settled:false "half-save A" (Some [ 0; 11; 0; 0; 1 ]) (fun () ->
       write_file a (String.sub fleet 0 (String.length fleet / 2)));
   expect "fix A to new content" (Some [ 6; 5; 0; 1; 2 ]) (fun () ->
       write_file a (replace ~needle:gauger_line ~by:gauger_doubled fleet));
@@ -394,12 +490,13 @@ let test_watch_script () =
      restriction *)
   expect "edit B" (Some [ 4; 7; 0; 1; 1 ]) (fun () ->
       write_file b (replace ~needle:"  traces prs <c,_,_>*;\n" ~by:"" paper));
-  expect "reorder and add manifest lines" None (fun () ->
+  expect "reorder and add manifest lines" (Some [ 2; 11; 0; 0; 1 ]) (fun () ->
       write_file manifest
         (manifest_text
            (List.rev fleet_queries @ [ "compose Gauge||Log Clock" ])
            ("equal Read Read" :: List.rev paper_queries)));
-  expect "revert B" (Some [ 6; 7; 0; 1; 2 ]) (fun () -> write_file b paper)
+  (* the two new queries already ran a step earlier *)
+  expect "revert B" (Some [ 4; 9; 0; 1; 2 ]) (fun () -> write_file b paper)
 
 (* --- the session journal ---------------------------------------------- *)
 
@@ -489,14 +586,7 @@ let suite =
   [
     Alcotest.test_case "composition parts" `Quick test_composition_parts;
     Alcotest.test_case "resolve_name" `Quick test_resolve_name;
-    Alcotest.test_case "dep footprints" `Quick test_footprints;
-    Alcotest.test_case "corpus diff: GaugeR edit hits one query" `Quick
-      test_corpus_changes_gauger;
-    Alcotest.test_case "corpus diff: Gauge2 edit hits six queries" `Quick
-      test_corpus_changes_gauge2;
-    Alcotest.test_case "corpus diff: comment edit hits nothing" `Quick
-      test_corpus_changes_neutral;
-    test_depset_property;
+    test_token_property;
     Alcotest.test_case "watch: single-edit counters" `Quick
       test_watch_counters;
     Alcotest.test_case "watch: verdict flip and flip back" `Quick
@@ -505,6 +595,16 @@ let suite =
       `Quick test_watch_parse_error;
     Alcotest.test_case "watch: count-class edit flips its query" `Quick
       test_watch_count_classes;
+    Alcotest.test_case "watch: duplicate spec names resolve to the first"
+      `Quick test_watch_duplicate_names;
+    Alcotest.test_case "watch: adding an unnamed spec re-runs nothing" `Quick
+      test_watch_add_spec;
+    Alcotest.test_case "watch: deleting a spec errors only its query" `Quick
+      test_watch_delete_restore_spec;
+    Alcotest.test_case "watch: manifest-only edits run a round" `Quick
+      test_watch_manifest_edits;
+    Alcotest.test_case "watch: a closure overflow leaves no stale verdict"
+      `Quick test_watch_overflow;
     Alcotest.test_case "watch: scripted two-file session" `Quick
       test_watch_script;
     Alcotest.test_case "journal: restart replays history and signal" `Quick
