@@ -38,7 +38,6 @@ module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
 module Plan = Posl_engine.Plan
 module Manifest = Posl_engine.Manifest
-module Vcache = Posl_engine.Cache
 module Edigest = Posl_engine.Digest
 module Store = Posl_store.Store
 module Telemetry = Posl_telemetry.Telemetry
@@ -809,10 +808,14 @@ let p3 () =
     [ 2; 4; 8; 16 ]
 
 (* P4 — engine batch throughput: every ordered refinement pair over the
-   paper cast, scheduled across 1 and 2 domains, cold cache then warm
-   cache (the warm pass answers everything from the verdict store).
-   More domains than a 2-vCPU runner has would time its scheduler;
-   test_engine checks compile sharing at 4 domains. *)
+   paper cast, scheduled across 1 and 2 domains, cold then warm.  Each
+   pass is the best of 5: a cold repetition answers the batch on a
+   fresh session (empty verdict cache, no contexts), and the warm pass
+   re-answers it on a filled session, from the verdict cache.  A warm
+   pass is a few ms of work, so a single run would let one descheduled
+   vCPU decide the row.  More domains than a 2-vCPU runner has would
+   time its scheduler; test_engine checks compile sharing at 4
+   domains. *)
 let engine_batch ~depth =
   List.map
     (fun (g', g) ->
@@ -824,16 +827,11 @@ let p4 () =
   let batch = engine_batch ~depth:4 in
   List.concat_map
     (fun domains ->
-      (* fresh verdict cache AND fresh DFA registry per domain count:
-         the cold row shows compiles staying at the distinct-regex
-         count whatever the domain count (one striped cache shared by
-         all workers), the warm row answers from the verdict store *)
-      let cache = Vcache.create () in
-      let dfa_cache = Engine.dfa_cache () in
-      let pass label =
-        let _, (s : Engine.stats) =
-          Engine.run_batch ~domains ~cache ~dfa_cache batch
-        in
+      let pass session =
+        let _, (s : Engine.stats) = Engine.run_jobs ~domains session batch in
+        (s, s.wall_ms)
+      in
+      let row label (s : Engine.stats) =
         [
           ("domains", I domains);
           ("cache", S label);
@@ -846,8 +844,17 @@ let p4 () =
           ("utilization", F s.utilization);
         ]
       in
-      let cold = pass "cold" in
-      [ cold; pass "warm" ])
+      (* the cold row shows compiles staying at the distinct-regex
+         count whatever the domain count (one context shared by all
+         workers) *)
+      let (filled, cold), _ =
+        best_of (fun () ->
+            let session = Engine.session () in
+            let s, ms = pass session in
+            ((session, s), ms))
+      in
+      let warm, _ = best_of (fun () -> pass filled) in
+      [ row "cold" cold; row "warm" warm ])
     [ 1; 2 ]
 
 (* P5 — the persistent verdict store across process lifetimes: the same
@@ -865,10 +872,8 @@ let p5 () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "posl-bench-store-%d" (Unix.getpid ()))
   in
-  let pass label ~cache store =
-    let _, (s : Engine.stats) =
-      Engine.run_batch ~domains:1 ~cache ~store batch
-    in
+  let pass label session =
+    let _, (s : Engine.stats) = Engine.run_jobs ~domains:1 session batch in
     [
       ("pass", S label);
       ("jobs", I s.jobs);
@@ -879,14 +884,14 @@ let p5 () =
       ("store_writes", I s.store_writes);
     ]
   in
-  let cache = Vcache.create () in
   let s = Store.open_ dir in
-  let cold = pass "cold" ~cache s in
-  let warm = pass "warm in-process" ~cache s in
+  let session = Engine.session ~store:s () in
+  let cold = pass "cold" session in
+  let warm = pass "warm in-process" session in
   Store.close s;
-  (* a new process: new store handle, cold in-memory verdict cache *)
+  (* a new process: new store handle, fresh session *)
   let s = Store.open_ dir in
-  let across = pass "warm across-process" ~cache:(Vcache.create ()) s in
+  let across = pass "warm across-process" (Engine.session ~store:s ()) in
   Store.close s;
   (try
      Sys.remove (Store.log_path dir);
@@ -902,8 +907,7 @@ let p5 () =
    broken down by subsystem instead of summed. *)
 let p6 () =
   let batch = engine_batch ~depth:4 in
-  span_totals (fun () ->
-      Engine.run_batch ~domains:1 ~cache:(Vcache.create ()) batch)
+  span_totals (fun () -> Engine.run_batch ~domains:1 batch)
   |> List.map (fun (name, c, tot) ->
          let total_ms = float_of_int tot /. 1e6 in
          [
@@ -921,8 +925,8 @@ let p6 () =
    generator sweeps the client count at repeat ratio 0.5 — half the
    stream resubmits uniformly random earlier queries, which is exactly
    the traffic the warm caches exist for.  The baseline row answers
-   the same stream cold: one fresh engine (empty verdict cache, empty
-   DFA registry) per query, serially — the cost a per-invocation CLI
+   the same stream cold: one fresh session (empty verdict cache, no
+   contexts) per query, serially — the cost a per-invocation CLI
    pays for every question.  Rows report p50 and p90 only: a row has at
    most 112 samples, so a p99 would rest on a single one. *)
 let p7 () =
@@ -966,16 +970,11 @@ let p7 () =
       let lats =
         List.map
           (fun (g', g) ->
-            let cache = Vcache.create () in
-            let dfa_cache = Engine.dfa_cache () in
             let req =
               Engine.request ~depth:p7_depth ~universe:u7
                 (Job.Refine { refined = g'; abstract = g })
             in
-            snd
-              (wall (fun () ->
-                   ignore
-                     (Engine.run_batch ~domains:1 ~cache ~dfa_cache [ req ]))))
+            snd (wall (fun () -> ignore (Engine.run_batch ~domains:1 [ req ]))))
           pairs
       in
       let sorted = Array.of_list lats in
@@ -1252,15 +1251,12 @@ let p9 () =
   in
   let (off_vs, (off_stats : Engine.stats)), off_ms = run_route Plan.Off in
   let (auto_vs, (auto_stats : Engine.stats)), auto_ms = run_route Plan.Auto in
-  (* Warm pass: same batch against the caches the cold planner pass
-     populated — every composite (and every premise) is a hit. *)
-  let cache = Vcache.create () in
-  let dfa_cache = Engine.dfa_cache () in
+  (* Warm pass: same batch on a session one planner pass filled —
+     every composite (and every premise) is a hit. *)
+  let session = Engine.session () in
   let warm () =
     wall (fun () ->
-        snd
-          (Engine.run_batch ~domains:1 ~plan:Plan.Auto ~cache ~dfa_cache
-             requests))
+        snd (Engine.run_jobs ~domains:1 ~plan:Plan.Auto session requests))
   in
   ignore (warm ());
   let warm_stats, warm_ms = best_of ~reps:3 warm in
@@ -1568,7 +1564,7 @@ let campaigns =
       "automata pipeline scaling (Write spec, growing universe)" p2;
     c ~snapshot:false "P3" "symbolic event-set algebra scaling" p3;
     c "P4"
-      "engine batch throughput (shared DFA cache, cold vs warm, domains 1-2)"
+      "engine batch throughput (best of 5, cold vs warm, domains 1-2)"
       p4;
     c "P5"
       "persistent verdict store (cold vs warm-in-process vs warm-across-process)"
@@ -1687,9 +1683,9 @@ let bechamel_tests () =
     Test.make ~name:"P4/engine/warm-batch"
       (stage
          (let batch = engine_batch ~depth:3 in
-          let cache = Vcache.create () in
-          let _ = Engine.run_batch ~domains:1 ~cache batch in
-          fun () -> Engine.run_batch ~domains:1 ~cache batch));
+          let session = Engine.session () in
+          let _ = Engine.run_jobs ~domains:1 session batch in
+          fun () -> Engine.run_jobs ~domains:1 session batch));
   ]
 
 let run_bechamel () =

@@ -1,5 +1,5 @@
-(* Per-batch engine statistics as a delta view over the process-wide
-   [Posl_telemetry.Metrics] registry.
+(* Engine traffic counters as cells of the process-wide
+   [Posl_telemetry.Metrics] registry, plus delta views over them.
 
    Every increment lands in a global cumulative counter (exposed via
    [posl-check metrics] / [--metrics]); a [Counters.t] merely remembers
@@ -10,135 +10,83 @@
 
 module Metrics = Posl_telemetry.Metrics
 
-let jobs_c =
+let jobs =
   Metrics.counter ~help:"Jobs answered by Engine.run_batch (cached or computed)"
     "posl_engine_jobs_total"
 
-let hits_c =
+let hits =
   Metrics.counter ~help:"Verdicts served from the in-memory cache"
     "posl_engine_cache_hits_total"
 
-let misses_c =
+let misses =
   Metrics.counter ~help:"Verdicts computed and inserted into the cache"
     "posl_engine_cache_misses_total"
 
-let uncacheable_c =
+let uncacheable =
   Metrics.counter ~help:"Jobs with no content address (opaque tsets)"
     "posl_engine_uncacheable_total"
 
-let store_hits_c =
+let store_hits =
   Metrics.counter ~help:"Verdicts served from the persistent store"
     "posl_engine_store_hits_total"
 
-let store_misses_c =
+let store_misses =
   Metrics.counter ~help:"Persistent-store lookups that had to compute"
     "posl_engine_store_misses_total"
 
-let store_writes_c =
+let store_writes =
   Metrics.counter ~help:"Records appended to the persistent store"
     "posl_engine_store_writes_total"
 
-let derived_hits_c =
+let derived_hits =
   Metrics.counter
     ~help:"Composite verdicts derived from component verdicts by the planner"
     "posl_engine_derived_hits_total"
 
-let plan_fallbacks_c =
+let plan_fallbacks =
   Metrics.counter
     ~help:
       "Composite queries the planner declined (side condition failed or \
        premise not exact), answered by direct checking"
     "posl_engine_plan_fallbacks_total"
 
-let busy_ns_c =
+let busy_ns =
   Metrics.counter ~help:"Summed per-job wall time, nanoseconds"
     "posl_engine_busy_ns_total"
 
-let dfa_hits_c =
-  Metrics.counter ~help:"Compiled automata served from the shared DFA cache"
+(* The DFA and interning counters are bumped in posl.tset, the
+   antichain ones in posl.bmc; [Metrics.counter] is get-or-create by
+   name, so declaring them here only obtains handles on the same
+   registry cells. *)
+let dfa_hits =
+  Metrics.counter ~help:"Compiled automata served from a context's DFA cache"
     "posl_engine_dfa_cache_hits_total"
 
-let dfa_compiles_c =
+let dfa_compiles =
   Metrics.counter ~help:"PRS expressions compiled to DFAs"
     "posl_engine_dfa_compiles_total"
 
-let dfa_contended_c =
-  Metrics.counter ~help:"Contended stripe-lock acquisitions in the DFA cache"
-    "posl_engine_dfa_contended_total"
-
-(* The antichain and interning counters live in posl.bmc / posl.tset;
-   [Metrics.counter] is get-or-create by name, so redeclaring them here
-   only obtains handles on the same registry cells. *)
-let antichain_pairs_c =
+let antichain_pairs =
   Metrics.counter ~help:"Product pairs admitted by antichain inclusion checks"
     "posl_bmc_antichain_pairs_total"
 
-let antichain_prunes_c =
+let antichain_prunes =
   Metrics.counter
     ~help:"Candidate pairs subsumed by the antichain (never explored)"
     "posl_bmc_antichain_prunes_total"
 
-let interned_states_c =
+let interned_states =
   Metrics.counter ~help:"Distinct monitor states interned per context"
     "posl_tset_interned_states_total"
 
-type totals = {
-  t_jobs : int;
-  t_hits : int;
-  t_misses : int;
-  t_uncacheable : int;
-  t_store_hits : int;
-  t_store_misses : int;
-  t_store_writes : int;
-  t_derived_hits : int;
-  t_plan_fallbacks : int;
-  t_busy_ns : int;
-  t_dfa_hits : int;
-  t_dfa_compiles : int;
-  t_dfa_contended : int;
-  t_antichain_pairs : int;
-  t_antichain_prunes : int;
-  t_interned_states : int;
-}
+type t = (Metrics.counter * int) list
 
-let read_totals () =
-  {
-    t_jobs = Metrics.value jobs_c;
-    t_hits = Metrics.value hits_c;
-    t_misses = Metrics.value misses_c;
-    t_uncacheable = Metrics.value uncacheable_c;
-    t_store_hits = Metrics.value store_hits_c;
-    t_store_misses = Metrics.value store_misses_c;
-    t_store_writes = Metrics.value store_writes_c;
-    t_derived_hits = Metrics.value derived_hits_c;
-    t_plan_fallbacks = Metrics.value plan_fallbacks_c;
-    t_busy_ns = Metrics.value busy_ns_c;
-    t_dfa_hits = Metrics.value dfa_hits_c;
-    t_dfa_compiles = Metrics.value dfa_compiles_c;
-    t_dfa_contended = Metrics.value dfa_contended_c;
-    t_antichain_pairs = Metrics.value antichain_pairs_c;
-    t_antichain_prunes = Metrics.value antichain_prunes_c;
-    t_interned_states = Metrics.value interned_states_c;
-  }
-
-type t = { base : totals }
-
-let create () = { base = read_totals () }
-let incr_jobs (_ : t) = Metrics.incr jobs_c
-let incr_hits (_ : t) = Metrics.incr hits_c
-let incr_misses (_ : t) = Metrics.incr misses_c
-let incr_uncacheable (_ : t) = Metrics.incr uncacheable_c
-let incr_store_hits (_ : t) = Metrics.incr store_hits_c
-let incr_store_misses (_ : t) = Metrics.incr store_misses_c
-let incr_store_writes (_ : t) = Metrics.incr store_writes_c
-let incr_derived_hits (_ : t) = Metrics.incr derived_hits_c
-let incr_plan_fallbacks (_ : t) = Metrics.incr plan_fallbacks_c
-let add_busy_ns (_ : t) ns = Metrics.add busy_ns_c ns
-
-let add_dfa (_ : t) ~hits ~compiles ~contended =
-  Metrics.add dfa_hits_c hits;
-  Metrics.add dfa_compiles_c compiles;
-  Metrics.add dfa_contended_c contended
+let create () : t =
+  List.map
+    (fun c -> (c, Metrics.value c))
+    [ jobs; hits; misses; uncacheable; store_hits; store_misses;
+      store_writes; derived_hits; plan_fallbacks; busy_ns; dfa_hits;
+      dfa_compiles; antichain_pairs; antichain_prunes; interned_states ]
 
 type snapshot = {
   jobs : int;
@@ -153,41 +101,27 @@ type snapshot = {
   busy_ms : float;
   dfa_hits : int;
   dfa_compiles : int;
-  dfa_contended : int;
   antichain_pairs : int;
   antichain_prunes : int;
   interned_states : int;
 }
 
-let snapshot (c : t) : snapshot =
-  let now = read_totals () in
-  let b = c.base in
+let snapshot (base : t) : snapshot =
+  let d c = Metrics.value c - List.assq c base in
   {
-    jobs = now.t_jobs - b.t_jobs;
-    hits = now.t_hits - b.t_hits;
-    misses = now.t_misses - b.t_misses;
-    uncacheable = now.t_uncacheable - b.t_uncacheable;
-    store_hits = now.t_store_hits - b.t_store_hits;
-    store_misses = now.t_store_misses - b.t_store_misses;
-    store_writes = now.t_store_writes - b.t_store_writes;
-    derived_hits = now.t_derived_hits - b.t_derived_hits;
-    plan_fallbacks = now.t_plan_fallbacks - b.t_plan_fallbacks;
-    busy_ms = float_of_int (now.t_busy_ns - b.t_busy_ns) /. 1e6;
-    dfa_hits = now.t_dfa_hits - b.t_dfa_hits;
-    dfa_compiles = now.t_dfa_compiles - b.t_dfa_compiles;
-    dfa_contended = now.t_dfa_contended - b.t_dfa_contended;
-    antichain_pairs = now.t_antichain_pairs - b.t_antichain_pairs;
-    antichain_prunes = now.t_antichain_prunes - b.t_antichain_prunes;
-    interned_states = now.t_interned_states - b.t_interned_states;
+    jobs = d jobs;
+    hits = d hits;
+    misses = d misses;
+    uncacheable = d uncacheable;
+    store_hits = d store_hits;
+    store_misses = d store_misses;
+    store_writes = d store_writes;
+    derived_hits = d derived_hits;
+    plan_fallbacks = d plan_fallbacks;
+    busy_ms = float_of_int (d busy_ns) /. 1e6;
+    dfa_hits = d dfa_hits;
+    dfa_compiles = d dfa_compiles;
+    antichain_pairs = d antichain_pairs;
+    antichain_prunes = d antichain_prunes;
+    interned_states = d interned_states;
   }
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf
-    "jobs=%d hits=%d misses=%d uncacheable=%d store_hits=%d store_misses=%d \
-     store_writes=%d derived_hits=%d plan_fallbacks=%d busy=%.1fms \
-     dfa_hits=%d dfa_compiles=%d dfa_contended=%d antichain_pairs=%d \
-     antichain_prunes=%d interned_states=%d"
-    s.jobs s.hits s.misses s.uncacheable s.store_hits s.store_misses
-    s.store_writes s.derived_hits s.plan_fallbacks s.busy_ms s.dfa_hits
-    s.dfa_compiles s.dfa_contended s.antichain_pairs s.antichain_prunes
-    s.interned_states

@@ -1,58 +1,43 @@
-(** Per-batch engine statistics.
+(** Engine traffic counters: cells of the process-wide
+    {!Posl_telemetry.Metrics} registry, and per-caller delta views over
+    them.
 
-    Since the telemetry PR these are a {e delta view} over the
-    process-wide {!Posl_telemetry.Metrics} registry: every [incr_*]
-    bumps a global cumulative counter (named [posl_engine_*_total],
-    exposed by [posl-check metrics] and [--metrics FILE]), and
-    {!snapshot} subtracts the values captured by {!create}, so a batch
-    reports exactly its own traffic while the registry accumulates
-    process totals.  All increments are atomic and may come from any
-    worker domain; snapshots are taken after the parallel join, so they
-    are exact for non-overlapping batches. *)
+    The engine bumps the cells below directly (each is a cumulative
+    [posl_engine_*_total] counter, exposed by [posl-check metrics] and
+    [--metrics FILE]).  The DFA and exploration counters are bumped
+    where that work happens, in [posl.tset] and [posl.bmc].  A {!t}
+    remembers the registry values at {!create}, and {!snapshot}
+    subtracts them, so a batch (or a server's lifetime) reports exactly
+    its own traffic while the registry accumulates process totals.  All
+    increments are atomic and may come from any worker domain;
+    snapshots are taken after the parallel join, so they are exact for
+    non-overlapping batches. *)
+
+module Metrics = Posl_telemetry.Metrics
+
+(** {1 Cells the engine bumps}
+
+    One per {!snapshot} field of the same name ([busy_ns] counts the
+    nanoseconds behind [busy_ms]). *)
+
+val jobs : Metrics.counter
+val hits : Metrics.counter
+val misses : Metrics.counter
+val uncacheable : Metrics.counter
+val store_hits : Metrics.counter
+val store_misses : Metrics.counter
+val store_writes : Metrics.counter
+val derived_hits : Metrics.counter
+val plan_fallbacks : Metrics.counter
+val busy_ns : Metrics.counter
+
+(** {1 Delta views} *)
 
 type t
 
 val create : unit -> t
-(** Capture the current registry totals as the baseline this [t]'s
+(** Capture the current registry values as the baseline this [t]'s
     {!snapshot} subtracts. *)
-
-val incr_jobs : t -> unit
-val incr_hits : t -> unit
-val incr_misses : t -> unit
-val incr_uncacheable : t -> unit
-
-val incr_store_hits : t -> unit
-(** A verdict was answered from the persistent on-disk store
-    ({!Posl_store.Store}) rather than computed (PR 4). *)
-
-val incr_store_misses : t -> unit
-(** A persistent-store lookup found no usable record, so the verdict
-    was computed (and, if cacheable, written behind). *)
-
-val incr_store_writes : t -> unit
-(** A record was appended to the persistent store. *)
-
-val incr_derived_hits : t -> unit
-(** A composite verdict was derived from component verdicts by the
-    planner ({!Plan}) instead of being computed directly. *)
-
-val incr_plan_fallbacks : t -> unit
-(** The planner recognised a composite query but declined it — a
-    theorem side condition failed or a premise verdict was not exact —
-    and the engine computed it directly. *)
-
-val add_busy_ns : t -> int -> unit
-(** Accumulate one job's wall time in nanoseconds.  Summed across
-    workers this measures total useful work; [busy_ms] divided by
-    (elapsed wall time × domains) gives worker utilization, which is
-    how {!Posl_engine.Engine.pp_stats} reports it. *)
-
-val add_dfa : t -> hits:int -> compiles:int -> contended:int -> unit
-(** Accumulate the traffic one batch generated against the shared
-    compiled-automata (DFA) cache (PR 2) — the
-    {!Posl_tset.Prs_cache.stats} delta measured around the batch:
-    cache hits, fresh compilations, and contended stripe-lock
-    acquisitions. *)
 
 type snapshot = {
   jobs : int;  (** jobs answered, cached or computed *)
@@ -63,13 +48,15 @@ type snapshot = {
   store_misses : int;  (** store lookups that had to compute *)
   store_writes : int;  (** records appended to the persistent store *)
   derived_hits : int;
-      (** composite verdicts derived from component verdicts *)
+      (** composite verdicts the planner ({!Plan}) derived from
+          component verdicts *)
   plan_fallbacks : int;
       (** composite queries the planner declined (answered directly) *)
-  busy_ms : float;  (** summed per-job wall time *)
-  dfa_hits : int;  (** compiled automata served from the shared cache *)
+  busy_ms : float;
+      (** summed per-job wall time; divided by (wall time × domains) it
+          gives worker utilization *)
+  dfa_hits : int;  (** compiled automata served from a context's cache *)
   dfa_compiles : int;  (** prs-expressions compiled to DFAs *)
-  dfa_contended : int;  (** contended stripe-lock acquisitions *)
   antichain_pairs : int;
       (** product pairs admitted by antichain inclusion checks *)
   antichain_prunes : int;
@@ -78,6 +65,4 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** Registry totals now, minus the totals at {!create} time. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
+(** Registry values now, minus the values at {!create} time. *)

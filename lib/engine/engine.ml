@@ -9,10 +9,11 @@
     - {e Shared monitor contexts.}  [Tset.ctx] is abstract and its
       compiled-automata memo is a lock-striped {!Posl_tset.Prs_cache},
       so one context per universe is shared by {e all} worker domains:
-      each prs-expression is compiled once per batch instead of once
-      per domain.  Compiled automata are universe-relative, so a
-      {!dfa_cache} keys striped caches by (structural) universe and can
-      be threaded across batches to keep automata warm.
+      each prs-expression is compiled once per session instead of once
+      per domain.  A context owns its automata (they are
+      universe-relative), so the session's context table, keyed by
+      structural universe, is its only per-universe registry; a caller
+      that keeps automata warm across batches keeps the session.
     - {e Shared verdict cache.}  The {!Cache} is mutex-protected and
       holds pure data; hits return the stored verdict without touching
       any monitor. *)
@@ -124,95 +125,68 @@ let pp_stats ppf s =
          s.antichain_prunes s.interned_states
          (if s.interned_states = 1 then "" else "s"))
 
-(* The shared DFA-cache registry.  Compiled prs-automata are relative
-   to a universe sample (binder expansion and event sampling), so one
-   striped cache per distinct universe; universes are pure structural
-   data, so structural equality is the sound key.  The registry itself
-   is tiny (one entry per spec corpus) and mutex-guarded. *)
-type dfa_cache = {
-  dc_lock : Mutex.t;
-  mutable dc_caches : (Universe.t * Tset.prs_cache) list;
-  dc_stripes : int;
-}
-
-let dfa_cache ?(stripes = 16) () =
-  { dc_lock = Mutex.create (); dc_caches = []; dc_stripes = stripes }
-
-let dfa_cache_for dc universe =
-  Mutex.lock dc.dc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock dc.dc_lock)
-    (fun () ->
-      match List.find_opt (fun (u, _) -> u = universe) dc.dc_caches with
-      | Some (_, cache) -> cache
-      | None ->
-          let cache = Prs_cache.create ~stripes:dc.dc_stripes () in
-          dc.dc_caches <- (universe, cache) :: dc.dc_caches;
-          cache)
-
-let dfa_cache_stats dc =
-  Mutex.lock dc.dc_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock dc.dc_lock)
-    (fun () ->
-      List.fold_left
-        (fun (acc : Prs_cache.stats) (_, cache) ->
-          let s = Prs_cache.stats cache in
-          {
-            Prs_cache.hits = acc.Prs_cache.hits + s.Prs_cache.hits;
-            misses = acc.Prs_cache.misses + s.Prs_cache.misses;
-            duplicates = acc.Prs_cache.duplicates + s.Prs_cache.duplicates;
-            contended = acc.Prs_cache.contended + s.Prs_cache.contended;
-          })
-        { Prs_cache.hits = 0; misses = 0; duplicates = 0; contended = 0 }
-        dc.dc_caches)
-
 (* Monotonic per-job clock: immune to wall-clock adjustments, and the
    same time base the span layer uses. *)
 let now_ns = Telemetry.now_ns
 
 (* A session is the warm state a resident caller (the verification
-   service, or run_batch for its own lifetime) threads across any
-   number of answered requests: the in-memory verdict cache, the
-   compiled-automata registry, the optional persistent store, and one
-   shared monitor context per distinct universe.  Contexts are keyed
-   structurally — two submissions that describe the same universe
-   (e.g. the same spec text sent twice over a socket) share monitors
-   even though the values are not physically equal. *)
+   service, the watcher, or run_batch for its own lifetime) threads
+   across any number of answered requests: the in-memory verdict cache,
+   the optional persistent store, and one shared monitor context per
+   distinct universe — the only per-universe registry, since each
+   context owns its compiled automata.  Contexts are keyed structurally:
+   two submissions that describe the same universe (e.g. the same spec
+   text sent twice over a socket) share monitors even though the values
+   are not physically equal. *)
 type session = {
   s_cache : Cache.t;
-  s_dc : dfa_cache;
   s_store : Store.t option;
   s_lock : Mutex.t;
   mutable s_ctxs : (Universe.t * Tset.ctx) list;
 }
 
-let session ?cache ?dfa_cache:dc ?store () =
+let session ?store () =
   {
-    s_cache = (match cache with Some c -> c | None -> Cache.create ());
-    s_dc = (match dc with Some d -> d | None -> dfa_cache ());
+    s_cache = Cache.create ();
     s_store = store;
     s_lock = Mutex.create ();
     s_ctxs = [];
   }
 
 let session_cache s = s.s_cache
-let session_dfa_cache s = s.s_dc
 let session_store s = s.s_store
 
-let session_ctx s universe =
+let with_lock s f =
   Mutex.lock s.s_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock s.s_lock)
-    (fun () ->
-      match List.find_opt (fun (u, _) -> u = universe) s.s_ctxs with
-      | Some (_, ctx) -> ctx
-      | None ->
-          let ctx =
-            Tset.ctx ~cache:(dfa_cache_for s.s_dc universe) universe
-          in
-          s.s_ctxs <- (universe, ctx) :: s.s_ctxs;
-          ctx)
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.s_lock) f
+
+let session_ctx s universe =
+  with_lock s @@ fun () ->
+  match List.find_opt (fun (u, _) -> u = universe) s.s_ctxs with
+  | Some (_, ctx) -> ctx
+  | None ->
+      let ctx = Tset.ctx universe in
+      s.s_ctxs <- (universe, ctx) :: s.s_ctxs;
+      ctx
+
+(* The compiled automata of a session, viewed through its contexts. *)
+type dfa_cache = session
+
+let session_dfa_cache s = s
+
+let dfa_cache_stats s =
+  let ctxs = with_lock s (fun () -> s.s_ctxs) in
+  List.fold_left
+    (fun (acc : Prs_cache.stats) (_, ctx) ->
+      let c = Prs_cache.stats (Tset.prs_cache ctx) in
+      {
+        Prs_cache.hits = acc.hits + c.hits;
+        misses = acc.misses + c.misses;
+        duplicates = acc.duplicates + c.duplicates;
+        contended = acc.contended + c.contended;
+      })
+    { Prs_cache.hits = 0; misses = 0; duplicates = 0; contended = 0 }
+    ctxs
 
 let rec answer ?(plan = Plan.Auto) s counters req =
   Telemetry.with_span "engine.job"
@@ -247,13 +221,13 @@ let rec answer ?(plan = Plan.Auto) s counters req =
           Plan.derive ~answer:answer_premise ~universe:req.universe req.query
         with
         | Plan.Derived v ->
-            Counters.incr_derived_hits counters;
+            Metrics.incr Counters.derived_hits;
             let elapsed_ms = float_of_int (now_ns () - t0) /. 1e6 in
             Verdict.with_context ~depth:req.depth
               ~universe_digest:(Job.universe_digest req.universe)
               ~elapsed_ms v
         | Plan.Fallback _reason ->
-            Counters.incr_plan_fallbacks counters;
+            Metrics.incr Counters.plan_fallbacks;
             compute_direct ()
         | Plan.Not_composite -> compute_direct ())
   in
@@ -272,40 +246,40 @@ let rec answer ?(plan = Plan.Auto) s counters req =
         | Some bkey -> (
             match Store.find store ~digest:bkey ~depth:req.depth with
             | Some v ->
-                Counters.incr_store_hits counters;
+                Metrics.incr Counters.store_hits;
                 Cache.add s.s_cache key v;
                 (true, v)
             | None ->
-                Counters.incr_store_misses counters;
+                Metrics.incr Counters.store_misses;
                 let v = compute_and_fill () in
                 if Store.add store ~digest:bkey ~depth:req.depth v then
-                  Counters.incr_store_writes counters;
+                  Metrics.incr Counters.store_writes;
                 (false, v)))
   in
   let cached, from_store, verdict =
     match digest with
     | None ->
-        Counters.incr_uncacheable counters;
+        Metrics.incr Counters.uncacheable;
         (false, false, compute ())
     | Some key -> (
         match Cache.find s.s_cache key with
         | Some v ->
-            Counters.incr_hits counters;
+            Metrics.incr Counters.hits;
             (true, false, v)
         | None ->
             let from_store, v =
               consult_store key (fun () ->
                   let v = compute () in
                   Cache.add s.s_cache key v;
-                  Counters.incr_misses counters;
+                  Metrics.incr Counters.misses;
                   v)
             in
             (from_store, from_store, v))
   in
   let elapsed = now_ns () - t0 in
   let ms = float_of_int elapsed /. 1e6 in
-  Counters.incr_jobs counters;
-  Counters.add_busy_ns counters elapsed;
+  Metrics.incr Counters.jobs;
+  Metrics.add Counters.busy_ns elapsed;
   Metrics.observe job_ms_hist ms;
   Telemetry.set_attrs
     [ ("cached", string_of_bool cached);
@@ -322,7 +296,6 @@ let run_jobs ?domains ?plan s requests =
      (structurally equal universes share one context through the
      session registry). *)
   List.iter (fun req -> ignore (session_ctx s req.universe)) requests;
-  let dfa_before = dfa_cache_stats s.s_dc in
   Metrics.set domains_gauge (float_of_int domains);
   let t0 = now_ns () in
   let results =
@@ -333,11 +306,6 @@ let run_jobs ?domains ?plan s requests =
       (fun () -> Par.map_dyn ~domains (answer ?plan s counters) requests)
   in
   let wall_ms = float_of_int (now_ns () - t0) /. 1e6 in
-  let dfa =
-    Prs_cache.diff_stats ~before:dfa_before ~after:(dfa_cache_stats s.s_dc)
-  in
-  Counters.add_dfa counters ~hits:dfa.Prs_cache.hits
-    ~compiles:dfa.Prs_cache.misses ~contended:dfa.Prs_cache.contended;
   let c = Counters.snapshot counters in
   let stats =
     {
@@ -365,5 +333,5 @@ let run_jobs ?domains ?plan s requests =
   in
   (results, stats)
 
-let run_batch ?domains ?plan ?cache ?dfa_cache ?store requests =
-  run_jobs ?domains ?plan (session ?cache ?dfa_cache ?store ()) requests
+let run_batch ?domains ?plan ?store requests =
+  run_jobs ?domains ?plan (session ?store ()) requests

@@ -9,8 +9,9 @@
     contexts are {e shared} across all worker domains — the compiled
     prs-automata memo behind the abstract [Tset.ctx] is a lock-striped
     {!Posl_tset.Prs_cache} — so each automaton is compiled once per
-    batch regardless of the domain count, and a {!dfa_cache} threaded
-    through successive batches keeps it compiled across them too. *)
+    {!session} regardless of the domain count.  A session holds one
+    context per universe, and each context owns its automata; keeping
+    the session keeps them compiled across batches ({!run_jobs}). *)
 
 module Spec = Posl_core.Spec
 module Tset = Posl_tset.Tset
@@ -70,10 +71,10 @@ type stats = {
       (** composite queries the planner recognised but declined (side
           condition failed or premise not exact), answered directly *)
   dfa_cache_hits : int;
-      (** compiled prs-automata served from the shared striped cache *)
+      (** compiled prs-automata served from a context's striped cache *)
   dfa_compiles : int;
-      (** prs-expressions compiled to DFAs during this batch; with the
-          shared cache this no longer scales with the domain count *)
+      (** prs-expressions compiled to DFAs during this batch; with
+          shared contexts this does not scale with the domain count *)
   antichain_pairs : int;
       (** product pairs admitted by on-the-fly antichain inclusion
           checks during this batch *)
@@ -89,53 +90,40 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {1 Shared compiled-automata cache}
-
-    Compiled prs-automata are relative to a universe sample, so the
-    shareable unit is a registry of striped caches keyed by universe
-    (structural equality).  One registry may serve any number of
-    batches and domains concurrently. *)
-
-type dfa_cache
-
-val dfa_cache : ?stripes:int -> unit -> dfa_cache
-(** [stripes] (default 16, rounded up to a power of two) sizes each
-    per-universe {!Posl_tset.Prs_cache}. *)
-
-val dfa_cache_stats : dfa_cache -> Posl_tset.Prs_cache.stats
-(** Aggregate hit/miss/duplicate/contention counts over every universe
-    in the registry. *)
-
 (** {1 Sessions}
 
     The warm state a resident caller threads across any number of
-    answered requests: the in-memory verdict {!Cache}, the compiled
-    automata {!dfa_cache}, the optional persistent store, and one
-    shared monitor context per distinct universe.  {!run_batch} is one
-    throwaway session; the verification service ([posl.serve]) keeps a
-    session alive for the lifetime of the process so every submission
-    lands on warm caches. *)
+    answered requests: the in-memory verdict {!Cache}, the optional
+    persistent store, and one shared monitor context per distinct
+    universe, which owns that universe's compiled automata.
+    {!run_batch} is one throwaway session; the verification service
+    ([posl.serve]) and the watcher keep a session alive so every
+    submission lands on warm caches. *)
 
 type session
 
-val session :
-  ?cache:Cache.t ->
-  ?dfa_cache:dfa_cache ->
-  ?store:Posl_store.Store.t ->
-  unit ->
-  session
-(** Omitted components are created fresh (and the store absent). *)
+val session : ?store:Posl_store.Store.t -> unit -> session
+(** A fresh session: empty verdict cache, no contexts yet, and the
+    store if given. *)
 
 val session_cache : session -> Cache.t
-val session_dfa_cache : session -> dfa_cache
 val session_store : session -> Posl_store.Store.t option
 
 val session_ctx : session -> Posl_ident.Universe.t -> Posl_tset.Tset.ctx
 (** The session's shared monitor context for [universe], created on
     first use.  Universes are compared {e structurally}, so repeated
-    submissions of the same spec content share monitors (and, through
-    the registry, compiled automata) even across distinct values.
-    Thread- and domain-safe. *)
+    submissions of the same spec content share monitors and compiled
+    automata even across distinct values.  Thread- and domain-safe. *)
+
+type dfa_cache
+(** A view of a session's compiled automata: those of every context it
+    holds. *)
+
+val session_dfa_cache : session -> dfa_cache
+
+val dfa_cache_stats : dfa_cache -> Posl_tset.Prs_cache.stats
+(** Hit/miss/duplicate/contention counts summed over the session's
+    contexts. *)
 
 val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
 (** Answer one request against the session's warm state: in-memory
@@ -149,7 +137,8 @@ val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
     digest like computed ones.  Safe to call concurrently from any
     number of threads or domains — this is the unit of work the
     verification service's scheduler dispatches.  Traffic is counted
-    into [counters] (and the process registry). *)
+    into the process registry; [counters] is the caller's delta view
+    of it ({!Counters.snapshot}). *)
 
 val run_jobs :
   ?domains:int -> ?plan:Plan.mode -> session -> request list ->
@@ -163,19 +152,16 @@ val run_jobs :
 val run_batch :
   ?domains:int ->
   ?plan:Plan.mode ->
-  ?cache:Cache.t ->
-  ?dfa_cache:dfa_cache ->
   ?store:Posl_store.Store.t ->
   request list ->
   result list * stats
-(** Answer every request; results are order-stable with the input.
-    [domains] defaults to {!Posl_par.Par.default_domains}; [cache]
-    defaults to a fresh (cold) verdict cache and [dfa_cache] to a fresh
-    compiled-automata cache.  Passing either across batches serves
-    repeated obligations (verdicts) and repeated prs-expressions
-    (compiled DFAs) without recomputation.  All worker domains share
-    one monitor context per universe.  Deterministic: the verdict list
-    is identical for every domain count.
+(** [run_jobs] over a fresh {!session}: every request answered cold,
+    results order-stable with the input.  [domains] defaults to
+    {!Posl_par.Par.default_domains}.  All worker domains share one
+    monitor context per universe.  Deterministic: the verdict list is
+    identical for every domain count.  To serve repeated obligations
+    (verdicts) and repeated prs-expressions (compiled DFAs) across
+    batches, keep a session and call {!run_jobs}.
 
     [store] plugs a persistent {!Posl_store.Store} beneath the
     in-memory cache: cacheable jobs that miss memory consult the store

@@ -84,8 +84,8 @@ val composition_parts : string -> string list
 (** The component names of a name token: ["A||B||C"] → [["A"; "B";
     "C"]], a plain name → itself, singleton.  This is the dependency
     footprint of the token — exactly the named specs whose edits can
-    move a query over it (the watch subsystem's dep map is built on
-    it). *)
+    move a query over it (the watch subsystem's dependency token is
+    built on it). *)
 
 val entries_typed :
   ?path:string ->
@@ -127,8 +127,9 @@ val request_of_entry :
   (Engine.request, input_error) result
 (** Elaborate a single entry.  This is the per-query granularity the
     watch subsystem needs: requests keep 1:1 correspondence with their
-    source entries (the dep map's provenance), and one entry's failure
-    doesn't discard its neighbours' requests. *)
+    source entries (each query's dependency token is built from its
+    entry), and one entry's failure doesn't discard its neighbours'
+    requests. *)
 
 val elaborate_typed :
   ?path:string ->

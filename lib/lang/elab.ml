@@ -143,9 +143,14 @@ let rec elab_texpr env = function
       let s = resolve_sort env sort in
       (* The body is elaborated per concrete object: the variable
          resolves to that object constant, and the body sees the
-         object's own projection of the trace (Tset.Forall_obj). *)
-      Tset.forall_obj s (fun o ->
-          elab_texpr { env with sorts = env.sorts } (subst_texpr x o body))
+         object's own projection of the trace (Tset.Forall_obj).  It is
+         also elaborated once now, at a witness, so an error in it (an
+         undeclared method, say) surfaces here with its position
+         instead of at first use; bodies are uniform over the sort,
+         since the substitution only renames the bound variable. *)
+      let at o = elab_texpr env (subst_texpr x o body) in
+      Option.iter (fun w -> ignore (at w)) (Oset.witness s);
+      Tset.forall_obj s at
 
 and subst_texpr x o = function
   | T_all -> T_all

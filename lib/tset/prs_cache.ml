@@ -35,12 +35,18 @@ let create ?(stripes = 16) () =
 let stripes t = t.mask + 1
 let shard_of t k = t.shards.(Hashtbl.hash k land t.mask)
 
+let contended_c =
+  Posl_telemetry.Metrics.counter
+    ~help:"Contended stripe-lock acquisitions in the DFA cache"
+    "posl_engine_dfa_contended_total"
+
 (* Uncontended acquisitions take the fast path; a failed try_lock is
-   counted before blocking, giving a (sampled) picture of stripe
-   pressure. *)
+   counted (here and in the process registry) before blocking, giving a
+   (sampled) picture of stripe pressure. *)
 let lock_shard t s =
   if not (Mutex.try_lock s.lock) then begin
     Atomic.incr t.contended;
+    Posl_telemetry.Metrics.incr contended_c;
     Mutex.lock s.lock
   end
 
@@ -93,11 +99,3 @@ let stats (t : (_, _) t) =
 let pp_stats ppf s =
   Format.fprintf ppf "hits=%d misses=%d duplicates=%d contended=%d" s.hits
     s.misses s.duplicates s.contended
-
-let diff_stats ~before ~after =
-  {
-    hits = after.hits - before.hits;
-    misses = after.misses - before.misses;
-    duplicates = after.duplicates - before.duplicates;
-    contended = after.contended - before.contended;
-  }

@@ -40,7 +40,9 @@ val clear : ('k, 'v) t -> unit
 (** {1 Statistics}
 
     All counters are atomics bumped outside/inside the stripes; a
-    {!stats} snapshot is exact once concurrent callers have quiesced. *)
+    {!stats} snapshot is exact once concurrent callers have quiesced.
+    Contended acquisitions also count into the process registry as
+    [posl_engine_dfa_contended_total]. *)
 
 type stats = {
   hits : int;  (** {!find_or_compute} calls answered from the cache *)
@@ -55,7 +57,3 @@ type stats = {
 
 val stats : ('k, 'v) t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-val diff_stats : before:stats -> after:stats -> stats
-(** Pointwise [after - before]: the traffic of one batch against a
-    long-lived shared cache. *)

@@ -40,6 +40,16 @@ let interned_states_c =
   Metrics.counter ~help:"Monitor states interned across all contexts"
     "posl_tset_interned_states_total"
 
+(* Counted where an automaton is resolved, so every caller — batch,
+   serve, watch — sees the same numbers. *)
+let dfa_compiles_c =
+  Metrics.counter ~help:"PRS expressions compiled to DFAs"
+    "posl_engine_dfa_compiles_total"
+
+let dfa_hits_c =
+  Metrics.counter ~help:"Compiled automata served from a context's DFA cache"
+    "posl_engine_dfa_cache_hits_total"
+
 type t =
   | All
   | Prs of Regex.t
@@ -176,7 +186,8 @@ let intern_create () =
 (* The record stays internal: outside the module a context is abstract
    and reached through the accessors below, which is what lets the
    compiled-automata memo be a domain-safe striped cache rather than a
-   leaked hashtable. *)
+   leaked hashtable.  A context owns its automata: they are relative to
+   its universe, so nothing outside it can reuse them soundly. *)
 type ctx = {
   universe : Universe.t;
   closure_cap : int;
@@ -184,20 +195,23 @@ type ctx = {
   intern : intern;
 }
 
-let ctx ?(closure_cap = 20_000) ?cache universe =
-  let prs_cache =
-    match cache with Some c -> c | None -> Prs_cache.create ()
-  in
-  { universe; closure_cap; prs_cache; intern = intern_create () }
+let ctx ?(closure_cap = 20_000) universe =
+  {
+    universe;
+    closure_cap;
+    prs_cache = Prs_cache.create ();
+    intern = intern_create ();
+  }
 
 let universe c = c.universe
 let closure_cap c = c.closure_cap
 let prs_cache c = c.prs_cache
-let share_cache donor c = { c with prs_cache = donor.prs_cache }
 
-(* Derived from the constructor — kept because "same context, tighter
-   cap" is the common way to probe closure overflows in tests. *)
-let with_closure_cap cap c = ctx ~closure_cap:cap ~cache:c.prs_cache c.universe
+(* "Same context, tighter cap" is the common way to probe closure
+   overflows in tests: the automata carry over, the interning tables
+   start fresh. *)
+let with_closure_cap cap c =
+  { c with closure_cap = cap; intern = intern_create () }
 
 (** {1 Interning} *)
 
@@ -313,26 +327,33 @@ let intern_counts c =
 (* Compilation happens outside the stripe lock; when two domains race
    on a fresh regex both compile and the first insert wins, which is
    sound because compiled automata for one (regex, universe) pair are
-   interchangeable pure values. *)
+   interchangeable pure values.  Every compilation counts, benign
+   duplicates included, exactly as [Prs_cache]'s own misses do. *)
 let compile_prs_shared (c : ctx) (r : Regex.t) : compiled_prs =
-  Prs_cache.find_or_compute c.prs_cache r (fun () ->
-      Telemetry.with_span "tset.dfa-compile" @@ fun () ->
-      let t0 = Telemetry.now_ns () in
-      let ground = Regex.expand c.universe r in
-      let atoms = Regex.atom_union ground in
-      let events = Array.of_list (Eventset.sample c.universe atoms) in
-      let dfa = Posl_regex.Regex.prs_dfa ~events ground in
-      let index =
-        Array.to_list events
-        |> List.mapi (fun i e -> (e, i))
-        |> List.to_seq |> Event.Map.of_seq
-      in
-      Telemetry.set_attrs
-        [ ("events", string_of_int (Array.length events));
-          ("states", string_of_int (Posl_automata.Dfa.n_states dfa)) ];
-      Metrics.observe dfa_compile_hist
-        (float_of_int (Telemetry.now_ns () - t0) /. 1e6);
-      { dfa; index; atoms })
+  let compiled = ref false in
+  let v =
+    Prs_cache.find_or_compute c.prs_cache r @@ fun () ->
+    compiled := true;
+    Telemetry.with_span "tset.dfa-compile" @@ fun () ->
+    let t0 = Telemetry.now_ns () in
+    let ground = Regex.expand c.universe r in
+    let atoms = Regex.atom_union ground in
+    let events = Array.of_list (Eventset.sample c.universe atoms) in
+    let dfa = Posl_regex.Regex.prs_dfa ~events ground in
+    let index =
+      Array.to_list events
+      |> List.mapi (fun i e -> (e, i))
+      |> List.to_seq |> Event.Map.of_seq
+    in
+    Telemetry.set_attrs
+      [ ("events", string_of_int (Array.length events));
+        ("states", string_of_int (Posl_automata.Dfa.n_states dfa)) ];
+    Metrics.observe dfa_compile_hist
+      (float_of_int (Telemetry.now_ns () - t0) /. 1e6);
+    { dfa; index; atoms }
+  in
+  Metrics.incr (if !compiled then dfa_compiles_c else dfa_hits_c);
+  v
 
 (* Pointer-scan front over the striped cache; see [i_prs_phys]. *)
 let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =

@@ -49,10 +49,13 @@ val part : alpha:Eventset.t -> t -> part
     All trace-level operations are relative to a {!ctx}: the finite
     universe sample (binder expansion, internal-event sampling), a
     safety cap for product closures, and the memo cache of compiled
-    prs-automata.  The type is abstract; the cache is a lock-striped
-    {!Prs_cache} safe to share across OCaml 5 domains, so one context
-    (or one cache threaded through several contexts) can serve every
-    worker of a parallel batch. *)
+    prs-automata.  A context owns its automata — they are relative to
+    its universe — and the type is abstract.  The cache is a
+    lock-striped {!Prs_cache} safe to share across OCaml 5 domains, so
+    one context can serve every worker of a parallel batch.  Each
+    resolution of an automaton counts into the process registry:
+    [posl_engine_dfa_compiles_total] when it compiles,
+    [posl_engine_dfa_cache_hits_total] when the cache answers. *)
 
 type ctx
 
@@ -65,30 +68,20 @@ type prs_cache = (Regex.t, compiled_prs) Prs_cache.t
 (** The compiled-automata memo.  Domain-safe: all access inside the
     library goes through {!Prs_cache.find_or_compute}. *)
 
-val ctx : ?closure_cap:int -> ?cache:prs_cache -> Universe.t -> ctx
-(** [closure_cap] defaults to 20_000; [cache] defaults to a fresh
-    {!Prs_cache.create}.  Pass an existing cache to share compiled
-    automata across contexts (and across batches — see
-    {!share_cache}). *)
+val ctx : ?closure_cap:int -> Universe.t -> ctx
+(** A fresh context with an empty compiled-automata cache;
+    [closure_cap] defaults to 20_000. *)
 
 val universe : ctx -> Universe.t
 val closure_cap : ctx -> int
 
 val prs_cache : ctx -> prs_cache
 (** The context's compiled-automata cache, e.g. for
-    {!Prs_cache.stats} or for threading into another {!ctx}. *)
-
-val share_cache : ctx -> ctx -> ctx
-(** [share_cache donor c] is [c] with [donor]'s compiled-automata
-    cache: both contexts (and anything built from them) memoize into
-    one striped table.  Only meaningful when the two contexts sample
-    the same universe — compiled automata are universe-relative, and
-    the cache is keyed by regex alone. *)
+    {!Prs_cache.stats}. *)
 
 val with_closure_cap : int -> ctx -> ctx
-(** Same universe and cache, different closure cap.  Derived:
-    [with_closure_cap cap c = ctx ~closure_cap:cap
-    ~cache:(prs_cache c) (universe c)]. *)
+(** Same universe and compiled automata (the same physical cache),
+    a different closure cap, and fresh interning tables. *)
 
 exception Closure_overflow of int
 (** Raised when the hidden-event closure of a [Product] monitor exceeds

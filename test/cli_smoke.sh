@@ -167,6 +167,30 @@ for args in "batch" "watch --rounds 1" \
   fi
 done
 
+# A forall body naming an undeclared method is an input error of its
+# file, found at parse time — never an uncaught exception.  batch and
+# single queries exit 2; watch reports it as a diagnostic of the file.
+cat >"$tmp/forall.oun" <<EOF
+spec S { objects o; sort Env = all except { o };
+         alphabet call Env -> o : A; traces forall c in Env . prs <c,o,B>*; }
+spec T { objects o; sort Env = all except { o };
+         alphabet call Env -> o : A; traces all; }
+EOF
+printf 'use %s\nrefine S T\n' "$tmp/forall.oun" >"$tmp/forall.manifest"
+expect 2 "undeclared method in a forall body (refine)" \
+  refine "$tmp/forall.oun" S T
+expect 2 "undeclared method in a forall body (batch)" \
+  batch "$tmp/forall.manifest"
+expect 0 "undeclared method in a forall body (watch)" \
+  watch "$tmp/forall.manifest" --rounds 1
+for args in "refine $tmp/forall.oun S T" "batch $tmp/forall.manifest" \
+    "watch $tmp/forall.manifest --rounds 1"; do
+  if ! "$BIN" $args 2>&1 | grep -q 'method B not declared'; then
+    echo "FAIL forall body error ($args): message does not name the method" >&2
+    fails=$((fails + 1))
+  fi
+done
+
 # Single-query --json emits the same per-result document shape.
 "$BIN" refine "$SPECS/paper.oun" Read Read2 --json >"$tmp/single.json" 2>/dev/null
 if [ $? -ne 1 ]; then

@@ -11,6 +11,7 @@ module Dig = Posl_engine.Digest
 module Spec = Posl_core.Spec
 module Theory = Posl_core.Theory
 module Tset = Posl_tset.Tset
+module Prs_cache = Posl_tset.Prs_cache
 module Gen = Posl_gen.Gen
 module Ex = Posl_core.Examples_paper
 module Oid = Posl_ident.Oid
@@ -60,9 +61,9 @@ let verdicts_equal a b =
 (* --- cache behaviour ------------------------------------------------ *)
 
 let test_cache_hit_on_repeat () =
-  let cache = Cache.create () in
+  let session = Engine.session () in
   let q = req (Job.Refine { refined = Ex.read2; abstract = Ex.read }) in
-  let results, stats = Engine.run_batch ~domains:1 ~cache [ q; q ] in
+  let results, stats = Engine.run_jobs ~domains:1 session [ q; q ] in
   Util.check_int "jobs" 2 stats.Engine.jobs;
   Util.check_int "misses" 1 stats.Engine.cache_misses;
   Util.check_int "hits" 1 stats.Engine.cache_hits;
@@ -73,16 +74,16 @@ let test_cache_hit_on_repeat () =
       Util.check_bool "verdicts identical" true
         (V.equal a.Engine.verdict b.Engine.verdict)
   | _ -> Alcotest.fail "expected two results");
-  (* A later batch against the same cache is all hits. *)
-  let _, stats2 = Engine.run_batch ~domains:1 ~cache [ q ] in
+  (* A later batch against the same session is all hits. *)
+  let _, stats2 = Engine.run_jobs ~domains:1 session [ q ] in
   Util.check_int "warm misses" 0 stats2.Engine.cache_misses;
   Util.check_int "warm hits" 1 stats2.Engine.cache_hits
 
 let test_cached_equals_fresh_paper () =
-  let cache = Cache.create () in
+  let session = Engine.session () in
   let batch = paper_batch () in
-  let cold, _ = Engine.run_batch ~domains:2 ~cache batch in
-  let warm, warm_stats = Engine.run_batch ~domains:2 ~cache batch in
+  let cold, _ = Engine.run_jobs ~domains:2 session batch in
+  let warm, warm_stats = Engine.run_jobs ~domains:2 session batch in
   Util.check_int "warm batch recomputes nothing" 0
     warm_stats.Engine.cache_misses;
   Util.check_bool "cold ≡ warm verdicts" true
@@ -112,12 +113,14 @@ let test_stats_accounting () =
 (* --- determinism across domain counts ------------------------------- *)
 
 let test_deterministic_across_domains () =
-  (* one DFA cache threaded through every run: domain count 1 runs
-     cold, 2 and 4 run against warm compiled automata — verdicts must
-     be identical either way *)
-  let dfa_cache = Engine.dfa_cache () in
+  (* one session kept through every run, its verdict cache emptied
+     before each: domain count 1 runs cold, 2 and 4 recompute every
+     verdict against warm contexts — verdicts must be identical either
+     way *)
+  let session = Engine.session () in
   let run domains =
-    verdicts (fst (Engine.run_batch ~domains ~dfa_cache (paper_batch ())))
+    Cache.clear (Engine.session_cache session);
+    verdicts (fst (Engine.run_jobs ~domains session (paper_batch ())))
   in
   let v1 = run 1 and v2 = run 2 and v4 = run 4 in
   Util.check_bool "domains 1 = 2" true (verdicts_equal v1 v2);
@@ -141,24 +144,78 @@ let test_dfa_compiles_do_not_scale_with_domains () =
     (s4.Engine.dfa_cache_hits > 0)
 
 let test_dfa_cache_warm_across_batches () =
-  let dfa_cache = Engine.dfa_cache () in
+  let session = Engine.session () in
   let batch = paper_batch () in
   let run () =
-    (* a fresh verdict cache each time: every job recomputes, so the
-       monitors must re-consult the compiled automata *)
-    snd (Engine.run_batch ~domains:2 ~cache:(Cache.create ()) ~dfa_cache batch)
+    (* an empty verdict cache each time: every job recomputes, so the
+       monitors must re-resolve the compiled automata *)
+    Cache.clear (Engine.session_cache session);
+    snd (Engine.run_jobs ~domains:2 session batch)
   in
   let cold = run () in
   let warm = run () in
   Util.check_bool "cold batch compiled automata" true
     (cold.Engine.dfa_compiles > 0);
   Util.check_int "warm batch recompiles nothing" 0 warm.Engine.dfa_compiles;
-  Util.check_bool "warm batch reads the shared cache" true
-    (warm.Engine.dfa_cache_hits > 0);
-  let agg = Engine.dfa_cache_stats dfa_cache in
+  let agg = Engine.dfa_cache_stats (Engine.session_dfa_cache session) in
   Util.check_int "registry aggregates both passes"
     (cold.Engine.dfa_compiles + warm.Engine.dfa_compiles)
-    agg.Posl_tset.Prs_cache.misses
+    agg.Prs_cache.misses
+
+(* DFA work is counted where an automaton is resolved, so a batch's
+   counts must equal the change in its session's own cache statistics
+   over the batch — benign duplicate compiles under 2 domains
+   included. *)
+let test_dfa_counts_match_session_view () =
+  List.iter
+    (fun domains ->
+      let session = Engine.session () in
+      let view () = Engine.dfa_cache_stats (Engine.session_dfa_cache session) in
+      let pass label =
+        Cache.clear (Engine.session_cache session);
+        let before = view () in
+        let _, st = Engine.run_jobs ~domains session (paper_batch ()) in
+        let after = view () in
+        let what = Printf.sprintf "%s, %d domain(s): " label domains in
+        Util.check_int (what ^ "compiles = cache misses")
+          (after.Prs_cache.misses - before.Prs_cache.misses)
+          st.Engine.dfa_compiles;
+        Util.check_int (what ^ "hits = cache hits")
+          (after.Prs_cache.hits - before.Prs_cache.hits)
+          st.Engine.dfa_cache_hits;
+        st
+      in
+      let cold = pass "cold" in
+      Util.check_bool "cold pass compiled automata" true
+        (cold.Engine.dfa_compiles > 0);
+      ignore (pass "warm"))
+    [ 1; 2 ]
+
+(* One registry: requests whose universes are structurally equal but
+   physically distinct land on one context, and so on one set of
+   compiled automata. *)
+let test_equal_universes_share_a_context () =
+  let u1 = Spec.adequate_universe ~extra_objects:2 Ex.all_specs
+  and u2 = Spec.adequate_universe ~extra_objects:2 Ex.all_specs in
+  Util.check_bool "universes are distinct values" true (u1 != u2);
+  Util.check_bool "universes are structurally equal" true (u1 = u2);
+  let session = Engine.session () in
+  Util.check_bool "one context for both" true
+    (Engine.session_ctx session u1 == Engine.session_ctx session u2)
+
+(* run_batch is a throwaway session: verdicts and work counts equal a
+   fresh session's run_jobs. *)
+let test_run_batch_is_a_fresh_session () =
+  let rb, a = Engine.run_batch ~domains:1 (paper_batch ()) in
+  let rj, b = Engine.run_jobs ~domains:1 (Engine.session ()) (paper_batch ()) in
+  Util.check_bool "verdicts" true (verdicts_equal (verdicts rb) (verdicts rj));
+  let work (s : Engine.stats) =
+    [ s.jobs; s.cache_hits; s.cache_misses; s.uncacheable; s.store_hits;
+      s.store_misses; s.store_writes; s.derived_hits; s.plan_fallbacks;
+      s.dfa_cache_hits; s.dfa_compiles; s.antichain_pairs;
+      s.antichain_prunes; s.interned_states ]
+  in
+  Alcotest.(check (list int)) "work counts" (work a) (work b)
 
 (* --- uncacheable (opaque) queries ----------------------------------- *)
 
@@ -178,8 +235,7 @@ let test_opaque_uncacheable () =
     (Dig.query ~universe:u ~depth
        (Job.Equal { left = pointwise_spec; right = pointwise_spec }));
   let q = req (Job.Equal { left = pointwise_spec; right = pointwise_spec }) in
-  let cache = Cache.create () in
-  let results, stats = Engine.run_batch ~domains:1 ~cache [ q; q ] in
+  let results, stats = Engine.run_batch ~domains:1 [ q; q ] in
   Util.check_int "both uncacheable" 2 stats.Engine.uncacheable;
   Util.check_int "no cache traffic" 0
     (stats.Engine.cache_hits + stats.Engine.cache_misses);
@@ -538,9 +594,9 @@ let qsuite =
       (fun (a, b) ->
         let q = Job.Refine { refined = a; abstract = b } in
         let r = Engine.of_specs ~depth:3 q in
-        let cache = Cache.create () in
-        let first, _ = Engine.run_batch ~domains:1 ~cache [ r ] in
-        let second, stats = Engine.run_batch ~domains:1 ~cache [ r ] in
+        let session = Engine.session () in
+        let first, _ = Engine.run_jobs ~domains:1 session [ r ] in
+        let second, stats = Engine.run_jobs ~domains:1 session [ r ] in
         let fresh =
           Job.run (Tset.ctx r.Engine.universe) ~depth:3 q
         in
@@ -591,6 +647,12 @@ let suite =
       test_dfa_compiles_do_not_scale_with_domains;
     Alcotest.test_case "DFA cache stays warm across batches" `Quick
       test_dfa_cache_warm_across_batches;
+    Alcotest.test_case "DFA counts equal the session's cache view" `Quick
+      test_dfa_counts_match_session_view;
+    Alcotest.test_case "structurally equal universes share one context"
+      `Quick test_equal_universes_share_a_context;
+    Alcotest.test_case "run_batch ≡ run_jobs on a fresh session" `Quick
+      test_run_batch_is_a_fresh_session;
     Alcotest.test_case "opaque trace sets are uncacheable" `Quick
       test_opaque_uncacheable;
     Alcotest.test_case "digest separates the paper specs" `Quick

@@ -137,6 +137,21 @@ let test_errors () =
   (* Lexer error. *)
   expect_error {| spec S { objects o; ? } |} "unexpected character"
 
+(* A forall body is elaborated per object on first use, and once more
+   at parse time, so its errors come out of [specs_of_string] like any
+   other elaboration error instead of escaping from a later check. *)
+let test_forall_body_errors () =
+  expect_error
+    {| spec S { objects o; sort Env = all except { o };
+         alphabet call Env -> o : A;
+         traces forall c in Env . prs <c,o,B>*; } |}
+    "method B not declared";
+  expect_error
+    {| spec S { objects o; sort Env = all except { o };
+         alphabet call Env -> o : A;
+         traces forall c in Env . prs (bind y in Nope . (<y,o,A>))*; } |}
+    "unknown sort"
+
 let test_empty_traces_defaults_to_all () =
   let specs =
     parse_ok
@@ -158,6 +173,8 @@ let suite =
     Alcotest.test_case "print/parse round trip" `Quick
       test_print_parse_roundtrip;
     Alcotest.test_case "error reporting" `Quick test_errors;
+    Alcotest.test_case "forall body errors surface at parse time" `Quick
+      test_forall_body_errors;
     Alcotest.test_case "traces default to all" `Quick
       test_empty_traces_defaults_to_all;
   ]

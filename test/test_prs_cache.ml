@@ -133,23 +133,8 @@ let test_shared_ctx_verdicts () =
   Util.check_bool "shared cache was hit across domains" true
     (s.Prs_cache.hits > 0)
 
-(* share_cache: a second context over the same universe reuses the
-   donor's compiled automata instead of recompiling. *)
-let test_share_cache () =
-  let a = Tset.ctx Util.paper_universe in
-  ignore (Tset.mem a (Spec.tset Ex.write) Trace.empty);
-  let compiled = Prs_cache.length (Tset.prs_cache a) in
-  Util.check_bool "donor compiled something" true (compiled > 0);
-  let b = Tset.share_cache a (Tset.ctx Util.paper_universe) in
-  let before = (Prs_cache.stats (Tset.prs_cache a)).Prs_cache.misses in
-  ignore (Tset.mem b (Spec.tset Ex.write) Trace.empty);
-  Util.check_int "no recompilation through the shared cache" before
-    (Prs_cache.stats (Tset.prs_cache b)).Prs_cache.misses;
-  Util.check_bool "caches are physically shared" true
-    (Tset.prs_cache a == Tset.prs_cache b)
-
 (* with_closure_cap is a derived constructor: same universe, same
-   (physical) cache, different cap. *)
+   compiled automata (the physical cache), different cap. *)
 let test_with_closure_cap_derived () =
   let c = Tset.ctx ~closure_cap:500 Util.paper_universe in
   let tight = Tset.with_closure_cap 7 c in
@@ -221,8 +206,6 @@ let suite =
       test_domain_hammer;
     Alcotest.test_case "serial ≡ shared-context verdicts (4 domains)" `Slow
       test_shared_ctx_verdicts;
-    Alcotest.test_case "share_cache reuses compiled automata" `Quick
-      test_share_cache;
     Alcotest.test_case "with_closure_cap is derived" `Quick
       test_with_closure_cap_derived;
   ]

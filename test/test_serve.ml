@@ -434,6 +434,37 @@ let test_repeat_hits_warm_cache () =
       Alcotest.(check bool) "repeated digest answered from warm cache" true
         (get_field "cached" second = Json.Bool true))
 
+(* The server counts DFA work like a batch does: compiles are counted
+   where an automaton is resolved, so a cold submission over prs
+   clauses shows in the stats op's engine counters and in the
+   registry's exposition. *)
+let test_stats_count_dfa_compiles () =
+  let registry_value text name =
+    String.split_on_char '\n' text
+    |> List.find_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ n; v ] when n = name -> int_of_string_opt v
+           | _ -> None)
+    |> Option.value ~default:0
+  in
+  with_server (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let compiles_total () =
+        match get_field "metrics" (call_ok c (Wire.request_json Wire.Metrics)) with
+        | Json.Str text -> registry_value text "posl_engine_dfa_compiles_total"
+        | _ -> Alcotest.fail "metrics is not a string"
+      in
+      let before = compiles_total () in
+      ignore (call_ok c (submit [ ("equal", [ "A"; "Rev" ]) ]));
+      let engine = get_field "engine" (call_ok c (Wire.request_json Wire.Stats)) in
+      (match get_field "dfa_compiles" engine with
+      | Json.Int n ->
+          Alcotest.(check bool) "stats: engine.dfa_compiles > 0" true (n > 0)
+      | _ -> Alcotest.fail "engine.dfa_compiles is not an int");
+      Alcotest.(check bool) "metrics: posl_engine_dfa_compiles_total grew" true
+        (compiles_total () > before))
+
 (* A [file] submission reads its file on every request: once an edit
    renames a spec, the old name is an input error, not a verdict
    remembered from the first parse. *)
@@ -714,6 +745,8 @@ let suite =
       test_concurrent_clients_agree;
     Alcotest.test_case "live: repeated digest hits the warm cache" `Quick
       test_repeat_hits_warm_cache;
+    Alcotest.test_case "live: stats and metrics count DFA compiles" `Quick
+      test_stats_count_dfa_compiles;
     Alcotest.test_case "live: file submissions re-read an edited file" `Quick
       test_file_submission_sees_edits;
     Alcotest.test_case "live: queue-full submissions get typed overloaded"

@@ -297,7 +297,7 @@ let test_engine_span_ids () =
         (Job.Refine { refined = Ex.rw; abstract = Ex.write });
     ]
   in
-  let results, _ = Engine.run_batch ~domains:1 ~cache:(Cache.create ()) reqs in
+  let results, _ = Engine.run_batch ~domains:1 reqs in
   let spans = Telemetry.spans () in
   let jobs =
     List.filter (fun (s : Telemetry.span) -> s.name = "engine.job") spans

@@ -425,6 +425,34 @@ let test_watch_overflow () =
   check_int "and flips" 1 (List.length r.Watch.flips);
   check_agrees_with_batch "after the overflow" manifest w
 
+(* A forall body that names an undeclared method is an elaboration
+   error of its file: the round reports it as a diagnostic, never an
+   exception escaping from the check that first steps the body. *)
+let test_watch_forall_body_error () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "bad.manifest" in
+  let spec = Filename.concat dir "bad.oun" in
+  let source name traces =
+    Printf.sprintf
+      "spec %s { objects o; sort Env = all except { o };\n\
+      \  alphabet call Env -> o : A; traces %s; }\n"
+      name traces
+  in
+  write_file spec
+    (source "S" "forall c in Env . prs <c,o,B>*" ^ source "T" "all");
+  write_file manifest "use bad.oun\nrefine S T\n";
+  let w = Watch.create manifest in
+  let r = poll_round w in
+  (match r.Watch.diagnostics with
+  | [ d ] ->
+      check_bool "diagnostic names bad.oun" true
+        (Filename.basename d.Manifest.input_file = "bad.oun");
+      check_bool "and the undeclared method" true
+        (Util.contains_substring ~needle:"method B not declared"
+           d.Manifest.input_message)
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+  check_int "no verdict" 0 (List.length (Watch.verdicts w))
+
 (* A scripted session over two spec files: edit A, half-save A, fix A
    to new content, edit B, reorder and extend the manifest, then revert
    B.  Every poll's counters are pinned, so a change to how rounds
@@ -605,6 +633,8 @@ let suite =
       test_watch_manifest_edits;
     Alcotest.test_case "watch: a closure overflow leaves no stale verdict"
       `Quick test_watch_overflow;
+    Alcotest.test_case "watch: a bad forall body is a diagnostic" `Quick
+      test_watch_forall_body_error;
     Alcotest.test_case "watch: scripted two-file session" `Quick
       test_watch_script;
     Alcotest.test_case "journal: restart replays history and signal" `Quick
