@@ -30,6 +30,7 @@ module Mset = Posl_sets.Mset
 module Regex = Posl_regex.Regex
 module Epat = Posl_regex.Epat
 module Report = Posl_report.Report
+module Trajectory = Posl_report.Trajectory
 module Gen = Posl_gen.Gen
 module Ex = Posl_core.Examples_paper
 module Oid = Posl_ident.Oid
@@ -38,6 +39,7 @@ module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
 module Plan = Posl_engine.Plan
 module Manifest = Posl_engine.Manifest
+module Counters = Posl_engine.Counters
 module Edigest = Posl_engine.Digest
 module Store = Posl_store.Store
 module Telemetry = Posl_telemetry.Telemetry
@@ -75,17 +77,9 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write_campaign ~name ~title rows =
+let write_campaign doc ~name =
   mkdir_p out_dir;
   let path = Filename.concat out_dir (Printf.sprintf "BENCH_%s.json" name) in
-  let doc =
-    Json.Obj
-      [
-        ("campaign", Json.Str name);
-        ("title", Json.Str title);
-        ("rows", Json.List rows);
-      ]
-  in
   let oc = open_out path in
   output_string oc (Json.to_string doc);
   output_char oc '\n';
@@ -621,11 +615,22 @@ let ablations () =
 (* Section 2: performance campaigns                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A campaign row is a list of (field, cell): the row of its
-   BENCH_<name>.json, fields in file order.  Its table is rendered from
-   the same rows, one column per field name in first-seen order. *)
+(* A campaign row is a list of (field, kind, cell): the row of its
+   BENCH_<name>.json, fields in file order, each with the kind that
+   decides how [posl-check report] gates it (written to the file's
+   "kinds" list).  Its table is rendered from the same rows, one column
+   per field name in first-seen order. *)
 type cell = I of int | F of float | B of bool | S of string | Rows of row list
-and row = (string * cell) list
+and row = (string * Trajectory.kind * cell) list
+
+(* One constructor per kind.  A field's kind is chosen per row: the same
+   field may be gated in one row and [info] in another. *)
+let key name c = (name, Trajectory.Key, c)
+let claim name b = (name, Trajectory.Claim, B b)
+let timing name ms = (name, Trajectory.Timing, F ms)
+let rate name x = (name, Trajectory.Rate, F x)
+let work name n = (name, Trajectory.Work, I n)
+let info name c = (name, Trajectory.Info, c)
 
 type campaign = {
   name : string;  (* BENCH_<name>.json *)
@@ -639,9 +644,12 @@ let rec json_of_cell = function
   | F f -> Json.Float f
   | B b -> Json.Bool b
   | S s -> Json.Str s
-  | Rows rows -> Json.List (List.map json_of_row rows)
-
-and json_of_row row = Json.Obj (List.map (fun (k, c) -> (k, json_of_cell c)) row)
+  | Rows rows ->
+      Json.List
+        (List.map
+           (fun row ->
+             Json.Obj (List.map (fun (k, _, c) -> (k, json_of_cell c)) row))
+           rows)
 
 let text_of_cell = function
   | S s -> s
@@ -656,7 +664,10 @@ let run_campaign c =
       let columns =
         List.fold_left
           (fun cols row ->
-            cols @ List.filter (fun k -> not (List.mem k cols)) (List.map fst row))
+            cols
+            @ List.filter_map
+                (fun (k, _, _) -> if List.mem k cols then None else Some k)
+                row)
           [] rows
       in
       let t = Report.create columns in
@@ -665,11 +676,17 @@ let run_campaign c =
           Report.add_row t
             (List.map
                (fun k ->
-                 Option.fold ~none:"" ~some:text_of_cell (List.assoc_opt k row))
+                 match List.find_opt (fun (k', _, _) -> k' = k) row with
+                 | Some (_, _, c) -> text_of_cell c
+                 | None -> "")
                columns))
         rows;
       Report.print t;
-      write_campaign ~name:c.name ~title:c.title (List.map json_of_row rows)
+      write_campaign ~name:c.name
+        (Trajectory.document ~name:c.name ~title:c.title
+           (List.map
+              (List.map (fun (k, kind, c) -> (k, kind, json_of_cell c)))
+              rows))
 
 (* Cold totals at this scale are tens of milliseconds, where timer and
    allocator noise moves single runs by 2×; a timed pass [f] (returning
@@ -729,12 +746,12 @@ let p1 () =
               ~rhs:(Spec.tset Ex.write))
       in
       [
-        ("depth", I d);
-        ("reachable_states", I states);
-        ("serial_ms", F ms);
+        key "depth" (I d);
+        work "reachable_states" states;
+        timing "serial_ms" ms;
         (* not "verdict": that key is reserved for verdict objects,
            which `posl-check json` round-trips *)
-        ("outcome", S (pp_str (Bmc.pp_verdict Trace.pp) v));
+        info "outcome" (S (pp_str (Bmc.pp_verdict Trace.pp) v));
       ])
     [ 2; 3; 4; 5; 6 ]
 
@@ -763,12 +780,12 @@ let p2 () =
             (nfa, dfa, mini))
       in
       [
-        ("env_objects", I n_env);
-        ("alphabet", I (Array.length events));
-        ("nfa_states", I (Posl_automata.Nfa.n_states nfa));
-        ("dfa_states", I (Posl_automata.Dfa.n_states dfa));
-        ("min_states", I (Posl_automata.Dfa.n_states mini));
-        ("ms", F ms);
+        key "env_objects" (I n_env);
+        work "alphabet" (Array.length events);
+        work "nfa_states" (Posl_automata.Nfa.n_states nfa);
+        work "dfa_states" (Posl_automata.Dfa.n_states dfa);
+        work "min_states" (Posl_automata.Dfa.n_states mini);
+        timing "ms" ms;
       ])
     [ 1; 2; 3; 4; 6; 8 ]
 
@@ -799,11 +816,11 @@ let p3 () =
       let diff_ms = timed (fun a b -> Eventset.diff a b) in
       let subset_ms = timed (fun a b -> Eventset.subset a b) in
       [
-        ("width", I w);
-        ("union_ms", F union_ms);
-        ("inter_ms", F inter_ms);
-        ("diff_ms", F diff_ms);
-        ("subset_ms", F subset_ms);
+        key "width" (I w);
+        timing "union_ms" union_ms;
+        timing "inter_ms" inter_ms;
+        timing "diff_ms" diff_ms;
+        timing "subset_ms" subset_ms;
       ])
     [ 2; 4; 8; 16 ]
 
@@ -831,22 +848,28 @@ let p4 () =
         let _, (s : Engine.stats) = Engine.run_jobs ~domains session batch in
         (s, s.wall_ms)
       in
+      (* One domain compiles each distinct regex once; two may both
+         compile one before either lands it (a benign duplicate), so
+         the count is gated at one domain only. *)
+      let compiles name n =
+        if domains = 1 then work name n else info name (I n)
+      in
       let row label (s : Engine.stats) =
         [
-          ("domains", I domains);
-          ("cache", S label);
-          ("jobs", I s.jobs);
-          ("wall_ms", F s.wall_ms);
-          ("cache_hits", I s.cache_hits);
-          ("dfa_compiles", I s.dfa_compiles);
-          ("dfa_cache_hits", I s.dfa_cache_hits);
-          ("busy_ms", F s.busy_ms);
-          ("utilization", F s.utilization);
+          key "cache" (S label);
+          key "domains" (I domains);
+          work "jobs" s.jobs;
+          timing "wall_ms" s.wall_ms;
+          info "cache_hits" (I s.cache_hits);
+          compiles "dfa_compiles" s.dfa_compiles;
+          info "dfa_cache_hits" (I s.dfa_cache_hits);
+          timing "busy_ms" s.busy_ms;
+          info "utilization" (F s.utilization);
         ]
       in
       (* the cold row shows compiles staying at the distinct-regex
          count whatever the domain count (one context shared by all
-         workers) *)
+         workers), give or take a duplicate *)
       let (filled, cold), _ =
         best_of (fun () ->
             let session = Engine.session () in
@@ -875,13 +898,13 @@ let p5 () =
   let pass label session =
     let _, (s : Engine.stats) = Engine.run_jobs ~domains:1 session batch in
     [
-      ("pass", S label);
-      ("jobs", I s.jobs);
-      ("wall_ms", F s.wall_ms);
-      ("computed", I s.cache_misses);
-      ("cache_hits", I s.cache_hits);
-      ("store_hits", I s.store_hits);
-      ("store_writes", I s.store_writes);
+      key "pass" (S label);
+      work "jobs" s.jobs;
+      timing "wall_ms" s.wall_ms;
+      work "computed" s.cache_misses;
+      info "cache_hits" (I s.cache_hits);
+      info "store_hits" (I s.store_hits);
+      work "store_writes" s.store_writes;
     ]
   in
   let s = Store.open_ dir in
@@ -911,10 +934,10 @@ let p6 () =
   |> List.map (fun (name, c, tot) ->
          let total_ms = float_of_int tot /. 1e6 in
          [
-           ("span", S name);
-           ("count", I c);
-           ("total_ms", F total_ms);
-           ("mean_ms", F (total_ms /. float_of_int (max 1 c)));
+           key "span" (S name);
+           work "count" c;
+           timing "total_ms" total_ms;
+           timing "mean_ms" (total_ms /. float_of_int (max 1 c));
          ])
 
 (* P7 — the resident service under sustained load.  An in-process
@@ -944,7 +967,7 @@ let p7 () =
       (* the corpus travels with the repo; still, never crash the whole
          harness over a relocated checkout *)
       Format.printf "  [P7 skipped: examples/specs/paper.oun not found]@.";
-      [ [ ("pass", S "skipped"); ("qps", F 0.) ] ]
+      [ [ key "pass" (S "skipped"); rate "qps" 0. ] ]
   | Some spec_file ->
       let spec_text = In_channel.with_open_bin spec_file In_channel.input_all in
       let specs =
@@ -988,16 +1011,17 @@ let p7 () =
       let n_pairs = List.length pairs in
       let cold =
         [
-          ("pass", S "cold per-invocation");
-          ("clients", I 1);
-          ("repeat", F 0.);
-          ("requests", I n_pairs);
-          ("wall_ms", F cold_wall);
-          ("qps", F (float_of_int n_pairs /. Float.max 0.001 cold_wall *. 1000.));
-          ("p50_ms", F (pct 50.));
-          ("p90_ms", F (pct 90.));
-          ("cached", I 0);
-          ("mode", S "serial");
+          key "pass" (S "cold per-invocation");
+          key "clients" (I 1);
+          key "repeat" (F 0.);
+          info "requests" (I n_pairs);
+          timing "wall_ms" cold_wall;
+          rate "qps"
+            (float_of_int n_pairs /. Float.max 0.001 cold_wall *. 1000.);
+          timing "p50_ms" (pct 50.);
+          timing "p90_ms" (pct 90.);
+          info "cached" (I 0);
+          key "mode" (S "serial");
         ]
       in
       (* The server: in-process, unix socket in the temp dir, no signal
@@ -1048,22 +1072,25 @@ let p7 () =
             if r.errors > 0 then
               Format.printf "  [P7 %s: %d transport errors]@." pass r.errors;
             [
-              ("pass", S pass);
-              ("clients", I r.clients);
-              ("repeat", F r.repeat);
-              ("requests", I r.requests);
-              ("wall_ms", F r.wall_ms);
-              ("qps", F r.qps);
-              ("p50_ms", F r.p50_ms);
-              ("p90_ms", F r.p90_ms);
-              ("cached", I r.cached);
-              ("mode", S r.mode);
-              ("seed", I p7_seed);
-              ("answered", I r.answered);
-              ("rejected", I r.rejected);
-              ("expired", I r.expired);
-              ("failed", I r.failed);
-              ("errors", I r.errors);
+              key "pass" (S pass);
+              key "clients" (I r.clients);
+              key "repeat" (F r.repeat);
+              info "requests" (I r.requests);
+              timing "wall_ms" r.wall_ms;
+              rate "qps" r.qps;
+              timing "p50_ms" r.p50_ms;
+              timing "p90_ms" r.p90_ms;
+              info "cached" (I r.cached);
+              key "mode" (S r.mode);
+              info "seed" (I p7_seed);
+              info "answered" (I r.answered);
+              work "rejected" r.rejected;
+              work "expired" r.expired;
+              (* failing verdicts among the answers: with several
+                 clients, which pool entries are drawn fresh depends on
+                 scheduling *)
+              info "failed" (I r.failed);
+              work "errors" r.errors;
             ]
       in
       (* First contact fills the caches (fresh pool order, no repeats);
@@ -1115,24 +1142,14 @@ let p8 () =
      the test suite's differential oracle. *)
   let legacy cctx g' g = Oracle.refine Oracle.Legacy_auto ~depth cctx g' g in
   let bounded cctx g' g = Oracle.refine Oracle.Bounded ~depth cctx g' g in
-  let pairs_c =
-    Pmetrics.counter ~help:"antichain pairs" "posl_bmc_antichain_pairs_total"
-  in
-  let prunes_c =
-    Pmetrics.counter ~help:"antichain prunes" "posl_bmc_antichain_prunes_total"
-  in
-  let interned_c =
-    Pmetrics.counter ~help:"interned states" "posl_tset_interned_states_total"
-  in
-  let ac0 = Pmetrics.value pairs_c
-  and pr0 = Pmetrics.value prunes_c
-  and in0 = Pmetrics.value interned_c in
+  let counted = Counters.create () in
   let (auto_vs, auto_ctx), auto_ms = run_route auto in
   (* Every rep redoes the same cold work on a fresh context, so the
      counter deltas divide evenly back to one pass. *)
-  let admitted = (Pmetrics.value pairs_c - ac0) / reps
-  and pruned = (Pmetrics.value prunes_c - pr0) / reps
-  and interned = (Pmetrics.value interned_c - in0) / reps in
+  let work_done = Counters.snapshot counted in
+  let admitted = work_done.antichain_pairs / reps
+  and pruned = work_done.antichain_prunes / reps
+  and interned = work_done.interned_states / reps in
   (* A warm repeat on the same context: memo rows and interning tables
      already populated — the steady-state cost a resident service
      pays. *)
@@ -1153,35 +1170,39 @@ let p8 () =
   in
   [
     [
-      ("route", S "antichain_auto_cold");
-      ("total_ms", F auto_ms);
-      ("pairs_admitted", I admitted);
-      ("pairs_pruned", I pruned);
-      ("states_interned", I interned);
+      key "route" (S "antichain_auto_cold");
+      timing "total_ms" auto_ms;
+      work "pairs_admitted" admitted;
+      (* a pruned pair is work saved, so more is better *)
+      info "pairs_pruned" (I pruned);
+      work "states_interned" interned;
     ];
-    [ ("route", S "antichain_auto_warm"); ("total_ms", F warm_ms) ];
+    [ key "route" (S "antichain_auto_warm"); timing "total_ms" warm_ms ];
     [
-      ("route", S "legacy_auto_cold");
-      ("total_ms", F legacy_ms);
-      ("verdicts_agree", B agree);
+      key "route" (S "legacy_auto_cold");
+      timing "total_ms" legacy_ms;
+      claim "verdicts_agree" agree;
     ];
-    [ ("route", S "bounded_only_cold"); ("total_ms", F bounded_ms) ];
+    [ key "route" (S "bounded_only_cold"); timing "total_ms" bounded_ms ];
+    (* both sides of the ratio are gated as timings; the claim holds
+       the floor the antichain route was built to clear *)
     [
-      ("route", S "speedup");
-      ("legacy_over_antichain", F (legacy_ms /. auto_ms));
+      key "route" (S "speedup");
+      info "legacy_over_antichain" (F (legacy_ms /. auto_ms));
+      claim "ge5x" (legacy_ms /. auto_ms >= 5.);
     ];
     [
-      ("route", S "spans");
-      ( "rows",
-        Rows
-          (List.map
-             (fun (name, c, tot) ->
-               [
-                 ("span", S name);
-                 ("count", I c);
-                 ("total_ms", F (float_of_int tot /. 1e6));
-               ])
-             spans) );
+      key "route" (S "spans");
+      info "rows"
+        (Rows
+           (List.map
+              (fun (name, c, tot) ->
+                [
+                  key "span" (S name);
+                  info "count" (I c);
+                  info "total_ms" (F (float_of_int tot /. 1e6));
+                ])
+              spans));
     ];
   ]
 
@@ -1271,14 +1292,14 @@ let p9 () =
   in
   let stats_row route ms (s : Engine.stats) =
     [
-      ("route", S route);
-      ("total_ms", F ms);
-      ("jobs", I s.jobs);
-      ("cache_hits", I s.cache_hits);
-      ("derived_hits", I s.derived_hits);
-      ("plan_fallbacks", I s.plan_fallbacks);
-      ("antichain_pairs", I s.antichain_pairs);
-      ("dfa_compiles", I s.dfa_compiles);
+      key "route" (S route);
+      timing "total_ms" ms;
+      work "jobs" s.jobs;
+      info "cache_hits" (I s.cache_hits);
+      info "derived_hits" (I s.derived_hits);
+      work "plan_fallbacks" s.plan_fallbacks;
+      work "antichain_pairs" s.antichain_pairs;
+      work "dfa_compiles" s.dfa_compiles;
     ]
   in
   [
@@ -1286,14 +1307,14 @@ let p9 () =
     stats_row "plan_auto_cold" auto_ms auto_stats;
     stats_row "plan_auto_warm" warm_ms warm_stats;
     [
-      ("route", S "agreement");
-      ("derived_agree", B agree);
-      ( "fewer_product_explorations",
-        B (auto_stats.antichain_pairs < off_stats.antichain_pairs) );
-      ( "product_pairs_saved",
-        I (off_stats.antichain_pairs - auto_stats.antichain_pairs) );
-      ("speedup_off_over_auto", F (off_ms /. auto_ms));
-      ("ge2x", B (off_ms /. auto_ms >= 2.));
+      key "route" (S "agreement");
+      claim "derived_agree" agree;
+      claim "fewer_product_explorations"
+        (auto_stats.antichain_pairs < off_stats.antichain_pairs);
+      info "product_pairs_saved"
+        (I (off_stats.antichain_pairs - auto_stats.antichain_pairs));
+      info "speedup_off_over_auto" (F (off_ms /. auto_ms));
+      claim "ge2x" (off_ms /. auto_ms >= 2.);
     ];
   ]
 
@@ -1456,29 +1477,29 @@ let p10 () =
           let speedup = cold_ms /. best_ms in
           [
             [
-              ("route", S "cold_batch");
-              ("total_ms", F cold_ms);
-              ("queries", I (List.length rs));
-              ("jobs", I cold_stats.jobs);
+              key "route" (S "cold_batch");
+              timing "total_ms" cold_ms;
+              info "queries" (I (List.length rs));
+              work "jobs" cold_stats.jobs;
             ];
             [
-              ("route", S "watch_cold_round");
-              ("total_ms", F cold_round.Watch.elapsed_ms);
-              ("queries_invalidated", I cold_round.Watch.invalidated);
-              ("queries_reused", I cold_round.Watch.reused);
+              key "route" (S "watch_cold_round");
+              timing "total_ms" cold_round.Watch.elapsed_ms;
+              work "queries_invalidated" cold_round.Watch.invalidated;
+              info "queries_reused" (I cold_round.Watch.reused);
             ];
             [
-              ("route", S "watch_incremental");
-              ("total_ms", F best_ms);
-              ("queries_invalidated", I first.Watch.invalidated);
-              ("queries_reused", I first.Watch.reused);
-              ("flips", I (List.length first.Watch.flips));
-              ("rounds_measured", I (List.length incs));
+              key "route" (S "watch_incremental");
+              timing "total_ms" best_ms;
+              work "queries_invalidated" first.Watch.invalidated;
+              info "queries_reused" (I first.Watch.reused);
+              info "flips" (I (List.length first.Watch.flips));
+              info "rounds_measured" (I (List.length incs));
             ];
             [
-              ("route", S "summary");
-              ("speedup_cold_over_incremental", F speedup);
-              ("ge10x", B (speedup >= 10.));
+              key "route" (S "summary");
+              info "speedup_cold_over_incremental" (F speedup);
+              claim "ge10x" (speedup >= 10.);
             ];
           ]
   end
@@ -1524,34 +1545,34 @@ let p11 () =
   let pause = Pmetrics.histogram "posl_gc_pause_ms" in
   [
     [
-      ("route", S "spans_off");
-      ("total_ms", F off_ms);
-      ("jobs", I (List.length batch));
+      key "route" (S "spans_off");
+      timing "total_ms" off_ms;
+      work "jobs" (List.length batch);
     ];
     [
-      ("route", S "spans_on");
-      ("total_ms", F on_ms);
-      ("spans_recorded", I spans);
-      ("spans_dropped", I dropped);
-      ( "gc_minor_collections",
-        I (stat1.Gc.minor_collections - stat0.Gc.minor_collections) );
-      ( "gc_major_collections",
-        I (stat1.Gc.major_collections - stat0.Gc.major_collections) );
+      key "route" (S "spans_on");
+      timing "total_ms" on_ms;
+      work "spans_recorded" spans;
+      work "spans_dropped" dropped;
+      info "gc_minor_collections"
+        (I (stat1.Gc.minor_collections - stat0.Gc.minor_collections));
+      info "gc_major_collections"
+        (I (stat1.Gc.major_collections - stat0.Gc.major_collections));
     ];
     [
-      ("route", S "log");
-      ("events", I log_events);
-      ("ns_per_event", F log_ns);
+      key "route" (S "log");
+      info "events" (I log_events);
+      info "ns_per_event" (F log_ns);
     ];
     [
-      ("route", S "gc");
-      ("pause_samples", I (Pmetrics.count pause));
-      ("pause_p99", F (Pmetrics.percentile pause 99.));
+      key "route" (S "gc");
+      info "pause_samples" (I (Pmetrics.count pause));
+      info "pause_p99" (F (Pmetrics.percentile pause 99.));
     ];
     [
-      ("route", S "summary");
-      ("overhead_on_over_off", F (on_ms /. off_ms));
-      ("tracing_le_2x", B (on_ms <= 2. *. off_ms));
+      key "route" (S "summary");
+      info "overhead_on_over_off" (F (on_ms /. off_ms));
+      claim "tracing_le_2x" (on_ms <= 2. *. off_ms);
     ];
   ]
 

@@ -24,6 +24,7 @@ module Job = Posl_engine.Job
 module Engine = Posl_engine.Engine
 module Manifest = Posl_engine.Manifest
 module Plan = Posl_engine.Plan
+module Runner = Posl_engine.Runner
 module Wire = Posl_serve.Wire
 module Serve = Posl_serve.Serve
 module Loadgen = Posl_serve.Loadgen
@@ -359,31 +360,29 @@ let show_cmd =
 let run_cmd =
   let run file depth extra =
     code
-      (match Posl_lang.Lang.parse_string (read_whole_file file) with
+      (match Lang.parse_string (read_whole_file file) with
       | exception Sys_error m -> Error (Input m)
-      | Error e ->
-          Error (Input (Format.asprintf "%s: %a" file Posl_lang.Lang.pp_error e))
+      | Error e -> Error (Input (Format.asprintf "%s: %a" file Lang.pp_error e))
       | Ok ast -> (
-          match
-            Posl_lang.Runner.run_file ~depth ~extra_objects:extra ast
-          with
+          answering @@ fun () ->
+          match Runner.run_file ~depth ~extra_objects:extra ast with
           | results ->
               List.iter
-                (fun r -> Format.printf "%a@." Posl_lang.Runner.pp_result r)
+                (fun r -> Format.printf "%a@." Runner.pp_result r)
                 results;
               let failures =
-                List.length (List.filter (fun r -> not r.Posl_lang.Runner.holds) results)
+                List.length (List.filter (fun r -> not r.Runner.holds) results)
               in
               Format.printf "%d assertion(s), %d failure(s)@."
                 (List.length results) failures;
               if failures = 0 then Ok ()
               else Error (Verdict "assertions failed")
-          | exception Posl_lang.Runner.Unknown_spec (name, pos) ->
+          | exception Runner.Unknown_spec (name, pos) ->
               Error
                 (Input
                    (Format.asprintf "%a: unknown spec %s" Posl_lang.Ast.pp_pos
                       pos name))
-          | exception Posl_lang.Lang.Error (message, pos) ->
+          | exception Lang.Error (message, pos) ->
               Error
                 (Input (Format.asprintf "%a: %s" Posl_lang.Ast.pp_pos pos message))))
   in
@@ -1083,7 +1082,9 @@ let rounds_limit_arg =
     & info [ "rounds" ] ~docv:"N"
         ~doc:
           "Exit after $(docv) rounds (the initial cold round counts) — \
-           mainly for scripting and tests; default: run until interrupted.")
+           mainly for scripting and tests; default: run until interrupted. \
+           A bounded run whose last round left queries that do not \
+           elaborate exits 2, as $(b,batch) does.")
 
 let watch_json_arg =
   Arg.(
@@ -1093,8 +1094,9 @@ let watch_json_arg =
 
 (* Run the watch loop with clean SIGINT/SIGTERM shutdown (exit 0 — an
    interactive loop being told to stop is not a failure), invoking
-   [on_round] with the per-round report and whether json was asked.  A
-   closure overflow ends the loop as an input error, as in batch. *)
+   [on_round] with the per-round report.  A closure overflow ends the
+   loop as an input error, as in batch, and so does a bounded run
+   ([--rounds N]) whose last round left queries with no verdict. *)
 let run_watch_loop ~manifest ~depth ~extra ~domains ~plan ~store_dir ~poll_ms
     ~rounds ~on_round =
   answering @@ fun () ->
@@ -1113,11 +1115,23 @@ let run_watch_loop ~manifest ~depth ~extra ~domains ~plan ~store_dir ~poll_ms
       Sys.set_signal Sys.sigint old_int;
       Sys.set_signal Sys.sigterm old_term)
     (fun () ->
+      let last = ref None in
+      let on_round r =
+        last := Some r;
+        on_round r
+      in
       ignore
         (Watch.run ~poll_ms ?max_rounds:rounds
            ~stop:(fun () -> !stopped)
            ~on_round w);
-      Ok ())
+      match !last with
+      | Some { Watch.errored; total; _ }
+        when errored > 0 && Option.is_some rounds && not !stopped ->
+          Error
+            (Input
+               (Printf.sprintf "%s: %d of %d queries did not elaborate"
+                  manifest errored total))
+      | _ -> Ok ())
 
 let print_round ~json r =
   if json then begin

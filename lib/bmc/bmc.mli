@@ -87,3 +87,12 @@ val count_states :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> int
 (** Reachable monitor states within [depth] — the state-count metric of
     the performance experiments. *)
+
+(** {1 Work counters}
+
+    Registry cells bumped by the antichain inclusion walk (frontier
+    pairs admitted, pairs pruned by subsumption), and read by
+    [Posl_engine.Counters]. *)
+
+val antichain_pairs_c : Posl_telemetry.Metrics.counter
+val antichain_prunes_c : Posl_telemetry.Metrics.counter

@@ -54,30 +54,13 @@ let busy_ns =
   Metrics.counter ~help:"Summed per-job wall time, nanoseconds"
     "posl_engine_busy_ns_total"
 
-(* The DFA and interning counters are bumped in posl.tset, the
-   antichain ones in posl.bmc; [Metrics.counter] is get-or-create by
-   name, so declaring them here only obtains handles on the same
-   registry cells. *)
-let dfa_hits =
-  Metrics.counter ~help:"Compiled automata served from a context's DFA cache"
-    "posl_engine_dfa_cache_hits_total"
-
-let dfa_compiles =
-  Metrics.counter ~help:"PRS expressions compiled to DFAs"
-    "posl_engine_dfa_compiles_total"
-
-let antichain_pairs =
-  Metrics.counter ~help:"Product pairs admitted by antichain inclusion checks"
-    "posl_bmc_antichain_pairs_total"
-
-let antichain_prunes =
-  Metrics.counter
-    ~help:"Candidate pairs subsumed by the antichain (never explored)"
-    "posl_bmc_antichain_prunes_total"
-
-let interned_states =
-  Metrics.counter ~help:"Distinct monitor states interned per context"
-    "posl_tset_interned_states_total"
+(* The DFA and interning cells are declared and bumped in posl.tset,
+   the antichain ones in posl.bmc. *)
+let dfa_hits = Posl_tset.Tset.dfa_hits_c
+let dfa_compiles = Posl_tset.Tset.dfa_compiles_c
+let antichain_pairs = Posl_bmc.Bmc.antichain_pairs_c
+let antichain_prunes = Posl_bmc.Bmc.antichain_prunes_c
+let interned_states = Posl_tset.Tset.interned_states_c
 
 type t = (Metrics.counter * int) list
 

@@ -2,34 +2,41 @@
    snapshots (baseline) vs a freshly measured set (live), with typed
    threshold verdicts.
 
-   Rows are matched inside a campaign by their identity fields (route /
-   span / pass / cache / domains / clients / repeat / mode), then every
-   shared field is classified:
+   Every baseline file declares each field's kind (its "kinds" list,
+   parallel to "rows"); the kinds decide everything here and nothing is
+   inferred from field names.  Rows are matched inside a campaign by
+   their key fields, then each field is checked by its kind:
 
-   - booleans are hard gates: a claim the baseline records as [true]
-     (verdicts_agree, derived_agree, ge10x, ...) must still be [true];
-   - [*_ms] timings are lower-better, gated at [slack] x baseline, and
-     only when the baseline is >= 1 ms (smaller timings are noise; the
-     boolean claims cover them);
-   - [qps] and [speedup]/[*_over_*] ratios are higher-better, gated at
-     baseline / [slack];
-   - everything else (job counts, cache hits) is context, not a gate.
+   - claim: a baseline [true] must stay [true], whatever the slack;
+   - timing: live <= [slack] x baseline, only when the baseline is
+     >= 1 ms (smaller timings are noise; the claims cover them);
+   - rate: live >= baseline / [slack];
+   - work: live <= baseline, no slack (the counts repeat exactly);
+   - key and info fields are never checked.
 
-   A field that would be gated and is missing from the matched live row
-   fails its check.
-
-   The same comparison renders as markdown (for humans and CI job
-   summaries) and JSON (for tooling). *)
+   A checked field that is missing from the matched live row fails its
+   check.  The same comparison renders as markdown (for humans and CI
+   job summaries) and JSON (for tooling). *)
 
 module Json = Posl_json.Json
 
-type kind = Lower_ms | Higher | Claim
+type kind = Key | Claim | Timing | Rate | Work | Info
+
+let kind_names =
+  [ (Key, "key"); (Claim, "claim"); (Timing, "timing"); (Rate, "rate");
+    (Work, "work"); (Info, "info") ]
+
+let string_of_kind k = List.assoc k kind_names
+
+let kind_of_string s =
+  List.find_map (fun (k, n) -> if String.equal n s then Some k else None)
+    kind_names
 
 type check = {
   key : string;  (* row identity inside the campaign, "route=speedup" *)
   field : string;
   kind : kind;
-  base : float;  (* booleans: 1. = true *)
+  base : float;  (* claims: 1. = true *)
   live : float option;  (* None: the field is missing from the live row *)
   ok : bool;
 }
@@ -54,7 +61,21 @@ type t = {
   ok : bool;
 }
 
-(* --- loading --------------------------------------------------------- *)
+(* --- the campaign file ----------------------------------------------- *)
+
+let document ~name ~title rows =
+  let fields f row = Json.Obj (List.map f row) in
+  Json.Obj
+    [
+      ("campaign", Json.Str name);
+      ("title", Json.Str title);
+      ("rows", Json.List (List.map (fields (fun (k, _, v) -> (k, v))) rows));
+      ( "kinds",
+        Json.List
+          (List.map
+             (fields (fun (k, kind, _) -> (k, Json.Str (string_of_kind kind))))
+             rows) );
+    ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -62,6 +83,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let objects = function
+  | Some (Json.List l) ->
+      Some (List.filter_map (function Json.Obj f -> Some f | _ -> None) l)
+  | _ -> None
+
+(* Title and rows, each row's fields in file order. *)
 let load_campaign path =
   match read_file path with
   | exception Sys_error e -> Error e
@@ -74,21 +101,40 @@ let load_campaign path =
             | Some (Json.Str s) -> s
             | _ -> ""
           in
-          let rows =
-            match List.assoc_opt "rows" fields with
-            | Some (Json.List rows) ->
-                List.filter_map
-                  (function Json.Obj f -> Some f | _ -> None)
-                  rows
-            | _ -> []
-          in
-          Ok (title, rows)
+          Ok
+            ( title,
+              Option.value ~default:[] (objects (List.assoc_opt "rows" fields)),
+              fields )
       | Ok _ -> Error (Printf.sprintf "%s: not a JSON object" path))
 
-(* --- row identity and field classification --------------------------- *)
+(* [f] over [l], stopping at the first error. *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: rest ->
+      Result.bind (f x) (fun y -> Result.map (List.cons y) (map_ok f rest))
 
-let identity_fields =
-  [ "route"; "span"; "pass"; "cache"; "domains"; "clients"; "repeat"; "mode" ]
+(* Each baseline row with its declared kinds.  Every field of every row
+   must have one, or the file is refused: it predates declared kinds,
+   or was edited by hand. *)
+let load_baseline path =
+  Result.bind (load_campaign path) @@ fun (title, rows, fields) ->
+  let err fmt = Printf.ksprintf (fun m -> Error (path ^ ": " ^ m)) fmt in
+  match objects (List.assoc_opt "kinds" fields) with
+  | Some kinds when List.length kinds = List.length rows ->
+      let kind_of i declared (field, _) =
+        match List.assoc_opt field declared with
+        | Some (Json.Str s) when Option.is_some (kind_of_string s) ->
+            Ok (field, Option.get (kind_of_string s))
+        | _ -> err "row %d: field %s has no known kind" (i + 1) field
+      in
+      List.combine rows kinds
+      |> List.mapi (fun i (row, declared) ->
+             Result.map (fun ks -> (row, ks)) (map_ok (kind_of i declared) row))
+      |> map_ok Fun.id
+      |> Result.map (fun rows -> (title, rows))
+  | _ -> err "no \"kinds\" list beside its rows; re-snapshot this baseline"
+
+(* --- row identity and checks ----------------------------------------- *)
 
 let scalar_string = function
   | Json.Str s -> s
@@ -97,7 +143,19 @@ let scalar_string = function
   | Json.Bool b -> string_of_bool b
   | Json.Null | Json.Obj _ | Json.List _ -> ""
 
-let row_key fields =
+(* The campaign's identity fields: every field some baseline row
+   declares [Key], in first-seen order. *)
+let key_fields base_rows =
+  List.fold_left
+    (fun keys (_, kinds) ->
+      keys
+      @ List.filter_map
+          (fun (f, k) ->
+            if k = Key && not (List.mem f keys) then Some f else None)
+          kinds)
+    [] base_rows
+
+let row_key ~keys fields =
   let parts =
     List.filter_map
       (fun name ->
@@ -105,26 +163,9 @@ let row_key fields =
         | Some v when scalar_string v <> "" ->
             Some (Printf.sprintf "%s=%s" name (scalar_string v))
         | _ -> None)
-      identity_fields
+      keys
   in
   match parts with [] -> "(row)" | _ -> String.concat " " parts
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let ends_with ~suffix s =
-  let sl = String.length suffix and l = String.length s in
-  l >= sl && String.sub s (l - sl) sl = suffix
-
-let classify field =
-  if ends_with ~suffix:"_ms" field then Some Lower_ms
-  else if
-    field = "qps" || contains ~needle:"speedup" field
-    || contains ~needle:"_over_" field
-  then Some Higher
-  else None
 
 let number = function
   | Json.Int i -> Some (float_of_int i)
@@ -135,44 +176,44 @@ let number = function
    CI-runner resolution; the campaigns' boolean claims carry those. *)
 let min_gated_ms = 1.0
 
-(* A gated baseline field absent from the live row (deleted, renamed,
+(* A checked baseline field absent from the live row (deleted, renamed,
    or no longer a number) is a failed check: a gate must not vanish
    with its field. *)
-let checks_of_row ~slack ~key base_fields live_fields =
+let checks_of_row ~slack ~key (base_fields, kinds) live_fields =
   List.filter_map
     (fun (field, bv) ->
       let lv = List.assoc_opt field live_fields in
       let check kind base live ok = Some { key; field; kind; base; live; ok } in
-      let within gate live = match live with Some l -> gate l | None -> false in
-      if List.mem field identity_fields then None
-      else
-        match (bv, classify field, number bv) with
-        | Json.Bool true, _, _ ->
-            let live =
-              Option.map (fun v -> if v = Json.Bool true then 1. else 0.) lv
-            in
-            check Claim 1. live (live = Some 1.)
-        | _, Some Lower_ms, Some base when base >= min_gated_ms ->
-            let live = Option.bind lv number in
-            check Lower_ms base live (within (fun l -> l <= slack *. base) live)
-        | _, Some Higher, Some base when base > 0. ->
-            let live = Option.bind lv number in
-            check Higher base live (within (fun l -> l >= base /. slack) live)
-        | _ -> None)
+      let gate kind base ok =
+        let live = Option.bind lv number in
+        check kind base live (match live with Some l -> ok l | None -> false)
+      in
+      match (List.assoc field kinds, bv, number bv) with
+      | Claim, Json.Bool true, _ ->
+          let live =
+            Option.map (fun v -> if v = Json.Bool true then 1. else 0.) lv
+          in
+          check Claim 1. live (live = Some 1.)
+      | Timing, _, Some base when base >= min_gated_ms ->
+          gate Timing base (fun l -> l <= slack *. base)
+      | Rate, _, Some base when base > 0. ->
+          gate Rate base (fun l -> l >= base /. slack)
+      | Work, _, Some base -> gate Work base (fun l -> l <= base)
+      | _ -> None)
     base_fields
 
 let compare_campaign ~slack ~name ~title base_rows live_rows =
-  let live = List.map (fun r -> (row_key r, r)) live_rows in
+  let keys = key_fields base_rows in
+  let live = List.map (fun r -> (row_key ~keys r, r)) live_rows in
   let seen = Hashtbl.create 16 in
   let checks, unmatched_baseline =
     List.fold_left
-      (fun (checks, unmatched) base_fields ->
-        let key = row_key base_fields in
+      (fun (checks, unmatched) ((base_fields, _) as base) ->
+        let key = row_key ~keys base_fields in
         match List.assoc_opt key live with
         | Some live_fields ->
             Hashtbl.replace seen key ();
-            (checks @ checks_of_row ~slack ~key base_fields live_fields,
-             unmatched)
+            (checks @ checks_of_row ~slack ~key base live_fields, unmatched)
         | None -> (checks, key :: unmatched))
       ([], []) base_rows
   in
@@ -218,6 +259,10 @@ let campaign_number name =
     | None -> max_int
   else max_int
 
+let ends_with ~suffix s =
+  let sl = String.length suffix and l = String.length s in
+  l >= sl && String.sub s (l - sl) sl = suffix
+
 let discover_campaigns dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
@@ -239,45 +284,43 @@ let run ?(slack = 2.0) ?metrics_file ?campaigns ~baseline_dir ~live_dir () =
     | Some names -> names
     | None -> discover_campaigns baseline_dir
   in
+  let file dir name = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
+  let against_live name (title, base_rows) =
+    match load_campaign (file live_dir name) with
+    | Error _ ->
+        let keys = key_fields base_rows in
+        { name; title; status = Missing_live; checks = [];
+          unmatched_baseline =
+            List.map (fun (fields, _) -> row_key ~keys fields) base_rows;
+          unmatched_live = [] }
+    | Ok (_, live_rows, _) ->
+        compare_campaign ~slack ~name ~title base_rows live_rows
+  in
   if names = [] then
     Error
       (Printf.sprintf "no BENCH_*.json campaigns found under %s" baseline_dir)
   else
-    let campaigns =
-      List.map
-        (fun name ->
-          let file dir = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
-          match load_campaign (file baseline_dir) with
-          | Error e ->
-              { name; title = e; status = Missing_live; checks = [];
-                unmatched_baseline = []; unmatched_live = [] }
-          | Ok (title, base_rows) -> (
-              match load_campaign (file live_dir) with
-              | Error _ ->
-                  { name; title; status = Missing_live; checks = [];
-                    unmatched_baseline = List.map row_key base_rows;
-                    unmatched_live = [] }
-              | Ok (_, live_rows) ->
-                  compare_campaign ~slack ~name ~title base_rows live_rows))
-        names
-    in
-    let runtime =
-      match metrics_file with
-      | None -> []
-      | Some path -> (
-          match read_file path with
-          | exception Sys_error _ -> []
-          | text -> parse_metrics text)
-    in
-    Ok
-      {
-        baseline_dir;
-        live_dir;
-        slack;
-        campaigns;
-        runtime;
-        ok = List.for_all (fun c -> c.status = Pass) campaigns;
-      }
+    map_ok
+      (fun name ->
+        Result.map (against_live name) (load_baseline (file baseline_dir name)))
+      names
+    |> Result.map @@ fun campaigns ->
+       let runtime =
+         match metrics_file with
+         | None -> []
+         | Some path -> (
+             match read_file path with
+             | exception Sys_error _ -> []
+             | text -> parse_metrics text)
+       in
+       {
+         baseline_dir;
+         live_dir;
+         slack;
+         campaigns;
+         runtime;
+         ok = List.for_all (fun c -> c.status = Pass) campaigns;
+       }
 
 (* --- rendering ------------------------------------------------------- *)
 
@@ -286,17 +329,12 @@ let status_string = function
   | Regressed -> "regressed"
   | Missing_live -> "missing"
 
-let kind_string = function
-  | Lower_ms -> "lower_ms"
-  | Higher -> "higher"
-  | Claim -> "claim"
-
 let json_of_check c =
   Json.Obj
     [
       ("row", Json.Str c.key);
       ("field", Json.Str c.field);
-      ("kind", Json.Str (kind_string c.kind));
+      ("kind", Json.Str (string_of_kind c.kind));
       ("baseline", Json.Float c.base);
       ("live", match c.live with Some l -> Json.Float l | None -> Json.Null);
       ("ok", Json.Bool c.ok);
@@ -334,9 +372,9 @@ let to_json t =
 let quantity c =
   match (c.kind, c.live) with
   | Claim, None -> "true -> missing"
-  | (Lower_ms | Higher), None -> Printf.sprintf "%.3g -> missing" c.base
+  | _, None -> Printf.sprintf "%.3g -> missing" c.base
   | Claim, Some l -> if l = 1. then "true -> true" else "true -> FALSE"
-  | (Lower_ms | Higher), Some l ->
+  | _, Some l ->
       Printf.sprintf "%.3g -> %.3g (x%.2f)" c.base l
         (if c.base = 0. then 0. else l /. c.base)
 
@@ -359,11 +397,12 @@ let to_markdown t =
             (List.length c.checks + List.length c.unmatched_baseline)
       | Missing_live -> pf "status: **missing live campaign**\n\n");
       if c.checks <> [] then begin
-        pf "| row | field | baseline → live | gate |\n";
-        pf "|---|---|---|---|\n";
+        pf "| row | field | kind | baseline → live | gate |\n";
+        pf "|---|---|---|---|---|\n";
         List.iter
           (fun ck ->
-            pf "| %s | %s | %s | %s |\n" ck.key ck.field (quantity ck)
+            pf "| %s | %s | %s | %s | %s |\n" ck.key ck.field
+              (string_of_kind ck.kind) (quantity ck)
               (if ck.ok then "ok" else "**FAIL**"))
           c.checks;
         pf "\n"

@@ -9,33 +9,48 @@
     comparison becomes CI's perf gate: any failed check fails the
     step.
 
-    Checks per matched row (identity fields: route / span / pass /
-    cache / domains / clients / repeat / mode):
+    Each campaign file declares its fields' kinds: a ["kinds"] list
+    parallel to ["rows"], each entry mapping a row's fields to a {!kind}
+    (see {!document}).  The report reads kinds from the {e baseline}
+    file only, so the committed snapshot decides how a field is gated,
+    and never guesses from a field's name.  Rows are matched by their
+    {!Key} fields, then each field is checked by its kind:
 
-    - {e claims} — boolean fields the baseline records as [true]
-      ([verdicts_agree], [derived_agree], [fewer_product_explorations],
-      [ge10x], ...) must still be [true]: hard gates, no slack;
-    - {e timings} — [*_ms] fields with baseline >= 1 ms must stay
-      within [slack] x baseline;
-    - {e rates} — [qps] and [speedup]/[*_over_*] fields must stay
-      above baseline / [slack];
-    - counters and sub-millisecond timings are not gated.
+    - {!Claim}: a baseline [true] must stay [true], with no slack;
+    - {!Timing}: live <= [slack] x baseline, when the baseline is
+      >= 1 ms (smaller timings are noise);
+    - {!Rate}: live >= baseline / [slack], when the baseline is > 0;
+    - {!Work}: live <= baseline, with no slack;
+    - {!Key} and {!Info} fields are never checked.
 
-    A field that would be gated (a [true] claim, a timing with a
-    baseline >= 1 ms, a rate with a baseline > 0) and is missing from
-    the matched live row fails its check, shown as missing. *)
+    A checked field that is missing from the matched live row fails its
+    check, shown as missing. *)
 
 module Json = Posl_json.Json
 
 type kind =
-  | Lower_ms  (** timing: live must be <= slack x baseline *)
-  | Higher  (** rate: live must be >= baseline / slack *)
-  | Claim  (** boolean: baseline true must stay true *)
+  | Key  (** part of the row's identity *)
+  | Claim  (** a boolean paper or engineering claim *)
+  | Timing  (** lower is better, within a slack *)
+  | Rate  (** higher is better, within a slack *)
+  | Work  (** a count that repeats exactly for a fixed corpus *)
+  | Info  (** rendered by the bench, never checked *)
+
+val string_of_kind : kind -> string
+(** ["key"], ["claim"], ["timing"], ["rate"], ["work"] or ["info"]: the
+    spelling in a campaign file's ["kinds"] list. *)
+
+val document :
+  name:string -> title:string -> (string * kind * Json.t) list list -> Json.t
+(** A campaign file: [{"campaign", "title", "rows", "kinds"}].  Each row
+    is its (field, kind, value) cells in order; ["rows"] holds the
+    fields and values, and ["kinds"], parallel to it, each row's field
+    kinds. *)
 
 type check = {
   key : string;  (** row identity, e.g. ["route=speedup"] *)
   field : string;
-  kind : kind;
+  kind : kind;  (** [Claim], [Timing], [Rate] or [Work] *)
   base : float;  (** claims: [1.] = true *)
   live : float option;
       (** claims: [1.] = true; [None] when the field is missing from
@@ -80,7 +95,9 @@ val run :
     [baseline_dir] is used, in campaign-number order.  [?slack]
     defaults to 2.0.  [?metrics_file] is a Prometheus text exposition
     whose unlabelled samples are appended as a runtime section.
-    [Error] only when no campaigns are found at all. *)
+    [Error] when no campaigns are found at all, or when a baseline file
+    is unreadable or does not declare a kind for every field (the
+    message names the file). *)
 
 val to_markdown : t -> string
 val to_json : t -> Json.t

@@ -1,6 +1,5 @@
 module Json = Posl_verdict.Verdict.Json
 module Telemetry = Posl_telemetry.Telemetry
-module Metrics = Posl_telemetry.Metrics
 
 type mode = Closed | Open of float
 
@@ -34,18 +33,13 @@ let n_slowest = 5
 
 type tally = {
   lock : Mutex.t;
-  (* latencies go in a private registry so successive campaigns in one
-     process (the P7 sweeps) never mix samples *)
-  latency : Metrics.histogram;
+  mutable latencies : float list;  (* every answered submission, ms *)
   mutable answered : int;
   mutable failed : int;
   mutable rejected : int;
   mutable expired : int;
   mutable errors : int;
   mutable cached : int;
-  mutable max_ms : float;
-  mutable sum_ms : float;
-  mutable samples : int;
   mutable slowest : (string * float) list;  (* slowest first, <= n_slowest *)
 }
 
@@ -80,10 +74,7 @@ let record t outcome ~trace_id ms =
       t.failed <- t.failed + failed;
       t.expired <- t.expired + expired;
       t.cached <- t.cached + cached;
-      Metrics.observe t.latency ms;
-      t.sum_ms <- t.sum_ms +. ms;
-      t.samples <- t.samples + 1;
-      if ms > t.max_ms then t.max_ms <- ms;
+      t.latencies <- ms :: t.latencies;
       note_slow t trace_id ms
   | `Rejected -> t.rejected <- t.rejected + 1
   | `Error -> t.errors <- t.errors + 1);
@@ -169,12 +160,9 @@ let run addr ~pool (cfg : cfg) =
     with
     | Error _ as e -> e
     | Ok conns ->
-        let registry = Metrics.create () in
         let t =
-          { lock = Mutex.create ();
-            latency = Metrics.histogram ~registry "posl_loadgen_latency_ms";
-            answered = 0; failed = 0; rejected = 0; expired = 0; errors = 0;
-            cached = 0; max_ms = 0.; sum_ms = 0.; samples = 0; slowest = [] }
+          { lock = Mutex.create (); latencies = []; answered = 0; failed = 0;
+            rejected = 0; expired = 0; errors = 0; cached = 0; slowest = [] }
         in
         let next = Atomic.make 0 and fresh = Atomic.make 0 in
         let start_ns = Telemetry.now_ns () in
@@ -192,7 +180,17 @@ let run addr ~pool (cfg : cfg) =
           float_of_int (Telemetry.now_ns () - start_ns) /. 1e6
         in
         List.iter Client.close conns;
-        let pct p = Metrics.percentile t.latency p in
+        let sorted = Array.of_list t.latencies in
+        Array.sort Float.compare sorted;
+        let n = Array.length sorted in
+        (* nearest rank, as perfbench reports them: a percentile is
+           always one of the samples, so p99 never exceeds the max *)
+        let pct p =
+          if n = 0 then 0.
+          else
+            let k = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
+            sorted.(max 1 k - 1)
+        in
         Ok
           {
             requests = cfg.requests;
@@ -210,8 +208,9 @@ let run addr ~pool (cfg : cfg) =
             p90_ms = pct 90.;
             p99_ms = pct 99.;
             mean_ms =
-              (if t.samples > 0 then t.sum_ms /. float_of_int t.samples else 0.);
-            max_ms = t.max_ms;
+              (if n = 0 then 0.
+               else Array.fold_left ( +. ) 0. sorted /. float_of_int n);
+            max_ms = (if n = 0 then 0. else sorted.(n - 1));
             clients = cfg.clients;
             repeat = cfg.repeat;
             mode = mode_name cfg.mode;

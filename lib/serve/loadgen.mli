@@ -37,7 +37,9 @@ type report = {
   cached : int;  (** jobs answered from the server's warm caches *)
   wall_ms : float;
   qps : float;  (** answered submissions per second of wall time *)
-  p50_ms : float;  (** response latency percentiles, per submission *)
+  p50_ms : float;
+      (** nearest-rank response latency percentiles over the answered
+          submissions (each is one of the samples) *)
   p90_ms : float;
   p99_ms : float;
   mean_ms : float;

@@ -149,6 +149,16 @@ val tset_id : ctx -> t -> int
 val intern_counts : ctx -> int * int * int
 (** [(states, composites, events)] interned so far in this context. *)
 
+(** {1 Work counters}
+
+    Registry cells declared and bumped here, where the work happens
+    (states interned; automata compiled, or served compiled), and read
+    by [Posl_engine.Counters]. *)
+
+val interned_states_c : Posl_telemetry.Metrics.counter
+val dfa_compiles_c : Posl_telemetry.Metrics.counter
+val dfa_hits_c : Posl_telemetry.Metrics.counter
+
 val start : ctx -> t -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)
 

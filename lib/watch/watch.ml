@@ -97,9 +97,11 @@ let pp_report ppf r =
         (Verdict.to_string f.verdict))
     r.flips;
   fprintf ppf
-    "round %d: %d invalidated, %d reused, %d flip%s, %d/%d failing (%.1f ms)@."
+    "round %d: %d invalidated, %d reused, %d flip%s, %s%d/%d failing \
+     (%.1f ms)@."
     r.round r.invalidated r.reused (List.length r.flips)
     (if List.length r.flips = 1 then "" else "s")
+    (if r.errored > 0 then Printf.sprintf "%d errored, " r.errored else "")
     r.failing r.total r.elapsed_ms
 
 (* --- watcher state ----------------------------------------------------- *)
@@ -120,7 +122,8 @@ type file_state = {
 type slot = {
   mutable gen : int;  (* file generation [token] was last confirmed at *)
   token : string option;  (* dependency token, [None] = never reuse *)
-  request : Engine.request option;  (* [None]: not elaborable *)
+  request : (Engine.request, Manifest.input_error) result;
+      (* [Error]: the query does not elaborate *)
   mutable standing : (string * Verdict.t) option;  (* label, verdict *)
 }
 
@@ -345,9 +348,7 @@ let confirm t load ((e : Manifest.entry), key) =
           ( {
               gen = fs.gen;
               token;
-              request =
-                Result.to_option
-                  (Manifest.request_of_entry ~path:t.manifest ~load e);
+              request = Manifest.request_of_entry ~path:t.manifest ~load e;
               standing = Option.bind stored (fun s -> s.standing);
             },
             true ))
@@ -360,13 +361,17 @@ let round t diags =
     ~attrs:[ ("round", string_of_int t.round) ]
   @@ fun () ->
   (* Partition: run what was rebuilt; a slot with no request is errored
-     and keeps its standing verdict. *)
+     and keeps its standing verdict.  A query that does not elaborate
+     over its file's good parse (an unknown name, a token that does not
+     compose) is a diagnostic when its slot is rebuilt, as a broken
+     file is one when its content changes; a file that has no good
+     parse was reported as such. *)
   let load = loader t in
   let rebuilt = Hashtbl.create 8 and to_run = ref [] in
-  let reused = ref 0 and errored = ref 0 in
+  let reused = ref 0 and errored = ref 0 and diags = ref (List.rev diags) in
   let slots =
     List.map
-      (fun ((_, key) as entry) ->
+      (fun (((e : Manifest.entry), key) as entry) ->
         (* a repeated query shares the slot its first occurrence rebuilt *)
         let slot, fresh =
           match Hashtbl.find_opt rebuilt key with
@@ -375,9 +380,13 @@ let round t diags =
         in
         if fresh then Hashtbl.replace rebuilt key slot;
         (match slot.request with
-        | None -> incr errored
-        | Some req when fresh -> to_run := (slot, req) :: !to_run
-        | Some _ -> incr reused);
+        | Error err ->
+            incr errored;
+            let parsed = (Hashtbl.find t.files e.Manifest.file).good in
+            if fresh && Option.is_some parsed && not (List.mem err !diags)
+            then diags := err :: !diags
+        | Ok req when fresh -> to_run := (slot, req) :: !to_run
+        | Ok _ -> incr reused);
         slot)
       t.entries
   in
@@ -445,7 +454,7 @@ let round t diags =
     reused = !reused;
     errored = !errored;
     flips;
-    diagnostics = diags;
+    diagnostics = List.rev !diags;
     failing;
     total = List.length slots;
     elapsed_ms;

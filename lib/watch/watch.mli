@@ -53,8 +53,10 @@ type report = {
           never loaded, or a name no longer resolves) *)
   flips : flip list;
   diagnostics : Manifest.input_error list;
-      (** input failures that {e surfaced} this round — a broken file
-          is reported once, when it breaks, not every round after *)
+      (** input failures that {e surfaced} this round: a broken file
+          once, when it breaks, not every round after; a query that
+          does not elaborate over its file's good parse (an unknown
+          name, say) each time its slot is rebuilt *)
   failing : int;  (** failing verdicts across all queries after the round *)
   total : int;  (** queries in the manifest *)
   elapsed_ms : float;
@@ -69,7 +71,8 @@ val json_of_report : report -> Verdict.Json.t
 
 val pp_report : Format.formatter -> report -> unit
 (** The human flip report: one line per flip with the verdict
-    rendering, one per diagnostic, and the round counter summary. *)
+    rendering, one per diagnostic, and the round counter summary
+    (which names the errored count when there is one). *)
 
 type t
 

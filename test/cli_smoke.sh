@@ -158,6 +158,9 @@ expect 2 "closure overflow (batch)" batch "$tmp/overflow.manifest"
 expect 2 "closure overflow (watch)" watch "$tmp/overflow.manifest" --rounds 1
 expect 2 "closure overflow (session)" session "$tmp/overflow.manifest" \
   --session "$tmp/overflow-session" --rounds 1
+{ cat "$tmp/overflow.oun"; echo 'assert deadlockfree A || B;'; } \
+  >"$tmp/overflow-run.oun"
+expect 2 "closure overflow (run)" run "$tmp/overflow-run.oun"
 for args in "batch" "watch --rounds 1" \
     "session --session $tmp/overflow-session --rounds 1"; do
   if ! "$BIN" $args "$tmp/overflow.manifest" 2>&1 >/dev/null \
@@ -169,7 +172,8 @@ done
 
 # A forall body naming an undeclared method is an input error of its
 # file, found at parse time — never an uncaught exception.  batch and
-# single queries exit 2; watch reports it as a diagnostic of the file.
+# single queries exit 2; watch reports it as a diagnostic of the file,
+# and a bounded watch whose last round left a query unanswered exits 2.
 cat >"$tmp/forall.oun" <<EOF
 spec S { objects o; sort Env = all except { o };
          alphabet call Env -> o : A; traces forall c in Env . prs <c,o,B>*; }
@@ -181,12 +185,27 @@ expect 2 "undeclared method in a forall body (refine)" \
   refine "$tmp/forall.oun" S T
 expect 2 "undeclared method in a forall body (batch)" \
   batch "$tmp/forall.manifest"
-expect 0 "undeclared method in a forall body (watch)" \
+expect 2 "undeclared method in a forall body (watch)" \
   watch "$tmp/forall.manifest" --rounds 1
 for args in "refine $tmp/forall.oun S T" "batch $tmp/forall.manifest" \
     "watch $tmp/forall.manifest --rounds 1"; do
   if ! "$BIN" $args 2>&1 | grep -q 'method B not declared'; then
     echo "FAIL forall body error ($args): message does not name the method" >&2
+    fails=$((fails + 1))
+  fi
+done
+
+# A query naming an unknown spec is a diagnostic of the round that
+# rebuilds it, and a bounded watch or session exits 2, as batch does.
+printf 'use %s\nrefine Read Nope\nrefine Read2 Read\n' "$SPECS/paper.oun" \
+  >"$tmp/nope.manifest"
+expect 2 "unknown spec name (batch)" batch "$tmp/nope.manifest"
+expect 2 "unknown spec name (watch)" watch "$tmp/nope.manifest" --rounds 1
+expect 2 "unknown spec name (session)" session "$tmp/nope.manifest" \
+  --session "$tmp/nope-session" --rounds 1
+for args in "watch --rounds 1" "session --session $tmp/nope-session2 --rounds 1"; do
+  if ! "$BIN" $args "$tmp/nope.manifest" 2>&1 | grep -q 'no spec named Nope'; then
+    echo "FAIL unknown spec name ($args): no diagnostic names Nope" >&2
     fails=$((fails + 1))
   fi
 done
@@ -487,10 +506,12 @@ echo "ok   session journal survives restart (1 round replayed)"
 
 # The perf-trajectory report: a live dir identical to the baseline
 # passes the gate (exit 0); corrupting a boolean claim fails it
-# (exit 1); an empty baseline dir is an input error (exit 2).
+# (exit 1); an empty baseline dir, or a baseline that declares no
+# field kinds, is an input error (exit 2).
 mkdir -p "$tmp/base" "$tmp/live"
 cat >"$tmp/base/BENCH_P8.json" <<'EOF'
-{"campaign":"P8","title":"smoke","rows":[{"route":"direct","total_ms":50.0,"verdicts_agree":true}]}
+{"campaign":"P8","title":"smoke","rows":[{"route":"direct","total_ms":50.0,"verdicts_agree":true}],
+ "kinds":[{"route":"key","total_ms":"timing","verdicts_agree":"claim"}]}
 EOF
 cp "$tmp/base/BENCH_P8.json" "$tmp/live/BENCH_P8.json"
 "$BIN" report --baseline "$tmp/base" --live "$tmp/live" --gate \
@@ -524,7 +545,16 @@ if [ "$report_exit" -ne 2 ]; then
   echo "FAIL report: empty baseline should be input error 2, got $report_exit" >&2
   fails=$((fails + 1))
 fi
-echo "ok   report gate (pass 0 / regression 1 / no campaigns 2)"
+mkdir -p "$tmp/kindless"
+echo '{"campaign":"P8","title":"smoke","rows":[{"route":"direct"}]}' \
+  >"$tmp/kindless/BENCH_P8.json"
+"$BIN" report --baseline "$tmp/kindless" --live "$tmp/live" >"$tmp/report3.log" 2>&1
+report_exit=$?
+if [ "$report_exit" -ne 2 ] || ! grep -q 'kindless/BENCH_P8.json' "$tmp/report3.log"; then
+  echo "FAIL report: a baseline without kinds should be input error 2 naming the file, got $report_exit" >&2
+  fails=$((fails + 1))
+fi
+echo "ok   report gate (pass 0 / regression 1 / no campaigns or kinds 2)"
 
 # --log streams structured events as JSON lines the tool's own parser
 # accepts, and the batch slow-query exemplars land there.

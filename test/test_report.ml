@@ -69,7 +69,10 @@ let write_file path text =
 let campaign_json =
   {|{"campaign":"P8","title":"example campaign","rows":[
      {"route":"direct","total_ms":120.0,"jobs":10,"verdicts_agree":true},
-     {"route":"derived","total_ms":3.0,"qps":900.0,"speedup":40.0}]}|}
+     {"route":"derived","total_ms":3.0,"qps":900.0,"speedup":40.0}],
+     "kinds":[
+     {"route":"key","total_ms":"timing","jobs":"info","verdicts_agree":"claim"},
+     {"route":"key","total_ms":"timing","qps":"rate","speedup":"rate"}]}|}
 
 let trajectory_ok = function
   | Ok (t : Trajectory.t) -> t
@@ -161,7 +164,9 @@ let test_trajectory_missing_live () =
   write_file (Filename.concat base "BENCH_P8.json") campaign_json;
   write_file (Filename.concat base "BENCH_P9.json")
     {|{"campaign":"P9","title":"two rows","rows":[
-       {"route":"a","total_ms":10.0},{"route":"b","total_ms":10.0}]}|};
+       {"route":"a","total_ms":10.0},{"route":"b","total_ms":10.0}],
+       "kinds":[{"route":"key","total_ms":"timing"},
+                {"route":"key","total_ms":"timing"}]}|};
   write_file (Filename.concat live "BENCH_P9.json")
     {|{"campaign":"P9","title":"two rows","rows":[
        {"route":"a","total_ms":10.0}]}|};
@@ -198,7 +203,10 @@ let test_trajectory_missing_field () =
   write_file (Filename.concat base "BENCH_P8.json")
     {|{"campaign":"P8","title":"example campaign","rows":[
        {"route":"legacy","total_ms":120.0,"jobs":10,"fast_ms":0.2},
-       {"route":"speedup","legacy_over_antichain":6.5}]}|};
+       {"route":"speedup","legacy_over_antichain":6.5}],
+       "kinds":[
+       {"route":"key","total_ms":"timing","jobs":"info","fast_ms":"timing"},
+       {"route":"key","legacy_over_antichain":"rate"}]}|};
   write_file (Filename.concat live "BENCH_P8.json")
     {|{"campaign":"P8","title":"example campaign","rows":[
        {"route":"legacy"},
@@ -229,7 +237,8 @@ let test_trajectory_noise_floor_and_metrics () =
   with_temp_dir @@ fun base ->
   with_temp_dir @@ fun live ->
   write_file (Filename.concat base "BENCH_P5.json")
-    {|{"campaign":"P5","title":"fast","rows":[{"pass":"x","total_ms":0.2}]}|};
+    {|{"campaign":"P5","title":"fast","rows":[{"pass":"x","total_ms":0.2}],
+       "kinds":[{"pass":"key","total_ms":"timing"}]}|};
   write_file (Filename.concat live "BENCH_P5.json")
     {|{"campaign":"P5","title":"fast","rows":[{"pass":"x","total_ms":0.9}]}|};
   let metrics = Filename.concat live "metrics.prom" in
@@ -255,6 +264,116 @@ let test_trajectory_noise_floor_and_metrics () =
     (Util.contains_substring ~needle:"posl_gc_heap_words"
        (Trajectory.to_markdown t))
 
+(* The baseline's declared kind decides, never the field's name: a
+   [*_ms] field declared [info] is not checked, a [*_over_*] ratio
+   declared [info] is not a rate, and [jobs] declared [work] passes at
+   its baseline and below but fails at baseline + 1, whatever the
+   slack. *)
+let test_trajectory_kinds_not_names () =
+  with_temp_dir @@ fun base ->
+  with_temp_dir @@ fun live ->
+  write_file (Filename.concat base "BENCH_P9.json")
+    {|{"campaign":"P9","title":"kinds","rows":[
+       {"route":"r","total_ms":50.0,"jobs":10,"legacy_over_walk":8.0}],
+       "kinds":[{"route":"key","total_ms":"info","jobs":"work",
+                 "legacy_over_walk":"info"}]}|};
+  let checks_at jobs =
+    write_file (Filename.concat live "BENCH_P9.json")
+      (Printf.sprintf
+         {|{"campaign":"P9","title":"kinds","rows":[
+            {"route":"r","total_ms":5000.0,"jobs":%d,"legacy_over_walk":0.1}]}|}
+         jobs);
+    let t =
+      trajectory_ok
+        (Trajectory.run ~slack:3.0 ~baseline_dir:base ~live_dir:live ())
+    in
+    ( t.Trajectory.ok,
+      List.map
+        (fun (ck : Trajectory.check) ->
+          (ck.Trajectory.field, ck.Trajectory.kind, ck.Trajectory.ok))
+        (List.hd t.Trajectory.campaigns).Trajectory.checks )
+  in
+  Util.check_bool "at the baseline: one work check, passing" true
+    (checks_at 10 = (true, [ ("jobs", Trajectory.Work, true) ]));
+  Util.check_bool "below the baseline passes" true (fst (checks_at 9));
+  Util.check_bool "baseline + 1 fails" true
+    (checks_at 11 = (false, [ ("jobs", Trajectory.Work, false) ]))
+
+(* Rows are matched by the fields the baseline declares [key], whatever
+   their names and order; a field that is not a key may differ. *)
+let test_trajectory_key_fields () =
+  with_temp_dir @@ fun base ->
+  with_temp_dir @@ fun live ->
+  write_file (Filename.concat base "BENCH_P4.json")
+    {|{"campaign":"P4","title":"keys","rows":[
+       {"corpus":"paper","domains":1,"route":"x","wall_ms":10.0},
+       {"corpus":"paper","domains":2,"route":"x","wall_ms":20.0}],
+       "kinds":[
+       {"corpus":"key","domains":"key","route":"info","wall_ms":"timing"},
+       {"corpus":"key","domains":"key","route":"info","wall_ms":"timing"}]}|};
+  write_file (Filename.concat live "BENCH_P4.json")
+    {|{"campaign":"P4","title":"keys","rows":[
+       {"route":"y","domains":2,"corpus":"paper","wall_ms":21.0},
+       {"route":"y","domains":1,"corpus":"paper","wall_ms":11.0}]}|};
+  let t =
+    trajectory_ok
+      (Trajectory.run ~slack:1.5 ~baseline_dir:base ~live_dir:live ())
+  in
+  let c = List.hd t.Trajectory.campaigns in
+  Util.check_bool "every row matched" true
+    (c.Trajectory.unmatched_baseline = [] && c.Trajectory.unmatched_live = []);
+  Util.check_bool "keys render in the baseline's order" true
+    (List.map
+       (fun (ck : Trajectory.check) -> ck.Trajectory.key)
+       c.Trajectory.checks
+    = [ "corpus=paper domains=1"; "corpus=paper domains=2" ]);
+  Util.check_bool "each row against its partner" true t.Trajectory.ok
+
+(* A baseline that declares no kinds is refused, naming its file. *)
+let test_trajectory_kindless_baseline () =
+  with_temp_dir @@ fun base ->
+  with_temp_dir @@ fun live ->
+  let file = Filename.concat base "BENCH_P8.json" in
+  write_file file
+    {|{"campaign":"P8","title":"old","rows":[{"route":"a","total_ms":1.5}]}|};
+  write_file (Filename.concat live "BENCH_P8.json")
+    {|{"campaign":"P8","title":"old","rows":[{"route":"a","total_ms":1.5}]}|};
+  match Trajectory.run ~baseline_dir:base ~live_dir:live () with
+  | Ok _ -> Alcotest.fail "a baseline without kinds should be an error"
+  | Error e ->
+      Util.check_bool "the error names the file" true
+        (Util.contains_substring ~needle:file e)
+
+(* P11's tracing overhead is on/off, so lower is better: declared
+   [info] beside its [tracing_le_2x] claim, a fall is no longer failed
+   as a "higher" rate, and a rise past 2x fails through the claim. *)
+let test_trajectory_overhead_ratio () =
+  with_temp_dir @@ fun base ->
+  with_temp_dir @@ fun live ->
+  write_file (Filename.concat base "BENCH_P11.json")
+    {|{"campaign":"P11","title":"overhead","rows":[
+       {"route":"summary","overhead_on_over_off":1.104,"tracing_le_2x":true}],
+       "kinds":[{"route":"key","overhead_on_over_off":"info",
+                 "tracing_le_2x":"claim"}]}|};
+  let run_with overhead =
+    write_file (Filename.concat live "BENCH_P11.json")
+      (Printf.sprintf
+         {|{"campaign":"P11","title":"overhead","rows":[
+            {"route":"summary","overhead_on_over_off":%g,"tracing_le_2x":%b}]}|}
+         overhead (overhead <= 2.));
+    trajectory_ok
+      (Trajectory.run ~slack:3.0 ~baseline_dir:base ~live_dir:live ())
+  in
+  let t = run_with 0.3 in
+  Util.check_bool "cheaper tracing passes" true t.Trajectory.ok;
+  Util.check_bool "the ratio is not checked" true
+    (List.map
+       (fun (ck : Trajectory.check) -> ck.Trajectory.field)
+       (List.hd t.Trajectory.campaigns).Trajectory.checks
+    = [ "tracing_le_2x" ]);
+  Util.check_bool "dearer than 2x fails on the claim" false
+    (run_with 2.5).Trajectory.ok
+
 let suite =
   [
     Alcotest.test_case "basic table" `Quick test_basic_table;
@@ -271,4 +390,12 @@ let suite =
       test_trajectory_missing_field;
     Alcotest.test_case "trajectory: noise floor and runtime snapshot" `Quick
       test_trajectory_noise_floor_and_metrics;
+    Alcotest.test_case "trajectory: the declared kind gates, not the name"
+      `Quick test_trajectory_kinds_not_names;
+    Alcotest.test_case "trajectory: key fields form the row identity" `Quick
+      test_trajectory_key_fields;
+    Alcotest.test_case "trajectory: a baseline without kinds is an error"
+      `Quick test_trajectory_kindless_baseline;
+    Alcotest.test_case "trajectory: the overhead ratio is not a rate" `Quick
+      test_trajectory_overhead_ratio;
   ]

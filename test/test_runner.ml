@@ -1,7 +1,7 @@
 (* Assertion scripts: parsing, evaluation, round trip. *)
 
 module Lang = Posl_lang.Lang
-module Runner = Posl_lang.Runner
+module Runner = Posl_engine.Runner
 module Printer = Posl_lang.Printer
 module Ast = Posl_lang.Ast
 

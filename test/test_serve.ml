@@ -633,6 +633,31 @@ let test_loadgen_campaign () =
               Alcotest.(check bool) "exemplar latency positive" true (ms > 0.))
             r.Loadgen.slowest)
 
+(* Percentiles are nearest-rank over the answered latencies: with 20
+   samples p99 is the slowest one, and the ladder never inverts. *)
+let test_loadgen_percentiles () =
+  with_server ~workers:1 (fun addr ->
+      let pool =
+        [
+          Wire.submission ~depth
+            ~queries:[ { Wire.kind = "refine"; names = [ "A"; "B" ] } ]
+            (`Spec_text spec_text);
+        ]
+      in
+      match
+        Loadgen.run addr ~pool
+          { Loadgen.requests = 20; clients = 1; repeat = 0.;
+            mode = Loadgen.Closed; seed = 7 }
+      with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+          Util.check_int "all answered" 20 r.Loadgen.answered;
+          Alcotest.(check (float 0.)) "p99 is the slowest sample"
+            r.Loadgen.max_ms r.Loadgen.p99_ms;
+          Alcotest.(check bool) "p50 <= p90 <= p99" true
+            (r.Loadgen.p50_ms <= r.Loadgen.p90_ms
+            && r.Loadgen.p90_ms <= r.Loadgen.p99_ms))
+
 (* One request through a multi-worker server yields one connected span
    tree under its client-supplied trace id: serve.handle on the
    connection thread (child of that connection's serve.accept),
@@ -759,6 +784,8 @@ let suite =
       test_shutdown_drains;
     Alcotest.test_case "live: loadgen campaign against in-process server"
       `Quick test_loadgen_campaign;
+    Alcotest.test_case "live: loadgen percentiles are nearest-rank" `Quick
+      test_loadgen_percentiles;
     Alcotest.test_case "live: one request, one connected span tree" `Quick
       test_request_span_tree;
   ]

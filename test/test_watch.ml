@@ -453,6 +453,39 @@ let test_watch_forall_body_error () =
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
   check_int "no verdict" 0 (List.length (Watch.verdicts w))
 
+(* A query naming a spec its file does not declare is a diagnostic of
+   the round that rebuilds its slot, naming the spec; a later round that
+   leaves the slot standing does not repeat it. *)
+let test_watch_unknown_name () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "nope.manifest" in
+  write_file (Filename.concat dir "paper.oun")
+    (read_file (spec_file "paper.oun"));
+  let queries qs = String.concat "\n" ("use paper.oun" :: qs) ^ "\n" in
+  write_file manifest (queries [ "refine Read Nope"; "refine Read2 Read" ]);
+  let w = Watch.create manifest in
+  let r = poll_round w in
+  check_int "one query errored" 1 r.Watch.errored;
+  check_int "the other ran" 1 r.Watch.invalidated;
+  (match r.Watch.diagnostics with
+  | [ d ] ->
+      check_bool "the diagnostic names Nope" true
+        (Util.contains_substring ~needle:"no spec named Nope"
+           d.Manifest.input_message)
+  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+  check_bool "the text report counts it" true
+    (Util.contains_substring ~needle:"1 errored"
+       (Format.asprintf "%a" Watch.pp_report r));
+  write_file manifest
+    (queries [ "refine Read Nope"; "refine Read2 Read"; "refine RW Read" ]);
+  let r2 = poll_round w in
+  check_int "still errored" 1 r2.Watch.errored;
+  check_int "not reported again" 0 (List.length r2.Watch.diagnostics);
+  write_file manifest (queries [ "refine Read Read2"; "refine Read2 Read" ]);
+  let r3 = poll_round w in
+  check_int "fixed: nothing errored" 0 r3.Watch.errored;
+  check_int "and no diagnostic" 0 (List.length r3.Watch.diagnostics)
+
 (* A scripted session over two spec files: edit A, half-save A, fix A
    to new content, edit B, reorder and extend the manifest, then revert
    B.  Every poll's counters are pinned, so a change to how rounds
@@ -635,6 +668,8 @@ let suite =
       `Quick test_watch_overflow;
     Alcotest.test_case "watch: a bad forall body is a diagnostic" `Quick
       test_watch_forall_body_error;
+    Alcotest.test_case "watch: an unknown spec name is a diagnostic" `Quick
+      test_watch_unknown_name;
     Alcotest.test_case "watch: scripted two-file session" `Quick
       test_watch_script;
     Alcotest.test_case "journal: restart replays history and signal" `Quick
