@@ -113,13 +113,13 @@ let certify_deadlock ctx ~alphabet t h =
     With [~complete:false] the walk cuts at [depth]: states at depth
     [depth] are admitted but not expanded.  With [~complete:true] it
     runs past [depth] until the frontier is exhausted or more than
-    {!budget} pairs have been admitted — unless a monitor is not
-    {!Tset.finitary}: a [Pointwise] member mints a fresh state per path,
-    so completion would enumerate paths exponentially, and the walk
-    keeps the depth cut. *)
+    {!budget} pairs have been admitted.  Inclusion asks for completion
+    only when both monitors are {!Tset.finitary}: a [Pointwise] member
+    mints a fresh state per path, so completion would enumerate paths
+    exponentially. *)
 
 type question =
-  | Escape of Eventset.t * Tset.t * Tset.state
+  | Escape of Eventset.t * Tset.node * Tset.state
   | Stuck
   | Count
 
@@ -132,45 +132,15 @@ let budget = 200_000
 exception Answer of Trace.t
 
 let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
-    (lhs : Tset.t) (lhs0 : Tset.state) : outcome * int * Antichain.stats =
-  let complete =
-    complete && Tset.finitary lhs
-    &&
-    match question with
-    | Escape (_, rhs, _) -> Tset.finitary rhs
-    | Stuck | Count -> true
-  in
-  let alphabet = Array.map (Tset.hashcons_event ctx) alphabet in
+    (lhs : Tset.node) (lhs0 : Tset.state) : outcome * int * Antichain.stats =
   let n = Array.length alphabet in
   let eids = Array.map (Tset.event_id ctx) alphabet in
-  (* Memoized successor rows: interned state id -> per-symbol successor
-     id, [-1] = dead, [-2] = not yet computed.  Cells are filled lazily
-     — rhs states are only stepped at symbols where the lhs survives,
-     and never outside the projection — and each fill goes through the
-     context's persistent row cache ({!Tset.step_id}), so a monitor
-     appearing in many questions — every corpus spec does — steps each
-     state once per context; the per-walk table only short-circuits
-     the per-cell cache lookups. *)
-  let cell tset =
-    let tid = Tset.tset_id ctx tset and tbl = Hashtbl.create 256 in
-    fun id s ->
-      let r =
-        match Hashtbl.find_opt tbl id with
-        | Some r -> r
-        | None ->
-            let r = Array.make n (-2) in
-            Hashtbl.add tbl id r;
-            r
-      in
-      let v = r.(s) in
-      if v <> -2 then v
-      else
-        let v =
-          Tset.step_id ctx tset ~tset_id:tid ~event_id:eids.(s) id alphabet.(s)
-        in
-        r.(s) <- v;
-        v
-  in
+  (* Successor cells are the nodes' own rows ({!Tset.step_id}), filled
+     lazily — rhs states are only stepped at symbols where the lhs
+     survives, and never outside the projection — and kept for the
+     context's lifetime, so a monitor appearing in many questions —
+     every corpus spec does — steps each state once per context. *)
+  let cell node id s = Tset.step_id node ~event_id:eids.(s) id alphabet.(s) in
   let lcell = cell lhs in
   let proj_mask, rcell, r0, macro =
     match question with
@@ -254,19 +224,24 @@ let check_inclusion_antichain ?(complete = true) (ctx : Tset.ctx)
          restrictions") is refined by everything. *)
       Holds Exact
   | _ -> (
-      match Tset.start ctx lhs with
+      let lnode = Tset.node ctx lhs in
+      match Tset.start lnode with
       | None -> Holds Exact (* T(Γ′) degenerate: even ε is outside it *)
       | Some lhs0 -> (
-          match Tset.start ctx rhs with
+          let rnode = Tset.node ctx rhs in
+          match Tset.start rnode with
           | None ->
               (* ε ∈ T(Γ′) but ε ∉ T(Γ) *)
               Refuted (certify_inclusion ctx ~lhs ~proj ~rhs Trace.empty)
           | Some rhs0 ->
               Telemetry.with_span "bmc.antichain" @@ fun () ->
+              let complete =
+                complete && Tset.finitary lhs && Tset.finitary rhs
+              in
               let outcome, admitted, st =
                 walk ~complete ctx ~alphabet ~depth
-                  (Escape (proj, rhs, rhs0))
-                  lhs lhs0
+                  (Escape (proj, rnode, rhs0))
+                  lnode lhs0
               in
               Metrics.add antichain_pairs_c admitted;
               Metrics.add antichain_prunes_c st.Antichain.pruned;
@@ -308,23 +283,25 @@ let check_equal ctx ~alphabet ~depth ~(left : Tset.t) ~(right : Tset.t) :
     [depth] are not examined. *)
 let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     Trace.t option =
-  match Tset.start ctx t with
+  let n = Tset.node ctx t in
+  match Tset.start n with
   | None ->
       (* not even ε: degenerate, report as stuck *)
       Some (certify_deadlock ctx ~alphabet t Trace.empty)
   | Some st0 -> (
-      match walk ~complete:false ctx ~alphabet ~depth Stuck t st0 with
+      match walk ~complete:false ctx ~alphabet ~depth Stuck n st0 with
       | Found h, _, _ -> Some (certify_deadlock ctx ~alphabet t h)
       | (Exhausted | Cut), _, _ -> None)
 
 (** Reachable monitor states up to [depth]; the state-count metric of
     the performance experiments. *)
 let count_states ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) : int =
-  match Tset.start ctx t with
+  let n = Tset.node ctx t in
+  match Tset.start n with
   | None -> 0
   | Some st0 ->
       let _, admitted, _ =
-        walk ~complete:false ctx ~alphabet ~depth Count t st0
+        walk ~complete:false ctx ~alphabet ~depth Count n st0
       in
       admitted
 
@@ -332,21 +309,22 @@ let count_states ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) : int =
     trace set.  Used by example walkthroughs. *)
 let enabled ctx ~(alphabet : Event.t array) (t : Tset.t) (h : Trace.t) :
     Event.t list =
+  let n = Tset.node ctx t in
   let rec replay st = function
     | [] -> Some st
     | e :: rest -> (
-        match Tset.step ctx t st e with
+        match Tset.step n st e with
         | Some st' -> replay st' rest
         | None -> None)
   in
-  match Tset.start ctx t with
+  match Tset.start n with
   | None -> []
   | Some st0 -> (
       match replay st0 (Trace.to_list h) with
       | None -> []
       | Some st ->
           Array.to_list alphabet
-          |> List.filter (fun e -> Option.is_some (Tset.step ctx t st e)))
+          |> List.filter (fun e -> Option.is_some (Tset.step n st e)))
 
 (** {1 Counting and enumeration} *)
 
@@ -355,7 +333,8 @@ let enabled ctx ~(alphabet : Event.t array) (t : Tset.t) (h : Trace.t) :
 let count_traces ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     int array =
   let counts = Array.make (depth + 1) 0 in
-  (match Tset.start ctx t with
+  let n = Tset.node ctx t in
+  (match Tset.start n with
   | None -> ()
   | Some st0 ->
       let module SM = Map.Make (struct
@@ -368,20 +347,20 @@ let count_traces ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
       for d = 1 to depth do
         let next = ref SM.empty in
         SM.iter
-          (fun st n ->
+          (fun st k ->
             Array.iter
               (fun e ->
-                match Tset.step ctx t st e with
+                match Tset.step n st e with
                 | Some st' ->
                     next :=
                       SM.update st'
-                        (function None -> Some n | Some m -> Some (m + n))
+                        (function None -> Some k | Some m -> Some (m + k))
                         !next
                 | None -> ())
               alphabet)
           !level;
         level := !next;
-        counts.(d) <- SM.fold (fun _ n acc -> acc + n) !level 0
+        counts.(d) <- SM.fold (fun _ k acc -> acc + k) !level 0
       done);
   counts
 
@@ -389,7 +368,8 @@ let count_traces ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     (exponential in general). *)
 let enumerate ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     Trace.t list =
-  match Tset.start ctx t with
+  let n = Tset.node ctx t in
+  match Tset.start n with
   | None -> []
   | Some st0 ->
       let out = ref [] in
@@ -398,7 +378,7 @@ let enumerate ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
         if d < depth then
           Array.iter
             (fun e ->
-              match Tset.step ctx t st e with
+              match Tset.step n st e with
               | Some st' -> go st' (Trace.snoc h e) (d + 1)
               | None -> ())
             alphabet

@@ -36,13 +36,14 @@ let weakest_common_refinement g1 g2 =
 let nonempty_witness ctx ~depth comp =
   let alphabet = Spec.concrete_alphabet (Tset.universe ctx) comp in
   let t = Spec.tset comp in
-  match Tset.start ctx t with
+  let n = Tset.node ctx t in
+  match Tset.start n with
   | None -> None
   | Some st0 ->
       let first =
         Array.to_list alphabet
         |> List.find_map (fun e ->
-               match Tset.step ctx t st0 e with
+               match Tset.step n st0 e with
                | Some _ -> Some (Trace.of_list [ e ])
                | None -> None)
       in

@@ -55,7 +55,9 @@ type snapshot = {
   busy_ms : float;
       (** summed per-job wall time; divided by (wall time × domains) it
           gives worker utilization *)
-  dfa_hits : int;  (** compiled automata served from a context's cache *)
+  dfa_hits : int;
+      (** nodes whose automaton a context's cache already held (one per
+          node resolution) *)
   dfa_compiles : int;  (** prs-expressions compiled to DFAs *)
   antichain_pairs : int;
       (** product pairs admitted by antichain inclusion checks *)

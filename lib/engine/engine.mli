@@ -71,7 +71,8 @@ type stats = {
       (** composite queries the planner recognised but declined (side
           condition failed or premise not exact), answered directly *)
   dfa_cache_hits : int;
-      (** compiled prs-automata served from a context's striped cache *)
+      (** trace-set nodes whose prs-automaton a context's striped cache
+          already held (one per node resolution) *)
   dfa_compiles : int;
       (** prs-expressions compiled to DFAs during this batch; with
           shared contexts this does not scale with the domain count *)

@@ -83,7 +83,7 @@ let evidence_of_violation = function
 (* Forward reachability of a response event from a monitor state,
    memoized per state: BFS over monitor states looking for any enabled
    response transition.  [depth] bounds the search. *)
-let response_reachable ctx ~alphabet ~depth tset response =
+let response_reachable ~alphabet ~depth node response =
   let module SM = Map.Make (struct
     type t = Tset.state
 
@@ -102,7 +102,7 @@ let response_reachable ctx ~alphabet ~depth tset response =
             if not !found then
               Array.iter
                 (fun e ->
-                  match Tset.step ctx tset st e with
+                  match Tset.step node st e with
                   | None -> ()
                   | Some st' ->
                       if Eventset.mem e response then found := true
@@ -129,10 +129,11 @@ let response_reachable ctx ~alphabet ~depth tset response =
    counts, so the pair is the exploration key. *)
 let check_obligation ctx ~alphabet ~depth tset ob : (Bmc.confidence, Trace.t) result
     =
-  match Tset.start ctx tset with
+  let node = Tset.node ctx tset in
+  match Tset.start node with
   | None -> Ok Bmc.Exact
   | Some st0 ->
-      let reachable = response_reachable ctx ~alphabet ~depth tset ob.response in
+      let reachable = response_reachable ~alphabet ~depth node ob.response in
       let module KM = Map.Make (struct
         type t = Tset.state * int
 
@@ -151,7 +152,7 @@ let check_obligation ctx ~alphabet ~depth tset ob : (Bmc.confidence, Trace.t) re
             (fun ((st, opened), h) ->
               Array.iter
                 (fun e ->
-                  match Tset.step ctx tset st e with
+                  match Tset.step node st e with
                   | None -> ()
                   | Some st' ->
                       let opened' =

@@ -138,9 +138,12 @@ let atom_delta t (e : linexp) event =
       if Eventset.mem event t.classes.(i) then acc + c else acc)
     0 e
 
+let delta t event = Array.map (fun e -> atom_delta t e event) t.atoms
+
 (* Advance the expression-value vector by one event. *)
 let bump t values event =
-  Array.mapi (fun a v -> v + atom_delta t t.atoms.(a) event) values
+  let d = delta t event in
+  Array.mapi (fun a v -> v + d.(a)) values
 
 let initial t = Array.make (Array.length t.atoms) 0
 

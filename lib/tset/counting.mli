@@ -62,6 +62,10 @@ val n_classes : t -> int
 val initial : t -> int array
 (** The expression-value vector of the empty trace (all zeros). *)
 
+val delta : t -> Posl_trace.Event.t -> int array
+(** What one event adds to each expression value: a constant per
+    event, which is what lets a monitor classify an event once. *)
+
 val bump : t -> int array -> Posl_trace.Event.t -> int array
 (** Advance the vector by one event. *)
 

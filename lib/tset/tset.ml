@@ -47,7 +47,10 @@ let dfa_compiles_c =
     "posl_engine_dfa_compiles_total"
 
 let dfa_hits_c =
-  Metrics.counter ~help:"Compiled automata served from a context's DFA cache"
+  Metrics.counter
+    ~help:
+      "Trace-set nodes whose automaton a context's DFA cache already held \
+       (one per node resolution)"
     "posl_engine_dfa_cache_hits_total"
 
 type t =
@@ -107,17 +110,77 @@ type compiled_prs = {
 
 type prs_cache = (Regex.t, compiled_prs) Prs_cache.t
 
+(* A node's classification of each event, by the context's dense event
+   id, filled on first use.  Cells are read and written without a lock:
+   a classification is a pure function of the event, so domains racing
+   on a cell compute equal values, and a write lost to a concurrent
+   resize only means the cell is computed again. *)
+type 'a by_event = { mutable cells : 'a option array }
+
+(* A trace set resolved against one context (a node): its automaton,
+   its per-event classifiers and its resolved children, built once, so
+   a step is array reads and the state arithmetic of its constructor.
+   A node a walk steps also keeps successor rows: per state id, an int
+   array by event id holding the successor's state id, [-1] when dead
+   and [unknown] while not yet computed. *)
+type node = {
+  n_ctx : ctx;
+  n_kind : kind;
+  mutable n_rows : int array array;
+}
+
+and kind =
+  | N_all
+  | N_prs of prs
+  | N_count of Counting.t * int array by_event  (* per-event delta *)
+  | N_point of (Trace.t -> bool)
+  | N_forall of forall
+  | N_conj of node list
+  | N_restrict of bool by_event * Eventset.t * node
+  | N_product of product
+
+and prs = {
+  compiled : compiled_prs;
+  live : state option array;
+      (* per DFA state: the monitor state, or [None] where it is dead *)
+  syms : int by_event;  (* DFA symbol, or [-1] for a rejected event *)
+}
+
+and forall = {
+  sort : Oset.t;
+  body : Oid.t -> t;
+  children : (Oid.t, node) Hashtbl.t;
+      (* the body's node per object, under the context lock: [body o]
+         builds a fresh value per call, so its node is minted here once *)
+  witness : node option;  (* the body at a fresh sort member *)
+  touched : (node option * node option) by_event;
+      (* the body nodes of an event's caller and callee, where they are
+         in the sort *)
+}
+
+and product = {
+  parts : node array;
+  alphas : Eventset.t array;
+  vis : Eventset.t;
+  seen : (bool * bool array) by_event;
+      (* whether the event is visible, and which parts observe it *)
+  hidden : (Event.t * int * bool array) list;
+      (* the concrete internal events with their ids and observers:
+         the union of the part alphabets minus the visible alphabet,
+         sampled over the universe *)
+}
+
 (* Interning tables: small integer ids for monitor states, for the
-   composites of product macro-states, and a hash-consing table for
-   events.  Ids make frontier keys of the on-the-fly inclusion check
-   word-sized (a visited pair is one boxed-free int instead of two deep
-   structural trees), and composite ids turn a product macro-state into
-   a bitset the antichain can compare with word operations.  One table
-   set per context: ids are only meaningful relative to the universe
-   sample, exactly like compiled automata.  The mutex makes the tables
-   safe to share across the engine's worker domains; critical sections
-   are a single hash lookup/insert. *)
-type intern = {
+   composites of product macro-states, and for events.  Ids make
+   frontier keys of the on-the-fly inclusion check word-sized (a
+   visited pair is one boxed-free int instead of two deep structural
+   trees), and composite ids turn a product macro-state into a bitset
+   the antichain can compare with word operations.  One table set per
+   context: ids are only meaningful relative to the universe sample,
+   exactly like compiled automata.  The mutex makes the tables safe to
+   share across the engine's worker domains; critical sections are a
+   single hash lookup/insert. *)
+and intern = {
   i_lock : Mutex.t;
   i_ids : (state, int) Hashtbl.t;
   mutable i_rev : state array;  (* id -> state; doubling array *)
@@ -126,43 +189,28 @@ type intern = {
   mutable i_comp_count : int;
   i_macros : (int, int array) Hashtbl.t;
       (* state id of an [S_product] -> sorted composite ids *)
-  i_events : (Event.t, Event.t * int) Hashtbl.t;
-      (* hash-consed events, with a dense id for row-cache keys *)
+  i_events : (Event.t, int) Hashtbl.t;  (* event -> dense id *)
   mutable i_event_count : int;
-  mutable i_tsets : (t * int) list;
-      (* physical-identity trace-set ids; a short assoc list scanned
-         with (==) — contexts see a handful of distinct monitors *)
-  mutable i_tset_count : int;
-  i_rows : (int * int * int, int) Hashtbl.t;
-      (* (tset id, state id, event id) -> successor state id, -1 dead.
-         Successor rows survive across inclusion checks, so a monitor
-         shared by many refinement pairs steps each state once per
-         context, not once per pair. *)
-  i_forall_bodies : (int * Oid.t, t) Hashtbl.t;
-      (* (tset id of a [Forall_obj] node, object) -> [body o].  The
-         body of Example 3's P{_RW1} builds a whole regex tree per
-         application; memoizing per node keeps the sub-monitor (and
-         its inner regex) one physically stable value, so per-step
-         applications stop allocating and downstream caches get a
-         stable key. *)
-  i_hidden : (int, Event.t list) Hashtbl.t;
-      (* tset id of a [Product] node -> its concrete hidden events.
-         They depend only on the node and the universe, yet every
-         [start] and [step] of a composite monitor needs them; deriving
-         them once per node saves a union, a difference and a sample
-         over the universe per step. *)
-  mutable i_prs_phys : (Regex.t * compiled_prs) list;
-      (* physical-identity front cache over [prs_cache], capped at
-         [prs_phys_cap]: hot-path regexes are stable values (module
-         constants, or [i_forall_bodies] members), so stepping
-         resolves their automata by pointer scan instead of a
-         structural hash + equality per step.  The cap keeps fresh
-         regexes from growing the scan; they miss into the striped
-         cache, which is keyed structurally.  Read lock-free (a cons
-         chain is immutable); extended under [i_lock]. *)
+  mutable i_nodes : (t * node) list;
+      (* nodes by {e physical} identity of their trace set, scanned
+         with (==): [Spec.tset] is a field read, so the monitors a
+         context sees are physically stable values, and one spec keeps
+         one node (and its rows) however many questions it is in.
+         Structurally-equal-but-distinct values get distinct nodes,
+         which costs row sharing, never soundness. *)
 }
 
-let prs_phys_cap = 64
+(* The record stays internal: outside the module a context is abstract
+   and reached through the accessors below, which is what lets the
+   compiled-automata memo be a domain-safe striped cache rather than a
+   leaked hashtable.  A context owns its automata: they are relative to
+   its universe, so nothing outside it can reuse them soundly. *)
+and ctx = {
+  universe : Universe.t;
+  closure_cap : int;
+  prs_cache : prs_cache;
+  intern : intern;
+}
 
 let intern_create () =
   {
@@ -175,25 +223,8 @@ let intern_create () =
     i_macros = Hashtbl.create 256;
     i_events = Hashtbl.create 256;
     i_event_count = 0;
-    i_tsets = [];
-    i_tset_count = 0;
-    i_rows = Hashtbl.create 4096;
-    i_forall_bodies = Hashtbl.create 64;
-    i_hidden = Hashtbl.create 16;
-    i_prs_phys = [];
+    i_nodes = [];
   }
-
-(* The record stays internal: outside the module a context is abstract
-   and reached through the accessors below, which is what lets the
-   compiled-automata memo be a domain-safe striped cache rather than a
-   leaked hashtable.  A context owns its automata: they are relative to
-   its universe, so nothing outside it can reuse them soundly. *)
-type ctx = {
-  universe : Universe.t;
-  closure_cap : int;
-  prs_cache : prs_cache;
-  intern : intern;
-}
 
 let ctx ?(closure_cap = 20_000) universe =
   {
@@ -208,17 +239,24 @@ let closure_cap c = c.closure_cap
 let prs_cache c = c.prs_cache
 
 (* "Same context, tighter cap" is the common way to probe closure
-   overflows in tests: the automata carry over, the interning tables
-   start fresh. *)
+   overflows in tests: the automata carry over, the interning tables —
+   and with them the nodes, which read the cap — start fresh. *)
 let with_closure_cap cap c =
   { c with closure_cap = cap; intern = intern_create () }
 
 (** {1 Interning} *)
 
-let with_intern c f =
-  let it = c.intern in
-  Mutex.lock it.i_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock it.i_lock) (fun () -> f it)
+let with_intern c f = Mutex.protect c.intern.i_lock (fun () -> f c.intern)
+
+(* [a] itself when index [i] is in range, else a copy at least twice as
+   long, padded with [pad]. *)
+let fit a i pad =
+  if i < Array.length a then a
+  else begin
+    let grown = Array.make (max (i + 1) (2 * Array.length a)) pad in
+    Array.blit a 0 grown 0 (Array.length a);
+    grown
+  end
 
 (* Composite ids are assigned under the same lock as state ids; the
    macro view of an [S_product] is computed once, at interning time,
@@ -238,11 +276,7 @@ let intern_state c (st : state) : int =
   | Some id -> id
   | None ->
       let id = it.i_count in
-      if id >= Array.length it.i_rev then begin
-        let grown = Array.make (2 * Array.length it.i_rev) S_all in
-        Array.blit it.i_rev 0 grown 0 (Array.length it.i_rev);
-        it.i_rev <- grown
-      end;
+      it.i_rev <- fit it.i_rev id S_all;
       it.i_rev.(id) <- st;
       Hashtbl.add it.i_ids st id;
       it.i_count <- id + 1;
@@ -263,73 +297,43 @@ let state_of_id c id : state =
 let macro_of_id c id : int array option =
   with_intern c @@ fun it -> Hashtbl.find_opt it.i_macros id
 
-let hashcons_event c (e : Event.t) : Event.t =
-  with_intern c @@ fun it ->
-  match Hashtbl.find_opt it.i_events e with
-  | Some (canonical, _) -> canonical
-  | None ->
-      Hashtbl.add it.i_events e (e, it.i_event_count);
-      it.i_event_count <- it.i_event_count + 1;
-      e
-
 let event_id c (e : Event.t) : int =
   with_intern c @@ fun it ->
   match Hashtbl.find_opt it.i_events e with
-  | Some (_, id) -> id
+  | Some id -> id
   | None ->
       let id = it.i_event_count in
-      Hashtbl.add it.i_events e (e, id);
+      Hashtbl.add it.i_events e id;
       it.i_event_count <- id + 1;
       id
 
-(* Physical identity, not structural: [Spec.tset] is a field read, so
-   the monitors a context actually sees are physically stable values.
-   Structurally-equal-but-distinct monitors merely get distinct ids,
-   which costs row sharing, never soundness. *)
-let tset_id c (t : t) : int =
-  with_intern c @@ fun it ->
-  let rec find = function
-    | [] -> None
-    | (t', id) :: _ when t' == t -> Some id
-    | _ :: rest -> find rest
-  in
-  match find it.i_tsets with
-  | Some id -> id
-  | None ->
-      let id = it.i_tset_count in
-      it.i_tsets <- (t, id) :: it.i_tsets;
-      it.i_tset_count <- id + 1;
-      id
-
-(* A per-context memo over one of the intern tables.  [f] runs outside
-   the lock; on a race both domains build structurally equal values and
-   the first insert wins, so every caller shares one physical value. *)
-let memo c table key f =
-  match with_intern c (fun it -> Hashtbl.find_opt (table it) key) with
-  | Some v -> v
-  | None ->
-      let v = f () in
-      with_intern c (fun it ->
-          let tbl = table it in
-          match Hashtbl.find_opt tbl key with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.add tbl key v;
-              v)
-
-(* Memoized [body o] for a [Forall_obj] node. *)
-let forall_body c (node : t) (body : Oid.t -> t) (o : Oid.t) : t =
-  memo c (fun it -> it.i_forall_bodies) (tset_id c node, o) (fun () -> body o)
-
 let intern_counts c =
   with_intern c @@ fun it -> (it.i_count, it.i_comp_count, it.i_event_count)
+
+(* Find-or-build under the context lock.  [build] runs outside it (it
+   re-enters the tables); on a race both domains build and the first
+   insert wins, so every caller shares one value. *)
+let memo c find add build =
+  match with_intern c find with
+  | Some v -> v
+  | None ->
+      let v = build () in
+      with_intern c (fun it ->
+          match find it with
+          | Some winner -> winner
+          | None ->
+              add it v;
+              v)
+
+(** {1 Nodes} *)
 
 (* Compilation happens outside the stripe lock; when two domains race
    on a fresh regex both compile and the first insert wins, which is
    sound because compiled automata for one (regex, universe) pair are
    interchangeable pure values.  Every compilation counts, benign
-   duplicates included, exactly as [Prs_cache]'s own misses do. *)
-let compile_prs_shared (c : ctx) (r : Regex.t) : compiled_prs =
+   duplicates included, exactly as [Prs_cache]'s own misses do; a hit
+   counts once per node that resolves its automaton. *)
+let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =
   let compiled = ref false in
   let v =
     Prs_cache.find_or_compute c.prs_cache r @@ fun () ->
@@ -355,39 +359,33 @@ let compile_prs_shared (c : ctx) (r : Regex.t) : compiled_prs =
   Metrics.incr (if !compiled then dfa_compiles_c else dfa_hits_c);
   v
 
-(* Pointer-scan front over the striped cache; see [i_prs_phys]. *)
-let compile_prs (c : ctx) (r : Regex.t) : compiled_prs =
-  let rec scan = function
-    | [] -> None
-    | (r', v) :: _ when r' == r -> Some v
-    | _ :: rest -> scan rest
-  in
-  match scan c.intern.i_prs_phys with
-  | Some v -> v
-  | None ->
-      let v = compile_prs_shared c r in
-      with_intern c (fun it ->
-          if
-            List.length it.i_prs_phys < prs_phys_cap
-            && not (List.exists (fun (r', _) -> r' == r) it.i_prs_phys)
-          then it.i_prs_phys <- (r, v) :: it.i_prs_phys);
-      v
+let by_event () = { cells = [||] }
 
-(* Step the compiled automaton.  Events outside the concrete sample are
-   rejected when they match no atom symbolically (exact); an event that
+let cached t eid =
+  let cells = t.cells in
+  if eid < Array.length cells then Array.unsafe_get cells eid else None
+
+let remember t eid v =
+  let cells = fit t.cells eid None in
+  if cells != t.cells then t.cells <- cells;
+  cells.(eid) <- Some v;
+  v
+
+(* The DFA symbol of an event.  An event outside the concrete sample is
+   rejected when it matches no atom symbolically (exact); an event that
    matches an atom but was not sampled would need a larger universe —
-   fail loudly rather than give a wrong verdict. *)
-let step_prs compiled q e =
+   fail loudly rather than give a wrong verdict.  The failure is raised
+   again on every step that meets the event, never remembered as a
+   rejection. *)
+let prs_symbol compiled e =
   match Event.Map.find_opt e compiled.index with
-  | Some sym ->
-      let q' = Posl_automata.Dfa.step compiled.dfa q sym in
-      if Posl_automata.Dfa.accept_state compiled.dfa q' then Some q' else None
+  | Some sym -> sym
   | None ->
       if Eventset.mem e compiled.atoms then
         invalid_arg
           "Tset: event matches the specification but is outside the \
            context universe; extend the universe sample"
-      else None
+      else -1
 
 let compare_state (a : state) (b : state) = Stdlib.compare a b
 
@@ -396,17 +394,6 @@ module Composite_set = Set.Make (struct
 
   let compare = Stdlib.compare
 end)
-
-(* ∀-monitors must reject immediately when the body rejects the empty
-   trace for fresh environment objects; otherwise an object that never
-   appears in the trace would never be checked.  The body is assumed
-   uniform over sort members that are not treated specially — true of
-   every predicate in the paper, where the bound variable ranges over an
-   anonymous environment sort. *)
-let forall_witness s =
-  match Oset.witness s with
-  | Some w -> Some w
-  | None -> None
 
 (* Whether every reachable monitor state of [t] is bounded-shape pure
    data, so that interning de-duplicates revisited states and
@@ -421,152 +408,67 @@ let rec finitary (t : t) : bool =
   | All | Prs _ | Counting _ -> true
   | Pointwise _ -> false
   | Forall_obj (s, body) -> (
-      match forall_witness s with None -> true | Some w -> finitary (body w))
+      match Oset.witness s with None -> true | Some w -> finitary (body w))
   | Conj ts -> List.for_all finitary ts
   | Restrict (_, t) -> finitary t
   | Product (parts, _) -> List.for_all (fun p -> finitary p.part_tset) parts
 
-let rec start (c : ctx) (t : t) : state option =
-  match t with
-  | All -> Some S_all
-  | Prs r ->
-      let compiled = compile_prs c r in
-      let q0 = Posl_automata.Dfa.start compiled.dfa in
-      if Posl_automata.Dfa.accept_state compiled.dfa q0 then Some (S_dfa q0)
-      else None
-  | Counting ct ->
-      let counts = Counting.initial ct in
-      if Counting.holds ct counts then Some (S_count counts) else None
-  | Pointwise (_, p) -> if p Trace.empty then Some (S_point []) else None
-  | Forall_obj (s, body) -> (
-      match forall_witness s with
-      | None -> Some (S_forall [])  (* empty sort: vacuous *)
-      | Some w -> (
-          match start c (body w) with
-          | Some _ -> Some (S_forall [])
-          | None -> None))
-  | Conj ts ->
-      let rec loop acc = function
-        | [] -> Some (S_conj (List.rev acc))
-        | t :: rest -> (
-            match start c t with
-            | Some s -> loop (s :: acc) rest
-            | None -> None)
-      in
-      loop [] ts
-  | Restrict (_, t') -> Option.map (fun s -> S_restrict s) (start c t')
-  | Product (parts, vis) -> (
-      let rec starts acc = function
-        | [] -> Some (List.rev acc)
-        | p :: rest -> (
-            match start c p.part_tset with
-            | Some s -> starts (s :: acc) rest
-            | None -> None)
-      in
-      match starts [] parts with
-      | None -> None
-      | Some composite ->
-          let hidden = hidden_events c t parts vis in
-          let set =
-            product_closure c parts hidden (Composite_set.singleton composite)
-          in
-          if Composite_set.is_empty set then None
-          else Some (S_product (Composite_set.elements set)))
-
-and step (c : ctx) (t : t) (s : state) (e : Event.t) : state option =
-  match (t, s) with
-  | All, S_all -> Some S_all
-  | Prs r, S_dfa q ->
-      Option.map (fun q' -> S_dfa q') (step_prs (compile_prs c r) q e)
-  | Counting ct, S_count counts ->
-      let counts' = Counting.bump ct counts e in
-      if Counting.holds ct counts' then Some (S_count counts')
-      else None
-  | Pointwise (_, p), S_point rev ->
-      let rev' = e :: rev in
-      if p (Trace.of_list (List.rev rev')) then Some (S_point rev') else None
-  | Forall_obj (sort, body), S_forall assoc ->
-      let touch o acc =
-        match acc with
-        | None -> None
-        | Some assoc ->
-            if not (Oset.mem o sort) then Some assoc
-            else
-              let bt = forall_body c t body o in
-              let current =
-                match List.assoc_opt o assoc with
-                | Some st -> Some st
-                | None -> start c bt
-              in
-              (match current with
-              | None -> None
-              | Some st -> (
-                  match step c bt st e with
-                  | None -> None
-                  | Some st' ->
-                      Some ((o, st') :: List.remove_assoc o assoc)))
-      in
-      (match touch (Event.caller e) (Some assoc) with
-      | None -> None
-      | Some assoc -> (
-          match touch (Event.callee e) (Some assoc) with
-          | None -> None
-          | Some assoc ->
-              Some (S_forall (List.sort (fun (a, _) (b, _) -> Oid.compare a b) assoc))))
-  | Conj ts, S_conj states ->
-      let rec loop acc ts states =
-        match (ts, states) with
-        | [], [] -> Some (S_conj (List.rev acc))
-        | t :: ts', st :: states' -> (
-            match step c t st e with
-            | Some st' -> loop (st' :: acc) ts' states'
-            | None -> None)
-        | _, _ -> invalid_arg "Tset.step: conjunction state mismatch"
-      in
-      loop [] ts states
-  | Restrict (es, t'), S_restrict st ->
-      if Eventset.mem e es then
-        Option.map (fun st' -> S_restrict st') (step c t' st e)
-      else Some s
-  | Product (parts, vis), S_product composites ->
-      if not (Eventset.mem e vis) then None
-      else
-        let stepped =
-          List.filter_map (fun comp -> step_composite c parts comp e) composites
+(* Children are resolved with their parent and owned by it; only the
+   trace sets callers ask about are registered in the context. *)
+let rec make_node c (t : t) : node =
+  let kind =
+    match t with
+    | All -> N_all
+    | Prs r ->
+        let compiled = compile_prs c r in
+        let dfa = compiled.dfa in
+        let live =
+          Array.init (Posl_automata.Dfa.n_states dfa) (fun q ->
+              if Posl_automata.Dfa.accept_state dfa q then Some (S_dfa q)
+              else None)
         in
-        let hidden = hidden_events c t parts vis in
-        let set = product_closure c parts hidden (Composite_set.of_list stepped) in
-        if Composite_set.is_empty set then None
-        else Some (S_product (Composite_set.elements set))
-  | _, _ -> invalid_arg "Tset.step: state does not match trace-set structure"
-
-(* Advance every part that observes [e]; parts whose alphabet does not
-   contain [e] are unaffected (projection drops the event). *)
-and step_composite c parts comp e =
-  let rec loop acc parts comp =
-    match (parts, comp) with
-    | [], [] -> Some (List.rev acc)
-    | p :: parts', st :: comp' ->
-        if Eventset.mem e p.part_alpha then
-          match step c p.part_tset st e with
-          | Some st' -> loop (st' :: acc) parts' comp'
-          | None -> None
-        else loop (st :: acc) parts' comp'
-    | _, _ -> invalid_arg "Tset.step_composite: arity mismatch"
+        N_prs { compiled; live; syms = by_event () }
+    | Counting ct -> N_count (ct, by_event ())
+    | Pointwise (_, p) -> N_point p
+    | Forall_obj (sort, body) ->
+        let children = Hashtbl.create 8 in
+        let witness =
+          Option.map (forall_child c body children) (Oset.witness sort)
+        in
+        N_forall { sort; body; children; witness; touched = by_event () }
+    | Conj ts -> N_conj (List.map (make_node c) ts)
+    | Restrict (es, t') -> N_restrict (by_event (), es, make_node c t')
+    | Product (parts, vis) ->
+        let alphas = Array.of_list (List.map (fun p -> p.part_alpha) parts) in
+        let union_alpha = Array.fold_left Eventset.union Eventset.empty alphas in
+        let hidden =
+          Eventset.sample c.universe (Eventset.diff union_alpha vis)
+          |> List.map (fun e ->
+                 (e, event_id c e, Array.map (Eventset.mem e) alphas))
+        in
+        N_product
+          {
+            parts = Array.of_list (List.map (fun p -> make_node c p.part_tset) parts);
+            alphas;
+            vis;
+            seen = by_event ();
+            hidden;
+          }
   in
-  loop [] parts comp
+  { n_ctx = c; n_kind = kind; n_rows = [||] }
 
-(* Concrete internal events of the composition [node]: the union of the
-   part alphabets minus the visible alphabet, sampled over the universe;
-   derived once per (context, node). *)
-and hidden_events c node parts vis =
-  memo c (fun it -> it.i_hidden) (tset_id c node) @@ fun () ->
-  let union_alpha =
-    List.fold_left
-      (fun acc p -> Eventset.union acc p.part_alpha)
-      Eventset.empty parts
-  in
-  Eventset.sample c.universe (Eventset.diff union_alpha vis)
+and forall_child c body children o =
+  memo c
+    (fun _ -> Hashtbl.find_opt children o)
+    (fun _ n -> Hashtbl.add children o n)
+    (fun () -> make_node c (body o))
+
+(* The context's node for [t], minted on first use. *)
+let node c (t : t) : node =
+  memo c
+    (fun it -> List.assq_opt t it.i_nodes)
+    (fun it n -> it.i_nodes <- (t, n) :: it.i_nodes)
+    (fun () -> make_node c t)
 
 (* Close a set of composites under internal (hidden) events: the
    observable trace set of a composition existentially quantifies over
@@ -574,7 +476,7 @@ and hidden_events c node parts vis =
    monitor tracks every internal continuation.  The closure is a fixpoint
    over a finite set; [closure_cap] is a safety valve against parts with
    unbounded state (raises {!Closure_overflow}). *)
-and product_closure c parts hidden set =
+let rec closure cap p set =
   Telemetry.with_span "tset.closure" @@ fun () ->
   let rec grow frontier set =
     if Composite_set.is_empty frontier then set
@@ -583,15 +485,15 @@ and product_closure c parts hidden set =
       Composite_set.iter
         (fun comp ->
           List.iter
-            (fun e ->
-              match step_composite c parts comp e with
+            (fun (e, eid, observers) ->
+              match step_parts p observers comp e eid with
               | Some comp' when not (Composite_set.mem comp' set) ->
                   next := Composite_set.add comp' !next
               | Some _ | None -> ())
-            hidden)
+            p.hidden)
         frontier;
       let set' = Composite_set.union set !next in
-      if Composite_set.cardinal set' > c.closure_cap then
+      if Composite_set.cardinal set' > cap then
         raise (Closure_overflow (Composite_set.cardinal set'));
       grow !next set'
     end
@@ -602,38 +504,221 @@ and product_closure c parts hidden set =
       [ ("composites", string_of_int (Composite_set.cardinal closed)) ];
   closed
 
-(** {1 Cached stepping}
-
-    The successor of an interned state under a hash-consed event,
-    memoized in the context's row cache.  Monitor stepping is pure, so
-    two domains racing on one key compute the same value and the last
-    insert wins; the step itself runs outside the lock (it re-enters
-    the interning table).  A [Closure_overflow] propagates uncached. *)
-let step_id c (t : t) ~tset_id:tid ~event_id:eid (sid : int) (e : Event.t) :
-    int =
-  let key = (tid, sid, eid) in
-  match with_intern c (fun it -> Hashtbl.find_opt it.i_rows key) with
-  | Some r -> r
-  | None ->
-      let st = state_of_id c sid in
-      let r =
-        match step c t st e with
-        | None -> -1
-        | Some st' -> intern_state c st'
+and start (n : node) : state option =
+  match n.n_kind with
+  | N_all -> Some S_all
+  | N_prs p -> p.live.(Posl_automata.Dfa.start p.compiled.dfa)
+  | N_count (ct, _) ->
+      let counts = Counting.initial ct in
+      if Counting.holds ct counts then Some (S_count counts) else None
+  | N_point p -> if p Trace.empty then Some (S_point []) else None
+  | N_forall f -> (
+      match f.witness with
+      | None -> Some (S_forall [])  (* empty sort: vacuous *)
+      | Some w -> (
+          (* ∀-monitors must reject immediately when the body rejects
+             the empty trace for fresh environment objects; otherwise an
+             object that never appears in the trace would never be
+             checked.  The body is assumed uniform over sort members
+             that are not treated specially — true of every predicate
+             in the paper, where the bound variable ranges over an
+             anonymous environment sort. *)
+          match start w with
+          | Some _ -> Some (S_forall [])
+          | None -> None))
+  | N_conj ns ->
+      let rec loop acc = function
+        | [] -> Some (S_conj (List.rev acc))
+        | n :: rest -> (
+            match start n with
+            | Some s -> loop (s :: acc) rest
+            | None -> None)
       in
-      with_intern c (fun it -> Hashtbl.replace it.i_rows key r);
-      r
+      loop [] ns
+  | N_restrict (_, _, n') -> Option.map (fun s -> S_restrict s) (start n')
+  | N_product p -> (
+      let rec starts acc i =
+        if i = Array.length p.parts then Some (List.rev acc)
+        else
+          match start p.parts.(i) with
+          | Some s -> starts (s :: acc) (i + 1)
+          | None -> None
+      in
+      match starts [] 0 with
+      | None -> None
+      | Some composite -> closed n p (Composite_set.singleton composite))
+
+(* [eid] is the context's id of [e]. *)
+and step_node (n : node) (s : state) (e : Event.t) (eid : int) : state option =
+  match (n.n_kind, s) with
+  | N_all, S_all -> Some s
+  | N_prs p, S_dfa q ->
+      let sym =
+        match cached p.syms eid with
+        | Some sym -> sym
+        | None -> remember p.syms eid (prs_symbol p.compiled e)
+      in
+      if sym < 0 then None
+      else p.live.(Posl_automata.Dfa.step p.compiled.dfa q sym)
+  | N_count (ct, deltas), S_count counts ->
+      let d =
+        match cached deltas eid with
+        | Some d -> d
+        | None ->
+            let d = Counting.delta ct e in
+            remember deltas eid (if Array.for_all (( = ) 0) d then [||] else d)
+      in
+      (* a reached vector satisfies the formula, so an event that
+         changes no value keeps the state *)
+      if Array.length d = 0 then Some s
+      else
+        let counts' = Array.mapi (fun a v -> v + d.(a)) counts in
+        if Counting.holds ct counts' then Some (S_count counts') else None
+  | N_point p, S_point rev ->
+      let rev' = e :: rev in
+      if p (Trace.of_list (List.rev rev')) then Some (S_point rev') else None
+  | N_forall f, S_forall assoc -> (
+      let caller, callee =
+        match cached f.touched eid with
+        | Some k -> k
+        | None ->
+            let child o =
+              if Oset.mem o f.sort then
+                Some (forall_child n.n_ctx f.body f.children o)
+              else None
+            in
+            remember f.touched eid
+              (child (Event.caller e), child (Event.callee e))
+      in
+      (* [assoc], still sorted by object, with [o]'s body stepped from
+         its state there, or from its start when [o] has none yet *)
+      let rec touch o body = function
+        | (o', st) :: rest when Oid.compare o' o < 0 ->
+            Option.map (fun rest' -> (o', st) :: rest') (touch o body rest)
+        | (o', st) :: rest when Oid.equal o' o ->
+            Option.map (fun st' -> (o, st') :: rest) (step_node body st e eid)
+        | later ->
+            Option.bind (start body) (fun st -> step_node body st e eid)
+            |> Option.map (fun st' -> (o, st') :: later)
+      in
+      let touch_if o child assoc =
+        match child with None -> Some assoc | Some body -> touch o body assoc
+      in
+      match (caller, callee) with
+      | None, None -> Some s
+      | _ ->
+          Option.bind
+            (touch_if (Event.caller e) caller assoc)
+            (touch_if (Event.callee e) callee)
+          |> Option.map (fun assoc -> S_forall assoc))
+  | N_conj ns, S_conj states ->
+      let rec loop acc ns states =
+        match (ns, states) with
+        | [], [] -> Some (S_conj (List.rev acc))
+        | n :: ns', st :: states' -> (
+            match step_node n st e eid with
+            | Some st' -> loop (st' :: acc) ns' states'
+            | None -> None)
+        | _, _ -> invalid_arg "Tset.step: conjunction state mismatch"
+      in
+      loop [] ns states
+  | N_restrict (inside, es, n'), S_restrict st ->
+      let inside =
+        match cached inside eid with
+        | Some b -> b
+        | None -> remember inside eid (Eventset.mem e es)
+      in
+      if inside then Option.map (fun st' -> S_restrict st') (step_node n' st e eid)
+      else Some s
+  | N_product p, S_product composites ->
+      let visible, observers =
+        match cached p.seen eid with
+        | Some k -> k
+        | None ->
+            remember p.seen eid
+              (Eventset.mem e p.vis, Array.map (Eventset.mem e) p.alphas)
+      in
+      if not visible then None
+      else
+        List.filter_map
+          (fun comp -> step_parts p observers comp e eid)
+          composites
+        |> Composite_set.of_list |> closed n p
+  | _, _ -> invalid_arg "Tset.step: state does not match trace-set structure"
+
+(* The product state of a set of composites closed under hidden
+   events; [None] when nothing survives. *)
+and closed n p set =
+  let set = closure n.n_ctx.closure_cap p set in
+  if Composite_set.is_empty set then None
+  else Some (S_product (Composite_set.elements set))
+
+(* Advance every part that observes the event; the others are
+   unaffected (projection drops the event). *)
+and step_parts p observers comp e eid =
+  let rec loop i acc = function
+    | [] -> Some (List.rev acc)
+    | st :: rest ->
+        if observers.(i) then
+          match step_node p.parts.(i) st e eid with
+          | Some st' -> loop (i + 1) (st' :: acc) rest
+          | None -> None
+        else loop (i + 1) (st :: acc) rest
+  in
+  loop 0 [] comp
+
+let step n s e = step_node n s e (event_id n.n_ctx e)
+
+(** {1 Successor rows}
+
+    The successor of an interned state under an event id, memoized in
+    the node's rows.  A hit is two array reads and takes no lock.  A
+    miss steps the state and interns the successor, then writes the
+    cell without a lock: stepping is pure, so domains racing on a cell
+    intern the same successor and write the same id, and a write lost
+    to a concurrent resize only means the cell is computed again.  An
+    exception — {!Closure_overflow}, or an event outside the universe —
+    leaves the cell unwritten. *)
+
+let unknown = -2
+
+let fill n sid eid e =
+  let c = n.n_ctx in
+  let r =
+    match step_node n (state_of_id c sid) e eid with
+    | None -> -1
+    | Some st -> intern_state c st
+  in
+  let rows = fit n.n_rows sid [||] in
+  if rows != n.n_rows then n.n_rows <- rows;
+  (* a new row has a cell for every event the context knows (a racy
+     read of a size hint) *)
+  let row = fit rows.(sid) (max eid (c.intern.i_event_count - 1)) unknown in
+  if row != rows.(sid) then rows.(sid) <- row;
+  row.(eid) <- r;
+  r
+
+let step_id n ~event_id:eid sid e =
+  let rows = n.n_rows in
+  let v =
+    if sid < Array.length rows then
+      let row = Array.unsafe_get rows sid in
+      if eid < Array.length row then Array.unsafe_get row eid else unknown
+    else unknown
+  in
+  if v <> unknown then v else fill n sid eid e
 
 (** {1 Membership} *)
 
 (** [mem c t h] — h ∈ T, via the incremental monitor. *)
 let mem c t h =
+  let n = node c t in
   let rec loop st = function
     | [] -> true
     | e :: rest -> (
-        match step c t st e with None -> false | Some st' -> loop st' rest)
+        match step n st e with None -> false | Some st' -> loop st' rest)
   in
-  match start c t with
+  match start n with
   | None -> false
   | Some st -> loop st (Trace.to_list h)
 

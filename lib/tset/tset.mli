@@ -3,8 +3,9 @@
     A specification's trace set T(Γ) is a prefix-closed subset of
     Seq[α(Γ)] (Def. 1 of the paper).  Every constructor below is prefix
     closed {e by construction}; all membership questions are answered
-    by one incremental {e monitor} semantics ({!start}/{!step}), with a
-    denotational reference ({!mem_naive}) for differential testing. *)
+    by one incremental {e monitor} semantics ({!start}/{!step} on a
+    context's {!node}), with a denotational reference ({!mem_naive})
+    for differential testing. *)
 
 open Posl_ident
 open Posl_sets
@@ -53,9 +54,10 @@ val part : alpha:Eventset.t -> t -> part
     its universe — and the type is abstract.  The cache is a
     lock-striped {!Prs_cache} safe to share across OCaml 5 domains, so
     one context can serve every worker of a parallel batch.  Each
-    resolution of an automaton counts into the process registry:
-    [posl_engine_dfa_compiles_total] when it compiles,
-    [posl_engine_dfa_cache_hits_total] when the cache answers. *)
+    resolution of an automaton — once per {!node} — counts into the
+    process registry: [posl_engine_dfa_compiles_total] when it
+    compiles, [posl_engine_dfa_cache_hits_total] when the cache
+    answers. *)
 
 type ctx
 
@@ -81,7 +83,7 @@ val prs_cache : ctx -> prs_cache
 
 val with_closure_cap : int -> ctx -> ctx
 (** Same universe and compiled automata (the same physical cache),
-    a different closure cap, and fresh interning tables. *)
+    a different closure cap, and fresh interning tables and nodes. *)
 
 exception Closure_overflow of int
 (** Raised when the hidden-event closure of a [Product] monitor exceeds
@@ -131,20 +133,9 @@ val macro_of_id : ctx -> int -> int array option
     [None] for every other state kind.  Subset inclusion on these
     arrays is the antichain subsumption order. *)
 
-val hashcons_event : ctx -> Posl_trace.Event.t -> Posl_trace.Event.t
-(** Canonical representative of an event within this context:
-    structurally equal events return the same physical value, so
-    downstream tables can key on physical identity. *)
-
 val event_id : ctx -> Posl_trace.Event.t -> int
-(** Dense id of a (hash-consed) event, for row-cache keys. *)
-
-val tset_id : ctx -> t -> int
-(** Dense id of a trace-set value under {e physical} identity.
-    Monitors reached through [Spec.tset] are physically stable, so one
-    spec keeps one id however many refinement pairs it appears in;
-    structurally-equal-but-distinct values get distinct ids (costing
-    only row sharing, never soundness). *)
+(** Dense id of an event within this context (structurally equal
+    events share one id), for indexing successor rows. *)
 
 val intern_counts : ctx -> int * int * int
 (** [(states, composites, events)] interned so far in this context. *)
@@ -159,22 +150,39 @@ val interned_states_c : Posl_telemetry.Metrics.counter
 val dfa_compiles_c : Posl_telemetry.Metrics.counter
 val dfa_hits_c : Posl_telemetry.Metrics.counter
 
-val start : ctx -> t -> state option
+(** {1 Nodes}
+
+    A trace set resolved against a context: its automata, per-event
+    classifiers indexed by event id, and resolved sub-monitors, built
+    once per (context, trace set) and shared by every question the
+    context answers about it.  All stepping goes through nodes. *)
+
+type node
+
+val node : ctx -> t -> node
+(** The context's node for a trace set, minted on first use.  Keyed by
+    {e physical} identity: monitors reached through [Spec.tset] are
+    physically stable, so one spec keeps one node however many
+    questions it appears in; a structurally-equal-but-distinct value
+    gets its own node (costing only sharing, never soundness).
+    Resolve once per loop, not once per step. *)
+
+val start : node -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)
 
-val step : ctx -> t -> state -> Posl_trace.Event.t -> state option
-(** [None] = the extended trace is outside the set (permanently). *)
+val step : node -> state -> Posl_trace.Event.t -> state option
+(** [None] = the extended trace is outside the set (permanently).
+    @raise Invalid_argument on an event that matches the
+    specification but lies outside the context's universe sample. *)
 
-val step_id :
-  ctx -> t -> tset_id:int -> event_id:int -> int -> Posl_trace.Event.t -> int
-(** [step_id c t ~tset_id ~event_id sid e] is the interned id of
-    [step c t (state_of_id c sid) e], or [-1] when dead — memoized in
-    the context's successor-row cache keyed by
-    [(tset_id, sid, event_id)].  Rows persist for the context's
-    lifetime, so a monitor shared by many inclusion checks steps each
-    state once.  [tset_id] must be [tset_id c t] and [event_id] must
-    be [event_id c e] (precompute both outside hot loops).
-    Thread-safe; the step itself runs outside the intern lock. *)
+val step_id : node -> event_id:int -> int -> Posl_trace.Event.t -> int
+(** [step_id n ~event_id sid e] is the interned id of
+    [step n (state_of_id c sid) e], or [-1] when dead, memoized in the
+    node's successor rows: per state id, an int array by event id.
+    Rows persist for the context's lifetime, so a monitor shared by
+    many inclusion checks steps each state once.  [event_id] must be
+    [event_id c e] for the node's context [c].  A memoized successor
+    is two array reads and takes no lock; thread-safe. *)
 
 (** {1 Membership} *)
 

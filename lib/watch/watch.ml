@@ -229,8 +229,10 @@ let same_keys =
    file's generation — and the diagnostics that surfaced.  A file is
    re-parsed only when its content hash moved, and its generation moves
    only when its universe or a spec's key did, so a standing breakage
-   is reported once and a comment-only edit moves nothing. *)
+   is reported once and a comment-only edit moves nothing.  Spanned as
+   [watch.refresh]: on an idle round this poll is all the work. *)
 let refresh t =
+  Telemetry.with_span "watch.refresh" @@ fun () ->
   let diags = ref [] and moved = ref false in
   (match read_changed t.manifest ~seen:t.mdigest with
   | None -> ()

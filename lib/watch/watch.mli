@@ -29,8 +29,9 @@
       each with its full typed verdict, plus the
       [queries_invalidated] / [queries_reused] / [flips] counters.
 
-    Rounds are instrumented with a [watch.round] telemetry span and
-    [posl_watch_*] counters. *)
+    Each poll's content-hash check and re-parse is instrumented with a
+    [watch.refresh] telemetry span, rounds with a [watch.round] span
+    and [posl_watch_*] counters. *)
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine

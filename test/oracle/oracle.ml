@@ -15,7 +15,8 @@ module Dfa = Posl_automata.Dfa
 (* {1 Compilation to automata} *)
 
 let compile ?(max_states = 200_000) c (events : Event.t array) t =
-  match Tset.start c t with
+  let node = Tset.node c t in
+  match Tset.start node with
   | None -> Some (Dfa.empty ~n_syms:(Array.length events))
   | Some init -> (
       let module SM = Map.Make (struct
@@ -44,7 +45,7 @@ let compile ?(max_states = 200_000) c (events : Event.t array) t =
           let row = Array.make (Array.length events) 0 in
           Array.iteri
             (fun sym e ->
-              match Tset.step c t st e with
+              match Tset.step node st e with
               | None -> row.(sym) <- 0
               | Some st' ->
                   let j, fresh = intern st' in
@@ -98,7 +99,8 @@ let inclusion_levelwise ctx ~(alphabet : Event.t array) ~depth ~lhs ~proj
     let compare (a, b) (c, d) =
       match Tset.compare_state a c with 0 -> Tset.compare_state b d | n -> n
   end) in
-  match (Tset.start ctx lhs, Tset.start ctx rhs) with
+  let lhs = Tset.node ctx lhs and rhs = Tset.node ctx rhs in
+  match (Tset.start lhs, Tset.start rhs) with
   | None, _ -> Bmc.Holds Bmc.Exact
   | Some _, None -> Bmc.Refuted Trace.empty
   | Some l0, Some r0 -> (
@@ -109,13 +111,13 @@ let inclusion_levelwise ctx ~(alphabet : Event.t array) ~depth ~lhs ~proj
       let expand ((l, r), h) =
         Array.to_list alphabet
         |> List.filter_map (fun e ->
-               match Tset.step ctx lhs l e with
+               match Tset.step lhs l e with
                | None -> None
                | Some l' ->
                    let h' = Trace.snoc h e in
                    if not (Eventset.mem e proj) then Some ((l', r), h')
                    else (
-                     match Tset.step ctx rhs r e with
+                     match Tset.step rhs r e with
                      | None -> raise (Escape h')
                      | Some r' -> Some ((l', r'), h')))
       in

@@ -191,6 +191,7 @@ let qsuite =
              interning tables; the walk's answer must match the
              reference semantics, and the round-trip must be the
              identity up to [compare_state]. *)
+          let node = Tset.node gctx t in
           let rec walk st = function
             | [] -> true
             | e :: rest -> (
@@ -198,12 +199,12 @@ let qsuite =
                 let st' = Tset.state_of_id gctx id in
                 if Tset.compare_state st st' <> 0 then false
                 else
-                  match Tset.step gctx t st' e with
+                  match Tset.step node st' e with
                   | None -> false
                   | Some nxt -> walk nxt rest)
           in
           let stepped =
-            match Tset.start gctx t with
+            match Tset.start node with
             | None -> false
             | Some st0 -> walk st0 events
           in

@@ -2,7 +2,8 @@
    (hit/miss accounting, first-insert-wins, clear), a 4-domain hammer
    on overlapping keys (every caller must observe its own key's value;
    no duplicate-insert corruption), verdict equality between a serial
-   run and 4 domains sharing one Tset context on the paper corpus, and
+   run and 4 domains sharing one Tset context on the paper corpus (by
+   membership, and by refinement walks over the nodes' rows), and
    qcheck properties over regex keys forced onto colliding stripes. *)
 
 module Prs_cache = Posl_tset.Prs_cache
@@ -133,6 +134,34 @@ let test_shared_ctx_verdicts () =
   Util.check_bool "shared cache was hit across domains" true
     (s.Prs_cache.hits > 0)
 
+(* The product walk on ONE context shared by 4 domains: the nodes'
+   successor rows are written without a lock, so racing domains must
+   still agree with a serial context on every verdict and witness of
+   the 56 ordered paper pairs, and intern exactly the serial set of
+   states, composites and events. *)
+let test_shared_ctx_walks () =
+  let pairs =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b -> if a == b then None else Some (a, b))
+          Ex.all_specs)
+      Ex.all_specs
+  in
+  Util.check_int "56 ordered pairs" 56 (List.length pairs);
+  (* twice over, so domains meet filled rows as well as empty ones *)
+  let work = pairs @ pairs in
+  let run ctx (a, b) = Posl_core.Refine.verdict ctx a b in
+  let serial = Tset.ctx Util.paper_universe in
+  let expected = List.map (run serial) work in
+  let shared = Tset.ctx Util.paper_universe in
+  let got = Par.map_dyn ~domains:4 (run shared) work in
+  Util.check_bool "serial ≡ 4-domain shared-context verdicts and witnesses"
+    true
+    (List.for_all2 Posl_verdict.Verdict.equal expected got);
+  Util.check_bool "the same states, composites and events interned" true
+    (Tset.intern_counts serial = Tset.intern_counts shared)
+
 (* with_closure_cap is a derived constructor: same universe, same
    compiled automata (the physical cache), different cap. *)
 let test_with_closure_cap_derived () =
@@ -206,6 +235,8 @@ let suite =
       test_domain_hammer;
     Alcotest.test_case "serial ≡ shared-context verdicts (4 domains)" `Slow
       test_shared_ctx_verdicts;
+    Alcotest.test_case "serial ≡ shared-context walks (4 domains)" `Slow
+      test_shared_ctx_walks;
     Alcotest.test_case "with_closure_cap is derived" `Quick
       test_with_closure_cap_derived;
   ]

@@ -5,6 +5,10 @@
 open Posl_sets
 module Tset = Posl_tset.Tset
 module Trace = Posl_trace.Trace
+module Event = Posl_trace.Event
+module Epat = Posl_regex.Epat
+module Regex = Posl_regex.Regex
+module Bmc = Posl_bmc.Bmc
 module Dfa = Posl_automata.Dfa
 module G = QCheck2.Gen
 module Gen = Posl_gen.Gen
@@ -13,7 +17,69 @@ module Ex = Posl_core.Examples_paper
 let sc = Util.sc
 let ctx = Util.ctx
 let probes = Eventset.sample sc.Gen.universe Eventset.full
-let gen_tset = Gen.tset_within sc probes
+
+(* ∀x ∈ s . prs R(x): R is a generated pattern whose atoms each put
+   the bound object x at the caller or at the callee of an alphabet
+   event.  The sort leaves out every object R names, so the body is
+   uniform over its members, as [Tset.Forall_obj] requires. *)
+let gen_forall =
+  let open G in
+  let atom =
+    let* e = G.oneofl probes in
+    let* at_caller = G.bool in
+    let caller, callee =
+      if at_caller then (Epat.Var "x", Epat.Const (Event.callee e))
+      else (Epat.Const (Event.caller e), Epat.Var "x")
+    in
+    let args =
+      match Event.arg e with
+      | None -> Argsel.none_only
+      | Some _ -> Argsel.any_value
+    in
+    pure
+      (Regex.atom (Epat.make ~args ~caller ~callee (Mset.singleton (Event.mth e))))
+  in
+  let* pattern =
+    fix
+      (fun self depth ->
+        if depth = 0 then atom
+        else
+          frequency
+            [
+              (2, atom);
+              (2, map2 Regex.seq (self (depth - 1)) (self (depth - 1)));
+              (1, map2 Regex.alt (self (depth - 1)) (self (depth - 1)));
+              (1, map Regex.star (self (depth - 1)));
+            ])
+      2
+  in
+  let pattern = Regex.star pattern in
+  let named, _, _ = Regex.mentioned pattern in
+  pure
+    (Tset.forall_obj
+       (Oset.cofin_of_list (Posl_ident.Oid.Set.elements named))
+       (fun o -> Tset.prs (Regex.subst "x" o pattern)))
+
+(* [Gen.tset_within]'s constructors, with [Restrict] and [Forall_obj]
+   among them, so the differentials below reach every kind of node. *)
+let gen_tset =
+  let open G in
+  let base = Gen.tset_within sc probes in
+  fix
+    (fun self depth ->
+      let leaves = [ (3, base); (2, gen_forall) ] in
+      if depth = 0 then frequency leaves
+      else
+        frequency
+          (leaves
+          @ [
+              (2, map2 Tset.restrict (Gen.eventset sc) (self (depth - 1)));
+              ( 1,
+                map2 (fun a b -> Tset.conj [ a; b ]) (self (depth - 1))
+                  (self (depth - 1)) );
+            ]))
+    2
+
 let gen_trace = Gen.trace ~max_len:5 sc
 
 let word_index alphabet e =
@@ -120,14 +186,40 @@ let test_outside_universe_event_rejected_or_loud () =
   (* An event whose identifiers are outside the context universe:
      either it matches no atom of the compiled expression (clean
      rejection) or the library must fail loudly rather than give a
-     wrong verdict. *)
+     wrong verdict — and keep doing so once the monitor's successor
+     rows are filled, rather than remember the event as rejected. *)
   let ctx = Util.paper_ctx in
-  let t = Posl_core.Spec.tset Ex.write in
-  let stranger = Util.ev "zz_unknown" "o" "OW" in
-  (match Tset.mem ctx t (Util.tr [ stranger ]) with
-  | exception Invalid_argument _ -> () (* loud: universe too small *)
-  | false -> () (* clean rejection *)
-  | true -> Alcotest.fail "an unsampled caller cannot be accepted")
+  let alphabet =
+    Posl_core.Spec.concrete_alphabet (Tset.universe ctx) Ex.write
+  in
+  let outcome t stranger =
+    match Tset.mem ctx t (Util.tr [ stranger ]) with
+    | exception Invalid_argument _ -> `Loud (* universe too small *)
+    | false -> `Rejected (* clean rejection *)
+    | true -> Alcotest.fail "an unsampled identifier cannot be accepted"
+  in
+  let twice t stranger =
+    let first = outcome t stranger in
+    ignore (Bmc.count_states ctx ~alphabet ~depth:4 t);
+    Util.check_bool "the same outcome once rows are filled" true
+      (outcome t stranger = first);
+    first
+  in
+  (* Write expands its binder over the universe, so a stranger caller
+     matches none of its atoms ... *)
+  ignore
+    (twice (Posl_core.Spec.tset Ex.write) (Util.ev "zz_unknown" "o" "OW"));
+  (* ... while "anything c calls" keeps its callee symbolic, so a
+     stranger callee matches an atom the universe sample never saw. *)
+  let from_c =
+    Tset.prs
+      (Regex.star
+         (Regex.atom
+            (Epat.make ~args:Argsel.full ~caller:(Epat.Const Ex.c)
+               ~callee:(Epat.In Oset.full) Mset.full)))
+  in
+  Util.check_bool "a stranger inside a symbolic atom is loud" true
+    (twice from_c (Util.ev "c" "zz_unknown" "OW") = `Loud)
 
 let suite =
   [
