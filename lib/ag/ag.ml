@@ -24,6 +24,7 @@ module Tset = Posl_tset.Tset
 module Trace = Posl_trace.Trace
 module Bmc = Posl_bmc.Bmc
 module Spec = Posl_core.Spec
+module Verdict = Posl_verdict.Verdict
 
 type t = {
   assumption : Tset.t;  (** over the input projection *)
@@ -112,8 +113,4 @@ let refinement_rule ctx ~depth ~alphabet ~(refined : t) ~(abstract : t) :
       (* G′ ⊆ G *)
       match included refined.guarantee abstract.guarantee with
       | None -> Premise_fails `Guarantee_not_stronger
-      | Some c2 ->
-          Rule_applies
-            (match (c1, c2) with
-            | Bmc.Exact, Bmc.Exact -> Bmc.Exact
-            | Bmc.Bounded k, _ | _, Bmc.Bounded k -> Bmc.Bounded k))
+      | Some c2 -> Rule_applies (Verdict.meet c1 c2))

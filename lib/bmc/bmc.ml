@@ -268,11 +268,7 @@ let check_equal ctx ~alphabet ~depth ~(left : Tset.t) ~(right : Tset.t) :
   | Holds c1 -> (
       match included right left with
       | Refuted h -> Refuted (h, `Right_only)
-      | Holds c2 ->
-          Holds
-            (match (c1, c2) with
-            | Exact, Exact -> Exact
-            | Bounded k, _ | _, Bounded k -> Bounded k))
+      | Holds c2 -> Holds (Verdict.meet c1 c2))
 
 (** {1 Deadlock analysis}
 

@@ -1,5 +1,6 @@
 (** Content-addressed keys for check jobs: MD5 over a canonical
-    serialization of (query kind, spec bodies, universe, depth).
+    serialization of (query kind, spec bodies, universe), then the
+    depth.
 
     The serialization is length-prefixed per field, so concatenated
     fields can never alias across field boundaries, and every
@@ -97,19 +98,6 @@ let serialize_base ~(universe : Universe.t) query =
   List.iter (ser_spec buf ~universe) (Job.specs query);
   Buffer.contents buf
 
-let serialize ~(universe : Universe.t) ~depth query =
-  let buf = Buffer.create 512 in
-  field buf (Job.kind query);
-  field buf (string_of_int depth);
-  fieldf buf "%a" Universe.pp universe;
-  List.iter (ser_spec buf ~universe) (Job.specs query);
-  Buffer.contents buf
-
-let query ~universe ~depth q =
-  match serialize ~universe ~depth q with
-  | s -> Some (Stdlib.Digest.to_hex (Stdlib.Digest.string s))
-  | exception Opaque -> None
-
 (* The persistent store's key leaves the depth out: a depth-6 bounded
    verdict is a perfectly good answer to the same query at depth 4
    (and an exact one at any depth), so keying by depth would shatter
@@ -120,6 +108,12 @@ let query_base ~universe q =
   match serialize_base ~universe q with
   | s -> Some (Stdlib.Digest.to_hex (Stdlib.Digest.string s))
   | exception Opaque -> None
+
+(* The in-memory cache does key by depth.  A hex MD5 never contains
+   '@', so the suffix cannot alias another base. *)
+let at_depth ~depth base = base ^ "@" ^ string_of_int depth
+
+let query ~universe ~depth q = Option.map (at_depth ~depth) (query_base ~universe q)
 
 let spec_key ~universe s =
   let buf = Buffer.create 256 in

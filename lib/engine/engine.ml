@@ -7,7 +7,7 @@
       {!Posl_par.Par.map_dyn}; each job's own exploration is a serial
       walk.  Verification batches have enough inter-job parallelism.
     - {e Shared monitor contexts.}  [Tset.ctx] is abstract and its
-      compiled-automata memo is a lock-striped {!Posl_tset.Prs_cache},
+      compiled-automata memo is a mutex-guarded {!Posl_tset.Prs_cache},
       so one context per universe is shared by {e all} worker domains:
       each prs-expression is compiled once per session instead of once
       per domain.  A context owns its automata (they are
@@ -179,13 +179,8 @@ let dfa_cache_stats s =
   List.fold_left
     (fun (acc : Prs_cache.stats) (_, ctx) ->
       let c = Prs_cache.stats (Tset.prs_cache ctx) in
-      {
-        Prs_cache.hits = acc.hits + c.hits;
-        misses = acc.misses + c.misses;
-        duplicates = acc.duplicates + c.duplicates;
-        contended = acc.contended + c.contended;
-      })
-    { Prs_cache.hits = 0; misses = 0; duplicates = 0; contended = 0 }
+      { Prs_cache.hits = acc.hits + c.hits; misses = acc.misses + c.misses })
+    { Prs_cache.hits = 0; misses = 0 }
     ctxs
 
 let rec answer ?(plan = Plan.Auto) s counters req =
@@ -195,9 +190,10 @@ let rec answer ?(plan = Plan.Auto) s counters req =
   Posl_telemetry.Runtime.with_gc_attrs @@ fun () ->
   let span_id = Telemetry.current_span_id () in
   let t0 = now_ns () in
-  let digest =
-    Digest.query ~universe:req.universe ~depth:req.depth req.query
-  in
+  (* One serialization per request: the store's depth-independent key,
+     and the in-memory key derived from it. *)
+  let base = Digest.query_base ~universe:req.universe req.query in
+  let digest = Option.map (Digest.at_depth ~depth:req.depth) base in
   let compute_direct () =
     Job.run (session_ctx s req.universe) ~depth:req.depth req.query
   in
@@ -236,45 +232,41 @@ let rec answer ?(plan = Plan.Auto) s counters req =
      hit memory), a store miss computes and write-behinds.  The store
      is keyed depth-independently ([Digest.query_base]) — its reuse
      rule lives in [Store.find]. *)
-  let consult_store key compute_and_fill =
+  let consult_store bkey key compute_and_fill =
     match s.s_store with
     | None -> (false, compute_and_fill ())
     | Some store -> (
-        let base = Digest.query_base ~universe:req.universe req.query in
-        match base with
-        | None -> (false, compute_and_fill ())
-        | Some bkey -> (
-            match Store.find store ~digest:bkey ~depth:req.depth with
-            | Some v ->
-                Metrics.incr Counters.store_hits;
-                Cache.add s.s_cache key v;
-                (true, v)
-            | None ->
-                Metrics.incr Counters.store_misses;
-                let v = compute_and_fill () in
-                if Store.add store ~digest:bkey ~depth:req.depth v then
-                  Metrics.incr Counters.store_writes;
-                (false, v)))
+        match Store.find store ~digest:bkey ~depth:req.depth with
+        | Some v ->
+            Metrics.incr Counters.store_hits;
+            Cache.add s.s_cache key v;
+            (true, v)
+        | None ->
+            Metrics.incr Counters.store_misses;
+            let v = compute_and_fill () in
+            if Store.add store ~digest:bkey ~depth:req.depth v then
+              Metrics.incr Counters.store_writes;
+            (false, v))
   in
   let cached, from_store, verdict =
-    match digest with
-    | None ->
-        Metrics.incr Counters.uncacheable;
-        (false, false, compute ())
-    | Some key -> (
+    match (base, digest) with
+    | Some bkey, Some key -> (
         match Cache.find s.s_cache key with
         | Some v ->
             Metrics.incr Counters.hits;
             (true, false, v)
         | None ->
             let from_store, v =
-              consult_store key (fun () ->
+              consult_store bkey key (fun () ->
                   let v = compute () in
                   Cache.add s.s_cache key v;
                   Metrics.incr Counters.misses;
                   v)
             in
             (from_store, from_store, v))
+    | _ ->
+        Metrics.incr Counters.uncacheable;
+        (false, false, compute ())
   in
   let elapsed = now_ns () - t0 in
   let ms = float_of_int elapsed /. 1e6 in

@@ -7,7 +7,7 @@
     lives at the batch level: each job runs its own state-space
     exploration serially, so domains are never nested.  Monitor
     contexts are {e shared} across all worker domains — the compiled
-    prs-automata memo behind the abstract [Tset.ctx] is a lock-striped
+    prs-automata memo behind the abstract [Tset.ctx] is a mutex-guarded
     {!Posl_tset.Prs_cache} — so each automaton is compiled once per
     {!session} regardless of the domain count.  A session holds one
     context per universe, and each context owns its automata; keeping
@@ -71,7 +71,7 @@ type stats = {
       (** composite queries the planner recognised but declined (side
           condition failed or premise not exact), answered directly *)
   dfa_cache_hits : int;
-      (** trace-set nodes whose prs-automaton a context's striped cache
+      (** trace-set nodes whose prs-automaton a context's DFA cache
           already held (one per node resolution) *)
   dfa_compiles : int;
       (** prs-expressions compiled to DFAs during this batch; with
@@ -123,8 +123,7 @@ type dfa_cache
 val session_dfa_cache : session -> dfa_cache
 
 val dfa_cache_stats : dfa_cache -> Posl_tset.Prs_cache.stats
-(** Hit/miss/duplicate/contention counts summed over the session's
-    contexts. *)
+(** Hit and miss counts summed over the session's contexts. *)
 
 val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
 (** Answer one request against the session's warm state: in-memory

@@ -57,9 +57,12 @@ let premise_digest ~universe q =
 (* Shared-part recognition: two component values denote the same
    specification when their canonical serializations agree (name,
    objects, alphabet, trace-set structure — see [Digest.spec_key]).
-   Opaque trace sets admit no content address, hence no sharing
-   claim. *)
+   A key begins with the name, so differently named parts are told
+   apart before either is serialized.  Opaque trace sets admit no
+   content address, hence no sharing claim. *)
 let content_equal ~universe a b =
+  String.equal (Spec.name a) (Spec.name b)
+  &&
   match (Digest.spec_key ~universe a, Digest.spec_key ~universe b) with
   | Some ka, Some kb -> String.equal ka kb
   | (None | Some _), _ -> false

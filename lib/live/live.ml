@@ -206,11 +206,7 @@ let check ctx ~depth (t : t) : (Bmc.confidence, violation) result =
                 check_obligation ctx ~alphabet ~depth (Spec.tset t.spec) ob
               with
               | Error h -> Error (Unanswerable (ob, h))
-              | Ok c' ->
-                  Ok
-                    (match (c, c') with
-                    | Bmc.Exact, Bmc.Exact -> Bmc.Exact
-                    | Bmc.Bounded k, _ | _, Bmc.Bounded k -> Bmc.Bounded k)))
+              | Ok c' -> Ok (Verdict.meet c c')))
         (Ok c0) t.obligations
 
 (** [verdict ?depth ctx t]: all liveness requirements of a live

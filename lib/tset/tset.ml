@@ -170,28 +170,34 @@ and product = {
          sampled over the universe *)
 }
 
-(* Interning tables: small integer ids for monitor states, for the
-   composites of product macro-states, and for events.  Ids make
+(* The record stays internal: outside the module a context is abstract
+   and reached through the accessors below.  A context owns its
+   automata and its interning tables: both are relative to its
+   universe, so nothing outside it can reuse them soundly.
+
+   Interning gives small integer ids to monitor states, to the
+   composites of product macro-states, and to events.  Ids make
    frontier keys of the on-the-fly inclusion check word-sized (a
    visited pair is one boxed-free int instead of two deep structural
    trees), and composite ids turn a product macro-state into a bitset
-   the antichain can compare with word operations.  One table set per
-   context: ids are only meaningful relative to the universe sample,
-   exactly like compiled automata.  The mutex makes the tables safe to
-   share across the engine's worker domains; critical sections are a
-   single hash lookup/insert. *)
-and intern = {
-  i_lock : Mutex.t;
-  i_ids : (state, int) Hashtbl.t;
-  mutable i_rev : state array;  (* id -> state; doubling array *)
-  mutable i_count : int;
-  i_comp_ids : (state list, int) Hashtbl.t;  (* product composite -> id *)
-  mutable i_comp_count : int;
-  i_macros : (int, int array) Hashtbl.t;
+   the antichain can compare with word operations.  The mutex makes
+   the tables safe to share across the engine's worker domains;
+   critical sections are a single hash lookup/insert. *)
+and ctx = {
+  universe : Universe.t;
+  closure_cap : int;
+  prs_cache : prs_cache;
+  lock : Mutex.t;  (* guards every table below *)
+  state_ids : (state, int) Hashtbl.t;
+  mutable states : state array;  (* id -> state; doubling array *)
+  mutable state_count : int;
+  comp_ids : (state list, int) Hashtbl.t;  (* product composite -> id *)
+  mutable comp_count : int;
+  macros : (int, int array) Hashtbl.t;
       (* state id of an [S_product] -> sorted composite ids *)
-  i_events : (Event.t, int) Hashtbl.t;  (* event -> dense id *)
-  mutable i_event_count : int;
-  mutable i_nodes : (t * node) list;
+  event_ids : (Event.t, int) Hashtbl.t;  (* event -> dense id *)
+  mutable event_count : int;
+  mutable nodes : (t * node) list;
       (* nodes by {e physical} identity of their trace set, scanned
          with (==): [Spec.tset] is a field read, so the monitors a
          context sees are physically stable values, and one spec keeps
@@ -200,53 +206,30 @@ and intern = {
          which costs row sharing, never soundness. *)
 }
 
-(* The record stays internal: outside the module a context is abstract
-   and reached through the accessors below, which is what lets the
-   compiled-automata memo be a domain-safe striped cache rather than a
-   leaked hashtable.  A context owns its automata: they are relative to
-   its universe, so nothing outside it can reuse them soundly. *)
-and ctx = {
-  universe : Universe.t;
-  closure_cap : int;
-  prs_cache : prs_cache;
-  intern : intern;
-}
-
-let intern_create () =
-  {
-    i_lock = Mutex.create ();
-    i_ids = Hashtbl.create 1024;
-    i_rev = Array.make 1024 S_all;
-    i_count = 0;
-    i_comp_ids = Hashtbl.create 256;
-    i_comp_count = 0;
-    i_macros = Hashtbl.create 256;
-    i_events = Hashtbl.create 256;
-    i_event_count = 0;
-    i_nodes = [];
-  }
-
 let ctx ?(closure_cap = 20_000) universe =
   {
     universe;
     closure_cap;
     prs_cache = Prs_cache.create ();
-    intern = intern_create ();
+    lock = Mutex.create ();
+    state_ids = Hashtbl.create 1024;
+    states = Array.make 1024 S_all;
+    state_count = 0;
+    comp_ids = Hashtbl.create 256;
+    comp_count = 0;
+    macros = Hashtbl.create 256;
+    event_ids = Hashtbl.create 256;
+    event_count = 0;
+    nodes = [];
   }
 
 let universe c = c.universe
 let closure_cap c = c.closure_cap
 let prs_cache c = c.prs_cache
 
-(* "Same context, tighter cap" is the common way to probe closure
-   overflows in tests: the automata carry over, the interning tables —
-   and with them the nodes, which read the cap — start fresh. *)
-let with_closure_cap cap c =
-  { c with closure_cap = cap; intern = intern_create () }
-
 (** {1 Interning} *)
 
-let with_intern c f = Mutex.protect c.intern.i_lock (fun () -> f c.intern)
+let locked c f = Mutex.protect c.lock f
 
 (* [a] itself when index [i] is in range, else a copy at least twice as
    long, padded with [pad]. *)
@@ -261,73 +244,73 @@ let fit a i pad =
 (* Composite ids are assigned under the same lock as state ids; the
    macro view of an [S_product] is computed once, at interning time,
    so lookups on the exploration hot path are a single table read. *)
-let intern_composite it comp =
-  match Hashtbl.find_opt it.i_comp_ids comp with
+let intern_composite c comp =
+  match Hashtbl.find_opt c.comp_ids comp with
   | Some i -> i
   | None ->
-      let i = it.i_comp_count in
-      Hashtbl.add it.i_comp_ids comp i;
-      it.i_comp_count <- i + 1;
+      let i = c.comp_count in
+      Hashtbl.add c.comp_ids comp i;
+      c.comp_count <- i + 1;
       i
 
 let intern_state c (st : state) : int =
-  with_intern c @@ fun it ->
-  match Hashtbl.find_opt it.i_ids st with
+  locked c @@ fun () ->
+  match Hashtbl.find_opt c.state_ids st with
   | Some id -> id
   | None ->
-      let id = it.i_count in
-      it.i_rev <- fit it.i_rev id S_all;
-      it.i_rev.(id) <- st;
-      Hashtbl.add it.i_ids st id;
-      it.i_count <- id + 1;
+      let id = c.state_count in
+      c.states <- fit c.states id S_all;
+      c.states.(id) <- st;
+      Hashtbl.add c.state_ids st id;
+      c.state_count <- id + 1;
       Metrics.incr interned_states_c;
       (match st with
       | S_product comps ->
-          let ids = Array.of_list (List.map (intern_composite it) comps) in
+          let ids = Array.of_list (List.map (intern_composite c) comps) in
           Array.sort Int.compare ids;
-          Hashtbl.replace it.i_macros id ids
+          Hashtbl.replace c.macros id ids
       | _ -> ());
       id
 
 let state_of_id c id : state =
-  with_intern c @@ fun it ->
-  if id < 0 || id >= it.i_count then invalid_arg "Tset.state_of_id";
-  it.i_rev.(id)
+  locked c @@ fun () ->
+  if id < 0 || id >= c.state_count then invalid_arg "Tset.state_of_id";
+  c.states.(id)
 
 let macro_of_id c id : int array option =
-  with_intern c @@ fun it -> Hashtbl.find_opt it.i_macros id
+  locked c @@ fun () -> Hashtbl.find_opt c.macros id
 
 let event_id c (e : Event.t) : int =
-  with_intern c @@ fun it ->
-  match Hashtbl.find_opt it.i_events e with
+  locked c @@ fun () ->
+  match Hashtbl.find_opt c.event_ids e with
   | Some id -> id
   | None ->
-      let id = it.i_event_count in
-      Hashtbl.add it.i_events e id;
-      it.i_event_count <- id + 1;
+      let id = c.event_count in
+      Hashtbl.add c.event_ids e id;
+      c.event_count <- id + 1;
       id
 
 let intern_counts c =
-  with_intern c @@ fun it -> (it.i_count, it.i_comp_count, it.i_event_count)
+  locked c @@ fun () -> (c.state_count, c.comp_count, c.event_count)
 
 (* Find-or-build under the context lock.  [build] runs outside it (it
    re-enters the tables); on a race both domains build and the first
    insert wins, so every caller shares one value. *)
 let memo c find add build =
-  match with_intern c find with
+  match locked c find with
   | Some v -> v
   | None ->
       let v = build () in
-      with_intern c (fun it ->
-          match find it with
+      locked c (fun () ->
+          match find () with
           | Some winner -> winner
           | None ->
-              add it v;
+              add v;
               v)
 
 (** {1 Nodes} *)
 
-(* Compilation happens outside the stripe lock; when two domains race
+(* Compilation happens outside the cache lock; when two domains race
    on a fresh regex both compile and the first insert wins, which is
    sound because compiled automata for one (regex, universe) pair are
    interchangeable pure values.  Every compilation counts, benign
@@ -459,15 +442,15 @@ let rec make_node c (t : t) : node =
 
 and forall_child c body children o =
   memo c
-    (fun _ -> Hashtbl.find_opt children o)
-    (fun _ n -> Hashtbl.add children o n)
+    (fun () -> Hashtbl.find_opt children o)
+    (fun n -> Hashtbl.add children o n)
     (fun () -> make_node c (body o))
 
 (* The context's node for [t], minted on first use. *)
 let node c (t : t) : node =
   memo c
-    (fun it -> List.assq_opt t it.i_nodes)
-    (fun it n -> it.i_nodes <- (t, n) :: it.i_nodes)
+    (fun () -> List.assq_opt t c.nodes)
+    (fun n -> c.nodes <- (t, n) :: c.nodes)
     (fun () -> make_node c t)
 
 (* Close a set of composites under internal (hidden) events: the
@@ -693,7 +676,7 @@ let fill n sid eid e =
   if rows != n.n_rows then n.n_rows <- rows;
   (* a new row has a cell for every event the context knows (a racy
      read of a size hint) *)
-  let row = fit rows.(sid) (max eid (c.intern.i_event_count - 1)) unknown in
+  let row = fit rows.(sid) (max eid (c.event_count - 1)) unknown in
   if row != rows.(sid) then rows.(sid) <- row;
   row.(eid) <- r;
   r

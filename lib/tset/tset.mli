@@ -52,7 +52,7 @@ val part : alpha:Eventset.t -> t -> part
     safety cap for product closures, and the memo cache of compiled
     prs-automata.  A context owns its automata — they are relative to
     its universe — and the type is abstract.  The cache is a
-    lock-striped {!Prs_cache} safe to share across OCaml 5 domains, so
+    mutex-guarded {!Prs_cache} safe to share across OCaml 5 domains, so
     one context can serve every worker of a parallel batch.  Each
     resolution of an automaton — once per {!node} — counts into the
     process registry: [posl_engine_dfa_compiles_total] when it
@@ -80,10 +80,6 @@ val closure_cap : ctx -> int
 val prs_cache : ctx -> prs_cache
 (** The context's compiled-automata cache, e.g. for
     {!Prs_cache.stats}. *)
-
-val with_closure_cap : int -> ctx -> ctx
-(** Same universe and compiled automata (the same physical cache),
-    a different closure cap, and fresh interning tables and nodes. *)
 
 exception Closure_overflow of int
 (** Raised when the hidden-event closure of a [Product] monitor exceeds

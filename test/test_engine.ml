@@ -136,7 +136,7 @@ let test_dfa_compiles_do_not_scale_with_domains () =
   Util.check_bool "serial pass compiles automata" true
     (s1.Engine.dfa_compiles > 0);
   (* the per-domain compilation tax is gone: 4 domains share one
-     striped cache, so compiles stay at the distinct-regex count (plus
+     cache, so compiles stay at the distinct-regex count (plus
      the occasional benign duplicate), not 4× the serial count *)
   Util.check_bool "4-domain compiles ≪ 4× serial compiles" true
     (s4.Engine.dfa_compiles < 2 * s1.Engine.dfa_compiles);
@@ -316,6 +316,36 @@ let test_count_classes_key_apart () =
           Util.check_bool "batch ≡ fresh" true (V.equal r.Engine.verdict (fresh q)))
         results batch)
     [ [ a; b ]; [ b; a ] ]
+
+(* The persistent store's keys, pinned: a change to the serialization
+   behind [Digest.query_base] would orphan every record an existing
+   verdicts.log holds, so any moved byte must show here.  One query of
+   each kind over the paper cast (Read2 is a [Forall_obj] body), and a
+   parsed [Counting] body. *)
+let test_store_keys_pinned () =
+  let pinned =
+    [
+      ( "bce055c4af97f562b7e44f5190959043",
+        req (Job.refine ~refined:Ex.read2 ~abstract:Ex.read) );
+      ( "020b412efdcfa6e252b6e1429fff9521",
+        req (Job.compose ~left:Ex.client ~right:Ex.write_acc) );
+      ( "c041f34692f783ae6ff99357fc8b8cf4",
+        req
+          (Job.proper ~refined:Ex.rw2 ~abstract:Ex.write_acc
+             ~context:Ex.client) );
+      ( "fea8cbdca5a19a51608fb8439dffad96",
+        req (Job.deadlock ~left:Ex.client2 ~right:Ex.write_acc) );
+      ( "33d0a2e4340254356cd3acf86d0df327",
+        req (Job.equal ~left:Ex.write ~right:Ex.write_acc) );
+      ("115abf3eed651a7aa6518170d20f9459", count_request ~counted:("OW", "CW"));
+    ]
+  in
+  List.iter
+    (fun (hex, (r : Engine.request)) ->
+      Alcotest.(check (option string))
+        r.Engine.label (Some hex)
+        (Dig.query_base ~universe:r.Engine.universe r.Engine.query))
+    pinned
 
 (* --- one shared context ≡ fresh contexts ------------------------------ *)
 
@@ -661,6 +691,7 @@ let suite =
       test_digest_separates_kinds_and_depth;
     Alcotest.test_case "digest: count clauses over different methods key apart"
       `Quick test_count_classes_key_apart;
+    Alcotest.test_case "store keys are pinned" `Quick test_store_keys_pinned;
     Alcotest.test_case "one shared context ≡ fresh contexts" `Slow
       test_shared_ctx_equals_fresh;
   ]

@@ -7,6 +7,7 @@
 module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
 module Plan = Posl_engine.Plan
+module Manifest = Posl_engine.Manifest
 module Dig = Posl_engine.Digest
 module Spec = Posl_core.Spec
 module Compose = Posl_core.Compose
@@ -215,6 +216,43 @@ let test_no_shared_part_falls_back () =
   Util.check_int "no derivation" 0 stats.Engine.derived_hits;
   Util.check_int "one fallback" 1 stats.Engine.plan_fallbacks
 
+(* Sharing is by content, names included: a separately elaborated copy
+   of the same spec text is the shared part, a renamed copy of the same
+   body is not. *)
+let test_shared_part_by_content () =
+  let client name =
+    let text =
+      Printf.sprintf
+        "spec %s {\n\
+        \  objects c;\n\
+        \  sort Env = all except { c };\n\
+        \  alphabet call c -> Env : W(data), OK;\n\
+        \  traces prs (<c,o,W(_)> <c,om,OK>)*;\n\
+         }\n"
+        name
+    in
+    match Manifest.specs_of_source ~extra_objects:2 ~file:"client.oun" text with
+    | Ok ([ s ], _) -> s
+    | Ok _ -> Alcotest.fail "client.oun: expected one spec"
+    | Error e -> Alcotest.failf "client.oun: %s" (Manifest.input_error_message e)
+  in
+  let c1 = client "Client" and c2 = client "Client" and c3 = client "Customer" in
+  let u = Spec.adequate_universe [ Ex.rw2; Ex.rw; c1; c2; c3 ] in
+  let query shared =
+    req ~u (Job.refine ~refined:(Ex.rw2 || c1) ~abstract:(Ex.rw || shared))
+  in
+  let results, stats = run ~plan:Plan.Auto [ query c2 ] in
+  Alcotest.(check (option string)) "the copy is shared" (Some "theorem7")
+    (rule_of (List.hd results).Engine.verdict);
+  Util.check_int "one derived" 1 stats.Engine.derived_hits;
+  let results, stats = run ~plan:Plan.Auto [ query c3 ] in
+  Util.check_int "the renamed copy is not shared" 0 stats.Engine.derived_hits;
+  Util.check_int "one fallback" 1 stats.Engine.plan_fallbacks;
+  let direct, _ = run ~plan:Plan.Off [ query c3 ] in
+  Util.check_bool "agrees with direct" true
+    (V.equal_modulo_provenance (List.hd results).Engine.verdict
+       (List.hd direct).Engine.verdict)
+
 let test_atomic_queries_untouched () =
   (* No composition provenance anywhere: the planner is silent — no
      derived hits AND no fallbacks counted. *)
@@ -395,6 +433,8 @@ let suite =
       test_refuted_premise_falls_back;
     Alcotest.test_case "no shared part: fallback" `Quick
       test_no_shared_part_falls_back;
+    Alcotest.test_case "shared parts are recognised by content" `Quick
+      test_shared_part_by_content;
     Alcotest.test_case "atomic queries: planner silent" `Quick
       test_atomic_queries_untouched;
     Alcotest.test_case "plan off never derives" `Quick

@@ -1,10 +1,10 @@
-(* The lock-striped compiled-automata cache: sequential contract
-   (hit/miss accounting, first-insert-wins, clear), a 4-domain hammer
-   on overlapping keys (every caller must observe its own key's value;
-   no duplicate-insert corruption), verdict equality between a serial
-   run and 4 domains sharing one Tset context on the paper corpus (by
+(* The compiled-automata cache: sequential contract (hit/miss
+   accounting, first-insert-wins), a 4-domain hammer on overlapping
+   keys (every caller must observe its own key's value; no
+   duplicate-insert corruption), verdict equality between a serial run
+   and 4 domains sharing one Tset context on the paper corpus (by
    membership, and by refinement walks over the nodes' rows), and
-   qcheck properties over regex keys forced onto colliding stripes. *)
+   qcheck properties over regex keys. *)
 
 module Prs_cache = Posl_tset.Prs_cache
 module Tset = Posl_tset.Tset
@@ -22,7 +22,7 @@ module G = QCheck2.Gen
 (* --- sequential contract -------------------------------------------- *)
 
 let test_find_or_compute () =
-  let c = Prs_cache.create ~stripes:4 () in
+  let c = Prs_cache.create () in
   let calls = ref 0 in
   let get k =
     Prs_cache.find_or_compute c k (fun () ->
@@ -37,19 +37,17 @@ let test_find_or_compute () =
   let s = Prs_cache.stats c in
   Util.check_int "hits" 1 s.Prs_cache.hits;
   Util.check_int "misses" 2 s.Prs_cache.misses;
-  Util.check_int "duplicates" 0 s.Prs_cache.duplicates;
-  Prs_cache.clear c;
-  Util.check_int "cleared" 0 (Prs_cache.length c);
-  Util.check_int "recomputed after clear" 70 (get 7);
-  Util.check_int "compute ran again" 3 !calls
-
-let test_stripes_rounding () =
-  Util.check_int "power of two kept" 8
-    (Prs_cache.stripes (Prs_cache.create ~stripes:8 ()));
-  Util.check_int "rounded up" 8
-    (Prs_cache.stripes (Prs_cache.create ~stripes:5 ()));
-  Util.check_int "minimum one" 1
-    (Prs_cache.stripes (Prs_cache.create ~stripes:0 ()))
+  (* A compute that inserts the same key first loses the insert race,
+     deterministically: its caller gets the winner, and both ran. *)
+  let won =
+    Prs_cache.find_or_compute c 5 (fun () ->
+        ignore (get 5);
+        -1)
+  in
+  Util.check_int "first insert wins" 50 won;
+  Util.check_int "the winner is kept" 50 (get 5);
+  Util.check_int "both computes counted as misses" 4
+    (Prs_cache.stats c).Prs_cache.misses
 
 (* --- 4-domain hammer ------------------------------------------------- *)
 
@@ -59,7 +57,7 @@ let test_stripes_rounding () =
    one entry per key (no duplicate-insert corruption), and the stats
    must balance. *)
 let test_domain_hammer () =
-  let c = Prs_cache.create ~stripes:4 () in
+  let c = Prs_cache.create () in
   let n_keys = 32 and per_domain = 400 in
   let work d =
     let bad = ref 0 in
@@ -85,15 +83,13 @@ let test_domain_hammer () =
   let s = Prs_cache.stats c in
   Util.check_int "hits + misses = calls" (4 * per_domain)
     (s.Prs_cache.hits + s.Prs_cache.misses);
-  Util.check_bool "duplicates only from misses" true
-    (s.Prs_cache.duplicates <= s.Prs_cache.misses);
   Util.check_bool "at least one compute per key" true
     (s.Prs_cache.misses >= n_keys)
 
 (* --- shared Tset context across domains ------------------------------ *)
 
 (* Verdict equality: membership verdicts computed by 4 domains sharing
-   ONE context (one striped cache, overlapping regex keys compiled
+   ONE context (one cache, overlapping regex keys compiled
    concurrently) must equal a serial run on a fresh context, and the
    shared cache must end up with exactly the serially-compiled set of
    automata. *)
@@ -162,26 +158,12 @@ let test_shared_ctx_walks () =
   Util.check_bool "the same states, composites and events interned" true
     (Tset.intern_counts serial = Tset.intern_counts shared)
 
-(* with_closure_cap is a derived constructor: same universe, same
-   compiled automata (the physical cache), different cap. *)
-let test_with_closure_cap_derived () =
-  let c = Tset.ctx ~closure_cap:500 Util.paper_universe in
-  let tight = Tset.with_closure_cap 7 c in
-  Util.check_int "new cap" 7 (Tset.closure_cap tight);
-  Util.check_int "old cap untouched" 500 (Tset.closure_cap c);
-  Util.check_bool "universe preserved" true
-    (Tset.universe tight == Tset.universe c);
-  Util.check_bool "cache preserved" true
-    (Tset.prs_cache tight == Tset.prs_cache c)
-
-(* --- qcheck: regex keys on colliding stripes ------------------------- *)
+(* --- qcheck: regex keys ----------------------------------------------- *)
 
 let sc = Gen.default_scenario
 
-(* Regex keys drawn over the scenario's concrete events.  With a
-   2-stripe cache, hash collisions on a stripe are forced for half of
-   all key pairs; with 1 stripe every pair collides — the property must
-   hold regardless. *)
+(* Regex keys drawn over the scenario's concrete events, with
+   structural duplicates among them. *)
 let regex_keys_gen =
   let events =
     Posl_sets.Eventset.sample sc.Gen.universe Posl_sets.Eventset.full
@@ -191,11 +173,10 @@ let regex_keys_gen =
 let qsuite =
   [
     Util.qtest ~count:60
-      "prs_cache: colliding regex keys never conflate (1 stripe)"
+      "prs_cache: colliding regex keys never conflate"
       regex_keys_gen
       (fun keys ->
-        let c = Prs_cache.create ~stripes:1 () in
-        (* one stripe ⟹ every distinct key pair collides *)
+        let c = Prs_cache.create () in
         List.for_all
           (fun k ->
             Stdlib.compare (Prs_cache.find_or_compute c k (fun () -> k)) k = 0)
@@ -203,10 +184,10 @@ let qsuite =
         && Prs_cache.length c
            = List.length (List.sort_uniq Stdlib.compare keys));
     Util.qtest ~count:60
-      "prs_cache: stripe-colliding pairs stay separate (2 stripes)"
+      "prs_cache: a repeated key gets its first value back"
       (G.pair regex_keys_gen regex_keys_gen)
       (fun (ks1, ks2) ->
-        let c = Prs_cache.create ~stripes:2 () in
+        let c = Prs_cache.create () in
         let keys = ks1 @ ks2 in
         let tagged = List.mapi (fun i k -> (i, k)) keys in
         (* cache (key → first tag); later duplicates of a key must get
@@ -230,14 +211,11 @@ let qsuite =
 let suite =
   [
     Alcotest.test_case "find_or_compute contract" `Quick test_find_or_compute;
-    Alcotest.test_case "stripe rounding" `Quick test_stripes_rounding;
     Alcotest.test_case "4-domain hammer, overlapping keys" `Slow
       test_domain_hammer;
     Alcotest.test_case "serial ≡ shared-context verdicts (4 domains)" `Slow
       test_shared_ctx_verdicts;
     Alcotest.test_case "serial ≡ shared-context walks (4 domains)" `Slow
       test_shared_ctx_walks;
-    Alcotest.test_case "with_closure_cap is derived" `Quick
-      test_with_closure_cap_derived;
   ]
   @ qsuite

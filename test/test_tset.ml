@@ -154,7 +154,7 @@ let test_product_observable () =
 let test_closure_overflow_guard () =
   (* A tiny cap must trip the safety valve on a composition that needs
      internal closure. *)
-  let tight = Tset.with_closure_cap 0 Util.paper_ctx in
+  let tight = Tset.ctx ~closure_cap:0 Util.paper_universe in
   let comp = Posl_core.Compose.interface Ex.client Ex.write_acc in
   let ok = Util.ev "c" "om" "OK" in
   match Tset.mem tight (Posl_core.Spec.tset comp) (Util.tr [ ok ]) with
