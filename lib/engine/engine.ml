@@ -134,15 +134,15 @@ let now_ns = Telemetry.now_ns
    across any number of answered requests: the in-memory verdict cache,
    the optional persistent store, and one shared monitor context per
    distinct universe — the only per-universe registry, since each
-   context owns its compiled automata.  Contexts are keyed structurally:
-   two submissions that describe the same universe (e.g. the same spec
-   text sent twice over a socket) share monitors even though the values
-   are not physically equal. *)
+   context owns its compiled automata.  Contexts are hashed
+   structurally: two submissions that describe the same universe (e.g.
+   the same spec text sent twice over a socket) share monitors even
+   though the values are not physically equal. *)
 type session = {
   s_cache : Cache.t;
   s_store : Store.t option;
-  s_lock : Mutex.t;
-  mutable s_ctxs : (Universe.t * Tset.ctx) list;
+  s_lock : Mutex.t;  (* guards [s_ctxs] *)
+  s_ctxs : (Universe.t, Tset.ctx) Hashtbl.t;
 }
 
 let session ?store () =
@@ -150,7 +150,7 @@ let session ?store () =
     s_cache = Cache.create ();
     s_store = store;
     s_lock = Mutex.create ();
-    s_ctxs = [];
+    s_ctxs = Hashtbl.create 16;
   }
 
 let session_cache s = s.s_cache
@@ -162,11 +162,11 @@ let with_lock s f =
 
 let session_ctx s universe =
   with_lock s @@ fun () ->
-  match List.find_opt (fun (u, _) -> u = universe) s.s_ctxs with
-  | Some (_, ctx) -> ctx
+  match Hashtbl.find_opt s.s_ctxs universe with
+  | Some ctx -> ctx
   | None ->
       let ctx = Tset.ctx universe in
-      s.s_ctxs <- (universe, ctx) :: s.s_ctxs;
+      Hashtbl.add s.s_ctxs universe ctx;
       ctx
 
 (* The compiled automata of a session, viewed through its contexts. *)
@@ -175,13 +175,13 @@ type dfa_cache = session
 let session_dfa_cache s = s
 
 let dfa_cache_stats s =
-  let ctxs = with_lock s (fun () -> s.s_ctxs) in
-  List.fold_left
-    (fun (acc : Prs_cache.stats) (_, ctx) ->
+  with_lock s @@ fun () ->
+  Hashtbl.fold
+    (fun _ ctx (acc : Prs_cache.stats) ->
       let c = Prs_cache.stats (Tset.prs_cache ctx) in
       { Prs_cache.hits = acc.hits + c.hits; misses = acc.misses + c.misses })
+    s.s_ctxs
     { Prs_cache.hits = 0; misses = 0 }
-    ctxs
 
 let rec answer ?(plan = Plan.Auto) s counters req =
   Telemetry.with_span "engine.job"

@@ -75,6 +75,30 @@ let restrict es t = Restrict (es, t)
 let product parts vis = Product (parts, vis)
 let part ~alpha tset = { part_alpha = alpha; part_tset = tset }
 
+(* A context's nodes, keyed by the {e physical} identity of their trace
+   set and held weakly: an entry goes once the GC finds its trace set
+   unreachable.  The hash reads a trace set's data and never a closure's
+   environment, which may be mutable (an assume-guarantee predicate
+   captures its context) and would move the entry's bucket. *)
+module Registry = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+
+  let rec hash t =
+    let mix h t = (h * 31) + hash t in
+    match t with
+    | All -> 0
+    | Prs r -> Hashtbl.hash r
+    | Counting c -> Hashtbl.hash c
+    | Pointwise (name, _) -> Hashtbl.hash name
+    | Forall_obj (s, _) -> Hashtbl.hash s
+    | Conj ts -> List.fold_left mix 1 ts
+    | Restrict (es, t) -> mix (Hashtbl.hash es) t
+    | Product (parts, vis) ->
+        List.fold_left (fun h p -> mix h p.part_tset) (Hashtbl.hash vis) parts
+end)
+
 (** {1 Monitor semantics} *)
 
 (* Monitor states mirror the structure of the trace set.  They contain
@@ -197,13 +221,14 @@ and ctx = {
       (* state id of an [S_product] -> sorted composite ids *)
   event_ids : (Event.t, int) Hashtbl.t;  (* event -> dense id *)
   mutable event_count : int;
-  mutable nodes : (t * node) list;
-      (* nodes by {e physical} identity of their trace set, scanned
-         with (==): [Spec.tset] is a field read, so the monitors a
-         context sees are physically stable values, and one spec keeps
-         one node (and its rows) however many questions it is in.
-         Structurally-equal-but-distinct values get distinct nodes,
-         which costs row sharing, never soundness. *)
+  nodes : node Registry.t;
+      (* nodes by {e physical} identity of their trace set, held
+         weakly: [Spec.tset] is a field read, so the monitors a context
+         sees are physically stable values, and one spec keeps one node
+         (and its rows) however many questions it is in.  A node dies
+         with the last value holding its trace set, such as a watcher's
+         superseded parse.  Structurally-equal-but-distinct values get
+         distinct nodes, which costs row sharing, never soundness. *)
 }
 
 let ctx ?(closure_cap = 20_000) universe =
@@ -220,7 +245,7 @@ let ctx ?(closure_cap = 20_000) universe =
     macros = Hashtbl.create 256;
     event_ids = Hashtbl.create 256;
     event_count = 0;
-    nodes = [];
+    nodes = Registry.create 64;
   }
 
 let universe c = c.universe
@@ -449,8 +474,8 @@ and forall_child c body children o =
 (* The context's node for [t], minted on first use. *)
 let node c (t : t) : node =
   memo c
-    (fun () -> List.assq_opt t c.nodes)
-    (fun n -> c.nodes <- (t, n) :: c.nodes)
+    (fun () -> Registry.find_opt c.nodes t)
+    (fun n -> Registry.add c.nodes t n)
     (fun () -> make_node c t)
 
 (* Close a set of composites under internal (hidden) events: the

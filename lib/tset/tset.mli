@@ -160,8 +160,12 @@ val node : ctx -> t -> node
     {e physical} identity: monitors reached through [Spec.tset] are
     physically stable, so one spec keeps one node however many
     questions it appears in; a structurally-equal-but-distinct value
-    gets its own node (costing only sharing, never soundness).
-    Resolve once per loop, not once per step. *)
+    gets its own node (costing only sharing, never soundness).  The
+    context holds its nodes weakly: a node lives as long as its trace
+    set does, so a re-parsed spec's old node (its rows, classifiers and
+    children) is freed with the old parse, while the states and events
+    it interned stay in the context.  Resolve once per loop, not once
+    per step. *)
 
 val start : node -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)
@@ -175,10 +179,11 @@ val step_id : node -> event_id:int -> int -> Posl_trace.Event.t -> int
 (** [step_id n ~event_id sid e] is the interned id of
     [step n (state_of_id c sid) e], or [-1] when dead, memoized in the
     node's successor rows: per state id, an int array by event id.
-    Rows persist for the context's lifetime, so a monitor shared by
-    many inclusion checks steps each state once.  [event_id] must be
-    [event_id c e] for the node's context [c].  A memoized successor
-    is two array reads and takes no lock; thread-safe. *)
+    Rows persist for the node's lifetime, not the context's, so a
+    monitor shared by many inclusion checks steps each state once.
+    [event_id] must be [event_id c e] for the node's context [c].  A
+    memoized successor is two array reads and takes no lock;
+    thread-safe. *)
 
 (** {1 Membership} *)
 

@@ -105,6 +105,20 @@ let test_refinement_rule () =
   | Ag.Premise_fails `Assumption_not_weaker -> ()
   | o -> Alcotest.failf "expected premise failure: %a" Ag.pp_rule_outcome o
 
+(* A contract's trace set is a predicate closing over its context,
+   whose tables grow as the context answers questions.  The context
+   must still find that trace set's node afterwards: one node per trace
+   set, so its successor rows are shared by every later question. *)
+let test_node_survives_context_growth () =
+  let ctx = Tset.ctx universe in
+  let t = Ag.to_tset ctx (contract 2) in
+  let n = Tset.node ctx t in
+  let before = Tset.intern_counts ctx in
+  ignore (Tset.event_id ctx (Event.make ~caller:(Oid.v "u1") ~callee:b m_put));
+  Option.iter (fun st -> ignore (Tset.intern_state ctx st)) (Tset.start n);
+  Util.check_bool "the context grew" true (Tset.intern_counts ctx <> before);
+  Util.check_bool "the same node" true (Tset.node ctx t == n)
+
 let suite =
   [
     Alcotest.test_case "guarantee enforced under assumption" `Quick
@@ -113,4 +127,6 @@ let suite =
       test_broken_assumption_releases_object;
     Alcotest.test_case "input/output split" `Quick test_io_split;
     Alcotest.test_case "A/G refinement rule" `Quick test_refinement_rule;
+    Alcotest.test_case "a contract keeps its node as its context grows"
+      `Quick test_node_survives_context_growth;
   ]

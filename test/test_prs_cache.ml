@@ -3,8 +3,9 @@
    keys (every caller must observe its own key's value; no
    duplicate-insert corruption), verdict equality between a serial run
    and 4 domains sharing one Tset context on the paper corpus (by
-   membership, and by refinement walks over the nodes' rows), and
-   qcheck properties over regex keys. *)
+   membership, by refinement walks over the nodes' rows, and by walks
+   over fresh parses while forced collections drop registry entries),
+   and qcheck properties over regex keys. *)
 
 module Prs_cache = Posl_tset.Prs_cache
 module Tset = Posl_tset.Tset
@@ -158,6 +159,59 @@ let test_shared_ctx_walks () =
   Util.check_bool "the same states, composites and events interned" true
     (Tset.intern_counts serial = Tset.intern_counts shared)
 
+(* The same walks while the context's node registry loses entries:
+   4 domains each re-parse paper.oun and walk all 56 ordered pairs of
+   their fresh parse on ONE shared context, while a fifth domain forces
+   major collections, so the nodes of earlier parses are dropped from
+   the registry while other domains look theirs up and mint new ones.
+   Every verdict and witness must equal a serial context's, and the
+   shared context must intern exactly the serial set of states,
+   composites and events. *)
+let test_gc_race_walks () =
+  let reparse = Util.reparse "paper.oun" in
+  let parse () = Array.of_list (reparse ()) in
+  let first = parse () in
+  let idx = List.init (Array.length first) Fun.id in
+  let pairs =
+    List.concat_map
+      (fun i -> List.filter_map (fun j -> if i = j then None else Some (i, j)) idx)
+      idx
+  in
+  Util.check_int "56 ordered pairs" 56 (List.length pairs);
+  let walk ctx specs =
+    List.map (fun (i, j) -> Posl_core.Refine.verdict ctx specs.(i) specs.(j)) pairs
+  in
+  let universe = Spec.adequate_universe (Array.to_list first) in
+  let serial = Tset.ctx universe in
+  let expected = walk serial first in
+  let shared = Tset.ctx universe in
+  let stop = Atomic.make false and collections = Atomic.make 0 in
+  let collector =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Gc.major ();
+          Atomic.incr collections
+        done)
+  in
+  let agreed =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join collector)
+      (fun () ->
+        Par.map_dyn ~domains:4
+          (fun _ ->
+            List.for_all2 Posl_verdict.Verdict.equal expected
+              (walk shared (parse ())))
+          (List.init 24 Fun.id))
+  in
+  Util.check_bool "serial ≡ re-parsed walks under forced collections" true
+    (List.for_all Fun.id agreed);
+  Util.check_bool "collections ran during the walks" true
+    (Atomic.get collections > 0);
+  Util.check_bool "the same states, composites and events interned" true
+    (Tset.intern_counts serial = Tset.intern_counts shared)
+
 (* --- qcheck: regex keys ----------------------------------------------- *)
 
 let sc = Gen.default_scenario
@@ -217,5 +271,7 @@ let suite =
       test_shared_ctx_verdicts;
     Alcotest.test_case "serial ≡ shared-context walks (4 domains)" `Slow
       test_shared_ctx_walks;
+    Alcotest.test_case "serial ≡ re-parsed walks under forced GC (4 domains)"
+      `Slow test_gc_race_walks;
   ]
   @ qsuite

@@ -221,6 +221,52 @@ let test_outside_universe_event_rejected_or_loud () =
   Util.check_bool "a stranger inside a symbolic atom is loud" true
     (twice from_c (Util.ev "c" "zz_unknown" "OW") = `Loud)
 
+(* --- soak: a re-parsed file leaves nothing behind --------------------- *)
+
+(* One context answering a file that is parsed again and again, as a
+   watcher's context is: each cycle parses paper.oun afresh and refines
+   all 56 ordered pairs of the new parse, so the previous parse's trace
+   sets become unreachable and their nodes (successor rows, classifiers,
+   forall children) must go with them.  After a full major collection
+   the live heap at the last cycle stays within 1.5x its value at cycle
+   20; a registry that kept every parse's nodes grows about 4x over the
+   same cycles. *)
+let test_soak_reparse () =
+  let parse = Util.reparse "paper.oun" in
+  let first = parse () in
+  Util.check_int "8 specs, so 56 ordered pairs" 8 (List.length first);
+  let ctx = Tset.ctx (Posl_core.Spec.adequate_universe first) in
+  let cycle () =
+    let specs = parse () in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            if a != b then ignore (Posl_core.Refine.verdict ctx a b))
+          specs)
+      specs
+  in
+  (* The context is read after each collection, so it is live through
+     it: its tables are part of what is measured. *)
+  let measure () =
+    Gc.full_major ();
+    let words = (Gc.stat ()).Gc.live_words in
+    (words, Tset.intern_counts ctx)
+  in
+  let cycles = 100 and early = 20 in
+  let at_early = ref (0, (0, 0, 0)) in
+  for i = 1 to cycles do
+    cycle ();
+    if i = early then at_early := measure ()
+  done;
+  let early_words, early_counts = !at_early in
+  let last_words, last_counts = measure () in
+  Util.check_bool "a re-parse interns no new state, composite or event" true
+    (early_counts = last_counts);
+  if 2 * last_words > 3 * early_words then
+    Alcotest.failf "live heap grew from %d words at cycle %d to %d at cycle %d"
+      early_words early last_words cycles
+
 let suite =
   [
     Alcotest.test_case "forall-obj (Read2 semantics)" `Quick test_forall_obj;
@@ -234,5 +280,7 @@ let suite =
       test_closure_overflow_guard;
     Alcotest.test_case "pointwise largest prefix-closed subset" `Quick
       test_pointwise_largest_prefix_closed;
+    Alcotest.test_case "soak: re-parsed specs leave no nodes behind" `Quick
+      test_soak_reparse;
   ]
   @ qsuite

@@ -31,6 +31,16 @@ let spec_file name =
   | Some path -> path
   | None -> Alcotest.failf "cannot locate %s from %s" name (Sys.getcwd ())
 
+(* [reparse name ()] parses the shipped spec file [name] afresh (read
+   once): every call gives new trace-set values, as an edited file's
+   re-parse does. *)
+let reparse name =
+  let text = In_channel.with_open_bin (spec_file name) In_channel.input_all in
+  fun () ->
+    match Posl_lang.Lang.specs_of_string text with
+    | Ok specs -> specs
+    | Error e -> Alcotest.failf "%s: %a" name Posl_lang.Lang.pp_error e
+
 (* A fixed tiny universe mirroring the paper's cast. *)
 let paper_universe =
   Posl_core.Spec.adequate_universe Posl_core.Examples_paper.all_specs
