@@ -1748,12 +1748,23 @@ let bechamel_tests () =
            Eventset.diff
              (Eventset.union (Spec.alpha Ex.client) (Spec.alpha Ex.write_acc))
              (Internal.pair (Oid.v "c") (Oid.v "o"))));
-    (* P4: verdict-cache machinery — content digest of a query, and a
-       warm batch answered entirely from the cache *)
+    (* P4: verdict-cache machinery — content digest of a query (computed
+       afresh), a repeat of that query on a session that has answered
+       it (key from the session's memoised pieces, then a cache hit),
+       and a warm batch answered entirely from the cache *)
     Test.make ~name:"P4/engine/digest"
       (stage (fun () ->
            Edigest.query ~universe ~depth:4
              (Job.Refine { refined = Ex.rw2; abstract = Ex.write_acc })));
+    Test.make ~name:"P4/engine/warm-hit"
+      (stage
+         (let session = Engine.session () and counters = Counters.create () in
+          let request =
+            Engine.request ~depth:4 ~universe
+              (Job.Refine { refined = Ex.rw2; abstract = Ex.write_acc })
+          in
+          ignore (Engine.answer session counters request);
+          fun () -> Engine.answer session counters request));
     Test.make ~name:"P4/engine/warm-batch"
       (stage
          (let batch = engine_batch ~depth:3 in

@@ -91,12 +91,30 @@ let ser_spec buf ~universe s =
   fieldf buf "%a" Eventset.pp (Eventset.normalise (Spec.alpha s));
   ser_tset buf ~universe (Spec.tset s)
 
-let serialize_base ~(universe : Universe.t) query =
-  let buf = Buffer.create 512 in
-  field buf (Job.kind query);
+(* A key's pieces, each already length-prefixed: the universe's field
+   and each specification's fields, so [of_keys] can assemble a key
+   from pieces a session memoised and write exactly the bytes one pass
+   over the query would. *)
+let universe_key universe =
+  let buf = Buffer.create 128 in
   fieldf buf "%a" Universe.pp universe;
-  List.iter (ser_spec buf ~universe) (Job.specs query);
   Buffer.contents buf
+
+let spec_key ~universe s =
+  let buf = Buffer.create 256 in
+  match ser_spec buf ~universe s with
+  | () -> Some (Buffer.contents buf)
+  | exception Opaque -> None
+
+let of_keys ~kind ~universe_key spec_keys =
+  if List.mem None spec_keys then None
+  else begin
+    let buf = Buffer.create 1024 in
+    field buf kind;
+    Buffer.add_string buf universe_key;
+    List.iter (Option.iter (Buffer.add_string buf)) spec_keys;
+    Some (Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents buf)))
+  end
 
 (* The persistent store's key leaves the depth out: a depth-6 bounded
    verdict is a perfectly good answer to the same query at depth 4
@@ -105,20 +123,11 @@ let serialize_base ~(universe : Universe.t) query =
    the store record instead, where [Store.find]'s reuse rule can see
    it. *)
 let query_base ~universe q =
-  match serialize_base ~universe q with
-  | s -> Some (Stdlib.Digest.to_hex (Stdlib.Digest.string s))
-  | exception Opaque -> None
+  of_keys ~kind:(Job.kind q) ~universe_key:(universe_key universe)
+    (List.map (spec_key ~universe) (Job.specs q))
 
 (* The in-memory cache does key by depth.  A hex MD5 never contains
    '@', so the suffix cannot alias another base. *)
 let at_depth ~depth base = base ^ "@" ^ string_of_int depth
 
 let query ~universe ~depth q = Option.map (at_depth ~depth) (query_base ~universe q)
-
-let spec_key ~universe s =
-  let buf = Buffer.create 256 in
-  match ser_spec buf ~universe s with
-  | () -> Some (Buffer.contents buf)
-  | exception Opaque -> None
-
-let pp = Format.pp_print_string

@@ -27,7 +27,9 @@ val query_base : universe:Universe.t -> Job.query -> t option
     depth a stored verdict was computed at lives in the record, so one
     exact verdict (or a deep enough bounded one) answers the query at
     every requested depth.  [None] iff some specification's trace set
-    contains an opaque [Pointwise] predicate. *)
+    contains an opaque [Pointwise] predicate.  Computed afresh on every
+    call; {!Engine.answer} assembles the same key with {!of_keys} from
+    pieces its session memoises. *)
 
 val at_depth : depth:int -> t -> t
 (** The in-memory cache key of a {!query_base} at a depth. *)
@@ -35,8 +37,29 @@ val at_depth : depth:int -> t -> t
 val query : universe:Universe.t -> depth:int -> Job.query -> t option
 (** [at_depth ~depth] of {!query_base}: [None] exactly when it is. *)
 
-val spec_key : universe:Universe.t -> Spec.t -> string option
-(** The canonical serialization of one specification body (exposed for
-    collision tests); [None] on opaque trace sets. *)
+(** {1 Pieces of a key}
 
-val pp : Format.formatter -> t -> unit
+    A key is assembled from one piece per universe and one per
+    specification body, so a caller that asks about the same spec
+    values again can keep the pieces instead of re-serialising them.
+    {!Engine.session} does: it keeps each spec value's {!spec_key}
+    (weakly, by physical identity, for a structurally equal universe
+    only) and each universe's {!universe_key}, and its keys are
+    byte-identical to {!query_base}'s. *)
+
+val spec_key : universe:Universe.t -> Spec.t -> string option
+(** The canonical serialization of one specification body: its name,
+    objects, alphabet and trace set, the last expanded over
+    [universe]'s objects at [Forall_obj] nodes.  [None] on opaque
+    trace sets.  Computed afresh on every call; {!Engine.spec_key} is
+    a session's memo of it. *)
+
+val universe_key : Universe.t -> string
+(** The serialization of a universe sample, as a key embeds it. *)
+
+val of_keys :
+  kind:string -> universe_key:string -> string option list -> t option
+(** [of_keys ~kind ~universe_key keys] is {!query_base} of a query of
+    kind [kind] ({!Job.kind}) whose specifications, in {!Job.specs}
+    order, have the serializations [keys], over the universe
+    serialized as [universe_key]; [None] iff some key is. *)

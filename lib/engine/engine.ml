@@ -16,7 +16,12 @@
       that keeps automata warm across batches keeps the session.
     - {e Shared verdict cache.}  The {!Cache} is mutex-protected and
       holds pure data; hits return the stored verdict without touching
-      any monitor. *)
+      any monitor.
+    - {e Keys once per spec value.}  A request's content address is
+      assembled from pieces the session memoises: each spec value's
+      serialization (weakly, by physical identity) and each universe's,
+      so a repeated question costs lookups and one MD5, not a
+      re-serialization of every body. *)
 
 module Spec = Posl_core.Spec
 module Tset = Posl_tset.Tset
@@ -129,20 +134,37 @@ let pp_stats ppf s =
    same time base the span layer uses. *)
 let now_ns = Telemetry.now_ns
 
+(* A session's key pieces for specification values, keyed by the
+   value's {e physical} identity and held weakly: an entry goes once
+   the GC finds its spec unreachable, so a re-parsed file's old specs
+   take their keys with them.  The hash reads the name only, never a
+   trace set's closures. *)
+module Spec_keys = Ephemeron.K1.Make (struct
+  type t = Spec.t
+
+  let equal = ( == )
+  let hash s = Hashtbl.hash (Spec.name s)
+end)
+
 (* A session is the warm state a resident caller (the verification
    service, the watcher, or run_batch for its own lifetime) threads
    across any number of answered requests: the in-memory verdict cache,
-   the optional persistent store, and one shared monitor context per
-   distinct universe — the only per-universe registry, since each
-   context owns its compiled automata.  Contexts are hashed
-   structurally: two submissions that describe the same universe (e.g.
-   the same spec text sent twice over a socket) share monitors even
-   though the values are not physically equal. *)
+   the optional persistent store, one shared monitor context per
+   distinct universe — the only automata registry, since each context
+   owns its compiled automata — and the pieces content addresses are
+   built from.  Universes are hashed structurally: two submissions that
+   describe the same universe (e.g. the same spec text sent twice over
+   a socket) share monitors even though the values are not physically
+   equal. *)
 type session = {
   s_cache : Cache.t;
   s_store : Store.t option;
-  s_lock : Mutex.t;  (* guards [s_ctxs] *)
+  s_lock : Mutex.t;  (* guards [s_ctxs], [s_ukeys] and [s_keys] *)
   s_ctxs : (Universe.t, Tset.ctx) Hashtbl.t;
+  s_ukeys : (Universe.t, string) Hashtbl.t;  (* [Digest.universe_key] *)
+  s_keys : (Universe.t * string option) Spec_keys.t;
+      (* [Digest.spec_key] of a spec value, and the universe it was
+         taken at *)
 }
 
 let session ?store () =
@@ -151,6 +173,8 @@ let session ?store () =
     s_store = store;
     s_lock = Mutex.create ();
     s_ctxs = Hashtbl.create 16;
+    s_ukeys = Hashtbl.create 16;
+    s_keys = Spec_keys.create 64;
   }
 
 let session_cache s = s.s_cache
@@ -168,6 +192,45 @@ let session_ctx s universe =
       let ctx = Tset.ctx universe in
       Hashtbl.add s.s_ctxs universe ctx;
       ctx
+
+(* Content addresses, once per spec value.  A spec's serialization is
+   computed outside the lock, so a worker serializing a fresh spec holds
+   up no other worker's lookups or contexts; when two callers race on
+   one spec, the first insert wins (both computed equal bytes).  An
+   entry only answers for a structurally equal universe, since
+   [Forall_obj] bodies expand over the universe's objects; a spec asked
+   under another universe is serialized again and keyed under that
+   one. *)
+let spec_key s ~universe spec =
+  let memoised () =
+    match Spec_keys.find_opt s.s_keys spec with
+    | Some (u, key) when compare u universe = 0 -> Some key
+    | Some _ | None -> None
+  in
+  match with_lock s memoised with
+  | Some key -> key
+  | None -> (
+      let key = Digest.spec_key ~universe spec in
+      with_lock s @@ fun () ->
+      match memoised () with
+      | Some winner -> winner
+      | None ->
+          Spec_keys.replace s.s_keys spec (universe, key);
+          key)
+
+let universe_key s universe =
+  with_lock s @@ fun () ->
+  match Hashtbl.find_opt s.s_ukeys universe with
+  | Some key -> key
+  | None ->
+      let key = Digest.universe_key universe in
+      Hashtbl.add s.s_ukeys universe key;
+      key
+
+(* [Digest.query_base], byte for byte, from the session's pieces. *)
+let query_base s ~universe q =
+  Digest.of_keys ~kind:(Job.kind q) ~universe_key:(universe_key s universe)
+    (List.map (spec_key s ~universe) (Job.specs q))
 
 (* The compiled automata of a session, viewed through its contexts. *)
 type dfa_cache = session
@@ -190,9 +253,10 @@ let rec answer ?(plan = Plan.Auto) s counters req =
   Posl_telemetry.Runtime.with_gc_attrs @@ fun () ->
   let span_id = Telemetry.current_span_id () in
   let t0 = now_ns () in
-  (* One serialization per request: the store's depth-independent key,
-     and the in-memory key derived from it. *)
-  let base = Digest.query_base ~universe:req.universe req.query in
+  (* One key per request, from the session's memoised pieces: the
+     store's depth-independent key, and the in-memory key derived from
+     it. *)
+  let base = query_base s ~universe:req.universe req.query in
   let digest = Option.map (Digest.at_depth ~depth:req.depth) base in
   let compute_direct () =
     Job.run (session_ctx s req.universe) ~depth:req.depth req.query
@@ -214,7 +278,13 @@ let rec answer ?(plan = Plan.Auto) s counters req =
           (answer ~plan s counters premise_req).verdict
         in
         match
-          Plan.derive ~answer:answer_premise ~universe:req.universe req.query
+          Plan.derive ~answer:answer_premise
+            ~keys:
+              {
+                Plan.spec_key = spec_key s ~universe:req.universe;
+                query_key = query_base s ~universe:req.universe;
+              }
+            req.query
         with
         | Plan.Derived v ->
             Metrics.incr Counters.derived_hits;

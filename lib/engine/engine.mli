@@ -95,11 +95,12 @@ val pp_stats : Format.formatter -> stats -> unit
 
     The warm state a resident caller threads across any number of
     answered requests: the in-memory verdict {!Cache}, the optional
-    persistent store, and one shared monitor context per distinct
-    universe, which owns that universe's compiled automata.
-    {!run_batch} is one throwaway session; the verification service
-    ([posl.serve]) and the watcher keep a session alive so every
-    submission lands on warm caches. *)
+    persistent store, one shared monitor context per distinct
+    universe, which owns that universe's compiled automata, and the
+    pieces of content addresses ({!spec_key}).  {!run_batch} is one
+    throwaway session; the verification service ([posl.serve]) and the
+    watcher keep a session alive so every submission lands on warm
+    caches. *)
 
 type session
 
@@ -115,6 +116,21 @@ val session_ctx : session -> Posl_ident.Universe.t -> Posl_tset.Tset.ctx
     first use.  Universes are compared {e structurally}, so repeated
     submissions of the same spec content share monitors and compiled
     automata even across distinct values.  Thread- and domain-safe. *)
+
+val spec_key :
+  session -> universe:Posl_ident.Universe.t -> Spec.t -> string option
+(** {!Digest.spec_key}, once per spec value in the session: the
+    serialization is kept by the value's {e physical} identity and
+    held weakly, so it goes with the last value holding the spec (a
+    re-parsed file's old specs take theirs along), and it answers only
+    for a structurally equal universe ([Forall_obj] bodies expand over
+    the universe's objects).  The universe's {!Digest.universe_key} is
+    kept once per universe.  {!answer} keys every request from these
+    pieces with {!Digest.of_keys}, byte-identical to
+    {!Digest.query_base}, so no cache or store key moves.  Serialization
+    runs outside the session lock; when callers race on one spec the
+    first insert wins.  A fresh session starts with no keys.
+    Thread- and domain-safe. *)
 
 type dfa_cache
 (** A view of a session's compiled automata: those of every context it
@@ -134,7 +150,9 @@ val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
     which recurse through [answer] and so land in the same cache and
     store), and finally direct computation with {!Job.run}.
     Derived verdicts are cached and stored under the composite query's
-    digest like computed ones.  Safe to call concurrently from any
+    digest like computed ones.  Every key — the request's, and the
+    planner's component and premise keys — is assembled from the
+    session's memoised pieces ({!spec_key}).  Safe to call concurrently from any
     number of threads or domains — this is the unit of work the
     verification service's scheduler dispatches.  Traffic is counted
     into the process registry; [counters] is the caller's delta view

@@ -43,14 +43,19 @@ type outcome =
 
 type answerer = label:string -> Job.query -> Verdict.t
 
+type keys = {
+  spec_key : Spec.t -> string option;
+  query_key : Job.query -> Digest.t option;
+}
+
 (* Premise provenance uses the depth-independent content address — the
    persistent store's key — so replaying a premise means re-answering
    the same record the derivation consumed.  Opaque sub-specifications
    have no content address; naming the query keeps the provenance
    readable (such premises can still be re-answered, just not by
    digest). *)
-let premise_digest ~universe q =
-  match Digest.query_base ~universe q with
+let premise_digest keys q =
+  match keys.query_key q with
   | Some d -> d
   | None -> "opaque:" ^ Job.describe q
 
@@ -60,10 +65,10 @@ let premise_digest ~universe q =
    A key begins with the name, so differently named parts are told
    apart before either is serialized.  Opaque trace sets admit no
    content address, hence no sharing claim. *)
-let content_equal ~universe a b =
+let content_equal keys a b =
   String.equal (Spec.name a) (Spec.name b)
   &&
-  match (Digest.spec_key ~universe a, Digest.spec_key ~universe b) with
+  match (keys.spec_key a, keys.spec_key b) with
   | Some ka, Some kb -> String.equal ka kb
   | (None | Some _), _ -> false
 
@@ -76,13 +81,13 @@ let exact_holds (v : Verdict.t) =
 let arrangements (lg, ld) (rg, rd) =
   [ (lg, rg, ld, rd); (lg, rd, ld, rg); (ld, rg, lg, rd); (ld, rd, lg, rg) ]
 
-let shared_arrangements ~universe lparts rparts =
+let shared_arrangements keys lparts rparts =
   List.filter_map
     (fun (c', c, d', d) ->
-      if content_equal ~universe d' d then Some (c', c, d') else None)
+      if content_equal keys d' d then Some (c', c, d') else None)
     (arrangements lparts rparts)
 
-let derived_verdict ~universe ~rule premise_queries =
+let derived_verdict keys ~rule premise_queries =
   Verdict.holds ~confidence:Verdict.Exact
     ~provenance:
       (Verdict.provenance
@@ -91,8 +96,7 @@ let derived_verdict ~universe ~rule premise_queries =
               {
                 rule;
                 premises =
-                  List.map (fun q -> premise_digest ~universe q)
-                    premise_queries;
+                  List.map (premise_digest keys) premise_queries;
               })
          ())
     ()
@@ -120,10 +124,10 @@ let establish ~(answer : answerer) queries =
    sub-queries, so the side conditions themselves land in the verdict
    cache and store.  Theorem 18's no-new-objects case is subsumed:
    its α₀ is empty, so the properness premise holds trivially. *)
-let derive_refine ~answer ~universe lparts rparts =
+let derive_refine ~answer keys lparts rparts =
   Telemetry.with_span "plan.decompose" ~attrs:[ ("kind", "refine") ]
   @@ fun () ->
-  match shared_arrangements ~universe lparts rparts with
+  match shared_arrangements keys lparts rparts with
   | [] -> Fallback "the compositions share no component (by content)"
   | viable ->
       let try_one (c', c, delta) =
@@ -145,7 +149,7 @@ let derive_refine ~answer ~universe lparts rparts =
           side_conditions @ [ ("refines", Job.refine ~refined:c' ~abstract:c) ]
         in
         match establish ~answer queries with
-        | Some premises -> Some (derived_verdict ~universe ~rule premises)
+        | Some premises -> Some (derived_verdict keys ~rule premises)
         | None -> None
       in
       (match List.find_map try_one viable with
@@ -160,23 +164,23 @@ let derive_refine ~answer ~universe lparts rparts =
    sub-query) pins the two composites to the same trace set.  A
    content-equal changed pair (e.g. Γ‖∆ vs ∆‖Γ, commutativity) needs
    no sub-query at all. *)
-let derive_equal ~answer ~universe lparts rparts =
+let derive_equal ~answer keys lparts rparts =
   Telemetry.with_span "plan.decompose" ~attrs:[ ("kind", "equal") ]
   @@ fun () ->
-  match shared_arrangements ~universe lparts rparts with
+  match shared_arrangements keys lparts rparts with
   | [] -> Fallback "the compositions share no component (by content)"
   | viable ->
       let try_one (c', c, _delta) =
         if not (Oid.Set.equal (Spec.objs c') (Spec.objs c)) then None
         else if not (Eventset.equal (Spec.alpha c') (Spec.alpha c)) then None
-        else if content_equal ~universe c' c then
-          Some (derived_verdict ~universe ~rule:"equal-congruence" [])
+        else if content_equal keys c' c then
+          Some (derived_verdict keys ~rule:"equal-congruence" [])
         else
           match
             establish ~answer [ ("equal", Job.equal ~left:c' ~right:c) ]
           with
           | Some premises ->
-              Some (derived_verdict ~universe ~rule:"equal-congruence" premises)
+              Some (derived_verdict keys ~rule:"equal-congruence" premises)
           | None -> None
       in
       (match List.find_map try_one viable with
@@ -184,7 +188,7 @@ let derive_equal ~answer ~universe lparts rparts =
       | None ->
           Fallback "a side condition failed or a premise was not exact")
 
-let derive ~answer ~universe query =
+let derive ~answer ~keys query =
   match query with
   | Job.Refine { refined; abstract } -> (
       match (Spec.parts refined, Spec.parts abstract) with
@@ -192,12 +196,12 @@ let derive ~answer ~universe query =
       | Some _, None | None, Some _ ->
           Fallback "only one operand is a composition: no rule applies"
       | Some lparts, Some rparts ->
-          derive_refine ~answer ~universe lparts rparts)
+          derive_refine ~answer keys lparts rparts)
   | Job.Equal { left; right } -> (
       match (Spec.parts left, Spec.parts right) with
       | None, None -> Not_composite
       | Some _, None | None, Some _ ->
           Fallback "only one operand is a composition: no rule applies"
       | Some lparts, Some rparts ->
-          derive_equal ~answer ~universe lparts rparts)
+          derive_equal ~answer keys lparts rparts)
   | Job.Compose _ | Job.Proper _ | Job.Deadlock _ -> Not_composite

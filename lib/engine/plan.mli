@@ -46,11 +46,19 @@ type answerer = label:string -> Job.query -> Posl_verdict.Verdict.t
     premises hit the warm cache/store, are recorded under their own
     digests, and may themselves be decomposed recursively. *)
 
-val derive :
-  answer:answerer ->
-  universe:Posl_ident.Universe.t ->
-  Job.query ->
-  outcome
+type keys = {
+  spec_key : Posl_core.Spec.t -> string option;
+      (** {!Digest.spec_key} at the query's universe: recognises shared
+          components by content *)
+  query_key : Job.query -> Digest.t option;
+      (** {!Digest.query_base} at the query's universe: names each
+          premise in a derived verdict's provenance *)
+}
+(** How the planner reads content addresses.  The engine passes its
+    session's memoised keys, so a component the session has already
+    keyed is not serialized again. *)
+
+val derive : answer:answerer -> keys:keys -> Job.query -> outcome
 (** Attempt to answer [query] compositionally.  Emits a
     [plan.decompose] span per attempted decomposition and a
     [plan.premise] span per premise sub-query. *)

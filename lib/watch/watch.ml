@@ -7,7 +7,6 @@
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine
 module Plan = Posl_engine.Plan
-module Qdigest = Posl_engine.Digest
 module Job = Posl_engine.Job
 module Spec = Posl_core.Spec
 module Verdict = Posl_verdict.Verdict
@@ -209,13 +208,14 @@ let loader t : Manifest.typed_loader =
 (* --- one round --------------------------------------------------------- *)
 
 (* Name -> [spec_key]; a duplicated name keeps its first spec, the one
-   name resolution picks. *)
-let key_map ~universe specs =
+   name resolution picks.  Taken through the session, so the round's
+   re-runs over this parse find their keys memoised. *)
+let key_map session ~universe specs =
   List.fold_left
     (fun m s ->
       let name = Spec.name s in
       if Smap.mem name m then m
-      else Smap.add name (Qdigest.spec_key ~universe s) m)
+      else Smap.add name (Engine.spec_key session ~universe s) m)
     Smap.empty specs
 
 (* An opaque body has no key, so it never compares equal: its edits
@@ -289,7 +289,7 @@ let refresh t =
           | Ok (specs, universe) ->
               fs.last_error <- None;
               let ukey = Job.universe_digest universe in
-              let keys = key_map ~universe specs in
+              let keys = key_map t.session ~universe specs in
               if
                 Option.is_none fs.good
                 || (not (String.equal ukey fs.ukey))

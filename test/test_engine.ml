@@ -7,6 +7,7 @@ module Engine = Posl_engine.Engine
 module Job = Posl_engine.Job
 module Manifest = Posl_engine.Manifest
 module Cache = Posl_engine.Cache
+module Counters = Posl_engine.Counters
 module Dig = Posl_engine.Digest
 module Spec = Posl_core.Spec
 module Theory = Posl_core.Theory
@@ -539,6 +540,21 @@ let template_corpus ~seed =
         [ (false, false); (false, true); (true, false); (true, true) ])
     [ (0, boiten); (1, sz); (2, boiten); (3, sz) ]
 
+let manifest_requests name =
+  match
+    Manifest.requests_of_file_typed ~default_depth:6 ~extra_objects:2
+      (Util.spec_file name)
+  with
+  | Ok rs -> rs
+  | Error e -> Alcotest.failf "%s: %s" name (Manifest.input_error_detail e)
+
+(* The fence corpus: both shipped manifests and the two templates in
+   all four edit states. *)
+let fence_requests () =
+  manifest_requests "batch.manifest"
+  @ manifest_requests "fleet.manifest"
+  @ template_corpus ~seed:7
+
 (* Answer every query on one context per universe and on a fresh
    context: a context's memo tables (compiled automata, successor rows,
    forall bodies, hidden events of composites) must never change an
@@ -546,14 +562,6 @@ let template_corpus ~seed =
    check for holds verdicts over [Product] monitors, which certification
    cannot make. *)
 let test_shared_ctx_equals_fresh () =
-  let manifest name =
-    match
-      Manifest.requests_of_file_typed ~default_depth:6 ~extra_objects:2
-        (Util.spec_file name)
-    with
-    | Ok rs -> rs
-    | Error e -> Alcotest.failf "%s: %s" name (Manifest.input_error_detail e)
-  in
   let ctxs = Hashtbl.create 16 in
   let shared (r : Engine.request) =
     let key = Job.universe_digest r.Engine.universe in
@@ -564,10 +572,7 @@ let test_shared_ctx_equals_fresh () =
         Hashtbl.add ctxs key c;
         c
   in
-  let requests =
-    manifest "batch.manifest" @ manifest "fleet.manifest"
-    @ template_corpus ~seed:7
-  in
+  let requests = fence_requests () in
   let composites = ref 0 in
   List.iter
     (fun (r : Engine.request) ->
@@ -585,6 +590,95 @@ let test_shared_ctx_equals_fresh () =
     requests;
   Util.check_bool "composite and deadlock queries exercised" true
     (!composites >= 20)
+
+(* --- session keys ----------------------------------------------------- *)
+
+(* A session keys a request from pieces it memoises (each spec value's
+   serialization, each universe's); the key must be byte for byte the
+   one [Digest] computes afresh, on a first ask and on a repeat.  The
+   planner's premises are keyed through the same session along the
+   way. *)
+let test_session_keys_equal_fresh () =
+  let session = Engine.session () and counters = Counters.create () in
+  let show = Option.value ~default:"none" in
+  let ask_twice (r : Engine.request) =
+    let fresh =
+      Dig.query ~universe:r.Engine.universe ~depth:r.Engine.depth
+        r.Engine.query
+    in
+    for ask = 1 to 2 do
+      let got = (Engine.answer session counters r).Engine.digest in
+      if got <> fresh then
+        Alcotest.failf "%s, ask %d: session key %s, fresh key %s"
+          r.Engine.label ask (show got) (show fresh)
+    done;
+    fresh
+  in
+  List.iter (fun r -> ignore (ask_twice r)) (fence_requests ());
+  (* Read2's body is a [Forall_obj]: its serialization expands over the
+     universe's objects, so the one spec value keys apart under two
+     universes, each time as a fresh key does. *)
+  let read2_under extra_objects =
+    ask_twice
+      (Engine.of_specs ~depth:3 ~extra_objects
+         (Job.refine ~refined:Ex.read2 ~abstract:Ex.read))
+  in
+  let k2 = read2_under 2 and k3 = read2_under 3 in
+  Util.check_bool "Read2 has a key under both universes" true
+    (Option.is_some k2 && Option.is_some k3);
+  Util.check_bool "and they differ" true (k2 <> k3);
+  let opaque = req (Job.equal ~left:pointwise_spec ~right:pointwise_spec) in
+  for _ = 1 to 2 do
+    let r = Engine.answer session counters opaque in
+    Alcotest.(check (option string)) "a pointwise body has no key" None
+      r.Engine.digest;
+    Util.check_bool "and is never cached" false r.Engine.cached
+  done
+
+(* One session answering a file that is parsed again and again, as the
+   watcher's session is: each cycle parses paper.oun afresh, clears the
+   verdict cache (so every pair is checked again, as pbdrive's watch
+   loop has it) and answers the 56 ordered refine pairs of the new parse
+   through [Engine.answer], which keys every spec value in the session.
+   The previous parse's specs become unreachable, and their keys, trace
+   sets and nodes must go with them: after a full major collection the
+   live heap at the last cycle stays within 1.5x its value at cycle 20.
+   A memo holding its spec values strongly keeps every parse alive. *)
+let test_soak_key_memo () =
+  let parse = Util.reparse "paper.oun" in
+  let session = Engine.session () and counters = Counters.create () in
+  let cycle () =
+    let specs = parse () in
+    let universe = Spec.adequate_universe specs in
+    Cache.clear (Engine.session_cache session);
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            if a != b then
+              ignore
+                (Engine.answer session counters
+                   (Engine.request ~universe (Job.refine ~refined:a ~abstract:b))))
+          specs)
+      specs
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let cycles = 100 and early = 20 in
+  let at_early = ref 0 in
+  for i = 1 to cycles do
+    cycle ();
+    if i = early then at_early := live_words ()
+  done;
+  let last = live_words () in
+  (* read after the last collection, so the session is live through it *)
+  Util.check_int "the last cycle's verdicts are cached" 56
+    (Cache.size (Engine.session_cache session));
+  if 2 * last > 3 * !at_early then
+    Alcotest.failf "live heap grew from %d words at cycle %d to %d at cycle %d"
+      !at_early early last cycles
 
 (* --- randomized properties ------------------------------------------ *)
 
@@ -694,5 +788,9 @@ let suite =
     Alcotest.test_case "store keys are pinned" `Quick test_store_keys_pinned;
     Alcotest.test_case "one shared context ≡ fresh contexts" `Slow
       test_shared_ctx_equals_fresh;
+    Alcotest.test_case "session keys ≡ fresh keys" `Slow
+      test_session_keys_equal_fresh;
+    Alcotest.test_case "soak: the key memo pins no dead parse" `Slow
+      test_soak_key_memo;
   ]
   @ qsuite
