@@ -1053,16 +1053,16 @@ let p7 () =
         ]
       in
       (* The server: in-process, unix socket in the temp dir, no signal
-         handlers (it is our own process), telemetry spans off (P6 owns
-         span measurement). *)
+         handlers (it is our own process); span recording stays off, as
+         for an untraced server (P6 owns span measurement). *)
       let sock =
         Filename.concat
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "posl-bench-%d.sock" (Unix.getpid ()))
       in
       let cfg =
-        Serve.config ~workers:2 ~max_queue:256 ~spans:false
-          ~handle_signals:false (`Unix sock)
+        Serve.config ~workers:2 ~max_queue:256 ~handle_signals:false
+          (`Unix sock)
       in
       let ready_lock = Mutex.create () in
       let ready_cond = Condition.create () in
@@ -1557,8 +1557,8 @@ let p10 () =
 
 (* P11: observability overhead.  The same refinement batch with span
    recording off vs on (ring writes + per-job GC attrs + the runtime
-   sampler's alarm and pause heartbeat), plus the marginal cost of a
-   structured log event and the GC observations the sampler collected.
+   sampler's pause heartbeat), plus the marginal cost of a structured
+   log event and the GC observations the sampler collected.
    The paper makes no claim here; the gated claim is the engineering
    one — full tracing stays within 2x of the untraced run (in practice
    it is percent-level).  [pause_p99] is the heartbeat-oversleep proxy
@@ -1580,18 +1580,21 @@ let p11 () =
   let spans = List.length (Telemetry.spans ()) in
   let dropped = Telemetry.dropped () in
   Telemetry.reset ();
-  (* marginal cost of one structured log event, amortized over a ring
-     cap's worth of emissions (no sink installed — the serve/watch
-     deployment default) *)
+  (* marginal cost of one structured log event: rendered and handed
+     to a sink that discards it, so the row times what [--log FILE]
+     costs short of the file write *)
   let log_events = 10_000 in
   let log_ns =
+    Tlog.set_sink (Some ignore);
     let t0 = Telemetry.now_ns () in
     for i = 1 to log_events do
       Tlog.event
         ~fields:[ ("i", Tlog.I i); ("ms", Tlog.F 0.5) ]
         "bench.p11"
     done;
-    float_of_int (Telemetry.now_ns () - t0) /. float_of_int log_events
+    let ns = float_of_int (Telemetry.now_ns () - t0) in
+    Tlog.set_sink None;
+    ns /. float_of_int log_events
   in
   let pause = Pmetrics.histogram "posl_gc_pause_ms" in
   [

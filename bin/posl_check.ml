@@ -102,14 +102,10 @@ let load file =
   | Error e -> Error (Input (Format.asprintf "%s: %a" file Lang.pp_error e))
   | exception Sys_error m -> Error (Input m)
 
-let find specs name =
-  match Lang.lookup specs name with
-  | Some s -> Ok s
-  | None ->
-      Error
-        (Input
-           (Format.asprintf "no spec named %s (file declares: %s)" name
-              (String.concat ", " (List.map Spec.name specs))))
+(* A spec name or an ["A||B"] composition token, resolved as a manifest
+   entry's is. *)
+let resolve specs ~file name =
+  Result.map_error (fun m -> Input m) (Manifest.resolve_name specs ~file name)
 
 let context specs extra_objects =
   let universe = Spec.adequate_universe ~extra_objects specs in
@@ -302,7 +298,7 @@ let query_cmd (kind, docvs, doc) =
          List.fold_left
            (fun acc n ->
              let* acc = acc in
-             let* s = find specs n in
+             let* s = resolve specs ~file n in
              Ok (s :: acc))
            (Ok []) names
        in
@@ -394,7 +390,7 @@ let simulate_cmd =
   let run file name steps seed extra =
     code
       (let* specs = load file in
-       let* s = find specs name in
+       let* s = resolve specs ~file name in
        let ctx = context specs extra in
        let alphabet = Spec.concrete_alphabet (Tset.universe ctx) s in
        let rng = Random.State.make [| seed |] in
@@ -432,8 +428,8 @@ let consistent_cmd =
   let run file left right depth extra json =
     code
       (let* specs = load file in
-       let* a = find specs left in
-       let* b = find specs right in
+       let* a = resolve specs ~file left in
+       let* b = resolve specs ~file right in
        let v = Posl_core.Consistency.verdict ~depth (context specs extra) a b in
        print_verdict ~json
          ~label:(Printf.sprintf "consistent(%s, %s)" left right)
@@ -822,9 +818,11 @@ let serve_cmd =
          Serve.config ?workers ~max_queue ?deadline_ms ?store_dir ~max_frame
            ?slow_ms addr
        in
-       (* serve runs until interrupted, so the log sink streams for the
-          server's whole life *)
-       with_log_sink log @@ fun () ->
+       (* serve runs until interrupted, so the log sink streams and
+          spans record (with --trace) for the server's whole life; the
+          export after the drain holds the most recent rings' worth,
+          keyed by request trace id *)
+       with_observability ~log ~trace ~metrics:None @@ fun () ->
        match
          Serve.run
            ~on_ready:(fun bound ->
@@ -834,10 +832,7 @@ let serve_cmd =
        with
        | () ->
            Format.printf "posl-check serve: drained, bye@.";
-           (* spans are on for the whole server lifetime; the export
-              after drain holds the most recent rings' worth, keyed by
-              request trace id *)
-           Option.fold ~none:(Ok ()) ~some:write_trace trace
+           Ok ()
        | exception Unix.Unix_error (e, fn, arg) ->
            Error
              (Input

@@ -137,11 +137,6 @@ let included a b =
   | None -> Ok ()
   | Some word -> Error word
 
-let equal_lang a b =
-  match (included a b, included b a) with
-  | Ok (), Ok () -> true
-  | _, _ -> false
-
 (* Inverse-homomorphism lift: from a DFA over a sub-alphabet to a DFA
    over a larger alphabet in which the extra symbols are ignored
    (self-loops).  [map sym] gives the sub-alphabet symbol of [sym], or
@@ -238,8 +233,3 @@ let minimize t =
   in
   make ~n_states:n' ~n_syms:t.n_syms ~start:block_of.(new_of_old.(t.start))
     ~accept:accept' ~delta:delta'
-
-let pp ppf t =
-  Format.fprintf ppf "dfa(states=%d, syms=%d, start=%d, accepting=%d)"
-    t.n_states t.n_syms t.start
-    (Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.accept)

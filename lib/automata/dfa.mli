@@ -52,8 +52,6 @@ val included : t -> t -> (unit, int list) result
 (** [included a b] decides L(a) ⊆ L(b); [Error w] is a shortest word
     accepted by [a] but not [b]. *)
 
-val equal_lang : t -> t -> bool
-
 val lift : n_syms:int -> map:(int -> int option) -> t -> t
 (** Inverse-homomorphism lift to a larger alphabet: symbols mapped to
     [None] self-loop (are ignored).  The result recognises
@@ -67,5 +65,3 @@ val prefix_close : t -> t
 
 val minimize : t -> t
 (** Remove unreachable states, then Moore partition refinement. *)
-
-val pp : Format.formatter -> t -> unit

@@ -144,21 +144,3 @@ let to_dfa t =
     (fun i row -> if Array.length row <> t.n_syms then delta.(i) <- Array.make t.n_syms i)
     delta;
   Dfa.make ~n_states ~n_syms:t.n_syms ~start ~accept ~delta
-
-let of_dfa (d : Dfa.t) =
-  let n = Dfa.n_states d in
-  let n_syms = Dfa.n_syms d in
-  let delta = Array.make n [] in
-  for q = 0 to n - 1 do
-    for sym = 0 to n_syms - 1 do
-      delta.(q) <- (sym, Dfa.step d q sym) :: delta.(q)
-    done
-  done;
-  {
-    n_states = n;
-    n_syms;
-    start = IS.singleton (Dfa.start d);
-    accept = Array.init n (fun q -> Dfa.accept_state d q);
-    delta;
-    eps = Array.make n [];
-  }

@@ -38,5 +38,3 @@ val project : n_syms':int -> keep:(int -> int option) -> t -> t
 
 val to_dfa : t -> Dfa.t
 (** Subset construction; the result is total. *)
-
-val of_dfa : Dfa.t -> t

@@ -16,7 +16,6 @@ type input_error = {
 }
 
 let input_error_message e = e.input_message
-let pp_input_error ppf e = Format.pp_print_string ppf e.input_message
 
 let input_error_detail e =
   match e.input_offset with
@@ -192,7 +191,11 @@ let resolve_name specs ~file n =
     else
       match Lang.lookup specs name with
       | Some s -> Ok s
-      | None -> Error (Printf.sprintf "no spec named %s in %s" name file)
+      | None ->
+          Error
+            (Printf.sprintf "no spec named %s in %s (file declares: %s)" name
+               file
+               (String.concat ", " (List.map Spec.name specs)))
   in
   match composition_parts n with
   | [] | [ "" ] -> Error "empty specification name"

@@ -51,8 +51,6 @@ val input_error_detail : input_error -> string
 (** The message plus ["(byte N of FILE)"] when the failure was located
     — what batch and serve print so an editor can jump to the fault. *)
 
-val pp_input_error : Format.formatter -> input_error -> unit
-
 type entry = {
   line : int;  (** 1-based line number in the manifest text *)
   file : string;  (** the spec file in scope ([use]), resolved *)
@@ -76,7 +74,8 @@ val resolve_name :
     looks up directly, an ["A||B"] composition token builds the
     left-associated {!Posl_core.Compose.compose} of its parts (so the
     result carries {!Spec.parts} provenance).  [file] names the corpus
-    in error messages.  Every name position — manifest entries and the
+    in error messages; an unknown name's error lists the names the
+    corpus declares.  Every name position — manifest entries and the
     wire protocol's named queries — resolves through here, so
     composition tokens mean the same thing on every input surface. *)
 

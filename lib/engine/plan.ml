@@ -31,11 +31,6 @@ type mode = Auto | Off
 let pp_mode ppf m =
   Format.pp_print_string ppf (match m with Auto -> "auto" | Off -> "off")
 
-let mode_of_string = function
-  | "auto" -> Some Auto
-  | "off" -> Some Off
-  | _ -> None
-
 type outcome =
   | Derived of Verdict.t
   | Fallback of string

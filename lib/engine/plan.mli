@@ -22,9 +22,6 @@ type mode =
 
 val pp_mode : Format.formatter -> mode -> unit
 
-val mode_of_string : string -> mode option
-(** Recognises ["auto"] and ["off"]. *)
-
 type outcome =
   | Derived of Posl_verdict.Verdict.t
       (** All side conditions and premises hold exactly; the verdict

@@ -69,12 +69,6 @@ type violation =
       (** a reachable trace with an open trigger from which no response
           event is reachable *)
 
-let pp_violation ppf = function
-  | Deadlock h -> Format.fprintf ppf "deadlock after %a" Trace.pp h
-  | Unanswerable (o, h) ->
-      Format.fprintf ppf "obligation %s unanswerable after %a" o.name Trace.pp
-        h
-
 let evidence_of_violation = function
   | Deadlock h -> Verdict.Deadlock h
   | Unanswerable (o, h) ->

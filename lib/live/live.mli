@@ -47,8 +47,6 @@ type violation =
       (** a reachable trace with an open trigger from which no response
           is reachable *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val evidence_of_violation : violation -> Posl_verdict.Verdict.evidence
 (** [Deadlock] and [Unanswerable] as typed verdict evidence. *)
 

@@ -5,7 +5,6 @@ module Job = Posl_engine.Job
 module Manifest = Posl_engine.Manifest
 module Counters = Posl_engine.Counters
 module Cache = Posl_engine.Cache
-module Lang = Posl_lang.Lang
 module Spec = Posl_core.Spec
 module Store = Posl_store.Store
 module Par = Posl_par.Par
@@ -37,19 +36,18 @@ type config = {
   deadline_ms : int option;
   store_dir : string option;
   max_frame : int;
-  spans : bool;
   slow_ms : float option;
   handle_signals : bool;
 }
 
 let config ?workers ?(max_queue = 256) ?deadline_ms ?store_dir
-    ?(max_frame = Frame.default_max_bytes) ?(spans = true) ?slow_ms
-    ?(handle_signals = true) addr =
+    ?(max_frame = Frame.default_max_bytes) ?slow_ms ?(handle_signals = true)
+    addr =
   let workers =
     match workers with Some w -> max 1 w | None -> Par.default_domains ()
   in
-  { addr; workers; max_queue; deadline_ms; store_dir; max_frame; spans;
-    slow_ms; handle_signals }
+  { addr; workers; max_queue; deadline_ms; store_dir; max_frame; slow_ms;
+    handle_signals }
 
 (* Server-generated request-tree tags for submissions that did not
    bring their own. *)
@@ -63,6 +61,7 @@ type reply = Done of Engine.result | Expired | Failed of string
 type job = {
   req : Engine.request;
   deadline_ns : int option;
+  trace_id : string;  (* the request's tag, carried by its log events *)
   ctx : Telemetry.context;
       (* the submitting request's handle-span context; re-rooted on the
          worker domain so engine spans join the request tree *)
@@ -101,39 +100,35 @@ type server = {
   (* parsed spec sources keyed by (extra_objects, source text): a file
      is re-read on every submission, so an edit is never answered from
      a stale parse *)
-  text_memo : (int * string, (Spec.t list * Posl_ident.Universe.t, Lang.error) result) Hashtbl.t;
+  text_memo : (int * string, Spec.t list * Posl_ident.Universe.t) Hashtbl.t;
 }
 
 let sched server = Option.get server.sched
 
 (* --- spec sources ----------------------------------------------------- *)
 
-let memoized lock memo key compute =
-  Mutex.lock lock;
-  let r =
-    match Hashtbl.find_opt memo key with
-    | Some r -> r
-    | None ->
-        let r = compute () in
-        Hashtbl.add memo key r;
-        r
-  in
-  Mutex.unlock lock;
-  r
+(* Spec source [text] with its adequate universe, parsed once per
+   distinct text.  A failure is typed against [file] (message and byte
+   offset) and not remembered. *)
+let load_text server ~extra ~file text =
+  Mutex.protect server.load_lock @@ fun () ->
+  match Hashtbl.find_opt server.text_memo (extra, text) with
+  | Some loaded -> Ok loaded
+  | None ->
+      let r = Manifest.specs_of_source ~extra_objects:extra ~file text in
+      Result.iter (Hashtbl.add server.text_memo (extra, text)) r;
+      r
 
-(* Spec source [text] with its adequate universe; [origin] names the
-   source in error messages. *)
-let load_text server ~extra ~origin text =
-  memoized server.load_lock server.text_memo (extra, text) (fun () ->
-      Result.map
-        (fun specs -> (specs, Spec.adequate_universe ~extra_objects:extra specs))
-        (Lang.specs_of_string text))
-  |> Result.map_error (fun e -> Format.asprintf "%s: %a" origin Lang.pp_error e)
-
-let load_file server ~extra path =
+let read_source path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | text -> load_text server ~extra ~origin:path text
+  | exception Sys_error m ->
+      Error { Manifest.input_file = path; input_offset = None; input_message = m }
+  | text -> Ok text
+
+(* The loader of every spec file a submission names: a [file] source
+   and a manifest's [use] targets alike. *)
+let load_file server ~extra path =
+  Result.bind (read_source path) (load_text server ~extra ~file:path)
 
 (* Resolve a [queries] array against loaded specs, labelling results the
    way the CLI batch table does. *)
@@ -166,26 +161,23 @@ let requests_of_submit server (s : Wire.submit) =
   let depth = Option.value s.Wire.depth ~default:6 in
   let extra = Option.value s.Wire.extra_objects ~default:2 in
   let ( let* ) = Result.bind in
+  let named ~origin loaded =
+    let* loaded = Result.map_error Manifest.input_error_message loaded in
+    named_requests ~origin ~depth loaded s.Wire.queries
+  in
+  let manifest ?path ?dir text =
+    Result.map_error Manifest.input_error_detail
+      (let* text = text in
+       Manifest.requests_of_string_typed ?path ?dir ~default_depth:depth
+         ~load:(load_file server ~extra) text)
+  in
   match s.Wire.file, s.Wire.spec_text, s.Wire.manifest, s.Wire.manifest_text with
-  | Some path, _, _, _ ->
-      let* loaded = load_file server ~extra path in
-      named_requests ~origin:path ~depth loaded s.Wire.queries
+  | Some path, _, _, _ -> named ~origin:path (load_file server ~extra path)
   | _, Some text, _, _ ->
-      let* loaded = load_text server ~extra ~origin:"inline spec" text in
-      named_requests ~origin:"inline" ~depth loaded s.Wire.queries
+      named ~origin:"inline" (load_text server ~extra ~file:"inline spec" text)
   | _, _, Some path, _ ->
-      Result.map_error Manifest.input_error_detail
-        (Manifest.requests_of_file_typed ~default_depth:depth
-           ~extra_objects:extra path)
-  | _, _, _, Some text ->
-      let load path =
-        Result.map_error
-          (fun m ->
-            { Manifest.input_file = path; input_offset = None; input_message = m })
-          (load_file server ~extra path)
-      in
-      Result.map_error Manifest.input_error_message
-        (Manifest.requests_of_string_typed ~default_depth:depth ~load text)
+      manifest ~path ~dir:(Filename.dirname path) (read_source path)
+  | _, _, _, Some text -> manifest (Ok text)
   | None, None, None, None -> Error "submit carried no spec source"
 
 (* --- worker ----------------------------------------------------------- *)
@@ -205,7 +197,7 @@ let run_job server ~wait_ns job =
   in
   if expired then begin
     Metrics.incr expired_total;
-    Log.event ~level:Log.Warn ?trace_id:job.ctx.Telemetry.trace_id
+    Log.event ~level:Log.Warn ~trace_id:job.trace_id
       ~fields:
         [
           ("label", Log.S job.req.Engine.label);
@@ -352,7 +344,7 @@ let handle_submit server ~trace_id ~ctx ~info (s : Wire.submit) =
         let jobs =
           List.map
             (fun req ->
-              { req; deadline_ns; ctx; cell_lock = Mutex.create ();
+              { req; deadline_ns; trace_id; ctx; cell_lock = Mutex.create ();
                 cell_cond = Condition.create (); reply = None; wait_ns = 0 })
             requests
         in
@@ -528,7 +520,6 @@ let accept_loop server listen_fd =
   loop ()
 
 let run ?on_ready cfg =
-  if cfg.spans then Telemetry.set_enabled true;
   Runtime.start ();
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());

@@ -16,13 +16,18 @@
 
     {b Request tracing.}  Every request gets a trace id — the
     submission's [trace_id] field if the client sent one, a fresh
-    server-generated tag otherwise — echoed in submit responses.  The
-    connection's [serve.accept] span parents each request's
-    [serve.handle] span, and the handle-span {!Posl_telemetry.Telemetry.context}
-    travels with the job across the admission queue, so the worker
-    domain's [serve.queue_wait] and engine spans join the same tree:
-    one connected per-request span tree in the [--trace] export,
-    findable by trace id. *)
+    server-generated tag otherwise — echoed in submit responses and
+    carried by the request's log events.  The server records spans
+    only when its caller has turned span recording on
+    ({!Posl_telemetry.Telemetry.set_enabled}; the CLI does so for
+    [--trace FILE]) and leaves the flag as it found it; untraced, a
+    submit result's [span_id] is [null].  Traced, the connection's
+    [serve.accept] span parents each request's [serve.handle] span, and
+    the handle-span {!Posl_telemetry.Telemetry.context} travels with
+    the job across the admission queue, so the worker domain's
+    [serve.queue_wait] and engine spans join the same tree: one
+    connected per-request span tree in the [--trace] export, findable
+    by trace id. *)
 
 module Engine = Posl_engine.Engine
 
@@ -35,12 +40,12 @@ type config = {
           answer [deadline_exceeded] instead of running *)
   store_dir : string option;  (** persistent verdict store to open *)
   max_frame : int;  (** incoming frame ceiling (default 4 MiB) *)
-  spans : bool;  (** enable telemetry spans (default [true]) *)
   slow_ms : float option;
       (** requests handled slower than this log a [serve.slow]
           exemplar: a warn-level {!Posl_telemetry.Log} event carrying
-          the request's trace id (the key into the span tree in the
-          trace export), queue wait, slowest job and verdict digest *)
+          the request's trace id (the key into the span tree when the
+          server is traced), queue wait, slowest job and verdict
+          digest *)
   handle_signals : bool;
       (** install SIGTERM/SIGINT handlers (default [true]; in-process
           test and bench servers pass [false]) *)
@@ -52,7 +57,6 @@ val config :
   ?deadline_ms:int ->
   ?store_dir:string ->
   ?max_frame:int ->
-  ?spans:bool ->
   ?slow_ms:float ->
   ?handle_signals:bool ->
   Wire.addr ->

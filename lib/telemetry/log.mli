@@ -1,13 +1,13 @@
-(** Leveled structured logging: JSON-lines events over a bounded ring.
+(** Leveled structured logging: JSON-lines events streamed to a sink.
 
-    Events carry a wall-clock timestamp, a monotonic timestamp
+    An event carries a wall-clock timestamp, a monotonic timestamp
     (comparable with span times), a level, a short event name, an
     optional trace id (defaulting to the calling domain's current
-    {!Telemetry.context}), and typed key/value fields.  The most recent
-    {e 4096} accepted events are kept in a global ring (drop-oldest,
-    counted by {!dropped}); an optional {e sink} additionally receives
-    each accepted event as one rendered JSON line the moment it is
-    recorded — the CLI's [--log FILE] points it at a file.
+    {!Telemetry.context}), and typed key/value fields.  Each accepted
+    event is rendered as one JSON line and handed to the installed
+    {e sink} the moment it is emitted — the CLI's [--log FILE] points
+    it at a file.  Nothing is kept in-process: with no sink installed
+    an event is not rendered at all.
 
     Events below the current level (default [Info]) are discarded
     before any allocation. *)
@@ -18,25 +18,16 @@ val level_name : level -> string
 
 type field = S of string | I of int | F of float | B of bool
 
-type event = {
-  wall : float;  (** Unix epoch seconds at emission *)
-  mono_ns : int;  (** {!Telemetry.now_ns} at emission *)
-  level : level;
-  event : string;
-  trace_id : string option;
-  fields : (string * field) list;
-}
-
 val set_level : level -> unit
 (** Minimum level recorded (default [Info]). *)
 
 val enabled : level -> bool
-(** Whether an event at this level would be recorded. *)
+(** Whether an event at this level passes the level filter. *)
 
 val set_sink : (string -> unit) option -> unit
-(** Install (or remove) the streaming sink.  The sink receives each
-    accepted event as one JSON line {e without} the trailing newline,
-    outside the ring lock, in emission order per domain. *)
+(** Install (or remove) the sink.  The sink receives each accepted
+    event as one JSON line {e without} the trailing newline, on the
+    emitting thread, in emission order per domain. *)
 
 val event :
   ?level:level ->
@@ -44,19 +35,7 @@ val event :
   ?fields:(string * field) list ->
   string ->
   unit
-(** [event name] records a structured event.  [?trace_id] defaults to
-    the calling domain's current span context's trace id (if spans are
-    enabled and a request context is installed). *)
-
-val events : unit -> event list
-(** Surviving events, oldest first. *)
-
-val dropped : unit -> int
-(** Events overwritten by ring wrap-around since the last {!reset}. *)
-
-val to_json_lines : unit -> string
-(** All surviving events rendered as newline-terminated JSON lines. *)
-
-val json_of_event : event -> string
-
-val reset : unit -> unit
+(** [event name] streams a structured event to the sink, if one is
+    installed.  [?trace_id] defaults to the calling domain's current
+    span context's trace id (if spans are enabled and a request context
+    is installed). *)

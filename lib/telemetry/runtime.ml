@@ -1,15 +1,12 @@
 (* Runtime and GC metrics for the default registry.
 
-   Three ingredients, all [Gc.Memprof]-free:
+   Two ingredients, both [Gc.Memprof]-free:
 
    - [sample] folds a [Gc.quick_stat] delta into cumulative counters
-     (minor/major words, collections, compactions), sets heap/RSS
-     gauges, and is cheap enough to call per request batch or on every
-     metrics scrape.
-
-   - a [Gc.create_alarm] hook calls [sample] at the end of every major
-     collection cycle, so gauges track the heap even when nobody
-     scrapes.
+     (minor/major words, collections, compactions) and sets heap/RSS
+     gauges.  Every scrape samples first (the serve [metrics] op,
+     [--metrics FILE], [Runtime.stop]); counters fold deltas, so how
+     often it runs does not change what they expose.
 
    - a heartbeat thread sleeps a short tick and records how much longer
      than the tick it actually slept into [posl_gc_pause_ms].  A
@@ -79,16 +76,12 @@ let rss_bytes () =
                 (fun _size resident -> resident * page_size)
           with Scanf.Scan_failure _ | Failure _ | End_of_file -> 0)
 
-(* [try_lock]: the alarm hook may fire mid-[sample] on the same thread
-   (sampling allocates); skipping the nested delta is always sound
-   because counters only ever advance by deltas actually observed. *)
 let sample () =
+  Mutex.protect seen_mu @@ fun () ->
   let s = Gc.quick_stat () in
   (* quick_stat's minor_words only refreshes at collection boundaries
      on OCaml 5; [Gc.minor_words] reads the live allocation pointer *)
   let minor_words_now = Gc.minor_words () in
-  if not (Mutex.try_lock seen_mu) then ()
-  else begin
   let dminw = minor_words_now -. seen.minor_words in
   let dmajw = s.Gc.major_words -. seen.major_words in
   let dminc = s.Gc.minor_collections - seen.minor_collections in
@@ -99,7 +92,6 @@ let sample () =
   seen.minor_collections <- s.Gc.minor_collections;
   seen.major_collections <- s.Gc.major_collections;
   seen.compactions <- s.Gc.compactions;
-  Mutex.unlock seen_mu;
   if dminw > 0. then Metrics.add minor_words_c (int_of_float dminw);
   if dmajw > 0. then Metrics.add major_words_c (int_of_float dmajw);
   if dminc > 0 then Metrics.add minor_collections_c dminc;
@@ -107,20 +99,17 @@ let sample () =
   if dcomp > 0 then Metrics.add compactions_c dcomp;
   Metrics.set heap_words_g (float_of_int s.Gc.heap_words);
   Metrics.set rss_bytes_g (float_of_int (rss_bytes ()))
-  end
 
 (* --- Background observation ---------------------------------------- *)
 
-type running = {
-  alarm : Gc.alarm;
-  stop_flag : bool Atomic.t;
-  thread : Thread.t;
-}
+type running = { stop_flag : bool Atomic.t; thread : Thread.t }
 
 let state : running option ref = ref None
 let state_mu = Mutex.create ()
 
-let heartbeat stop_flag tick_s =
+let tick_s = 0.005
+
+let heartbeat stop_flag =
   while not (Atomic.get stop_flag) do
     let t0 = Telemetry.now_ns () in
     (try Thread.delay tick_s with Unix.Unix_error _ -> ());
@@ -129,17 +118,15 @@ let heartbeat stop_flag tick_s =
     if oversleep > 0. then Metrics.observe pause_h oversleep
   done
 
-let start ?(tick_ms = 5.) () =
+let start () =
   Mutex.lock state_mu;
   (match !state with
   | Some _ -> ()
   | None ->
       sample ();
       let stop_flag = Atomic.make false in
-      let tick_s = Float.max 0.001 (tick_ms /. 1000.) in
-      let thread = Thread.create (fun () -> heartbeat stop_flag tick_s) () in
-      let alarm = Gc.create_alarm sample in
-      state := Some { alarm; stop_flag; thread });
+      let thread = Thread.create heartbeat stop_flag in
+      state := Some { stop_flag; thread });
   Mutex.unlock state_mu
 
 let stop () =
@@ -149,8 +136,7 @@ let stop () =
   Mutex.unlock state_mu;
   match prev with
   | None -> ()
-  | Some { alarm; stop_flag; thread } ->
-      Gc.delete_alarm alarm;
+  | Some { stop_flag; thread } ->
       Atomic.set stop_flag true;
       Thread.join thread;
       sample ()

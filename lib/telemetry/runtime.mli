@@ -16,17 +16,15 @@
 
 val sample : unit -> unit
 (** Fold the [Gc.quick_stat] delta since the previous sample into the
-    counters and refresh the heap/RSS gauges.  Called automatically at
-    the end of every major cycle while {!start} is active; call it
-    before scraping to pick up allocation since the last major cycle. *)
+    counters and refresh the heap/RSS gauges.  Call it before every
+    scrape: nothing samples in the background. *)
 
-val start : ?tick_ms:float -> unit -> unit
-(** Start background observation: a [Gc.create_alarm] hook sampling at
-    every major cycle end, plus the pause heartbeat thread (default
-    tick 5 ms).  Idempotent while running. *)
+val start : unit -> unit
+(** Take a first {!sample} and start the pause heartbeat thread (a
+    5 ms tick).  Idempotent while running. *)
 
 val stop : unit -> unit
-(** Stop the alarm and heartbeat (joins the thread), then take a final
+(** Stop the heartbeat (joins the thread), then take a final
     {!sample}.  No-op when not running. *)
 
 val with_gc_attrs : (unit -> 'a) -> 'a

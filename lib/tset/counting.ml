@@ -116,7 +116,6 @@ module Build = struct
 end
 
 let classes t = t.classes
-let n_classes t = Array.length t.classes
 
 let rec eval_prop values = function
   | True -> true

@@ -57,7 +57,6 @@ module Build : sig
 end
 
 val classes : t -> Eventset.t array
-val n_classes : t -> int
 
 val initial : t -> int array
 (** The expression-value vector of the empty trace (all zeros). *)

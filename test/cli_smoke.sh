@@ -35,6 +35,8 @@ expect 0 "proper ok" proper "$SPECS/paper.oun" RW2 WriteAcc Client
 expect 0 "no deadlock" deadlock "$SPECS/paper.oun" Client WriteAcc --depth 4
 expect 1 "deadlock found" deadlock "$SPECS/paper.oun" Client2 WriteAcc --depth 6
 expect 0 "equal holds" equal "$SPECS/paper.oun" Read Read
+# composition tokens resolve as in a manifest (a line of fleet.manifest)
+expect 0 "refine composite tokens" refine "$SPECS/fleet.oun" "Gauge2||Log" "Gauge||Log"
 
 # -- input errors vs usage errors ------------------------------------
 expect 2 "unknown spec" refine "$SPECS/paper.oun" Nope Read
@@ -373,11 +375,14 @@ fi
 echo "ok   batch --slow-ms prints span ids"
 
 # -- serve / loadgen: the resident verification service ---------------
-# Start a server on a Unix socket, drive it with the load generator,
-# then SIGTERM it: the drain must exit 0 and unlink the socket.
+# Start an untraced server on a Unix socket, drive it with the load
+# generator, then SIGTERM it: the drain must exit 0 and unlink the
+# socket, and every request's slow exemplar must carry the trace id
+# loadgen sent, which comes from the request, not from a span.
 sock=$tmp/posl.sock
 "$BIN" serve --socket "$sock" --workers 2 --max-queue 64 \
-  --store "$tmp/servestore" >"$tmp/serve.log" 2>&1 &
+  --store "$tmp/servestore" --log "$tmp/serve-events.jsonl" --slow-ms 0 \
+  >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 100); do
   [ -S "$sock" ] && break
@@ -424,6 +429,13 @@ elif [ -S "$sock" ]; then
   fails=$((fails + 1))
 else
   echo "ok   serve SIGTERM drains, exits 0, unlinks socket"
+fi
+if grep '"event":"serve.slow"' "$tmp/serve-events.jsonl" 2>/dev/null \
+  | grep -q '"trace_id":"lg'; then
+  echo "ok   untraced serve logs slow exemplars with loadgen's trace ids"
+else
+  echo "FAIL serve --log: no serve.slow exemplar with a loadgen trace id" >&2
+  fails=$((fails + 1))
 fi
 
 # -- watch / session: incremental re-verification ---------------------

@@ -520,7 +520,7 @@ let family rng tpl idx ~trace ~vocab =
   in
   (spec_text, String.concat "\n" (List.map query tpl.queries))
 
-let template_corpus ~seed =
+let template_corpus ~extra_objects ~seed =
   let rng = Random.State.make [| seed |] in
   List.concat_map
     (fun (i, tpl) ->
@@ -528,7 +528,7 @@ let template_corpus ~seed =
         (fun (trace, vocab) ->
           let text, queries = family rng tpl i ~trace ~vocab in
           let load _ =
-            Manifest.specs_of_source ~extra_objects:2 ~file:"family.oun" text
+            Manifest.specs_of_source ~extra_objects ~file:"family.oun" text
           in
           match
             Manifest.requests_of_string_typed ~default_depth:6 ~load
@@ -540,20 +540,54 @@ let template_corpus ~seed =
         [ (false, false); (false, true); (true, false); (true, true) ])
     [ (0, boiten); (1, sz); (2, boiten); (3, sz) ]
 
-let manifest_requests name =
+let manifest_requests ~extra_objects name =
   match
-    Manifest.requests_of_file_typed ~default_depth:6 ~extra_objects:2
+    Manifest.requests_of_file_typed ~default_depth:6 ~extra_objects
       (Util.spec_file name)
   with
   | Ok rs -> rs
   | Error e -> Alcotest.failf "%s: %s" name (Manifest.input_error_detail e)
 
 (* The fence corpus: both shipped manifests and the two templates in
-   all four edit states. *)
-let fence_requests () =
-  manifest_requests "batch.manifest"
-  @ manifest_requests "fleet.manifest"
-  @ template_corpus ~seed:7
+   all four edit states, in universes with [extra_objects] fresh
+   objects (default 2, the CLI's). *)
+let fence_requests ?(extra_objects = 2) () =
+  manifest_requests ~extra_objects "batch.manifest"
+  @ manifest_requests ~extra_objects "fleet.manifest"
+  @ template_corpus ~extra_objects ~seed:7
+
+(* One context per distinct universe, made on its first request. *)
+let ctx_per_universe () =
+  let ctxs = Hashtbl.create 16 in
+  fun (r : Engine.request) ->
+    let key = Job.universe_digest r.Engine.universe in
+    match Hashtbl.find_opt ctxs key with
+    | Some c -> c
+    | None ->
+        let c = Tset.ctx r.Engine.universe in
+        Hashtbl.add ctxs key c;
+        c
+
+(* Universe adequacy: the default of 2 fresh environment objects
+   decides every fence query as 3 do.  Status and confidence must agree
+   query by query; evidence may not, since a witness can name a
+   different fresh object. *)
+let test_fence_universe_adequate () =
+  let answers extra_objects =
+    let ctx = ctx_per_universe () in
+    List.map
+      (fun (r : Engine.request) ->
+        (r.Engine.label, Job.run (ctx r) ~depth:r.Engine.depth r.Engine.query))
+      (fence_requests ~extra_objects ())
+  in
+  let two = answers 2 and three = answers 3 in
+  Util.check_int "same queries" (List.length two) (List.length three);
+  List.iter2
+    (fun (label, a) (_, b) ->
+      if a.V.status <> b.V.status || a.V.confidence <> b.V.confidence then
+        Alcotest.failf "%s: %s with 2 extra objects, %s with 3" label
+          (V.to_string a) (V.to_string b))
+    two three
 
 (* Answer every query on one context per universe and on a fresh
    context: a context's memo tables (compiled automata, successor rows,
@@ -562,16 +596,7 @@ let fence_requests () =
    check for holds verdicts over [Product] monitors, which certification
    cannot make. *)
 let test_shared_ctx_equals_fresh () =
-  let ctxs = Hashtbl.create 16 in
-  let shared (r : Engine.request) =
-    let key = Job.universe_digest r.Engine.universe in
-    match Hashtbl.find_opt ctxs key with
-    | Some c -> c
-    | None ->
-        let c = Tset.ctx r.Engine.universe in
-        Hashtbl.add ctxs key c;
-        c
-  in
+  let shared = ctx_per_universe () in
   let requests = fence_requests () in
   let composites = ref 0 in
   List.iter
@@ -786,6 +811,8 @@ let suite =
     Alcotest.test_case "digest: count clauses over different methods key apart"
       `Quick test_count_classes_key_apart;
     Alcotest.test_case "store keys are pinned" `Quick test_store_keys_pinned;
+    Alcotest.test_case "fence corpus: 2 extra objects decide as 3 do" `Slow
+      test_fence_universe_adequate;
     Alcotest.test_case "one shared context ≡ fresh contexts" `Slow
       test_shared_ctx_equals_fresh;
     Alcotest.test_case "session keys ≡ fresh keys" `Slow

@@ -265,8 +265,7 @@ let with_server ?(workers = 2) ?(max_queue = 64) ?deadline_ms
          ignore (Client.call c (Wire.request_json Wire.Shutdown));
          Client.close c
        with _ -> ());
-      Thread.join server;
-      Telemetry.set_enabled false)
+      Thread.join server)
     (fun () -> f addr)
 
 let field name = function
@@ -514,6 +513,54 @@ let test_file_submission_sees_edits () =
         (Util.contains_substring ~needle:"no spec named A in"
            (Json.to_string after)))
 
+(* A [manifest] submission loads its spec files through the server's
+   parse memo, as [file] and [manifest_text] submissions do: asked again
+   at another depth, the manifest's relative [use] target is the parse
+   already in hand, so its trace sets keep their resolved automata and
+   the DFA cache is not consulted again. *)
+let test_manifest_reuses_parse_memo () =
+  let dir = Filename.temp_file "posl-serve-manifest" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let spec = Filename.concat dir "paper.oun"
+  and manifest = Filename.concat dir "m.manifest" in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ spec; manifest ];
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  write spec
+    (In_channel.with_open_bin (Util.spec_file "paper.oun") In_channel.input_all);
+  write manifest "use paper.oun\nrefine RW Write\nrefine Read2 Read\n";
+  with_server ~workers:1 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let dfa_hits_after depth =
+        let doc =
+          call_ok c
+            (Wire.request_json
+               (Wire.Submit (Wire.submission ~depth (`Manifest manifest))))
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "two results at depth %d" depth)
+          2
+          (List.length (results_of doc));
+        match
+          get_field "dfa_cache_hits"
+            (get_field "engine" (call_ok c (Wire.request_json Wire.Stats)))
+        with
+        | Json.Int n -> n
+        | _ -> Alcotest.fail "engine.dfa_cache_hits is not an int"
+      in
+      let first = dfa_hits_after 4 in
+      Alcotest.(check int) "the second depth re-resolves no automaton" first
+        (dfa_hits_after 5))
+
 let test_queue_full_rejects () =
   with_server ~max_queue:0 (fun addr ->
       let c = Client.connect addr in
@@ -747,6 +794,22 @@ let test_request_span_tree () =
     (Util.contains_substring ~needle:{|"trace_id":"req-tree-1"|}
        (Telemetry.trace_json ()))
 
+(* A server whose caller leaves span recording off records nothing: no
+   span lands in any ring, a submit result carries no span id, and the
+   flag is still off once the server has returned. *)
+let test_untraced_server_records_nothing () =
+  Telemetry.reset ();
+  with_server (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      match results_of (call_ok c (submit [ ("refine", [ "A"; "B" ]) ])) with
+      | [ r ] ->
+          Alcotest.(check bool) "span_id is null" true
+            (get_field "span_id" r = Json.Null)
+      | _ -> Alcotest.fail "one result expected");
+  Alcotest.(check int) "no span recorded" 0 (List.length (Telemetry.spans ()));
+  Alcotest.(check bool) "span recording left off" false (Telemetry.enabled ())
+
 let suite =
   [
     Alcotest.test_case "frames round-trip through a pipe" `Quick
@@ -774,6 +837,8 @@ let suite =
       test_stats_count_dfa_compiles;
     Alcotest.test_case "live: file submissions re-read an edited file" `Quick
       test_file_submission_sees_edits;
+    Alcotest.test_case "live: manifest submissions reuse the parse memo"
+      `Quick test_manifest_reuses_parse_memo;
     Alcotest.test_case "live: queue-full submissions get typed overloaded"
       `Quick test_queue_full_rejects;
     Alcotest.test_case "live: queued jobs expire past their deadline" `Quick
@@ -788,4 +853,6 @@ let suite =
       test_loadgen_percentiles;
     Alcotest.test_case "live: one request, one connected span tree" `Quick
       test_request_span_tree;
+    Alcotest.test_case "live: an untraced server records no spans" `Quick
+      test_untraced_server_records_nothing;
   ]

@@ -444,34 +444,37 @@ let test_emit_interval () =
 
 (* ---------------- structured log ---------------- *)
 
+(* Run [f] with a sink capturing every streamed line; [f] reads the
+   lines captured so far, oldest first. *)
 let logged f =
-  Log.reset ();
+  let seen = ref [] in
   Log.set_level Log.Info;
+  Log.set_sink (Some (fun line -> seen := line :: !seen));
   Fun.protect
     ~finally:(fun () ->
       Log.set_sink None;
-      Log.set_level Log.Info;
-      Log.reset ())
-    f
+      Log.set_level Log.Info)
+    (fun () -> f (fun () -> List.rev !seen))
 
 let contains hay needle =
   let n = String.length needle and l = String.length hay in
   let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
+let json_fields line =
+  match Json.of_string line with
+  | Ok (Json.Obj fields) -> fields
+  | Ok _ | Error _ -> Alcotest.failf "log line is not a JSON object: %s" line
+
 let test_log_levels_and_fields () =
-  logged @@ fun () ->
+  logged @@ fun lines ->
   Log.event ~level:Log.Debug "invisible";
   Log.event ~level:Log.Warn
     ~fields:
       [ ("s", Log.S "x\"y"); ("i", Log.I 3); ("f", Log.F 1.5); ("b", Log.B true) ]
     "visible";
-  (match Log.events () with
-  | [ e ] ->
-      Alcotest.(check string) "event name" "visible" e.Log.event;
-      Alcotest.(check bool) "level recorded" true (e.Log.level = Log.Warn);
-      Alcotest.(check bool) "wall clock set" true (e.Log.wall > 0.);
-      let line = Log.json_of_event e in
+  (match lines () with
+  | [ line ] ->
       List.iter
         (fun needle ->
           Alcotest.(check bool)
@@ -485,76 +488,52 @@ let test_log_levels_and_fields () =
           {|"f":1.5|};
           {|"b":true|};
         ];
-      (match Json.of_string line with
-      | Ok (Json.Obj _) -> ()
-      | Ok _ | Error _ -> Alcotest.fail "log line is not a JSON object")
+      Alcotest.(check bool) "wall clock set" true
+        (match List.assoc_opt "ts" (json_fields line) with
+        | Some (Json.Float t) -> t > 0.
+        | _ -> false)
   | l -> Alcotest.failf "expected 1 event, got %d" (List.length l));
   (* raising the level discards below it *)
   Log.set_level Log.Error;
   Log.event ~level:Log.Warn "also invisible";
   Alcotest.(check int) "warn dropped below error level" 1
-    (List.length (Log.events ()))
+    (List.length (lines ()))
 
 let test_log_trace_id_defaults_from_context () =
   traced @@ fun () ->
-  logged @@ fun () ->
+  logged @@ fun lines ->
   Log.event "outside";
   Telemetry.with_context
     { Telemetry.trace_id = Some "req-7"; parent = None }
     (fun () -> Log.event "inside");
-  match Log.events () with
+  match List.map json_fields (lines ()) with
   | [ out; inside ] ->
-      Alcotest.(check (option string)) "no ambient trace id" None
-        out.Log.trace_id;
-      Alcotest.(check (option string))
-        "trace id inherited from the installed context" (Some "req-7")
-        inside.Log.trace_id
+      Alcotest.(check bool) "no ambient trace id" true
+        (List.assoc_opt "trace_id" out = None);
+      Alcotest.(check bool)
+        "trace id inherited from the installed context" true
+        (List.assoc_opt "trace_id" inside = Some (Json.Str "req-7"))
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
 
-let test_log_sink_and_ring () =
-  logged @@ fun () ->
-  let seen = ref [] in
-  Log.set_sink (Some (fun line -> seen := line :: !seen));
+let test_log_sink () =
+  logged @@ fun lines ->
   Log.event ~fields:[ ("n", Log.I 1) ] "a";
   Log.event ~fields:[ ("n", Log.I 2) ] "b";
   Log.set_sink None;
   Log.event "not streamed";
   Alcotest.(check int) "sink saw exactly the streamed events" 2
-    (List.length !seen);
+    (List.length (lines ()));
   Alcotest.(check bool) "sink lines are the rendered events" true
-    (match List.rev !seen with
+    (match lines () with
     | [ a; b ] -> contains a {|"event":"a"|} && contains b {|"event":"b"|}
-    | _ -> false);
-  Alcotest.(check int) "ring kept all three" 3 (List.length (Log.events ()));
-  Alcotest.(check int) "nothing dropped yet" 0 (Log.dropped ())
-
-let test_log_ring_overflow () =
-  logged @@ fun () ->
-  let total = 5_000 in
-  for i = 1 to total do
-    Log.event ~fields:[ ("i", Log.I i) ] "tick"
-  done;
-  let survived = List.length (Log.events ()) in
-  Alcotest.(check bool) "ring bounded" true (survived < total);
-  Alcotest.(check int) "survivors + dropped = written" total
-    (survived + Log.dropped ());
-  (* drop-oldest: the newest event survives *)
-  match List.rev (Log.events ()) with
-  | last :: _ ->
-      Alcotest.(check (option string))
-        "newest survives"
-        (Some (string_of_int total))
-        (match List.assoc_opt "i" last.Log.fields with
-        | Some (Log.I i) -> Some (string_of_int i)
-        | _ -> None)
-  | [] -> Alcotest.fail "ring empty after overflow"
+    | _ -> false)
 
 (* ---------------- runtime / gc metrics ---------------- *)
 
 let test_runtime_sampler () =
   Runtime.start ();
-  (* force allocation and at least one major cycle so the alarm and the
-     counters have something to see *)
+  (* force allocation and at least one major cycle so the counters have
+     something to see *)
   let junk = ref [] in
   for i = 1 to 200 do
     junk := Array.make 1_000 i :: !junk;
@@ -728,8 +707,7 @@ let suite =
       test_log_levels_and_fields;
     Alcotest.test_case "log trace id from context" `Quick
       test_log_trace_id_defaults_from_context;
-    Alcotest.test_case "log sink and ring" `Quick test_log_sink_and_ring;
-    Alcotest.test_case "log ring overflow" `Quick test_log_ring_overflow;
+    Alcotest.test_case "log sink" `Quick test_log_sink;
     Alcotest.test_case "runtime gc sampler" `Quick test_runtime_sampler;
     Alcotest.test_case "gc attrs on span" `Quick test_gc_attrs_on_span;
     Alcotest.test_case "prometheus HELP escaping" `Quick
