@@ -216,7 +216,7 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
 let check_inclusion_antichain ?(complete = true) (ctx : Tset.ctx)
     ~(alphabet : Event.t array) ~depth ~(lhs : Tset.t) ~(proj : Eventset.t)
     ~(rhs : Tset.t) : Trace.t verdict =
-  match rhs with
+  match Tset.shape rhs with
   | Tset.All ->
       (* h/proj ∈ All for every h: clause 3 holds outright, with the
          same confidence and witness story as a full exploration

@@ -27,6 +27,9 @@ type t = {
          (the verdict stays a pure function of objs/alpha/tset, and the
          content digest ignores it) — it only lets the engine's planner
          recognise composite operands and decompose queries. *)
+  key : (Universe.t * string option) option Atomic.t;
+      (* the content key last derived from this value ([keyed]) and the
+         universe it was derived under; it goes with the value *)
 }
 
 type error =
@@ -67,16 +70,26 @@ let validate ~name:_ ~objs ~alpha =
 let v ~name ~objs ~alpha tset =
   let objs = Oid.Set.of_list objs in
   match validate ~name ~objs ~alpha with
-  | Ok () -> { name; objs; alpha; tset; parts = None }
+  | Ok () -> { name; objs; alpha; tset; parts = None; key = Atomic.make None }
   | Error e -> invalid_arg (Format.asprintf "Spec.v %s: %a" name pp_error e)
 
 let name t = t.name
 let objs t = t.objs
 let alpha t = t.alpha
 let tset t = t.tset
-let with_name name t = { t with name }
+let with_name name t = { t with name; key = Atomic.make None }
 let parts t = t.parts
-let with_parts g d t = { t with parts = Some (g, d) }
+let with_parts g d t = { t with parts = Some (g, d); key = Atomic.make None }
+
+(* Racing callers compute equal keys, so whichever write lands last is
+   as good as the other. *)
+let keyed t ~universe derive =
+  match Atomic.get t.key with
+  | Some (u, key) when compare u universe = 0 -> key
+  | Some _ | None ->
+      let key = derive () in
+      Atomic.set t.key (Some (universe, key));
+      key
 
 (** Interface specification: a specification of a single object
     (Section 2). *)

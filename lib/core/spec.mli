@@ -48,6 +48,18 @@ val with_parts : t -> t -> t -> t
     [Compose]; callers constructing equivalent compositions by hand may
     record parts to make a value planner-recognisable. *)
 
+val keyed :
+  t -> universe:Universe.t -> (unit -> string option) -> string option
+(** [keyed s ~universe derive] is [derive ()], kept by [s] itself: asked
+    again under a structurally equal universe, it answers without
+    calling [derive].  This is where a spec's content key lives (the
+    engine derives it with [Digest.spec_key], which serializes the
+    whole body), so it is taken once per value and goes with the value:
+    a superseded parse takes its keys along, and no table outside the
+    value holds them.  A value keeps the key of the last universe it
+    was asked under.  {!v}, {!with_name} and {!with_parts} return
+    values with none.  Thread-safe: racing callers derive equal keys. *)
+
 val is_interface : t -> bool
 (** A specification of a single object (Section 2). *)
 

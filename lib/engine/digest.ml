@@ -33,7 +33,7 @@ let field buf s =
 let fieldf buf fmt = Format.kasprintf (field buf) fmt
 
 let rec ser_tset buf ~(universe : Universe.t) (t : Tset.t) =
-  match t with
+  match Tset.shape t with
   | Tset.All -> field buf "all"
   | Tset.Prs r ->
       field buf "prs";

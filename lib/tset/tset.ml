@@ -53,7 +53,13 @@ let dfa_hits_c =
        (one per node resolution)"
     "posl_engine_dfa_cache_hits_total"
 
-type t =
+(* A trace set is its shape plus the identity of its construction:
+   every value a constructor builds gets the next id, so a structurally
+   equal re-parse is still a different value, and a table keyed by
+   trace sets can hash one without reading its structure. *)
+type t = { shape : shape; id : int }
+
+and shape =
   | All
   | Prs of Regex.t
   | Counting of Counting.t
@@ -65,38 +71,31 @@ type t =
 
 and part = { part_alpha : Eventset.t; part_tset : t }
 
-let all = All
-let prs r = Prs r
-let counting c = Counting c
-let pointwise name p = Pointwise (name, p)
-let forall_obj s body = Forall_obj (s, body)
-let conj ts = match ts with [ t ] -> t | ts -> Conj ts
-let restrict es t = Restrict (es, t)
-let product parts vis = Product (parts, vis)
+let ids = Atomic.make 0
+let make shape = { shape; id = Atomic.fetch_and_add ids 1 }
+let shape t = t.shape
+let all = make All
+let prs r = make (Prs r)
+let counting c = make (Counting c)
+let pointwise name p = make (Pointwise (name, p))
+let forall_obj s body = make (Forall_obj (s, body))
+let conj ts = match ts with [ t ] -> t | ts -> make (Conj ts)
+let restrict es t = make (Restrict (es, t))
+let product parts vis = make (Product (parts, vis))
 let part ~alpha tset = { part_alpha = alpha; part_tset = tset }
 
 (* A context's nodes, keyed by the {e physical} identity of their trace
    set and held weakly: an entry goes once the GC finds its trace set
-   unreachable.  The hash reads a trace set's data and never a closure's
-   environment, which may be mutable (an assume-guarantee predicate
-   captures its context) and would move the entry's bucket. *)
+   unreachable.  The hash is the construction id, so a lookup reads the
+   key of its own entry and no other.  A key read while the GC marks
+   stays alive for that cycle, and a structural hash collides with each
+   re-parse of the same text: lookups of a new parse would keep every
+   superseded one alive. *)
 module Registry = Ephemeron.K1.Make (struct
   type nonrec t = t
 
   let equal = ( == )
-
-  let rec hash t =
-    let mix h t = (h * 31) + hash t in
-    match t with
-    | All -> 0
-    | Prs r -> Hashtbl.hash r
-    | Counting c -> Hashtbl.hash c
-    | Pointwise (name, _) -> Hashtbl.hash name
-    | Forall_obj (s, _) -> Hashtbl.hash s
-    | Conj ts -> List.fold_left mix 1 ts
-    | Restrict (es, t) -> mix (Hashtbl.hash es) t
-    | Product (parts, vis) ->
-        List.fold_left (fun h p -> mix h p.part_tset) (Hashtbl.hash vis) parts
+  let hash t = t.id
 end)
 
 (** {1 Monitor semantics} *)
@@ -227,8 +226,9 @@ and ctx = {
          sees are physically stable values, and one spec keeps one node
          (and its rows) however many questions it is in.  A node dies
          with the last value holding its trace set, such as a watcher's
-         superseded parse.  Structurally-equal-but-distinct values get
-         distinct nodes, which costs row sharing, never soundness. *)
+         superseded parse, whatever lookups other parses make.
+         Structurally-equal-but-distinct values get distinct nodes,
+         which costs row sharing, never soundness. *)
 }
 
 let ctx ?(closure_cap = 20_000) universe =
@@ -255,6 +255,7 @@ let prs_cache c = c.prs_cache
 (** {1 Interning} *)
 
 let locked c f = Mutex.protect c.lock f
+let drop_nodes c = locked c (fun () -> Registry.reset c.nodes)
 
 (* [a] itself when index [i] is in range, else a copy at least twice as
    long, padded with [pad]. *)
@@ -412,7 +413,7 @@ end)
    are uniform in the object, so a single witness probe decides the
    sort. *)
 let rec finitary (t : t) : bool =
-  match t with
+  match t.shape with
   | All | Prs _ | Counting _ -> true
   | Pointwise _ -> false
   | Forall_obj (s, body) -> (
@@ -425,7 +426,7 @@ let rec finitary (t : t) : bool =
    trace sets callers ask about are registered in the context. *)
 let rec make_node c (t : t) : node =
   let kind =
-    match t with
+    match t.shape with
     | All -> N_all
     | Prs r ->
         let compiled = compile_prs c r in
@@ -733,7 +734,7 @@ let mem c t h =
 (** Denotational reference semantics, for differential testing against
     {!mem}.  [Product] necessarily shares the monitor's search. *)
 let rec mem_naive c t h =
-  match t with
+  match t.shape with
   | All -> true
   | Prs r -> Regex.prs (Regex.expand c.universe r) h
   | Counting ct -> List.for_all (Counting.satisfied_by ct) (Trace.prefixes h)
@@ -760,7 +761,7 @@ let rec mentioned t =
   let union3 (a, b, c) (a', b', c') =
     (Oid.Set.union a a', Mth.Set.union b b', Value.Set.union c c')
   in
-  match t with
+  match t.shape with
   | All -> (Oid.Set.empty, Mth.Set.empty, Value.Set.empty)
   | Prs r -> Regex.mentioned r
   | Counting c -> Counting.mentioned c
@@ -786,7 +787,8 @@ let rec mentioned t =
           union3 acc (union3 (Eventset.mentioned p.part_alpha) (mentioned p.part_tset)))
         (Eventset.mentioned vis) parts
 
-let rec pp ppf = function
+let rec pp ppf t =
+  match t.shape with
   | All -> Format.pp_print_string ppf "all"
   | Prs r -> Format.fprintf ppf "prs %a" Regex.pp r
   | Counting c -> Format.fprintf ppf "counting %a" Counting.pp c

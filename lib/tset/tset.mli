@@ -11,7 +11,13 @@ open Posl_ident
 open Posl_sets
 module Regex = Posl_regex.Regex
 
-type t =
+type t
+(** A trace set: its {!shape}, and the identity of the construction
+    that built it.  Every value a constructor returns is new, so two
+    parses of one text give structurally equal but distinct values;
+    a context keys the nodes it resolves by that identity ({!node}). *)
+
+type shape =
   | All  (** every trace — Example 1's Read ("no restrictions") *)
   | Prs of Regex.t  (** the paper's [h prs R] *)
   | Counting of Counting.t
@@ -32,6 +38,8 @@ type t =
           projecting into every part *)
 
 and part = { part_alpha : Eventset.t; part_tset : t }
+
+val shape : t -> shape
 
 (** {1 Constructors} *)
 
@@ -164,8 +172,18 @@ val node : ctx -> t -> node
     context holds its nodes weakly: a node lives as long as its trace
     set does, so a re-parsed spec's old node (its rows, classifiers and
     children) is freed with the old parse, while the states and events
-    it interned stay in the context.  Resolve once per loop, not once
-    per step. *)
+    it interned stay in the context.  A lookup compares construction
+    identities before it reads a key, so resolving a new parse never
+    touches, and never keeps alive, the node of a superseded one.
+    Resolve once per loop, not once per step. *)
+
+val drop_nodes : ctx -> unit
+(** Let go of every node the context holds, whatever its trace set's
+    lifetime: a later {!node} mints afresh (its rows are stepped again;
+    the states and events interned stay).  For a caller that knows the
+    nodes it resolved will not be asked for again, so they need not
+    outlive its step: a watch round, since a file's parse is only
+    checked in the round that re-parsed it.  Thread-safe. *)
 
 val start : node -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)

@@ -1,14 +1,16 @@
 (* The incremental re-verification loop.  Change detection is content
-   hashing (portable, mtime-resolution-proof).  One rule decides what a
-   round re-runs: a query re-runs iff its dependency token moved or it
-   has no standing verdict.  The token (see [slot_token]) determines
-   the query's [Digest.query_base], so "reused" is always sound. *)
+   hashing, gated by a stat stamp that only a settled file keeps (see
+   [look]).  One rule decides what a round re-runs: a query re-runs iff
+   its dependency token moved or it has no standing verdict.  The token
+   (see [slot_token]) determines the query's [Digest.query_base], so
+   "reused" is always sound. *)
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine
 module Plan = Posl_engine.Plan
 module Job = Posl_engine.Job
 module Spec = Posl_core.Spec
+module Tset = Posl_tset.Tset
 module Verdict = Posl_verdict.Verdict
 module J = Verdict.Json
 module Telemetry = Posl_telemetry.Telemetry
@@ -107,7 +109,20 @@ let pp_report ppf r =
 
 module Smap = Map.Make (String)
 
+(* What a rewrite, a put-back mtime (it moves the ctime) or a rename
+   over the file (it moves the inode) changes in a file's metadata. *)
+type stamp = {
+  dev : int;
+  ino : int;
+  size : int;
+  mtime : float;
+  ctime : float;
+}
+
 type file_state = {
+  path : string;
+  mutable stamp : stamp option;
+      (* of the stat before the last read, once settled ([look]) *)
   mutable fdigest : string;  (* content MD5 of the last read, "" = unread *)
   mutable good : (Spec.t list * Universe.t) option;  (* last good parse *)
   mutable last_error : Manifest.input_error option;
@@ -126,6 +141,18 @@ type slot = {
   mutable standing : (string * Verdict.t) option;  (* label, verdict *)
 }
 
+(* A query as the manifest spells it, and its slot: one per slot key,
+   shared by the query's repeats and kept across manifest edits. *)
+type query = { key : string; mutable slot : slot option }
+
+(* A manifest line, resolved once per manifest parse. *)
+type entry = {
+  line : Manifest.entry;
+  fs : file_state;  (* of its [use] target *)
+  query : query;
+  at : int;  (* its query's number among the manifest's distinct ones *)
+}
+
 type t = {
   manifest : string;
   default_depth : int;
@@ -134,11 +161,13 @@ type t = {
   domains : int option;
   session : Engine.session;
   mutable round : int;
+  mutable mstamp : stamp option;  (* the manifest's, as [file_state]'s *)
   mutable mdigest : string;  (* manifest content MD5, "" = unread *)
-  mutable entries : (Manifest.entry * string) list;
-      (* with their slot keys, computed once per manifest parse *)
+  mutable entries : entry list;
+  mutable distinct : int;  (* distinct queries in [entries] *)
+  mutable watched : file_state list;  (* the [use] targets, by path *)
   files : (string, file_state) Hashtbl.t;
-  slots : (string, slot) Hashtbl.t;  (* slot key -> slot *)
+  queries : (string, query) Hashtbl.t;  (* slot key -> query *)
 }
 
 let create ?(default_depth = 6) ?(extra_objects = 2) ?(plan = Plan.Auto)
@@ -151,10 +180,13 @@ let create ?(default_depth = 6) ?(extra_objects = 2) ?(plan = Plan.Auto)
     domains;
     session = (match session with Some s -> s | None -> Engine.session ());
     round = 0;
+    mstamp = None;
     mdigest = "";
     entries = [];
+    distinct = 0;
+    watched = [];
     files = Hashtbl.create 4;
-    slots = Hashtbl.create 16;
+    queries = Hashtbl.create 16;
   }
 
 let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
@@ -180,6 +212,54 @@ let read_changed path ~seen =
                 input_message = m;
               } )
 
+(* A file's timestamps may hide a write made within their granularity
+   of the last: one kernel tick (a few ms) where they carry sub-second
+   digits, two seconds on FAT, and a second on HFS+ or ext3, which
+   store whole seconds.  [settle] is longer than either. *)
+let settle (st : Unix.stats) =
+  if Float.is_integer st.st_mtime && Float.is_integer st.st_ctime then 3.
+  else 0.05
+
+(* The stamp to keep for a stat taken at or after [now], before a read:
+   none while either time is within [settle] of [now], since a write
+   after the read could then leave both where they are; the next poll
+   reads such a file again.  This assumes the file system's clock
+   follows the watcher's to within [settle]. *)
+let stamp_of ~now (st : Unix.stats) =
+  let settle = settle st in
+  if now -. st.st_mtime > settle && now -. st.st_ctime > settle then
+    Some
+      {
+        dev = st.st_dev;
+        ino = st.st_ino;
+        size = st.st_size;
+        mtime = st.st_mtime;
+        ctime = st.st_ctime;
+      }
+  else None
+
+let unmoved stamp (st : Unix.stats) =
+  match stamp with
+  | Some s ->
+      s.ino = st.st_ino && s.dev = st.st_dev && s.size = st.st_size
+      && Float.equal s.mtime st.st_mtime
+      && Float.equal s.ctime st.st_ctime
+  | None -> false
+
+(* One file's look at a poll: the stamp to keep, and [read_changed]'s
+   answer unless the kept stamp stands (the stat precedes the read, so
+   a write between the two is seen at the next poll).  [hashed] counts
+   the reads. *)
+let look ~now ~hashed stamp path ~seen =
+  match Unix.stat path with
+  | st when unmoved stamp st -> (stamp, None)
+  | st ->
+      incr hashed;
+      (stamp_of ~now st, read_changed path ~seen)
+  | exception Unix.Unix_error _ ->
+      incr hashed;
+      (None, read_changed path ~seen)
+
 (* A slot's identity across rounds: the query as the manifest spells
    it, plus its depth (an edited [depth] line is a different
    obligation).  Stable under re-elaboration, independent of it. *)
@@ -187,6 +267,54 @@ let slot_key (e : Manifest.entry) =
   Printf.sprintf "%s:%s %s@%d" e.Manifest.file e.Manifest.kind
     (String.concat " " e.Manifest.names)
     e.Manifest.depth
+
+(* Parsed manifest lines with their file states (made on first sight)
+   and queries, the repeats of a query sharing its number. *)
+let resolve t es =
+  let numbers = Hashtbl.create 64 in
+  let entries =
+    List.map
+      (fun (line : Manifest.entry) ->
+        let path = line.Manifest.file and key = slot_key line in
+        let fs =
+          match Hashtbl.find_opt t.files path with
+          | Some fs -> fs
+          | None ->
+              let fs =
+                {
+                  path;
+                  stamp = None;
+                  fdigest = "";
+                  good = None;
+                  last_error = None;
+                  gen = 0;
+                  ukey = "";
+                  keys = Smap.empty;
+                }
+              in
+              Hashtbl.add t.files path fs;
+              fs
+        in
+        let query =
+          match Hashtbl.find_opt t.queries key with
+          | Some q -> q
+          | None ->
+              let q = { key; slot = None } in
+              Hashtbl.add t.queries key q;
+              q
+        in
+        let at =
+          match Hashtbl.find_opt numbers key with
+          | Some at -> at
+          | None ->
+              let at = Hashtbl.length numbers in
+              Hashtbl.add numbers key at;
+              at
+        in
+        { line; fs; query; at })
+      es
+  in
+  (entries, Hashtbl.length numbers)
 
 (* Serve elaboration from the watcher's file table: the last {e good}
    parse answers even while the file on disk is broken, which is
@@ -208,14 +336,14 @@ let loader t : Manifest.typed_loader =
 (* --- one round --------------------------------------------------------- *)
 
 (* Name -> [spec_key]; a duplicated name keeps its first spec, the one
-   name resolution picks.  Taken through the session, so the round's
-   re-runs over this parse find their keys memoised. *)
-let key_map session ~universe specs =
+   name resolution picks.  Taken through [Engine.spec_key], so the
+   round's re-runs over this parse find their keys memoised. *)
+let key_map ~universe specs =
   List.fold_left
     (fun m s ->
       let name = Spec.name s in
       if Smap.mem name m then m
-      else Smap.add name (Engine.spec_key session ~universe s) m)
+      else Smap.add name (Engine.spec_key ~universe s) m)
     Smap.empty specs
 
 (* An opaque body has no key, so it never compares equal: its edits
@@ -227,14 +355,21 @@ let same_keys =
 (* Refresh the manifest and every watched spec file.  Returns whether
    anything a token can see moved — the manifest's slot keys or some
    file's generation — and the diagnostics that surfaced.  A file is
-   re-parsed only when its content hash moved, and its generation moves
-   only when its universe or a spec's key did, so a standing breakage
-   is reported once and a comment-only edit moves nothing.  Spanned as
-   [watch.refresh]: on an idle round this poll is all the work. *)
+   read only when its stamp moved ([look]) and re-parsed only when its
+   content hash moved, and its generation moves only when its universe
+   or a spec's key did, so a standing breakage is reported once and a
+   comment-only edit moves nothing.  Spanned as [watch.refresh], with
+   the number of files read as [hashed]: on an idle round this poll is
+   all the work. *)
 let refresh t =
   Telemetry.with_span "watch.refresh" @@ fun () ->
   let diags = ref [] and moved = ref false in
-  (match read_changed t.manifest ~seen:t.mdigest with
+  let now = Unix.gettimeofday () and hashed = ref 0 in
+  let mstamp, changed =
+    look ~now ~hashed t.mstamp t.manifest ~seen:t.mdigest
+  in
+  t.mstamp <- mstamp;
+  (match changed with
   | None -> ()
   | Some (d, content) -> (
       t.mdigest <- d;
@@ -245,41 +380,28 @@ let refresh t =
              ~default_depth:t.default_depth)
       with
       | Ok es ->
-          let entries = List.map (fun e -> (e, slot_key e)) es in
+          let entries, distinct = resolve t es in
           if
             not
               (List.equal
-                 (fun (_, a) (_, b) -> String.equal a b)
+                 (fun a b -> String.equal a.query.key b.query.key)
                  entries t.entries)
           then moved := true;
-          t.entries <- entries
+          t.entries <- entries;
+          t.distinct <- distinct;
+          t.watched <-
+            List.sort_uniq
+              (fun a b -> String.compare a.path b.path)
+              (List.map (fun en -> en.fs) entries)
       | Error e -> diags := e :: !diags (* previous entries stand *)));
-  let watched =
-    List.sort_uniq String.compare
-      (List.map (fun ((e : Manifest.entry), _) -> e.Manifest.file) t.entries)
-  in
   List.iter
-    (fun path ->
-      let fs =
-        match Hashtbl.find_opt t.files path with
-        | Some fs -> fs
-        | None ->
-            let fs =
-              {
-                fdigest = "";
-                good = None;
-                last_error = None;
-                gen = 0;
-                ukey = "";
-                keys = Smap.empty;
-              }
-            in
-            Hashtbl.add t.files path fs;
-            fs
-      in
-      match read_changed path ~seen:fs.fdigest with
+    (fun fs ->
+      let stamp, changed = look ~now ~hashed fs.stamp fs.path ~seen:fs.fdigest in
+      fs.stamp <- stamp;
+      match changed with
       | None -> ()
       | Some (d, content) -> (
+          let path = fs.path in
           fs.fdigest <- d;
           match
             Result.bind content
@@ -289,7 +411,7 @@ let refresh t =
           | Ok (specs, universe) ->
               fs.last_error <- None;
               let ukey = Job.universe_digest universe in
-              let keys = key_map t.session ~universe specs in
+              let keys = key_map ~universe specs in
               if
                 Option.is_none fs.good
                 || (not (String.equal ukey fs.ukey))
@@ -306,7 +428,8 @@ let refresh t =
                  parse (and with it every standing verdict) *)
               fs.last_error <- Some e;
               diags := e :: !diags))
-    watched;
+    t.watched;
+  Telemetry.set_attrs [ ("hashed", string_of_int !hashed) ];
   (!moved, List.rev !diags)
 
 (* An entry's dependency token: its file's universe digest plus the
@@ -332,11 +455,9 @@ let slot_token fs (e : Manifest.entry) =
    otherwise its token is rebuilt, and an equal token confirms the slot
    at the new generation.  Anything else rebuilds the request, carrying
    the standing verdict over for flip detection.  Returns the slot and
-   whether it was rebuilt; [round] stores a rebuilt slot.  [refresh]
-   has a state for every watched file. *)
-let confirm t load ((e : Manifest.entry), key) =
-  let fs = Hashtbl.find t.files e.Manifest.file in
-  match Hashtbl.find_opt t.slots key with
+   whether it was rebuilt; [round] stores a rebuilt slot. *)
+let confirm t load { line = e; fs; query; _ } =
+  match query.slot with
   | Some slot when slot.gen = fs.gen -> (slot, false)
   | stored -> (
       let token = slot_token fs e in
@@ -369,23 +490,27 @@ let round t diags =
      file is one when its content changes; a file that has no good
      parse was reported as such. *)
   let load = loader t in
-  let rebuilt = Hashtbl.create 8 and to_run = ref [] in
+  (* per distinct query: the slot its first line confirmed or rebuilt
+     this round, which its repeats share *)
+  let outcomes = Array.make t.distinct None and to_run = ref [] in
   let reused = ref 0 and errored = ref 0 and diags = ref (List.rev diags) in
   let slots =
     List.map
-      (fun (((e : Manifest.entry), key) as entry) ->
-        (* a repeated query shares the slot its first occurrence rebuilt *)
+      (fun en ->
         let slot, fresh =
-          match Hashtbl.find_opt rebuilt key with
-          | Some slot -> (slot, true)
-          | None -> confirm t load entry
+          match outcomes.(en.at) with
+          | Some outcome -> outcome
+          | None ->
+              let outcome = confirm t load en in
+              outcomes.(en.at) <- Some outcome;
+              outcome
         in
-        if fresh then Hashtbl.replace rebuilt key slot;
         (match slot.request with
         | Error err ->
             incr errored;
-            let parsed = (Hashtbl.find t.files e.Manifest.file).good in
-            if fresh && Option.is_some parsed && not (List.mem err !diags)
+            if
+              fresh && Option.is_some en.fs.good
+              && not (List.mem err !diags)
             then diags := err :: !diags
         | Ok req when fresh -> to_run := (slot, req) :: !to_run
         | Ok _ -> incr reused);
@@ -401,6 +526,15 @@ let round t diags =
           Engine.run_jobs ?domains:t.domains ~plan:t.plan t.session
             (List.map snd to_run)
         in
+        (* The monitors this round resolved served its parse alone: a
+           later edit of the file brings a new parse, with new monitors.
+           Letting go of them now, not when that edit supersedes the
+           parse, keeps watch-edit's major heap a fifth smaller
+           (EXPERIMENTS, "Stat-gated polls"). *)
+        List.iter
+          (fun (_, (req : Engine.request)) ->
+            Tset.drop_nodes (Engine.session_ctx t.session req.Engine.universe))
+          to_run;
         (rs, Some stats)
   in
   let flips = ref [] in
@@ -416,7 +550,12 @@ let round t diags =
   (* Stored only now that their verdicts landed, so a stored slot with a
      request always has one: if the engine raised, the next round
      rebuilds and re-runs them. *)
-  Hashtbl.iter (Hashtbl.replace t.slots) rebuilt;
+  List.iter
+    (fun en ->
+      match outcomes.(en.at) with
+      | Some (slot, true) -> en.query.slot <- Some slot
+      | Some (_, false) | None -> ())
+    t.entries;
   let flips = List.rev !flips in
   let failing =
     List.fold_left
@@ -469,8 +608,7 @@ let poll t =
 
 let verdicts t =
   List.filter_map
-    (fun (_, key) ->
-      Option.bind (Hashtbl.find_opt t.slots key) (fun s -> s.standing))
+    (fun en -> Option.bind en.query.slot (fun s -> s.standing))
     t.entries
 
 let run ?(poll_ms = 200) ?max_rounds ?(stop = fun () -> false) ~on_round t =

@@ -3,10 +3,24 @@
     The watcher keeps a warm {!Posl_engine.Engine.session} and, per
     round, re-runs {e only} the queries an edit can have moved:
 
-    - {e polling} is portable stat-free content hashing — each watched
-      file (the manifest and every [use] target) is re-read and MD5'd,
-      so equal-mtime edits are never missed and no inotify binding is
-      needed;
+    - {e polling} is portable content hashing, gated by a stat
+      {e stamp}: each watched file (the manifest and every [use]
+      target) keeps the device, inode, size, mtime and ctime of the
+      stat taken before its last read, and a poll reads and MD5s only
+      a file whose stamp moved — so no inotify binding is needed, and
+      an idle poll opens no file.  The content hash still decides what
+      changed; the stamp only spares the read.  A stamp is kept only
+      once both its times are older than the wall clock at that stat
+      by more than a settling window (a constant: 50 ms where the
+      times carry sub-second digits, 3 s where both are whole seconds,
+      as on FAT, HFS+ or ext3); until then every poll reads the file
+      again.  So an edit is never missed however it is made — within
+      one timestamp tick of the last read, with its mtime put back
+      ([touch -r], [utimes]: the ctime still moves) or by a rename
+      over the file (the inode moves) — provided the file system's
+      clock follows the watcher's to within the window.  A file server
+      whose clock lags the watcher's by more is the exception (a clock
+      that runs ahead only costs reads);
     - a changed spec file is {e re-parsed alone}, once; its universe
       digest and the {!Posl_engine.Digest.spec_key} of each spec name
       (the first spec of a name, as name resolution picks) are taken
@@ -29,9 +43,19 @@
       each with its full typed verdict, plus the
       [queries_invalidated] / [queries_reused] / [flips] counters.
 
-    Each poll's content-hash check and re-parse is instrumented with a
-    [watch.refresh] telemetry span, rounds with a [watch.round] span
-    and [posl_watch_*] counters. *)
+    Memory follows the live parses: each spec value keeps its own
+    content key ({!Posl_core.Spec.keyed}), a context holds the
+    monitors it resolves weakly, keyed by the trace set's
+    construction identity, and a round lets go of the monitors it
+    resolved once its verdicts have landed ({!Posl_tset.Tset.drop_nodes}),
+    since a file's parse is only checked in the round that re-parsed
+    it.  A superseded parse is garbage once every slot built on it
+    has been rebuilt, whatever lookups the rounds after it make.
+
+    Each poll's stamp check, reads and re-parse are instrumented with
+    a [watch.refresh] telemetry span, whose [hashed] attribute counts
+    the files the poll read; rounds with a [watch.round] span and
+    [posl_watch_*] counters. *)
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine

@@ -442,6 +442,9 @@ fi
 # A bounded watcher over a scratch fleet copy: the cold round verifies
 # all ten queries; editing one component spec (Gauge2's traces)
 # re-runs exactly its six dependent queries and reuses the other four.
+# The edit is a same-size rewrite in place with its mtime put back
+# (`touch -r`), so only the file's ctime shows it: the watcher, which
+# by then has stat stamps for its settled files, must still read it.
 # Every report line must be valid JSON by the tool's own parser.
 mkdir -p "$tmp/fleet"
 cp "$SPECS/fleet.oun" "$SPECS/fleet.manifest" "$tmp/fleet/"
@@ -450,11 +453,18 @@ timeout 60 "$BIN" watch "$tmp/fleet/fleet.manifest" --json --poll-ms 100 \
   --rounds 2 >"$tmp/watch.log" 2>&1 &
 watch_pid=$!
 sleep 1
+touch -r "$tmp/fleet/fleet.oun" "$tmp/fleet/mtime.ref"
 awk '{
-  gsub(/<x,g,OPEN> <x,g,SAMPLE\(_\)>\* <x,g,CLOSE>/, "<x,g,OPEN> <x,g,CLOSE>");
+  gsub(/<x,g,OPEN> <x,g,SAMPLE\(_\)>\* <x,g,CLOSE>/, "<x,g,OPEN> <x,g,SAMPLE(_)>  <x,g,CLOSE>");
   print
-}' "$tmp/fleet/fleet.oun" >"$tmp/fleet/fleet.oun.new" \
-  && mv "$tmp/fleet/fleet.oun.new" "$tmp/fleet/fleet.oun"
+}' "$tmp/fleet/fleet.oun" >"$tmp/fleet/fleet.oun.new"
+if cmp -s "$tmp/fleet/fleet.oun" "$tmp/fleet/fleet.oun.new" \
+  || [ "$(wc -c <"$tmp/fleet/fleet.oun")" -ne "$(wc -c <"$tmp/fleet/fleet.oun.new")" ]; then
+  echo "FAIL watch: the Gauge2 edit is not a same-size change" >&2
+  fails=$((fails + 1))
+fi
+cat "$tmp/fleet/fleet.oun.new" >"$tmp/fleet/fleet.oun"
+touch -r "$tmp/fleet/mtime.ref" "$tmp/fleet/fleet.oun"
 wait "$watch_pid"
 watch_exit=$?
 if [ "$watch_exit" -ne 0 ]; then
@@ -479,7 +489,7 @@ while IFS= read -r line; do
     fails=$((fails + 1))
   fi
 done <"$tmp/watch.log"
-echo "ok   watch --json (cold 10/0, one edit -> 6 invalidated / 4 reused)"
+echo "ok   watch --json (cold 10/0, one same-size edit, mtime put back -> 6 invalidated / 4 reused)"
 
 # A watcher with no round bound must drain cleanly on SIGTERM.
 "$BIN" watch "$tmp/fleet/fleet.manifest" --poll-ms 100 \

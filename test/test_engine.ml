@@ -668,7 +668,12 @@ let test_session_keys_equal_fresh () =
    The previous parse's specs become unreachable, and their keys, trace
    sets and nodes must go with them: after a full major collection the
    live heap at the last cycle stays within 1.5x its value at cycle 20.
-   A memo holding its spec values strongly keeps every parse alive. *)
+   A memo holding its spec values strongly keeps every parse alive.
+   Each reading follows a full major collection, and no lookup runs
+   during one: it frees what lookups made during marking would have
+   kept alive, so this soak cannot see a memo whose lookups revive
+   superseded parses.  The soaks in [soak_main], which force no
+   collection, can. *)
 let test_soak_key_memo () =
   let parse = Util.reparse "paper.oun" in
   let session = Engine.session () and counters = Counters.create () in
@@ -704,6 +709,48 @@ let test_soak_key_memo () =
   if 2 * last > 3 * !at_early then
     Alcotest.failf "live heap grew from %d words at cycle %d to %d at cycle %d"
       !at_early early last cycles
+
+(* Serve's shape: every submission of an [A||B] query resolves its
+   composition tokens afresh ([Manifest.resolve_name] builds a new
+   [Compose.compose] value each time), so each answer keys a new
+   composite under the same name, and every submission after the first
+   is a cache hit.  No collection is forced: the major GC runs as
+   allocation paces it, between lookups, as in a server.  The major
+   heap after submission 12,000 stays within 1.5x its size at
+   submission 3,000, by when the GC has sized the heap for this loop.
+   A memo whose lookups read the superseded composites' entries keeps
+   them alive for every cycle those lookups fall in, and the heap grows
+   with the submissions. *)
+let test_soak_fresh_composites () =
+  let specs = Util.reparse "fleet.oun" () in
+  let universe = Spec.adequate_universe specs in
+  let session = Engine.session () and counters = Counters.create () in
+  let resolve token =
+    match Manifest.resolve_name specs ~file:"fleet.oun" token with
+    | Ok s -> s
+    | Error m -> Alcotest.failf "%s: %s" token m
+  in
+  let submit () =
+    let q =
+      Job.refine ~refined:(resolve "Gauge2||Log")
+        ~abstract:(resolve "Gauge||Log")
+    in
+    (Engine.answer session counters (Engine.request ~universe q)).Engine.cached
+  in
+  ignore (submit ());
+  (* once, before the readings: what ran before is not this soak's *)
+  Gc.full_major ();
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let early = 3_000 and last = 12_000 in
+  let at_early = ref 0 in
+  for i = 1 to last do
+    if not (submit ()) then Alcotest.fail "a repeated submission missed";
+    if i = early then at_early := heap ()
+  done;
+  let at_last = heap () in
+  if 2 * at_last > 3 * !at_early then
+    Alcotest.failf "major heap grew from %d words at submission %d to %d at %d"
+      !at_early early at_last last
 
 (* --- randomized properties ------------------------------------------ *)
 
@@ -781,6 +828,13 @@ let qsuite =
             = (Dig.spec_key ~universe:sc.Gen.universe a
                = Dig.spec_key ~universe:sc.Gen.universe b)
         | _ -> true);
+  ]
+
+(* Run by [soak_main], in a process of their own: see there. *)
+let soaks =
+  [
+    Alcotest.test_case "soak: fresh composites die between submissions"
+      `Slow test_soak_fresh_composites;
   ]
 
 let suite =

@@ -97,9 +97,34 @@ let qsuite =
           (Spec.concrete_alphabet Util.sc.Gen.universe s));
   ]
 
+(* A spec value keeps its content key: derived once per value and
+   universe, again for another universe, and a renamed copy starts with
+   none (the key serializes the name). *)
+let test_keyed () =
+  let derived = ref 0 in
+  let derive () =
+    incr derived;
+    Some (string_of_int !derived)
+  in
+  (* a copy, so no shared value keeps these made-up keys *)
+  let s = Spec.with_name "Read2" Posl_core.Examples_paper.read2 in
+  let u2 = Util.paper_universe and u3 = Spec.adequate_universe ~extra_objects:3 [ s ] in
+  let key u = Spec.keyed s ~universe:u derive in
+  let first = key u2 in
+  Alcotest.(check (option string)) "asked again: kept" first (key u2);
+  Alcotest.(check (option string))
+    "a structurally equal universe: kept" first
+    (key (Spec.adequate_universe Posl_core.Examples_paper.all_specs));
+  Util.check_int "derived once" 1 !derived;
+  ignore (key u3);
+  Util.check_int "another universe derives again" 2 !derived;
+  ignore (Spec.keyed (Spec.with_name "Other" s) ~universe:u3 derive);
+  Util.check_int "a renamed copy derives its own" 3 !derived
+
 let suite =
   [
     Alcotest.test_case "well-formed spec accepted" `Quick test_wellformed;
+    Alcotest.test_case "keyed: once per value and universe" `Quick test_keyed;
     Alcotest.test_case "empty object set rejected" `Quick
       test_rejects_empty_objs;
     Alcotest.test_case "internal alphabet rejected" `Quick

@@ -230,7 +230,11 @@ let test_outside_universe_event_rejected_or_loud () =
    forall children) must go with them.  After a full major collection
    the live heap at the last cycle stays within 1.5x its value at cycle
    20; a registry that kept every parse's nodes grows about 4x over the
-   same cycles. *)
+   same cycles.  Each reading follows a full major collection, and no
+   lookup runs during one: it frees what lookups made during marking
+   would have kept alive, so this soak cannot see a registry whose
+   lookups revive superseded parses.  The soaks in [soak_main], which
+   force no collection, can. *)
 let test_soak_reparse () =
   let parse = Util.reparse "paper.oun" in
   let first = parse () in

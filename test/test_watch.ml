@@ -12,12 +12,14 @@
 
 module Manifest = Posl_engine.Manifest
 module Engine = Posl_engine.Engine
+module Cache = Posl_engine.Cache
 module Job = Posl_engine.Job
 module Qdigest = Posl_engine.Digest
 module Spec = Posl_core.Spec
 module Watch = Posl_watch.Watch
 module Journal = Posl_watch.Journal
 module V = Posl_verdict.Verdict
+module Telemetry = Posl_telemetry.Telemetry
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -559,6 +561,180 @@ let test_watch_script () =
   (* the two new queries already ran a step earlier *)
   expect "revert B" (Some [ 4; 9; 0; 1; 2 ]) (fun () -> write_file b paper)
 
+(* --- the stat gate ------------------------------------------------------ *)
+
+(* A same-size edit of GaugeR that flips its equality query (the
+   sampling loop loses its star). *)
+let gauger_once = "traces prs (bind x in Env . (<x,g,SAMPLE(_)>)) ;"
+
+(* One poll with spans on, and the number of files its [watch.refresh]
+   span says it read. *)
+let traced_poll w =
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled false)
+      (fun () -> Watch.poll w)
+  in
+  let hashed =
+    match
+      List.find_opt
+        (fun (s : Telemetry.span) -> s.Telemetry.name = "watch.refresh")
+        (Telemetry.spans ())
+    with
+    | Some s -> int_of_string (List.assoc "hashed" s.Telemetry.attrs)
+    | None -> Alcotest.fail "no watch.refresh span"
+  in
+  Telemetry.reset ();
+  (hashed, r)
+
+(* Idle polls until one reads no file: every watched file has then kept
+   its stamp.  That takes the watcher's settling window, well under a
+   second where timestamps carry sub-second digits; a watcher that
+   reads every file at every poll never gets there. *)
+let settle w =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec go () =
+    Unix.sleepf 0.06;
+    match traced_poll w with
+    | _, Some _ -> Alcotest.fail "an idle poll ran a round"
+    | 0, None -> ()
+    | _ when Unix.gettimeofday () > deadline ->
+        Alcotest.fail "idle polls still read files after 10 s"
+    | _ -> go ()
+  in
+  go ()
+
+(* A whole second well in the past: a file's mtime put there is put
+   back exactly. *)
+let past () = Float.round (Unix.gettimeofday ()) -. 60.
+
+let check_flipped name r =
+  check_int (name ^ ": the GaugeR query re-runs") 1 r.Watch.invalidated;
+  check_int (name ^ ": and flips") 1 (List.length r.Watch.flips)
+
+(* An in-place rewrite of the same size, its mtime put back: only the
+   ctime moved, so a stamp without it would miss the edit. *)
+let test_gate_mtime_put_back () =
+  let manifest, spec = fleet_copy () in
+  let original = read_file spec and t = past () in
+  Unix.utimes spec t t;
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  settle w;
+  write_file spec (replace ~needle:gauger_line ~by:gauger_once original);
+  Unix.utimes spec t t;
+  check_flipped "mtime put back" (poll_round w)
+
+(* A same-size file with the same mtime renamed over the watched one:
+   the inode moved. *)
+let test_gate_rename () =
+  let manifest, spec = fleet_copy () in
+  let original = read_file spec and t = past () in
+  Unix.utimes spec t t;
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  settle w;
+  let next = spec ^ ".new" in
+  write_file next (replace ~needle:gauger_line ~by:gauger_once original);
+  Unix.utimes next t t;
+  Unix.rename next spec;
+  check_flipped "renamed over" (poll_round w)
+
+(* A same-size rewrite right after the poll that read the file, inside
+   the settling window: that poll kept no stamp, so this one reads the
+   file again, whatever the timestamps show. *)
+let test_gate_rewrite_inside_window () =
+  let manifest, spec = fleet_copy () in
+  let original = read_file spec and t = past () in
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  write_file spec original;
+  Unix.utimes spec t t;
+  check_bool "same content: no round" true (Watch.poll w = None);
+  write_file spec (replace ~needle:gauger_line ~by:gauger_once original);
+  Unix.utimes spec t t;
+  check_flipped "rewritten inside the window" (poll_round w)
+
+(* A stamp is kept only once both its times are older than the settling
+   window.  A file whose mtime lies ahead of the watcher's clock (as a
+   skewed file server would write it) never settles, so every poll
+   reads it: the same rule that covers a rewrite inside the window,
+   which kernels with fine-grained timestamps make hard to stage. *)
+let test_gate_unsettled () =
+  let manifest, spec = fleet_copy () in
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  settle w;
+  let ahead = Unix.gettimeofday () +. 3600. in
+  Unix.utimes spec ahead ahead;
+  Unix.sleepf 0.1;
+  for _ = 1 to 3 do
+    match traced_poll w with
+    | hashed, None -> check_int "an unsettled file is read at every poll" 1 hashed
+    | _, Some _ -> Alcotest.fail "an unchanged file ran a round"
+  done
+
+(* Once settled, an idle poll reads no file and a one-file edit reads
+   that file alone. *)
+let test_gate_hashed () =
+  let manifest, spec = fleet_copy () in
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  settle w;
+  check_int "an idle poll reads no file" 0 (fst (traced_poll w));
+  write_file spec
+    (replace ~needle:gauger_line ~by:gauger_doubled (read_file spec));
+  match traced_poll w with
+  | hashed, Some r ->
+      check_int "a one-file edit reads one file" 1 hashed;
+      check_flipped "one-file edit" r
+  | _, None -> Alcotest.fail "the edit ran no round"
+
+(* Superseded parses die with no collection forced.  One watcher over a
+   fleet copy whose GaugeR trace section toggles every round, the
+   verdict cache cleared before each poll (as an edit to new content
+   would leave it), so every round parses the file afresh, keys its
+   specs and walks the re-run query's monitors.  The major GC runs as
+   allocation paces it, between those lookups: the major heap at round
+   1,500 stays within 1.5x its size at round 500, with major cycles
+   completed in between.  A memo whose lookups read the entries of
+   superseded parses keeps them alive through every cycle those lookups
+   fall in, and the heap grows with the rounds. *)
+let test_soak_superseded_parses () =
+  let manifest, spec = fleet_copy () in
+  let original = read_file spec in
+  let edited = replace ~needle:gauger_line ~by:gauger_doubled original in
+  let session = Engine.session () in
+  let w = Watch.create ~session manifest in
+  ignore (poll_round w);
+  (* once, before the readings: what ran before is not this soak's *)
+  Gc.full_major ();
+  let stat () =
+    let s = Gc.quick_stat () in
+    (s.Gc.heap_words, s.Gc.major_collections)
+  in
+  let early = 500 and last = 1_500 in
+  let at_early = ref (0, 0) in
+  for i = 1 to last do
+    write_file spec (if i land 1 = 1 then edited else original);
+    Cache.clear (Engine.session_cache session);
+    let r = poll_round w in
+    if r.Watch.invalidated <> 1 then
+      Alcotest.failf "round %d re-ran %d queries, not 1" i r.Watch.invalidated;
+    if i = early then at_early := stat ()
+  done;
+  let (early_words, early_cycles), (last_words, last_cycles) =
+    (!at_early, stat ())
+  in
+  if last_cycles - early_cycles < 2 then
+    Alcotest.failf "only %d major cycles from round %d to %d"
+      (last_cycles - early_cycles) early last;
+  if 2 * last_words > 3 * early_words then
+    Alcotest.failf "major heap grew from %d words at round %d to %d at %d"
+      early_words early last_words last
+
 (* --- the session journal ---------------------------------------------- *)
 
 let jr ~round ~failing ~flips =
@@ -672,10 +848,27 @@ let suite =
       test_watch_unknown_name;
     Alcotest.test_case "watch: scripted two-file session" `Quick
       test_watch_script;
+    Alcotest.test_case "gate: an mtime put back is seen" `Quick
+      test_gate_mtime_put_back;
+    Alcotest.test_case "gate: a file renamed over is seen" `Quick
+      test_gate_rename;
+    Alcotest.test_case "gate: a rewrite inside the settling window is seen"
+      `Quick test_gate_rewrite_inside_window;
+    Alcotest.test_case "gate: an unsettled file is read at every poll" `Quick
+      test_gate_unsettled;
+    Alcotest.test_case "gate: idle polls read nothing once settled" `Quick
+      test_gate_hashed;
     Alcotest.test_case "journal: restart replays history and signal" `Quick
       test_journal_restart;
     Alcotest.test_case "journal: torn tail truncated, never fatal" `Quick
       test_journal_torn_tail;
     Alcotest.test_case "journal: convergence signal classes" `Quick
       test_signal_classes;
+  ]
+
+(* Run by [soak_main], in a process of their own: see there. *)
+let soaks =
+  [
+    Alcotest.test_case "soak: superseded parses die" `Slow
+      test_soak_superseded_parses;
   ]
