@@ -1179,8 +1179,9 @@ let p8 () =
   let counted = Counters.create () in
   let (auto_vs, auto_ctx), auto_ms = run_route auto in
   (* Every rep redoes the same cold work on a fresh context, so the
-     counter deltas divide evenly back to one pass. *)
-  let work_done = Counters.snapshot counted in
+     work counts divide evenly back to one pass (its timings are not
+     read). *)
+  let work_done = Engine.stats_of counted ~wall_ms:auto_ms ~domains:1 in
   let admitted = work_done.antichain_pairs / reps
   and pruned = work_done.antichain_prunes / reps
   and interned = work_done.interned_states / reps in
@@ -1714,12 +1715,24 @@ let bechamel_tests () =
     (* E7: Property 5 *)
     Test.make ~name:"E7/theory/prop5-rw"
       (stage (fun () -> Theory.property5 ctx ~depth:4 Ex.rw));
-    (* E11: Theorem 16 static side conditions (symbolic only) *)
-    Test.make ~name:"E11/static/composability+properness"
-      (stage (fun () ->
-           ( Compose.composable Ex.client Ex.write_acc,
-             Compose.proper ~refined:Ex.rw2 ~abstract:Ex.write_acc
-               ~context:Ex.client )));
+    (* E11: Theorem 16 static side conditions (symbolic only), four
+       passes over the 56 ordered paper pairs per run: one pair's checks
+       last under a microsecond, too short a run for the fit to find a
+       slope, and one pass still fit below r² 0.85 in 4 of 13 runs *)
+    Test.make ~name:"E11/static/composability+properness (224 pairs)"
+      (stage
+         (let pairs = ordered_pairs Ex.all_specs in
+          fun () ->
+            for _ = 1 to 4 do
+              List.iter
+                (fun (g', g) ->
+                  ignore
+                    (Sys.opaque_identity
+                       ( Compose.composable g' g,
+                         Compose.proper ~refined:g' ~abstract:g
+                           ~context:Ex.client )))
+                pairs
+            done));
     (* E13: filter law evaluation *)
     Test.make ~name:"E13/laws/filter"
       (stage

@@ -294,18 +294,10 @@ let query_cmd (kind, docvs, doc) =
   let run file names depth extra json store_dir trace metrics =
     code
       (let* specs = load file in
-       let* resolved =
-         List.fold_left
-           (fun acc n ->
-             let* acc = acc in
-             let* s = resolve specs ~file n in
-             Ok (s :: acc))
-           (Ok []) names
-       in
        let* query =
          Result.map_error
            (fun m -> Input m)
-           (Manifest.query ~kind (List.rev resolved))
+           (Manifest.resolve_query specs ~file ~kind names)
        in
        with_observability ~trace ~metrics @@ fun () ->
        let* verdict =

@@ -20,7 +20,7 @@ type t = {
 
 type stats = { kept : int; pruned : int; dropped : int }
 
-let create () = { tbl = Hashtbl.create 1024; kept = 0; pruned = 0; dropped = 0 }
+let create () = { tbl = Hashtbl.create 64; kept = 0; pruned = 0; dropped = 0 }
 
 let stats (ac : t) : stats =
   { kept = ac.kept; pruned = ac.pruned; dropped = ac.dropped }

@@ -151,7 +151,8 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
           Tset.macro_of_id ctx )
     | Stuck | Count -> (Array.make n false, (fun r _ -> r), 0, fun _ -> None)
   in
-  let visited_pairs = Hashtbl.create 1024 in
+  (* most walks visit few pairs; the tables grow on demand *)
+  let visited_pairs = Hashtbl.create 64 in
   let ac = Antichain.create () in
   let admitted = ref 0 in
   let admit l r =

@@ -1,9 +1,10 @@
 (* Engine traffic counters as cells of the process-wide
-   [Posl_telemetry.Metrics] registry, plus delta views over them.
+   [Posl_telemetry.Metrics] registry, plus a baseline to read them
+   against.
 
    Every increment lands in a global cumulative counter (exposed via
    [posl-check metrics] / [--metrics]); a [Counters.t] merely remembers
-   the registry values at [create] time and [snapshot] reports the
+   the registry values at [create] time and [delta] reports the
    difference.  Batches that do not overlap in time therefore see exact
    per-batch numbers, while the registry keeps exact process totals
    even when they do. *)
@@ -71,40 +72,4 @@ let create () : t =
       store_writes; derived_hits; plan_fallbacks; busy_ns; dfa_hits;
       dfa_compiles; antichain_pairs; antichain_prunes; interned_states ]
 
-type snapshot = {
-  jobs : int;
-  hits : int;
-  misses : int;
-  uncacheable : int;
-  store_hits : int;
-  store_misses : int;
-  store_writes : int;
-  derived_hits : int;
-  plan_fallbacks : int;
-  busy_ms : float;
-  dfa_hits : int;
-  dfa_compiles : int;
-  antichain_pairs : int;
-  antichain_prunes : int;
-  interned_states : int;
-}
-
-let snapshot (base : t) : snapshot =
-  let d c = Metrics.value c - List.assq c base in
-  {
-    jobs = d jobs;
-    hits = d hits;
-    misses = d misses;
-    uncacheable = d uncacheable;
-    store_hits = d store_hits;
-    store_misses = d store_misses;
-    store_writes = d store_writes;
-    derived_hits = d derived_hits;
-    plan_fallbacks = d plan_fallbacks;
-    busy_ms = float_of_int (d busy_ns) /. 1e6;
-    dfa_hits = d dfa_hits;
-    dfa_compiles = d dfa_compiles;
-    antichain_pairs = d antichain_pairs;
-    antichain_prunes = d antichain_prunes;
-    interned_states = d interned_states;
-  }
+let delta (base : t) c = Metrics.value c - List.assq c base

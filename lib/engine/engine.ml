@@ -130,6 +130,32 @@ let pp_stats ppf s =
          s.antichain_prunes s.interned_states
          (if s.interned_states = 1 then "" else "s"))
 
+let stats_of counters ~wall_ms ~domains =
+  let d = Counters.delta counters in
+  let busy_ms = float_of_int (d Counters.busy_ns) /. 1e6 in
+  {
+    jobs = d Counters.jobs;
+    cache_hits = d Counters.hits;
+    cache_misses = d Counters.misses;
+    uncacheable = d Counters.uncacheable;
+    store_hits = d Counters.store_hits;
+    store_misses = d Counters.store_misses;
+    store_writes = d Counters.store_writes;
+    derived_hits = d Counters.derived_hits;
+    plan_fallbacks = d Counters.plan_fallbacks;
+    dfa_cache_hits = d Counters.dfa_hits;
+    dfa_compiles = d Counters.dfa_compiles;
+    antichain_pairs = d Counters.antichain_pairs;
+    antichain_prunes = d Counters.antichain_prunes;
+    interned_states = d Counters.interned_states;
+    busy_ms;
+    wall_ms;
+    domains;
+    utilization =
+      (if wall_ms <= 0. then 1.
+       else busy_ms /. (wall_ms *. float_of_int domains));
+  }
+
 (* Monotonic per-job clock: immune to wall-clock adjustments, and the
    same time base the span layer uses. *)
 let now_ns = Telemetry.now_ns
@@ -335,32 +361,7 @@ let run_jobs ?domains ?plan s requests =
       (fun () -> Par.map_dyn ~domains (answer ?plan s counters) requests)
   in
   let wall_ms = float_of_int (now_ns () - t0) /. 1e6 in
-  let c = Counters.snapshot counters in
-  let stats =
-    {
-      jobs = c.Counters.jobs;
-      cache_hits = c.Counters.hits;
-      cache_misses = c.Counters.misses;
-      uncacheable = c.Counters.uncacheable;
-      store_hits = c.Counters.store_hits;
-      store_misses = c.Counters.store_misses;
-      store_writes = c.Counters.store_writes;
-      derived_hits = c.Counters.derived_hits;
-      plan_fallbacks = c.Counters.plan_fallbacks;
-      dfa_cache_hits = c.Counters.dfa_hits;
-      dfa_compiles = c.Counters.dfa_compiles;
-      antichain_pairs = c.Counters.antichain_pairs;
-      antichain_prunes = c.Counters.antichain_prunes;
-      interned_states = c.Counters.interned_states;
-      busy_ms = c.Counters.busy_ms;
-      wall_ms;
-      domains;
-      utilization =
-        (if wall_ms <= 0. then 1.
-         else c.Counters.busy_ms /. (wall_ms *. float_of_int domains));
-    }
-  in
-  (results, stats)
+  (results, stats_of counters ~wall_ms ~domains)
 
 let run_batch ?domains ?plan ?store requests =
   run_jobs ?domains ?plan (session ?store ()) requests

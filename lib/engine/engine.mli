@@ -55,10 +55,10 @@ type result = {
 }
 
 type stats = {
-  jobs : int;
-  cache_hits : int;
-  cache_misses : int;
-  uncacheable : int;
+  jobs : int;  (** jobs answered, cached or computed *)
+  cache_hits : int;  (** verdicts served from the in-memory cache *)
+  cache_misses : int;  (** verdicts computed fresh and cached *)
+  uncacheable : int;  (** jobs with no content address (opaque tsets) *)
   store_hits : int;
       (** verdicts served from the persistent store (and promoted into
           the in-memory cache) *)
@@ -84,10 +84,17 @@ type stats = {
   interned_states : int;
       (** distinct monitor states interned into contexts this batch *)
   busy_ms : float;  (** summed per-job wall time across workers *)
-  wall_ms : float;  (** batch wall time *)
-  domains : int;  (** requested worker count *)
+  wall_ms : float;  (** batch wall time (a server's: its uptime) *)
+  domains : int;  (** requested worker count (a server's: its workers) *)
   utilization : float;  (** busy_ms / (wall_ms × domains) *)
 }
+
+val stats_of : Counters.t -> wall_ms:float -> domains:int -> stats
+(** The traffic since [Counters.create], as a record: every work count
+    is its cell's {!Counters.delta}, and [utilization] is derived from
+    [busy_ms], [wall_ms] and [domains].  The one place a [stats] is
+    built: {!run_jobs} passes its batch's wall time and domain count, a
+    server its uptime and worker count. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 
@@ -152,8 +159,8 @@ val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
     pieces ({!spec_key}).  Safe to call concurrently from any
     number of threads or domains — this is the unit of work the
     verification service's scheduler dispatches.  Traffic is counted
-    into the process registry; [counters] is the caller's delta view
-    of it ({!Counters.snapshot}). *)
+    into the process registry; [counters] is the caller's baseline
+    over it ({!stats_of}). *)
 
 val run_jobs :
   ?domains:int -> ?plan:Plan.mode -> session -> request list ->

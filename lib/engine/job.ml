@@ -56,8 +56,6 @@ let describe = function
   | Equal { left; right } ->
       Printf.sprintf "T(%s) = T(%s)" (Spec.name left) (Spec.name right)
 
-let pp_verdict = Verdict.pp
-
 (* Every verdict is stamped with the content address of the universe it
    is relative to; the same serialization feeds the engine's job
    digests, so a cached verdict's provenance matches a fresh one's. *)

@@ -63,5 +63,3 @@ val run : Tset.ctx -> depth:int -> query -> verdict
 val universe_digest : Posl_ident.Universe.t -> string
 (** MD5 (hex) over the universe's canonical rendering — the
     [universe_digest] provenance field {!run} stamps on verdicts. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -214,6 +214,17 @@ let resolve_name specs ~file n =
                    Compose.pp_composability_failure f))
         (Ok acc) rest
 
+let resolve_query specs ~file ~kind names =
+  let* resolved =
+    List.fold_left
+      (fun acc n ->
+        let* acc = acc in
+        let* s = resolve_name specs ~file n in
+        Ok (s :: acc))
+      (Ok []) names
+  in
+  query ~kind (List.rev resolved)
+
 (* Elaborate one entry.  A loader failure keeps the loader's typed
    position (the spec file and offset at fault) while gaining the
    manifest context in its message: ["manifest:line: ..."]. *)
@@ -237,17 +248,8 @@ let request_of_entry ?(path = "manifest") ~load (e : entry) =
               Printf.sprintf "%s:%d: %s" path e.line ie.input_message;
           }
   in
-  let* resolved =
-    List.fold_left
-      (fun acc n ->
-        let* acc = acc in
-        match resolve_name specs ~file:e.file n with
-        | Ok s -> Ok (s :: acc)
-        | Error m -> err m)
-      (Ok []) e.names
-  in
   let* q =
-    match query ~kind:e.kind (List.rev resolved) with
+    match resolve_query specs ~file:e.file ~kind:e.kind e.names with
     | Ok q -> Ok q
     | Error m -> err m
   in

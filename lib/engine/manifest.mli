@@ -75,9 +75,21 @@ val resolve_name :
     left-associated {!Posl_core.Compose.compose} of its parts (so the
     result carries {!Spec.parts} provenance).  [file] names the corpus
     in error messages; an unknown name's error lists the names the
-    corpus declares.  Every name position — manifest entries and the
-    wire protocol's named queries — resolves through here, so
-    composition tokens mean the same thing on every input surface. *)
+    corpus declares.  Every name position resolves through here
+    ({!resolve_query}), so composition tokens mean the same thing on
+    every input surface. *)
+
+val resolve_query :
+  Spec.t list ->
+  file:string ->
+  kind:string ->
+  string list ->
+  (Job.query, string) result
+(** Resolve every name token of a query ({!resolve_name}), then build
+    it ({!query}); [Error] carries the first failure's message.  The
+    one way names become a query: manifest entries, the wire
+    protocol's named queries and the CLI's query commands all call
+    it. *)
 
 val composition_parts : string -> string list
 (** The component names of a name token: ["A||B||C"] → [["A"; "B";

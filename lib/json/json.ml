@@ -66,8 +66,6 @@ let to_string t =
   write buf t;
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* ---------------------------------------------------------------- *)
 (* Parsing — the inverse of the serializer above, accepting standard
    JSON (so documents produced by other tools parse too, not only our

@@ -19,7 +19,6 @@ val escape : string -> string
 (** {!add_escaped} into a fresh string. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse a standard JSON document (the inverse of {!to_string}, but

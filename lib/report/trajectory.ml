@@ -278,12 +278,8 @@ let discover_campaigns dir =
       |> List.sort (fun a b ->
              compare (campaign_number a, a) (campaign_number b, b))
 
-let run ?(slack = 2.0) ?metrics_file ?campaigns ~baseline_dir ~live_dir () =
-  let names =
-    match campaigns with
-    | Some names -> names
-    | None -> discover_campaigns baseline_dir
-  in
+let run ?(slack = 2.0) ?metrics_file ~baseline_dir ~live_dir () =
+  let names = discover_campaigns baseline_dir in
   let file dir name = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
   let against_live name (title, base_rows) =
     match load_campaign (file live_dir name) with

@@ -85,14 +85,12 @@ type t = {
 val run :
   ?slack:float ->
   ?metrics_file:string ->
-  ?campaigns:string list ->
   baseline_dir:string ->
   live_dir:string ->
   unit ->
   (t, string) result
-(** Compare baseline vs live.  [?campaigns] names the campaigns to
-    compare (["P8"; ...]); by default every [BENCH_*.json] under
-    [baseline_dir] is used, in campaign-number order.  [?slack]
+(** Compare baseline vs live: every [BENCH_*.json] under
+    [baseline_dir], in campaign-number order.  [?slack]
     defaults to 2.0.  [?metrics_file] is a Prometheus text exposition
     whose unlabelled samples are appended as a runtime section.
     [Error] when no campaigns are found at all, or when a baseline file

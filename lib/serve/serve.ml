@@ -137,18 +137,10 @@ let named_requests ~origin ~depth (specs, universe) queries =
   List.fold_left
     (fun acc (q : Wire.query_ref) ->
       let* acc = acc in
-      let* resolved =
-        List.fold_left
-          (fun acc name ->
-            let* acc = acc in
-            (* composition tokens ("A||B") resolve here too, so wire
-               queries are planner-eligible like manifest entries *)
-            let* s = Manifest.resolve_name specs ~file:origin name in
-            Ok (s :: acc))
-          (Ok []) q.Wire.names
-        |> Result.map List.rev
+      let* query =
+        Manifest.resolve_query specs ~file:origin ~kind:q.Wire.kind
+          q.Wire.names
       in
-      let* query = Manifest.query ~kind:q.Wire.kind resolved in
       let label =
         Printf.sprintf "%s: %s" (Filename.basename origin)
           (Job.describe query)
@@ -220,12 +212,16 @@ let ok_op op rest = Json.Obj (("ok", Json.Bool true) :: ("op", Json.Str op) :: r
 
 let stats_json server =
   let depth = match server.sched with Some s -> Sched.depth s | None -> 0 in
-  let c = Counters.snapshot server.counters in
+  let uptime_ms =
+    float_of_int (Telemetry.now_ns () - server.started_ns) /. 1e6
+  in
+  let engine =
+    Engine.stats_of server.counters ~wall_ms:uptime_ms
+      ~domains:server.cfg.workers
+  in
   ok_op "stats"
     [
-      ( "uptime_ms",
-        Json.Float
-          (float_of_int (Telemetry.now_ns () - server.started_ns) /. 1e6) );
+      ("uptime_ms", Json.Float uptime_ms);
       ("connections_total", Json.Int (Metrics.value connections_total));
       ("requests_total", Json.Int (Metrics.value requests_total));
       ("rejected_total", Json.Int (Metrics.value rejected_total));
@@ -236,22 +232,7 @@ let stats_json server =
       ("spans_dropped", Json.Int (Telemetry.dropped ()));
       ("cache_entries", Json.Int (Cache.size (Engine.session_cache server.session)));
       ("store", Json.Bool (Engine.session_store server.session <> None));
-      ( "engine",
-        Json.Obj
-          [
-            ("jobs", Json.Int c.Counters.jobs);
-            ("cache_hits", Json.Int c.Counters.hits);
-            ("cache_misses", Json.Int c.Counters.misses);
-            ("uncacheable", Json.Int c.Counters.uncacheable);
-            ("store_hits", Json.Int c.Counters.store_hits);
-            ("store_misses", Json.Int c.Counters.store_misses);
-            ("store_writes", Json.Int c.Counters.store_writes);
-            ("derived_hits", Json.Int c.Counters.derived_hits);
-            ("plan_fallbacks", Json.Int c.Counters.plan_fallbacks);
-            ("dfa_cache_hits", Json.Int c.Counters.dfa_hits);
-            ("dfa_compiles", Json.Int c.Counters.dfa_compiles);
-            ("busy_ms", Json.Float c.Counters.busy_ms);
-          ] );
+      ("engine", Json.Obj (Wire.stats_fields engine));
     ]
 
 let submit_response ~trace_id ~info jobs =

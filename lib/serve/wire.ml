@@ -242,23 +242,27 @@ let json_of_result (r : Engine.result) =
       ("verdict", Verdict.to_json r.Engine.verdict);
     ]
 
-let json_of_stats (s : Engine.stats) ~failed =
-  Json.Obj
-    [
-      ("jobs", Json.Int s.Engine.jobs);
-      ("failed", Json.Int failed);
-      ("cache_hits", Json.Int s.Engine.cache_hits);
-      ("cache_misses", Json.Int s.Engine.cache_misses);
-      ("uncacheable", Json.Int s.Engine.uncacheable);
-      ("store_hits", Json.Int s.Engine.store_hits);
-      ("store_misses", Json.Int s.Engine.store_misses);
-      ("store_writes", Json.Int s.Engine.store_writes);
-      ("derived_hits", Json.Int s.Engine.derived_hits);
-      ("plan_fallbacks", Json.Int s.Engine.plan_fallbacks);
-      ("dfa_cache_hits", Json.Int s.Engine.dfa_cache_hits);
-      ("dfa_compiles", Json.Int s.Engine.dfa_compiles);
-      ("busy_ms", Json.Float s.Engine.busy_ms);
-      ("wall_ms", Json.Float s.Engine.wall_ms);
-      ("domains", Json.Int s.Engine.domains);
-      ("utilization", Json.Float s.Engine.utilization);
-    ]
+let stats_fields (s : Engine.stats) =
+  [
+    ("jobs", Json.Int s.Engine.jobs);
+    ("cache_hits", Json.Int s.Engine.cache_hits);
+    ("cache_misses", Json.Int s.Engine.cache_misses);
+    ("uncacheable", Json.Int s.Engine.uncacheable);
+    ("store_hits", Json.Int s.Engine.store_hits);
+    ("store_misses", Json.Int s.Engine.store_misses);
+    ("store_writes", Json.Int s.Engine.store_writes);
+    ("derived_hits", Json.Int s.Engine.derived_hits);
+    ("plan_fallbacks", Json.Int s.Engine.plan_fallbacks);
+    ("dfa_cache_hits", Json.Int s.Engine.dfa_cache_hits);
+    ("dfa_compiles", Json.Int s.Engine.dfa_compiles);
+    ("antichain_pairs", Json.Int s.Engine.antichain_pairs);
+    ("antichain_prunes", Json.Int s.Engine.antichain_prunes);
+    ("interned_states", Json.Int s.Engine.interned_states);
+    ("busy_ms", Json.Float s.Engine.busy_ms);
+    ("wall_ms", Json.Float s.Engine.wall_ms);
+    ("domains", Json.Int s.Engine.domains);
+    ("utilization", Json.Float s.Engine.utilization);
+  ]
+
+let json_of_stats s ~failed =
+  Json.Obj (stats_fields s @ [ ("failed", Json.Int failed) ])

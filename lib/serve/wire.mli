@@ -93,8 +93,15 @@ val error_json : error_code -> string -> Json.t
 (** {1 Shared result serialization}
 
     The CLI's [batch --json] documents and the server's [submit]
-    responses carry the same per-result and stats objects — one
-    serializer, used by both. *)
+    responses carry the same per-result objects, and batch's stats
+    object and the [stats] op's [engine] object the same fields — one
+    serializer for each, used by both. *)
 
 val json_of_result : Engine.result -> Json.t
+
+val stats_fields : Engine.stats -> (string * Json.t) list
+(** Every {!Engine.stats} field, keyed by its name: the one field list
+    behind batch's stats object and the [stats] op's [engine] object. *)
+
 val json_of_stats : Engine.stats -> failed:int -> Json.t
+(** {!stats_fields} plus [failed], the results that do not hold. *)

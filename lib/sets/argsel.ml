@@ -37,9 +37,7 @@ let inter a b =
 
 let diff a b = inter a (compl b)
 let is_empty t = (not t.allow_none) && Vset.is_empty t.values
-let is_full t = t.allow_none && Vset.is_full t.values
 let subset a b = is_empty (diff a b)
-let equal a b = a.allow_none = b.allow_none && Vset.equal a.values b.values
 let allow_none t = t.allow_none
 let values t = t.values
 

@@ -26,9 +26,7 @@ val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
 val is_empty : t -> bool
-val is_full : t -> bool
 val subset : t -> t -> bool
-val equal : t -> t -> bool
 val allow_none : t -> bool
 val values : t -> Vset.t
 

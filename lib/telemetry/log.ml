@@ -1,24 +1,17 @@
-(* Leveled structured logging as JSON lines, streamed to an optional
+(* Structured logging as JSON lines, streamed to an optional
    sink.  An event is rendered only when a sink is installed: with none
    there is no reader, so nothing is built or kept. *)
 
-type level = Debug | Info | Warn | Error
-
-let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
+type level = Info | Warn | Error
 
 let level_name = function
-  | Debug -> "debug"
   | Info -> "info"
   | Warn -> "warn"
   | Error -> "error"
 
 type field = S of string | I of int | F of float | B of bool
 
-let threshold = Atomic.make (level_rank Info)
 let sink : (string -> unit) option Atomic.t = Atomic.make None
-
-let set_level l = Atomic.set threshold (level_rank l)
-let enabled l = level_rank l >= Atomic.get threshold
 let set_sink s = Atomic.set sink s
 
 (* --- JSON rendering ------------------------------------------------- *)
@@ -65,13 +58,12 @@ let render ~level ~trace_id ~fields name =
 (* --- Emission ------------------------------------------------------- *)
 
 let event ?(level = Info) ?trace_id ?(fields = []) name =
-  if enabled level then
-    match Atomic.get sink with
-    | None -> ()
-    | Some write ->
-        let trace_id =
-          match trace_id with
-          | Some _ -> trace_id
-          | None -> (Telemetry.current_context ()).Telemetry.trace_id
-        in
-        write (render ~level ~trace_id ~fields name)
+  match Atomic.get sink with
+  | None -> ()
+  | Some write ->
+      let trace_id =
+        match trace_id with
+        | Some _ -> trace_id
+        | None -> (Telemetry.current_context ()).Telemetry.trace_id
+      in
+      write (render ~level ~trace_id ~fields name)

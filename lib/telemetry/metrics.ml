@@ -192,16 +192,3 @@ let expose ?(registry = default) () =
     items;
   Buffer.contents b
 
-let reset ?(registry = default) () =
-  Mutex.lock registry.mu;
-  let items = registry.items in
-  Mutex.unlock registry.mu;
-  List.iter
-    (fun m ->
-      match m with
-      | C c -> Atomic.set c.c_v 0
-      | G g -> Atomic.set g.g_v 0.
-      | H h ->
-          Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
-          Atomic.set h.h_sum 0.)
-    items

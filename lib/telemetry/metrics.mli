@@ -60,6 +60,3 @@ val expose : ?registry:registry -> unit -> string
 (** Prometheus text exposition ([# HELP]/[# TYPE] headers, cumulative
     [_bucket{le="..."}] lines plus [_sum]/[_count] for histograms).
     All-zero leading buckets and the saturated tail are elided. *)
-
-val reset : ?registry:registry -> unit -> unit
-(** Zero every metric in the registry (metrics stay registered). *)

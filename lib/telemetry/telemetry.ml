@@ -235,9 +235,12 @@ let dropped () =
     (fun acc r -> acc + max 0 (r.written - Array.length r.buf))
     0 (all_rings ())
 
+(* A fresh buffer, not just a zeroed count: the old one would keep up
+   to [ring_cap] spans and their attributes reachable. *)
 let reset () =
   List.iter
     (fun r ->
+      r.buf <- Array.make initial_cap dummy;
       r.written <- 0;
       r.stack <- [];
       r.ctxs <- [])

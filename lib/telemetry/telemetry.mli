@@ -102,7 +102,8 @@ val dropped : unit -> int
 (** Number of completed spans overwritten by ring wrap-around. *)
 
 val reset : unit -> unit
-(** Discard all recorded spans (rings stay registered). *)
+(** Discard all recorded spans: rings stay registered, each with a
+    fresh small buffer, so the discarded spans become garbage. *)
 
 val trace_json : unit -> string
 (** The recorded spans as Chrome [trace_event] JSON (complete ["X"]

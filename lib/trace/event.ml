@@ -40,7 +40,6 @@ let compare a b =
       if c <> 0 then c else Option.compare Value.compare a.arg b.arg
 
 let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (t.caller, t.callee, t.mth, t.arg)
 
 let pp ppf t =
   match t.arg with
@@ -48,8 +47,6 @@ let pp ppf t =
   | Some d ->
       Format.fprintf ppf "<%a,%a,%a(%a)>" Oid.pp t.caller Oid.pp t.callee
         Mth.pp t.mth Value.pp d
-
-let to_string t = Format.asprintf "%a" pp t
 
 module Set = Set.Make (struct
   type nonrec t = t

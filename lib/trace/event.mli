@@ -33,9 +33,7 @@ val has_mth : Mth.t -> t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -57,8 +57,6 @@ let is_prefix_of (p : t) (t : t) =
 
 let equal (a : t) (b : t) = List.equal Event.equal a b
 
-let compare (a : t) (b : t) = List.compare Event.compare a b
-
 (* The finite set of object identities occurring in a trace; used to
    decide per-object quantified predicates such as Example 2's
    [∀x ∈ Objects : h/x prs ...] on concrete traces. *)
@@ -76,5 +74,3 @@ let pp ppf (t : t) =
            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
            Event.pp)
         t
-
-let to_string t = Format.asprintf "%a" pp t

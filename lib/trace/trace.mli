@@ -44,7 +44,6 @@ val prefixes : t -> t list
 val proper_prefixes : t -> t list
 val is_prefix_of : t -> t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val objects : t -> Posl_ident.Oid.Set.t
 (** The finite set of object identities occurring in the trace; decides
@@ -52,4 +51,3 @@ val objects : t -> Posl_ident.Oid.Set.t
     concrete traces. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -198,26 +198,29 @@ spec CompR {
 
 let depth = 4
 
-(* What the engine answers directly, bypassing the server. *)
-let direct_verdict ?plan kind names =
+(* The engine requests the server builds from a [spec_text]
+   submission of [queries], built here without it. *)
+let direct_requests queries =
   let specs =
     match Lang.specs_of_string spec_text with
     | Ok s -> s
     | Error e -> Alcotest.failf "spec_text: %a" Lang.pp_error e
   in
   let universe = Spec.adequate_universe ~extra_objects:2 specs in
-  let resolved =
-    List.map
-      (fun n ->
-        match Posl_engine.Manifest.resolve_name specs ~file:"spec_text" n with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "resolve %s: %s" n e)
-      names
-  in
-  let query = Result.get_ok (Posl_engine.Manifest.query ~kind resolved) in
+  List.map
+    (fun (kind, names) ->
+      match
+        Posl_engine.Manifest.resolve_query specs ~file:"spec_text" ~kind names
+      with
+      | Ok q -> Engine.request ~depth ~universe q
+      | Error e ->
+          Alcotest.failf "resolve %s: %s" (String.concat " " names) e)
+    queries
+
+(* What the engine answers directly, bypassing the server. *)
+let direct_verdict ?plan kind names =
   let results, _ =
-    Engine.run_batch ~domains:1 ?plan
-      [ Engine.request ~depth ~universe query ]
+    Engine.run_batch ~domains:1 ?plan (direct_requests [ (kind, names) ])
   in
   (List.hd results).Engine.verdict
 
@@ -463,6 +466,56 @@ let test_stats_count_dfa_compiles () =
       | _ -> Alcotest.fail "engine.dfa_compiles is not an int");
       Alcotest.(check bool) "metrics: posl_engine_dfa_compiles_total grew" true
         (compiles_total () > before))
+
+(* A batch and a server that answer the same requests report the same
+   traffic through the same field list: batch's [json_of_stats] and the
+   [stats] op's [engine] object carry the same keys ([failed] aside),
+   the work counts among them, with equal values.  One worker on each
+   side, so no benign duplicate compile can differ. *)
+let test_batch_and_server_report_one_record () =
+  let queries =
+    [
+      ("refine", [ "A"; "B" ]);
+      ("refine", [ "B"; "A" ]);
+      ("equal", [ "A"; "Rev" ]);
+      ("refine", [ "CompL||CompR"; "CompL2||CompR" ]);
+      ("compose", [ "CompL"; "CompR" ]);
+      ("refine", [ "A"; "B" ]);
+    ]
+  in
+  let _, stats =
+    Engine.run_jobs ~domains:1 (Engine.session ()) (direct_requests queries)
+  in
+  let batch =
+    match Wire.json_of_stats stats ~failed:0 with
+    | Json.Obj fields -> List.remove_assoc "failed" fields
+    | _ -> Alcotest.fail "batch stats is not an object"
+  in
+  with_server ~workers:1 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      ignore (call_ok c (submit queries));
+      let served =
+        match get_field "engine" (call_ok c (Wire.request_json Wire.Stats)) with
+        | Json.Obj fields -> fields
+        | _ -> Alcotest.fail "engine is not an object"
+      in
+      Alcotest.(check (list string)) "same traffic keys"
+        (List.sort compare (List.map fst batch))
+        (List.sort compare (List.map fst served));
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " reported") true (List.mem_assoc k served))
+        [ "antichain_pairs"; "antichain_prunes"; "interned_states" ];
+      Alcotest.(check bool) "the batch did product-walk work" true
+        (stats.Engine.antichain_pairs > 0 && stats.Engine.interned_states > 0);
+      List.iter
+        (fun (k, v) ->
+          match (v, List.assoc_opt k served) with
+          | Json.Int b, Some (Json.Int s) -> Util.check_int k b s
+          | Json.Int _, _ -> Alcotest.failf "%s: not an int on the server" k
+          | _ -> ())
+        batch)
 
 (* A [file] submission reads its file on every request: once an edit
    renames a spec, the old name is an input error, not a verdict
@@ -835,6 +888,8 @@ let suite =
       test_repeat_hits_warm_cache;
     Alcotest.test_case "live: stats and metrics count DFA compiles" `Quick
       test_stats_count_dfa_compiles;
+    Alcotest.test_case "live: batch and server report one traffic record"
+      `Quick test_batch_and_server_report_one_record;
     Alcotest.test_case "live: file submissions re-read an edited file" `Quick
       test_file_submission_sees_edits;
     Alcotest.test_case "live: manifest submissions reuse the parse memo"
