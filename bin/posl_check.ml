@@ -96,20 +96,17 @@ let write_file path content =
     Ok ()
   with Sys_error m -> Error (Input m)
 
-let load file =
-  match Lang.specs_of_file file with
-  | Ok specs -> Ok specs
-  | Error e -> Error (Input (Format.asprintf "%s: %a" file Lang.pp_error e))
-  | exception Sys_error m -> Error (Input m)
+(* A spec file's specs and the adequate universe queries over it are
+   posed in, through the loader manifests use. *)
+let load ~extra file =
+  Result.map_error
+    (fun e -> Input (Manifest.input_error_message e))
+    (Manifest.file_loader_typed ~extra_objects:extra () file)
 
 (* A spec name or an ["A||B"] composition token, resolved as a manifest
    entry's is. *)
 let resolve specs ~file name =
   Result.map_error (fun m -> Input m) (Manifest.resolve_name specs ~file name)
-
-let context specs extra_objects =
-  let universe = Spec.adequate_universe ~extra_objects specs in
-  Tset.ctx universe
 
 (* Run [f], which answers queries; a query whose closure outgrows the
    context's cap has no verdict, which is an input-side error (the
@@ -117,11 +114,7 @@ let context specs extra_objects =
 let answering f =
   try f ()
   with Job.Overflow { query; cap } ->
-    Error
-      (Input
-         (Printf.sprintf
-            "%s: hidden-event closure exceeds the %d-composite cap; no verdict"
-            query cap))
+    Error (Input (Job.overflow_message ~query ~cap))
 
 (* Shared options. *)
 let file_arg =
@@ -293,7 +286,7 @@ let query_kinds =
 let query_cmd (kind, docvs, doc) =
   let run file names depth extra json store_dir trace metrics =
     code
-      (let* specs = load file in
+      (let* specs, universe = load ~extra file in
        let* query =
          Result.map_error
            (fun m -> Input m)
@@ -303,9 +296,8 @@ let query_cmd (kind, docvs, doc) =
        let* verdict =
          answering @@ fun () ->
          with_store_opt store_dir @@ function
-         | None -> Ok (Job.run (context specs extra) ~depth query)
+         | None -> Ok (Job.run (Tset.ctx universe) ~depth query)
          | Some s ->
-             let universe = Spec.adequate_universe ~extra_objects:extra specs in
              let req = Engine.request ~depth ~universe query in
              let results, _ = Engine.run_batch ~domains:1 ~store:s [ req ] in
              Ok (List.hd results).Engine.verdict
@@ -337,7 +329,7 @@ let query_cmd (kind, docvs, doc) =
 let show_cmd =
   let run file =
     code
-      (let* specs = load file in
+      (let* specs, _ = load ~extra:2 file in
        List.iter (fun s -> Format.printf "%a@.@." Spec.pp s) specs;
        Ok ())
   in
@@ -381,9 +373,9 @@ let run_cmd =
 let simulate_cmd =
   let run file name steps seed extra =
     code
-      (let* specs = load file in
+      (let* specs, universe = load ~extra file in
        let* s = resolve specs ~file name in
-       let ctx = context specs extra in
+       let ctx = Tset.ctx universe in
        let alphabet = Spec.concrete_alphabet (Tset.universe ctx) s in
        let rng = Random.State.make [| seed |] in
        let rec walk h n =
@@ -419,10 +411,10 @@ let simulate_cmd =
 let consistent_cmd =
   let run file left right depth extra json =
     code
-      (let* specs = load file in
+      (let* specs, universe = load ~extra file in
        let* a = resolve specs ~file left in
        let* b = resolve specs ~file right in
-       let v = Posl_core.Consistency.verdict ~depth (context specs extra) a b in
+       let v = Posl_core.Consistency.verdict ~depth (Tset.ctx universe) a b in
        print_verdict ~json
          ~label:(Printf.sprintf "consistent(%s, %s)" left right)
          ~kind:"consistent" ~depth v)
@@ -593,7 +585,7 @@ let metrics_cmd =
   let run manifest depth extra domains plan store_dir =
     code
       (let* () =
-         (* observe the run with the GC alarm + pause heartbeat, so the
+         (* observe the run with the pause heartbeat, so the
             exposition includes live gc/heap gauges and the
             posl_gc_pause_ms histogram *)
          run_manifest ~manifest ~depth ~extra ~domains ~plan ~store_dir

@@ -42,17 +42,17 @@ val query : universe:Universe.t -> depth:int -> Job.query -> t option
     A key is assembled from one piece per universe and one per
     specification body, so a caller that asks about the same spec
     values again can keep the pieces instead of re-serialising them.
-    {!Engine.session} does: it keeps each spec value's {!spec_key}
-    (weakly, by physical identity, for a structurally equal universe
-    only) and each universe's {!universe_key}, and its keys are
-    byte-identical to {!query_base}'s. *)
+    The engine does: each spec value keeps its own {!spec_key}
+    ({!Spec.keyed}, for a structurally equal universe only), an
+    {!Engine.session} keeps each universe's {!universe_key}, and the
+    keys assembled from them are byte-identical to {!query_base}'s. *)
 
 val spec_key : universe:Universe.t -> Spec.t -> string option
 (** The canonical serialization of one specification body: its name,
     objects, alphabet and trace set, the last expanded over
     [universe]'s objects at [Forall_obj] nodes.  [None] on opaque
     trace sets.  Computed afresh on every call; {!Engine.spec_key} is
-    a session's memo of it. *)
+    the value's own memo of it. *)
 
 val universe_key : Universe.t -> string
 (** The serialization of a universe sample, as a key embeds it. *)

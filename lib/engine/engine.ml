@@ -4,8 +4,10 @@
     Design notes.
 
     - {e Batch-level parallelism only.}  Jobs fan out over
-      {!Posl_par.Par.map_dyn}; each job's own exploration is a serial
-      walk.  Verification batches have enough inter-job parallelism.
+      {!Posl_par.Par.map_dyn}, a pool of worker domains for the batch
+      with the caller among them; each job's own exploration is a
+      serial walk.  Verification batches have enough inter-job
+      parallelism.
     - {e Shared monitor contexts.}  [Tset.ctx] is abstract and its
       compiled-automata memo is a mutex-guarded {!Posl_tset.Prs_cache},
       so one context per universe is shared by {e all} worker domains:
@@ -346,11 +348,6 @@ let run_jobs ?domains ?plan s requests =
     match domains with Some d -> max 1 d | None -> Par.default_domains ()
   in
   let counters = Counters.create () in
-  (* Build the shared context of every distinct universe before the
-     workers start, so scheduling never races on context creation
-     (structurally equal universes share one context through the
-     session registry). *)
-  List.iter (fun req -> ignore (session_ctx s req.universe)) requests;
   Metrics.set domains_gauge (float_of_int domains);
   let t0 = now_ns () in
   let results =
@@ -358,7 +355,14 @@ let run_jobs ?domains ?plan s requests =
       ~attrs:
         [ ("jobs", string_of_int (List.length requests));
           ("domains", string_of_int domains) ]
-      (fun () -> Par.map_dyn ~domains (answer ?plan s counters) requests)
+      (fun () ->
+        (* every job nests under the batch span, on whichever domain
+           answers it *)
+        let ctx = Telemetry.current_context () in
+        Par.map_dyn ~domains
+          (fun req ->
+            Telemetry.with_context ctx (fun () -> answer ?plan s counters req))
+          requests)
   in
   let wall_ms = float_of_int (now_ns () - t0) /. 1e6 in
   (results, stats_of counters ~wall_ms ~domains)

@@ -2,7 +2,8 @@
 
     Accepts a batch of check {!request}s (the five query kinds of
     {!Job}), schedules them across OCaml 5 domains through
-    {!Posl_par.Par.map_dyn}'s dynamic work queue, and memoizes verdicts
+    {!Posl_par.Par.map_dyn} (a pool of worker domains for the batch,
+    the caller working the same queue), and memoizes verdicts
     in a content-addressed {!Cache} keyed by {!Digest}.  Parallelism
     lives at the batch level: each job runs its own state-space
     exploration serially, so domains are never nested.  Monitor
@@ -158,7 +159,7 @@ val answer : ?plan:Plan.mode -> session -> Counters.t -> request -> result
     planner's component and premise keys — is assembled from memoised
     pieces ({!spec_key}).  Safe to call concurrently from any
     number of threads or domains — this is the unit of work the
-    verification service's scheduler dispatches.  Traffic is counted
+    verification service's worker pool runs.  Traffic is counted
     into the process registry; [counters] is the caller's baseline
     over it ({!stats_of}). *)
 
@@ -166,8 +167,12 @@ val run_jobs :
   ?domains:int -> ?plan:Plan.mode -> session -> request list ->
   result list * stats
 (** Answer every request over the session's warm state, scheduled
-    across [domains] workers; results are order-stable with the input.
-    Stats cover exactly this call's traffic.  [plan] (default [Auto])
+    across [domains] workers, the caller among them; results are
+    order-stable with the input.  If requests raise, the earliest
+    failing one's exception is re-raised ({!Posl_par.Par.map_dyn}).
+    Traced, every job's ["engine.job"] span nests under the call's
+    ["engine.batch"] span, on every worker domain.  Stats cover
+    exactly this call's traffic.  [plan] (default [Auto])
     selects whether composite queries may be answered by the
     compositional planner; [Plan.Off] restores pure direct checking. *)
 

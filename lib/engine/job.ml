@@ -103,6 +103,11 @@ let decide (ctx : Tset.ctx) ~depth query : verdict =
 
 exception Overflow of { query : string; cap : int }
 
+let overflow_message ~query ~cap =
+  Printf.sprintf
+    "%s: hidden-event closure exceeds the %d-composite cap; no verdict" query
+    cap
+
 let run ctx ~depth query =
   try decide ctx ~depth query
   with Tset.Closure_overflow _ ->

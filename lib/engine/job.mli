@@ -55,6 +55,12 @@ exception Overflow of { query : string; cap : int }
     context's cap of [cap] composites ({!Tset.Closure_overflow}); the
     query, named by {!describe}, has no verdict. *)
 
+val overflow_message : query:string -> cap:int -> string
+(** The one rendering of an {!Overflow}: ["QUERY: hidden-event closure
+    exceeds the CAP-composite cap; no verdict"], what the CLI prints
+    before exiting 2 and what the server's typed [input] error
+    carries. *)
+
 val run : Tset.ctx -> depth:int -> query -> verdict
 (** Decide the query over [ctx]'s universe.  Deterministic: equal
     inputs produce {!Verdict.equal} verdicts.

@@ -117,8 +117,9 @@ type typed_loader = string -> (Spec.t list * Universe.t, input_error) result
     loader).  A half-saved file yields a diagnostic, not a crash. *)
 
 val file_loader_typed : extra_objects:int -> unit -> typed_loader
-(** The filesystem loader the CLI uses: {!Posl_lang.Lang.specs_of_file}
-    plus {!Spec.adequate_universe}, memoized per path for the lifetime
+(** The filesystem loader of batch and of the CLI's single-file
+    commands: each file's text through {!specs_of_source}, memoized
+    per path for the lifetime
     of the returned closure.  A parse failure carries the spec file and
     the byte offset of the failing position. *)
 
@@ -127,9 +128,11 @@ val specs_of_source :
   file:string ->
   string ->
   (Spec.t list * Universe.t, input_error) result
-(** Parse spec-file {e text} already in hand (the watch loop reads and
-    digests file content itself): specs plus their adequate universe,
-    or a typed error positioned in [file]. *)
+(** Parse spec-file {e text} already in hand: specs plus their
+    adequate universe, or a typed error positioned in [file].  The one
+    spec-file loader: {!file_loader_typed}, the server and the watch
+    loop (which reads and digests file content itself) all parse
+    through it. *)
 
 val request_of_entry :
   ?path:string ->

@@ -29,16 +29,6 @@ let specs_of_string (src : string) : (Posl_core.Spec.t list, error) result =
       | specs -> Ok specs
       | exception Elab.Elab_error (message, pos) -> Error { message; pos })
 
-let specs_of_file (path : string) :
-    (Posl_core.Spec.t list, error) result =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  specs_of_string src
-
 let lookup (specs : Posl_core.Spec.t list) (name : string) :
     Posl_core.Spec.t option =
   List.find_opt (fun s -> String.equal (Posl_core.Spec.name s) name) specs

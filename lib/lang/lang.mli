@@ -25,7 +25,4 @@ val parse_string : string -> (Ast.file, error) result
 val specs_of_string : string -> (Posl_core.Spec.t list, error) result
 (** Lex + parse + elaborate. *)
 
-val specs_of_file : string -> (Posl_core.Spec.t list, error) result
-(** May raise [Sys_error] on unreadable paths. *)
-
 val lookup : Posl_core.Spec.t list -> string -> Posl_core.Spec.t option

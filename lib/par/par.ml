@@ -1,14 +1,5 @@
-(** Minimal fork/join parallelism over OCaml 5 domains.
-
-    The batch engine fans independent verification jobs out over a
-    handful of domains, and the verification service sizes its worker
-    pool from {!default_domains}.  The build environment has no
-    domainslib, so this module provides the one combinator needed — an
-    order-stable, dynamically scheduled parallel [map] — on stock
-    [Domain]s.
-
-    Exceptions raised by worker tasks are re-raised in the caller, after
-    all domains have joined. *)
+(* The process's one worker pool, on stock [Domain]s (no domainslib
+   in the build environment). *)
 
 let default_domains () =
   match Sys.getenv_opt "POSL_DOMAINS" with
@@ -18,54 +9,104 @@ let default_domains () =
       | Some _ | None -> 1)
   | None -> min 4 (Domain.recommended_domain_count ())
 
-(** [map_dyn ~domains f xs] = [List.map f xs], computed by [domains]
-    domains pulling indices from a shared mutex-protected queue.  Fast
-    workers take over the stragglers' backlog, so uneven per-item cost
-    (verification jobs vary by orders of magnitude) does not leave
-    domains idle the way a static block partition would.  A condition
-    variable is unnecessary: the work list is fixed at the start, so an
-    empty queue means done, never "wait for a producer".
+type 'a pool = {
+  run : 'a -> unit;
+  lock : Mutex.t;
+  nonempty : Condition.t;
+  queue : 'a Queue.t;
+  max_queue : int;
+  mutable stopping : bool;
+  mutable workers : unit Domain.t list;
+}
 
-    Results are order-stable; the first worker exception is re-raised
-    in the caller after all domains have joined (remaining queue items
-    are abandoned once an exception is recorded).  [domains <= 1], or
-    an input shorter than [2 * domains], degrades to the sequential
-    map. *)
+type outcome = Accepted | Overloaded | Stopped
+
+(* The one worker loop: run the oldest item, wait while the queue is
+   empty, return once it is empty and the pool is stopping. *)
+let rec work t =
+  Mutex.lock t.lock;
+  while Queue.is_empty t.queue && not t.stopping do
+    Condition.wait t.nonempty t.lock
+  done;
+  let item = Queue.take_opt t.queue in
+  Mutex.unlock t.lock;
+  match item with
+  | None -> ()
+  | Some x ->
+      (try t.run x with _ -> ());
+      work t
+
+let pool ~workers ~max_queue run =
+  let t =
+    {
+      run;
+      lock = Mutex.create ();
+      nonempty = Condition.create ();
+      queue = Queue.create ();
+      max_queue;
+      stopping = false;
+      workers = [];
+    }
+  in
+  t.workers <-
+    List.init (max 0 workers) (fun _ -> Domain.spawn (fun () -> work t));
+  t
+
+let submit_all t items =
+  Mutex.protect t.lock @@ fun () ->
+  if t.stopping then Stopped
+  else if Queue.length t.queue + List.length items > t.max_queue then Overloaded
+  else begin
+    List.iter (fun x -> Queue.push x t.queue) items;
+    (match items with
+    | [ _ ] -> Condition.signal t.nonempty
+    | _ -> Condition.broadcast t.nonempty);
+    Accepted
+  end
+
+let depth t = Mutex.protect t.lock (fun () -> Queue.length t.queue)
+
+let drain t =
+  let workers =
+    Mutex.protect t.lock @@ fun () ->
+    t.stopping <- true;
+    Condition.broadcast t.nonempty;
+    let ws = t.workers in
+    t.workers <- [];
+    ws
+  in
+  work t;
+  List.iter Domain.join workers
+
+(* An item is skipped only when an earlier one has failed, and the
+   queue is FIFO, so every item up to the earliest failing one runs:
+   the exception re-raised is that item's, whatever the timing, and no
+   skipped item is read. *)
 let map_dyn ?domains f xs =
   let domains = match domains with Some d -> d | None -> default_domains () in
-  let input = Array.of_list xs in
-  let n = Array.length input in
+  let n = List.length xs in
   if domains <= 1 || n < 2 * domains then List.map f xs
   else begin
-    let output = Array.make n None in
-    let error = Atomic.make None in
-    let next = ref 0 in
-    let queue_lock = Mutex.create () in
-    let take () =
-      Mutex.lock queue_lock;
-      let i = !next in
-      if i < n then incr next;
-      Mutex.unlock queue_lock;
-      if i < n then Some i else None
+    let results = Array.make n None in
+    let first_failure = Atomic.make n in
+    let rec lower i =
+      let k = Atomic.get first_failure in
+      if i < k && not (Atomic.compare_and_set first_failure k i) then lower i
     in
-    let rec worker () =
-      if Atomic.get error = None then
-        match take () with
-        | None -> ()
-        | Some i ->
-            (try output.(i) <- Some (f input.(i))
-             with exn ->
-               ignore (Atomic.compare_and_set error None (Some exn)));
-            worker ()
+    let t =
+      pool ~workers:(domains - 1) ~max_queue:n (fun (i, x) ->
+          if i < Atomic.get first_failure then
+            match f x with
+            | y -> results.(i) <- Some (Ok y)
+            | exception e ->
+                results.(i) <- Some (Error e);
+                lower i)
     in
-    let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    (match Atomic.get error with Some exn -> raise exn | None -> ());
-    Array.to_list
-      (Array.map
-         (function
-           | Some y -> y
-           | None -> invalid_arg "Par.map_dyn: missing result (worker died)")
-         output)
+    ignore (submit_all t (List.mapi (fun i x -> (i, x)) xs));
+    drain t;
+    List.init n (fun i ->
+        match results.(i) with
+        | Some (Ok y) -> y
+        | Some (Error e) -> raise e
+        | None -> assert false)
   end

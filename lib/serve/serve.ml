@@ -29,6 +29,14 @@ let expired_total =
   Metrics.counter ~help:"Jobs dropped because their deadline passed while queued"
     "posl_serve_expired_total"
 
+let queue_depth =
+  Metrics.gauge ~help:"Items waiting in the serve admission queue"
+    "posl_serve_queue_depth"
+
+let queue_wait_ms =
+  Metrics.histogram ~help:"Admission-queue wait, enqueue to dequeue (ms)"
+    "posl_serve_queue_wait_ms"
+
 type config = {
   addr : Wire.addr;
   workers : int;
@@ -56,7 +64,7 @@ let fresh_trace_id () = Printf.sprintf "r%06d" (Atomic.fetch_and_add next_trace 
 
 (* One queued verification job: the request plus a one-shot mailbox the
    submitting connection thread blocks on. *)
-type reply = Done of Engine.result | Expired | Failed of string
+type reply = Done of Engine.result | Expired | Failed of Wire.error_code * string
 
 type job = {
   req : Engine.request;
@@ -65,6 +73,7 @@ type job = {
   ctx : Telemetry.context;
       (* the submitting request's handle-span context; re-rooted on the
          worker domain so engine spans join the request tree *)
+  enqueued_ns : int;
   cell_lock : Mutex.t;
   cell_cond : Condition.t;
   mutable reply : reply option;
@@ -90,7 +99,7 @@ type server = {
   cfg : config;
   session : Engine.session;
   counters : Counters.t;  (* server-lifetime delta over the registry *)
-  mutable sched : job Sched.t option;  (* set once, before accepting *)
+  mutable pool : job Par.pool option;  (* set once, before accepting *)
   stop : bool Atomic.t;
   started_ns : int;
   active_conns : int Atomic.t;
@@ -103,7 +112,7 @@ type server = {
   text_memo : (int * string, Spec.t list * Posl_ident.Universe.t) Hashtbl.t;
 }
 
-let sched server = Option.get server.sched
+let pool server = Option.get server.pool
 
 (* --- spec sources ----------------------------------------------------- *)
 
@@ -174,14 +183,17 @@ let requests_of_submit server (s : Wire.submit) =
 
 (* --- worker ----------------------------------------------------------- *)
 
-let run_job server ~wait_ns job =
+let run_job server job =
+  let dequeued_ns = Telemetry.now_ns () in
+  let wait_ns = dequeued_ns - job.enqueued_ns in
   job.wait_ns <- wait_ns;
+  Metrics.set queue_depth (float_of_int (Par.depth (pool server)));
+  Metrics.observe queue_wait_ms (float_of_int wait_ns /. 1e6);
   (* The wait happened on the submitting side of the queue; record it
      as a completed span of the request's tree, timed from enqueue. *)
-  let dequeued_ns = Telemetry.now_ns () in
   Telemetry.emit ~context:job.ctx "serve.queue_wait"
     ~attrs:[ ("wait_ms", Printf.sprintf "%.3f" (float_of_int wait_ns /. 1e6)) ]
-    ~start_ns:(dequeued_ns - wait_ns) ~dur_ns:wait_ns;
+    ~start_ns:job.enqueued_ns ~dur_ns:wait_ns;
   let expired =
     match job.deadline_ns with
     | Some d when dequeued_ns > d -> true
@@ -204,14 +216,16 @@ let run_job server ~wait_ns job =
           Engine.answer server.session server.counters job.req)
     with
     | result -> deliver job (Done result)
-    | exception e -> deliver job (Failed (Printexc.to_string e))
+    | exception Job.Overflow { query; cap } ->
+        deliver job (Failed (Wire.Input, Job.overflow_message ~query ~cap))
+    | exception e -> deliver job (Failed (Wire.Internal, Printexc.to_string e))
 
 (* --- request handling ------------------------------------------------- *)
 
 let ok_op op rest = Json.Obj (("ok", Json.Bool true) :: ("op", Json.Str op) :: rest)
 
 let stats_json server =
-  let depth = match server.sched with Some s -> Sched.depth s | None -> 0 in
+  let depth = match server.pool with Some p -> Par.depth p | None -> 0 in
   let uptime_ms =
     float_of_int (Telemetry.now_ns () - server.started_ns) /. 1e6
   in
@@ -266,14 +280,14 @@ let submit_response ~trace_id ~info jobs =
                 ]
               :: acc,
               failed, expired + 1, slowest )
-        | Failed msg ->
+        | Failed (code, msg) ->
             ( Json.Obj
                 [
                   ("label", Json.Str job.req.Engine.label);
                   ( "error",
                     Json.Obj
                       [
-                        ("code", Json.Str (Wire.code_string Wire.Internal));
+                        ("code", Json.Str (Wire.code_string code));
                         ("message", Json.Str msg);
                       ] );
                 ]
@@ -322,31 +336,35 @@ let handle_submit server ~trace_id ~ctx ~info (s : Wire.submit) =
           | None -> None
           | Some ms -> Some (Telemetry.now_ns () + (ms * 1_000_000))
         in
+        let enqueued_ns = Telemetry.now_ns () in
         let jobs =
           List.map
             (fun req ->
-              { req; deadline_ns; trace_id; ctx; cell_lock = Mutex.create ();
-                cell_cond = Condition.create (); reply = None; wait_ns = 0 })
+              { req; deadline_ns; trace_id; ctx; enqueued_ns;
+                cell_lock = Mutex.create (); cell_cond = Condition.create ();
+                reply = None; wait_ns = 0 })
             requests
         in
-        (match Sched.submit_all (sched server) jobs with
-        | Sched.Accepted -> submit_response ~trace_id ~info jobs
-        | Sched.Overloaded ->
+        (match Par.submit_all (pool server) jobs with
+        | Par.Accepted ->
+            Metrics.set queue_depth (float_of_int (Par.depth (pool server)));
+            submit_response ~trace_id ~info jobs
+        | Par.Overloaded ->
             Metrics.incr rejected_total;
+            let depth = Par.depth (pool server) in
             Log.event ~level:Log.Warn ~trace_id
               ~fields:
                 [
                   ("jobs", Log.I (List.length jobs));
-                  ("queue_depth", Log.I (Sched.depth (sched server)));
+                  ("queue_depth", Log.I depth);
                   ("max_queue", Log.I server.cfg.max_queue);
                 ]
               "serve.rejected";
             Wire.error_json Wire.Overloaded
               (Printf.sprintf
                  "admission queue full (%d queued, limit %d) — resubmit later"
-                 (Sched.depth (sched server))
-                 server.cfg.max_queue)
-        | Sched.Stopped ->
+                 depth server.cfg.max_queue)
+        | Par.Stopped ->
             Wire.error_json Wire.Shutting_down "server is draining")
 
 let handle_request server ~trace_id ~ctx ~info = function
@@ -511,7 +529,7 @@ let run ?on_ready cfg =
       cfg;
       session;
       counters = Counters.create ();
-      sched = None;
+      pool = None;
       stop = Atomic.make false;
       started_ns = Telemetry.now_ns ();
       active_conns = Atomic.make 0;
@@ -521,10 +539,8 @@ let run ?on_ready cfg =
       text_memo = Hashtbl.create 8;
     }
   in
-  server.sched <-
-    Some
-      (Sched.create ~workers:cfg.workers ~max_queue:cfg.max_queue
-         ~run:(run_job server));
+  server.pool <-
+    Some (Par.pool ~workers:cfg.workers ~max_queue:cfg.max_queue (run_job server));
   if cfg.handle_signals then begin
     let trigger _ = Atomic.set server.stop true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle trigger);
@@ -545,7 +561,7 @@ let run ?on_ready cfg =
      connections blocked on them), then unstick idle readers and wait
      for the handler threads to unwind. *)
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  Sched.drain (sched server);
+  Par.drain (pool server);
   Mutex.lock server.conns_lock;
   let remaining = Hashtbl.fold (fun fd () acc -> fd :: acc) server.conns [] in
   Mutex.unlock server.conns_lock;

@@ -4,10 +4,15 @@
     compiled-automata cache, optional persistent store, shared monitor
     contexts — alive for the lifetime of the process and answers
     {!Wire} requests over a Unix-domain or TCP socket.  Connection I/O
-    runs on one thread per connection; verification runs on a pool of
-    worker domains behind a bounded admission queue ({!Sched}), so a
-    full queue yields a typed [overloaded] response instead of
-    unbounded buffering.
+    runs on one thread per connection; verification runs on the
+    process's worker pool ({!Posl_par.Par.pool}) behind its bounded
+    admission queue, so a full queue yields a typed [overloaded]
+    response instead of unbounded buffering.  The server stamps each
+    job's enqueue time and records [posl_serve_queue_depth] and
+    [posl_serve_queue_wait_ms] itself, on admission and at dequeue.  A
+    job whose composition outgrows the closure cap answers a typed
+    [input] error, as the CLI exits 2 on it; any other exception
+    escaping a job answers [internal].
 
     Graceful shutdown (SIGINT, SIGTERM, or the [shutdown] op) stops
     admitting, completes every job already queued, answers the

@@ -9,8 +9,9 @@
      concurrent requests would inherit each other's parentage and
      trace ids.  Rings are single-writer (the owning thread) and
      registered in a global list so they survive thread and domain
-     exit: [Par.map_dyn] spawns fresh domains on every call,
-     and their spans must still be readable after the join.
+     exit: a batch's worker pool ([Par.map_dyn]) spawns its domains
+     for the call and joins them at its end, and their spans must
+     still be readable after the join.
 
    - The thread -> ring map is a mutex-protected table; the owning
      thread caches its binding in [Domain.DLS], so the lock is only

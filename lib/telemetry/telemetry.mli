@@ -15,8 +15,9 @@
 
     {!spans}, {!trace_json} and {!reset} read every domain's ring and
     must only be called when no worker domain is recording (i.e. after
-    the parallel section has joined — [Par.map_dyn] and
-    [Engine.run_batch] both join before returning). *)
+    the parallel section has joined — a batch's worker pool,
+    [Par.map_dyn] under [Engine.run_batch], joins its domains before
+    returning, and a server's pool joins at its drain). *)
 
 type span = {
   id : int;  (** process-unique, strictly positive *)

@@ -22,6 +22,7 @@ module Mset = Posl_sets.Mset
 module Eventset = Posl_sets.Eventset
 module G = QCheck2.Gen
 module V = Posl_verdict.Verdict
+module Telemetry = Posl_telemetry.Telemetry
 
 let u = Util.paper_universe
 let depth = 4
@@ -110,6 +111,36 @@ let test_stats_accounting () =
     (stats.Engine.cache_hits + stats.Engine.cache_misses
    + stats.Engine.uncacheable);
   Util.check_bool "busy time accumulated" true (stats.Engine.busy_ms > 0.)
+
+(* Traced at two domains, every job's span nests under the batch's span
+   and carries its trace id, whichever domain answered it. *)
+let test_batch_span_tree () =
+  Telemetry.reset ();
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Telemetry.reset ())
+  @@ fun () ->
+  let results, _ =
+    Telemetry.with_context { Telemetry.trace_id = Some "batch-1"; parent = None }
+      (fun () -> Engine.run_jobs ~domains:2 (Engine.session ()) (paper_batch ()))
+  in
+  let spans = Telemetry.spans () in
+  let named n = List.filter (fun (s : Telemetry.span) -> s.name = n) spans in
+  match named "engine.batch" with
+  | [ batch ] ->
+      let jobs = named "engine.job" in
+      Util.check_int "one engine.job span per result" (List.length results)
+        (List.length jobs);
+      List.iter
+        (fun (j : Telemetry.span) ->
+          Alcotest.(check (option int)) "parent is engine.batch"
+            (Some batch.Telemetry.id) j.Telemetry.parent;
+          Alcotest.(check (option string)) "trace id" (Some "batch-1")
+            j.Telemetry.trace_id)
+        jobs
+  | l -> Alcotest.failf "%d engine.batch spans" (List.length l)
 
 (* --- determinism across domain counts ------------------------------- *)
 
@@ -873,5 +904,7 @@ let suite =
       test_session_keys_equal_fresh;
     Alcotest.test_case "soak: the key memo pins no dead parse" `Slow
       test_soak_key_memo;
+    Alcotest.test_case "batch jobs nest under the batch span on every domain"
+      `Quick test_batch_span_tree;
   ]
   @ qsuite

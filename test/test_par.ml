@@ -1,5 +1,6 @@
-(* The domain pool: equivalence with sequential map, exception
-   propagation, degradation cases. *)
+(* The worker pool: map_dyn's equivalence with the sequential map,
+   exception propagation and degradation cases, and the pool's own
+   drain and all-or-nothing admission. *)
 
 module Par = Posl_par.Par
 module G = QCheck2.Gen
@@ -87,6 +88,51 @@ let test_dyn_uneven_load () =
 let test_dyn_empty () =
   Alcotest.(check (list int)) "empty" [] (Par.map_dyn ~domains:4 succ [])
 
+let test_dyn_earliest_failure_wins () =
+  (* Item 0 fails slowly, item 1 at once: the exception re-raised is
+     item 0's, because an item that started before the first failure
+     runs to its end. *)
+  let f x =
+    if x = 0 then (Unix.sleepf 0.1; raise (Boom 0))
+    else if x = 1 then raise (Boom 1)
+    else x
+  in
+  for _ = 1 to 3 do
+    match Par.map_dyn ~domains:2 f [ 0; 1; 2; 3 ] with
+    | exception Boom k -> Util.check_int "earliest failing item" 0 k
+    | _ -> Alcotest.fail "expected a worker exception to propagate"
+  done
+
+(* The pool itself: what the verification service queues on. *)
+
+let test_pool_runs_and_drains () =
+  let hits = Atomic.make 0 in
+  let q =
+    Par.pool ~workers:2 ~max_queue:64 (fun n ->
+        ignore (Atomic.fetch_and_add hits n))
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) "accepted" true (Par.submit_all q [ n ] = Par.Accepted))
+    [ 1; 2; 3; 4; 5 ];
+  Par.drain q;
+  Util.check_int "all items ran" 15 (Atomic.get hits);
+  Alcotest.(check bool) "stopped after drain" true
+    (Par.submit_all q [ 6 ] = Par.Stopped)
+
+let test_pool_overload_is_atomic () =
+  (* no workers: whatever is admitted stays queued, so capacity
+     accounting is exact *)
+  let q = Par.pool ~workers:0 ~max_queue:3 (fun _ -> ()) in
+  Alcotest.(check bool) "batch fits" true
+    (Par.submit_all q [ 1; 2 ] = Par.Accepted);
+  Alcotest.(check bool) "overflowing batch refused whole" true
+    (Par.submit_all q [ 3; 4 ] = Par.Overloaded);
+  Util.check_int "refused batch left no residue" 2 (Par.depth q);
+  Alcotest.(check bool) "exact fit accepted" true
+    (Par.submit_all q [ 3 ] = Par.Accepted);
+  Par.drain q
+
 let qsuite =
   [
     Util.qtest ~count:50 "map agrees with List.map"
@@ -115,5 +161,10 @@ let suite =
       test_dyn_exception_propagates;
     Alcotest.test_case "map_dyn: uneven load" `Quick test_dyn_uneven_load;
     Alcotest.test_case "map_dyn: empty input" `Quick test_dyn_empty;
+    Alcotest.test_case "map_dyn: the earliest failing item's exception"
+      `Quick test_dyn_earliest_failure_wins;
+    Alcotest.test_case "pool runs and drains" `Quick test_pool_runs_and_drains;
+    Alcotest.test_case "pool admission is all-or-nothing" `Quick
+      test_pool_overload_is_atomic;
   ]
   @ qsuite

@@ -7,7 +7,6 @@
 
 module Frame = Posl_serve.Frame
 module Wire = Posl_serve.Wire
-module Sched = Posl_serve.Sched
 module Serve = Posl_serve.Serve
 module Client = Posl_serve.Client
 module Loadgen = Posl_serve.Loadgen
@@ -116,35 +115,6 @@ let test_wire_rejects () =
   (* manifest with embedded queries array *)
   parse_fails
     {|{"op":"submit","manifest":"m","queries":[{"kind":"refine","specs":["A","B"]}]}|}
-
-(* ---------------- scheduler ---------------- *)
-
-let test_sched_runs_and_drains () =
-  let hits = Atomic.make 0 in
-  let q =
-    Sched.create ~workers:2 ~max_queue:64 ~run:(fun ~wait_ns:_ n ->
-        ignore (Atomic.fetch_and_add hits n))
-  in
-  List.iter
-    (fun n -> Alcotest.(check bool) "accepted" true (Sched.submit q n = Sched.Accepted))
-    [ 1; 2; 3; 4; 5 ];
-  Sched.drain q;
-  Util.check_int "all items ran" 15 (Atomic.get hits);
-  Alcotest.(check bool) "stopped after drain" true
-    (Sched.submit q 6 = Sched.Stopped)
-
-let test_sched_overload_is_atomic () =
-  (* no workers: whatever is admitted stays queued, so capacity
-     accounting is exact *)
-  let q = Sched.create ~workers:0 ~max_queue:3 ~run:(fun ~wait_ns:_ _ -> ()) in
-  Alcotest.(check bool) "batch fits" true
-    (Sched.submit_all q [ 1; 2 ] = Sched.Accepted);
-  Alcotest.(check bool) "overflowing batch refused whole" true
-    (Sched.submit_all q [ 3; 4 ] = Sched.Overloaded);
-  Util.check_int "refused batch left no residue" 2 (Sched.depth q);
-  Alcotest.(check bool) "exact fit accepted" true
-    (Sched.submit q 3 = Sched.Accepted);
-  Sched.drain q
 
 (* ---------------- live server harness ---------------- *)
 
@@ -627,6 +597,44 @@ let test_queue_full_rejects () =
       Alcotest.(check bool) "still serving" true
         (field "ok" pong = Some (Json.Bool true)))
 
+(* A composition whose hidden-event closure outgrows the cap has no
+   verdict: the job answers a typed input error carrying the CLI's
+   message, not an internal error. *)
+let overflow_text =
+  {|
+spec A { objects a; sort Env = all except { a };
+         alphabet call a -> Env : P, Q; traces count #P - #Q <= 100000; }
+spec B { objects b; sort Env = all except { b };
+         alphabet call Env -> b : P; traces all; }
+|}
+
+let test_overflow_is_input_error () =
+  with_server (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let doc =
+        call_ok c
+          (Wire.request_json
+             (Wire.Submit
+                (Wire.submission ~depth
+                   ~queries:[ { Wire.kind = "deadlock"; names = [ "A"; "B" ] } ]
+                   (`Spec_text overflow_text))))
+      in
+      match results_of doc with
+      | [ r ] ->
+          Alcotest.(check (option string)) "typed input error" (Some "input")
+            (error_code r);
+          Alcotest.(check string) "the CLI's message"
+            "deadlock(A \u{2016} B): hidden-event closure exceeds the \
+             20000-composite cap; no verdict"
+            (match field "error" r with
+            | Some e -> (
+                match field "message" e with
+                | Some (Json.Str m) -> m
+                | _ -> Alcotest.fail "error without message")
+            | None -> Alcotest.fail "result is not an error")
+      | rs -> Alcotest.failf "%d results" (List.length rs))
+
 let test_deadline_expiry () =
   with_server (fun addr ->
       let c = Client.connect addr in
@@ -872,10 +880,6 @@ let suite =
     Alcotest.test_case "wire requests round-trip" `Quick test_wire_round_trip;
     Alcotest.test_case "wire rejects invalid submissions" `Quick
       test_wire_rejects;
-    Alcotest.test_case "scheduler runs and drains" `Quick
-      test_sched_runs_and_drains;
-    Alcotest.test_case "scheduler admission is all-or-nothing" `Quick
-      test_sched_overload_is_atomic;
     Alcotest.test_case "live: ping/stats/metrics round-trip" `Quick
       test_protocol_round_trip;
     Alcotest.test_case "live: submit equals direct engine run" `Quick
@@ -898,6 +902,8 @@ let suite =
       `Quick test_queue_full_rejects;
     Alcotest.test_case "live: queued jobs expire past their deadline" `Quick
       test_deadline_expiry;
+    Alcotest.test_case "live: a closure overflow is a typed input error"
+      `Quick test_overflow_is_input_error;
     Alcotest.test_case "live: malformed and oversized frames answered" `Quick
       test_malformed_and_oversized_frames;
     Alcotest.test_case "live: shutdown drains and unlinks the socket" `Quick
