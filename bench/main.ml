@@ -490,7 +490,7 @@ let e15 () =
   let module Consistency = Posl_core.Consistency in
   let t = Report.create [ "pair"; "expected"; "measured"; "status" ] in
   let row name expected a b =
-    let v = Consistency.verdict ~depth ctx a b in
+    let v = Consistency.verdict ctx a b in
     let module V = Posl_verdict.Verdict in
     let measured = V.to_string v in
     let got =

@@ -236,8 +236,9 @@ let with_observability ?(log = None) ~trace ~metrics f =
 
 (* Print one verdict — a line, or with --json the single-query document
    (the verdict schema the batch --json file uses per result, see the
-   README's "Verdict schema") — and fail on a failing verdict. *)
-let print_verdict ~json ~label ~kind ~depth v =
+   README's "Verdict schema"; [depth] is null for a check that takes
+   none) — and fail on a failing verdict. *)
+let print_verdict ~json ~label ~kind ?depth v =
   if json then
     print_endline
       (Json.to_string
@@ -245,7 +246,8 @@ let print_verdict ~json ~label ~kind ~depth v =
             [
               ("label", Json.Str label);
               ("kind", Json.Str kind);
-              ("depth", Json.Int depth);
+              ( "depth",
+                match depth with Some d -> Json.Int d | None -> Json.Null );
               ("holds", Json.Bool (Verdict.to_bool v));
               ("verdict", Verdict.to_json v);
             ]))
@@ -409,19 +411,19 @@ let simulate_cmd =
 
 (* consistent: non-trivial consistency of two specs *)
 let consistent_cmd =
-  let run file left right depth extra json =
+  let run file left right extra json =
     code
       (let* specs, universe = load ~extra file in
        let* a = resolve specs ~file left in
        let* b = resolve specs ~file right in
-       let v = Posl_core.Consistency.verdict ~depth (Tset.ctx universe) a b in
+       let v = Posl_core.Consistency.verdict (Tset.ctx universe) a b in
        print_verdict ~json
          ~label:(Printf.sprintf "consistent(%s, %s)" left right)
-         ~kind:"consistent" ~depth v)
+         ~kind:"consistent" v)
   in
   cmd "consistent" ~doc:"Check non-trivial consistency of two specs (Section 7)."
     Term.(
-      const run $ file_arg $ name_arg 1 "LEFT" $ name_arg 2 "RIGHT" $ depth_arg
+      const run $ file_arg $ name_arg 1 "LEFT" $ name_arg 2 "RIGHT"
       $ extra_objects_arg $ query_json_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -458,7 +460,7 @@ let manifest_arg =
 
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains"; "j" ] ~docv:"N"
-       ~doc:"Worker domains (default: POSL_DOMAINS or the machine's).")
+       ~doc:"Worker domains (default: POSL_DOMAINS, else 1).")
 
 let plan_arg =
   Arg.(
@@ -767,7 +769,8 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:"Worker domains answering queries (default: the machine's).")
+          ~doc:"Worker domains answering queries (default: POSL_DOMAINS, \
+                else 1).")
   in
   let max_queue_arg =
     Arg.(
@@ -1268,15 +1271,6 @@ let report_cmd =
       & info [ "live" ] ~docv:"DIR"
           ~doc:"Directory holding the fresh bench run's BENCH_*.json files.")
   in
-  let report_metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Prometheus text exposition whose unlabelled samples are \
-             appended as a runtime section of the report.")
-  in
   let slack_arg =
     Arg.(
       value & opt float 2.0
@@ -1303,11 +1297,10 @@ let report_cmd =
             "Perf-gate mode: exit 1 when any campaign regressed or its \
              live file is missing.")
   in
-  let run baseline live metrics_file slack json_path md_path gate =
+  let run baseline live slack json_path md_path gate =
     code
       (match
-         Trajectory.run ~slack ?metrics_file ~baseline_dir:baseline
-           ~live_dir:live ()
+         Trajectory.run ~slack ~baseline_dir:baseline ~live_dir:live ()
        with
       | Error m -> Error (Input m)
       | Ok t ->
@@ -1341,7 +1334,7 @@ let report_cmd =
        timings and rates get a slack multiplier.  With $(b,--gate), any \
        regression or missing live campaign exits 1 — CI's perf gate."
     Term.(
-      const run $ baseline_arg $ live_arg $ report_metrics_arg $ slack_arg
+      const run $ baseline_arg $ live_arg $ slack_arg
       $ report_json_arg $ md_arg $ gate_arg)
 
 let main_cmd =

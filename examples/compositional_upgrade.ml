@@ -96,9 +96,9 @@ let () =
         ((gauge2 || log) || clock, (gauge || log) || clock);
       ]
   in
-  let show mode =
+  let show name mode =
     let results, stats = Engine.run_batch ~domains:1 ~plan:mode requests in
-    Format.printf "--plan %a:@." Plan.pp_mode mode;
+    Format.printf "--plan %s:@." name;
     List.iter
       (fun (r : Engine.result) ->
         Format.printf "  %-40s %a%s@." r.Engine.request.Engine.label
@@ -113,8 +113,8 @@ let () =
     Format.printf "  %a@.@." Engine.pp_stats stats;
     List.map (fun (r : Engine.result) -> r.Engine.verdict) results
   in
-  let direct = show Plan.Off in
-  let derived = show Plan.Auto in
+  let direct = show "off" Plan.Off in
+  let derived = show "auto" Plan.Auto in
   (* The planner's soundness gate: derived and direct verdicts agree on
      status, confidence and evidence — only the provenance differs
      (which rule fired vs which procedure ran). *)

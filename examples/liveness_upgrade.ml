@@ -40,7 +40,8 @@ let () =
         (Eventset.calls ~callers:Oset.full ~callees:Oset.full
            (Mset.singleton Ex.m_cw))
   in
-  Format.printf "obligation: %a@.@." Live.pp_obligation ow_answerable;
+  Format.printf "obligation: %s: every open OW answerable by a CW@.@."
+    ow_answerable.Live.name;
 
   (* Plain (safety) refinement happily accepts the broken upgrade. *)
   Format.printf "Client2 ⊑ Client (safety, Def. 2)?   %a@." Posl_verdict.Verdict.pp

@@ -9,13 +9,19 @@
       and the (projected) survival language of another;
     - trace-set equality of compositions (Example 6);
     - deadlock analysis (Examples 4 and 5): reachable monitor states
-      with no enabled events.
+      with no enabled events;
+    - the response obligations of the liveness extension
+      ([posl.live]): a reachable trace that leaves a trigger open at a
+      state from which no response event is reachable.
 
-    All three are answered by one product walk ({!walk}), breadth-first
-    over interned monitor states.  When the reachable state space is
-    exhausted, the verdict holds for {e all} depths over the given
-    concrete alphabet and is reported {!Exact}; otherwise it is
-    {!Bounded} by the depth. *)
+    All of them are answered by one product walk ({!walk}),
+    breadth-first over interned monitor states.  When the reachable
+    state space is exhausted, the verdict holds for {e all} depths over
+    the given concrete alphabet and is reported {!Exact}; otherwise it
+    is {!Bounded} by the depth.  Replaying a trace ({!enabled}) and
+    counting traces ({!count_traces}) read the same successor rows;
+    only {!enumerate}, the structural reference the tests compare
+    against, steps structural states. *)
 
 module Tset = Posl_tset.Tset
 module Event = Posl_trace.Event
@@ -86,20 +92,37 @@ let certify_deadlock ctx ~alphabet t h =
     alphabet;
   h
 
+(* h witnesses an unanswered obligation of t only if h ∈ t; that it
+   leaves a trigger open where no response is reachable is the walk's
+   claim. *)
+let certify_unanswered ctx t h =
+  if not (Tset.mem_naive ctx t h) then
+    Verdict.uncertified
+      "obligation witness %a is not a trace of the specification" Trace.pp h;
+  h
+
 (** {1 The product walk}
 
-    One breadth-first walk over the product of a [lhs] monitor with,
-    for inclusion, an [rhs] monitor, on interned small-int state ids
-    with memoized successor rows.  It answers one of three questions:
+    One breadth-first walk over the product of a [lhs] monitor with a
+    second component [r], on interned small-int state ids with
+    memoized successor rows.  A step of [lhs] at event [s] moves [r]
+    only where the question's mask holds, and answers when [r] dies
+    (becomes [-1]).  The questions:
 
-    - [Escape (proj, rhs, rhs0)]: a step of [lhs] inside [proj] that
-      [rhs] (started in [rhs0]) cannot follow — inclusion, and
-      equality run both ways;
-    - [Stuck]: a reachable [lhs] state with no live successor —
-      deadlock;
+    - [Escape (proj, rhs, rhs0)]: [r] is an [rhs] state (started in
+      [rhs0]), moved at events of [proj]; it dies when [rhs] cannot
+      follow — inclusion, and equality run both ways;
+    - [Reach set]: [r] dies at any event of [set] — is one reachable?;
+    - [Unanswered (trigger, response)]: [r] counts the open triggers
+      (triggers minus responses, clipped at 0) and dies when a step
+      leaves one open at an [lhs] state from which no response is
+      reachable within [depth + 1] steps: a [Reach response] walk from
+      that state id, memoized per id;
+    - [Stuck]: [r] stays 0; a reachable [lhs] state with no live
+      successor answers — deadlock;
     - [Count]: none; the walk runs to its cut and counts states.
 
-    Pairs are de-duplicated by packed [(lhs, rhs)] id; when the rhs
+    Pairs are de-duplicated by packed [(lhs, r)] id; when the rhs
     state is a [Product] (the one genuinely set-shaped state kind — its
     hidden-event closure is a subset construction over composites), a
     pair is additionally pruned when an already-visited pair with the
@@ -120,6 +143,8 @@ let certify_deadlock ctx ~alphabet t h =
 
 type question =
   | Escape of Eventset.t * Tset.node * Tset.state
+  | Reach of Eventset.t
+  | Unanswered of Eventset.t * Eventset.t
   | Stuck
   | Count
 
@@ -131,8 +156,8 @@ let budget = 200_000
 
 exception Answer of Trace.t
 
-let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
-    (lhs : Tset.node) (lhs0 : Tset.state) : outcome * int * Antichain.stats =
+let rec walk ~complete ctx ~(alphabet : Event.t array) ~depth question
+    (lhs : Tset.node) (l0 : int) : outcome * int * Antichain.stats =
   let n = Array.length alphabet in
   let eids = Array.map (Tset.event_id ctx) alphabet in
   (* Successor cells are the nodes' own rows ({!Tset.step_id}), filled
@@ -142,14 +167,49 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
      every corpus spec does — steps each state once per context. *)
   let cell node id s = Tset.step_id node ~event_id:eids.(s) id alphabet.(s) in
   let lcell = cell lhs in
-  let proj_mask, rcell, r0, macro =
+  let mask set = Array.map (fun e -> Eventset.mem e set) alphabet in
+  let no_macro _ = None in
+  (* [rstep l' r s]: the second component after the step to [l'] at
+     symbol [s], where the mask holds; [-1] answers. *)
+  let rmask, rstep, r0, macro =
     match question with
     | Escape (proj, rhs, rhs0) ->
-        ( Array.map (fun e -> Eventset.mem e proj) alphabet,
-          cell rhs,
+        ( mask proj,
+          (fun _ r s -> cell rhs r s),
           Tset.intern_state ctx rhs0,
           Tset.macro_of_id ctx )
-    | Stuck | Count -> (Array.make n false, (fun r _ -> r), 0, fun _ -> None)
+    | Reach set -> (mask set, (fun _ _ _ -> -1), 0, no_macro)
+    | Unanswered (trigger, response) ->
+        let delta =
+          Array.map
+            (fun e ->
+              Bool.to_int (Eventset.mem e trigger)
+              - Bool.to_int (Eventset.mem e response))
+            alphabet
+        in
+        let memo = Hashtbl.create 16 in
+        let answerable l =
+          match Hashtbl.find_opt memo l with
+          | Some b -> b
+          | None ->
+              let b =
+                match
+                  walk ~complete:false ctx ~alphabet ~depth:(depth + 1)
+                    (Reach response) lhs l
+                with
+                | Found _, _, _ -> true
+                | (Exhausted | Cut), _, _ -> false
+              in
+              Hashtbl.add memo l b;
+              b
+        in
+        ( Array.make n true,
+          (fun l' r s ->
+            let r' = max 0 (r + delta.(s)) in
+            if r' > 0 && not (answerable l') then -1 else r'),
+          0,
+          no_macro )
+    | Stuck | Count -> (Array.make n false, (fun _ r _ -> r), 0, no_macro)
   in
   (* most walks visit few pairs; the tables grow on demand *)
   let visited_pairs = Hashtbl.create 64 in
@@ -174,9 +234,12 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
     if fresh then incr admitted;
     fresh
   in
-  let l0 = Tset.intern_state ctx lhs0 in
   ignore (admit l0 r0);
-  let stuck = match question with Stuck -> true | Escape _ | Count -> false in
+  let stuck =
+    match question with
+    | Stuck -> true
+    | Escape _ | Reach _ | Unanswered _ | Count -> false
+  in
   (* Frontier traces are kept reversed, so admitting a pair is one cons
      however deep the walk goes; only an answer's trace is turned
      round. *)
@@ -187,7 +250,7 @@ let walk ~complete ctx ~(alphabet : Event.t array) ~depth question
       let l' = lcell l s in
       if l' >= 0 then begin
         live := true;
-        let r' = if proj_mask.(s) then rcell r s else r in
+        let r' = if rmask.(s) then rstep l' r s else r in
         if r' < 0 then answer (alphabet.(s) :: rev_h);
         if admit l' r' then next := (l', r', alphabet.(s) :: rev_h) :: !next
       end
@@ -242,7 +305,7 @@ let check_inclusion_antichain ?(complete = true) (ctx : Tset.ctx)
               let outcome, admitted, st =
                 walk ~complete ctx ~alphabet ~depth
                   (Escape (proj, rnode, rhs0))
-                  lnode lhs0
+                  lnode (Tset.intern_state ctx lhs0)
               in
               Metrics.add antichain_pairs_c admitted;
               Metrics.add antichain_prunes_c st.Antichain.pruned;
@@ -286,9 +349,34 @@ let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
       (* not even ε: degenerate, report as stuck *)
       Some (certify_deadlock ctx ~alphabet t Trace.empty)
   | Some st0 -> (
-      match walk ~complete:false ctx ~alphabet ~depth Stuck n st0 with
+      match
+        walk ~complete:false ctx ~alphabet ~depth Stuck n
+          (Tset.intern_state ctx st0)
+      with
       | Found h, _, _ -> Some (certify_deadlock ctx ~alphabet t h)
       | (Exhausted | Cut), _, _ -> None)
+
+(** {1 Response obligations}
+
+    A trace of length at most [depth] that leaves a [trigger] open
+    (more triggers than responses, counted with the open count clipped
+    at 0) at a state from which no [response] event is reachable within
+    [depth + 1] steps refutes the obligation.  Depth-cut; [Exact] when
+    the (state, open count) pairs are exhausted first. *)
+let find_unanswered ctx ~(alphabet : Event.t array) ~depth ~trigger ~response
+    (t : Tset.t) : Trace.t verdict =
+  let n = Tset.node ctx t in
+  match Tset.start n with
+  | None -> Holds Exact
+  | Some st0 -> (
+      match
+        walk ~complete:false ctx ~alphabet ~depth
+          (Unanswered (trigger, response))
+          n (Tset.intern_state ctx st0)
+      with
+      | Found h, _, _ -> Refuted (certify_unanswered ctx t h)
+      | Exhausted, _, _ -> Holds Exact
+      | Cut, _, _ -> Holds (Bounded depth))
 
 (** Reachable monitor states up to [depth]; the state-count metric of
     the performance experiments. *)
@@ -298,35 +386,33 @@ let count_states ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) : int =
   | None -> 0
   | Some st0 ->
       let _, admitted, _ =
-        walk ~complete:false ctx ~alphabet ~depth Count n st0
+        walk ~complete:false ctx ~alphabet ~depth Count n
+          (Tset.intern_state ctx st0)
       in
       admitted
+
+(** {1 Reading the successor rows} *)
 
 (** The events enabled after [h] — the possible extensions within the
     trace set.  Used by example walkthroughs. *)
 let enabled ctx ~(alphabet : Event.t array) (t : Tset.t) (h : Trace.t) :
     Event.t list =
   let n = Tset.node ctx t in
-  let rec replay st = function
-    | [] -> Some st
-    | e :: rest -> (
-        match Tset.step n st e with
-        | Some st' -> replay st' rest
-        | None -> None)
+  let step id e =
+    if id < 0 then id else Tset.step_id n ~event_id:(Tset.event_id ctx e) id e
   in
   match Tset.start n with
   | None -> []
-  | Some st0 -> (
-      match replay st0 (Trace.to_list h) with
-      | None -> []
-      | Some st ->
-          Array.to_list alphabet
-          |> List.filter (fun e -> Option.is_some (Tset.step n st e)))
-
-(** {1 Counting and enumeration} *)
+  | Some st0 ->
+      let id =
+        List.fold_left step (Tset.intern_state ctx st0) (Trace.to_list h)
+      in
+      if id < 0 then []
+      else Array.to_list alphabet |> List.filter (fun e -> step id e >= 0)
 
 (** Number of member traces of each length [0..depth], computed by
-    dynamic programming over monitor states (no trace explosion). *)
+    dynamic programming over interned monitor states (no trace
+    explosion). *)
 let count_traces ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     int array =
   let counts = Array.make (depth + 1) 0 in
@@ -334,35 +420,30 @@ let count_traces ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
   (match Tset.start n with
   | None -> ()
   | Some st0 ->
-      let module SM = Map.Make (struct
-        type t = Tset.state
-
-        let compare = Tset.compare_state
-      end) in
-      let level = ref (SM.singleton st0 1) in
+      let eids = Array.map (Tset.event_id ctx) alphabet in
+      (* (state id, traces reaching it) for the current length *)
+      let level = ref [ (Tset.intern_state ctx st0, 1) ] in
       counts.(0) <- 1;
       for d = 1 to depth do
-        let next = ref SM.empty in
-        SM.iter
-          (fun st k ->
-            Array.iter
-              (fun e ->
-                match Tset.step n st e with
-                | Some st' ->
-                    next :=
-                      SM.update st'
-                        (function None -> Some k | Some m -> Some (m + k))
-                        !next
-                | None -> ())
+        let next = Hashtbl.create 64 in
+        List.iter
+          (fun (id, k) ->
+            Array.iteri
+              (fun s e ->
+                let id' = Tset.step_id n ~event_id:eids.(s) id e in
+                if id' >= 0 then
+                  Hashtbl.replace next id'
+                    (k + Option.value ~default:0 (Hashtbl.find_opt next id')))
               alphabet)
           !level;
-        level := !next;
-        counts.(d) <- SM.fold (fun _ k acc -> acc + k) !level 0
+        level := Hashtbl.fold (fun id k acc -> (id, k) :: acc) next [];
+        counts.(d) <- List.fold_left (fun acc (_, k) -> acc + k) 0 !level
       done);
   counts
 
-(** All member traces up to [depth] — for tests and tiny examples only
-    (exponential in general). *)
+(** All member traces up to [depth], stepping structural states — the
+    reference the walk is tested against, and tiny examples (exponential
+    in general). *)
 let enumerate ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
     Trace.t list =
   let n = Tset.node ctx t in

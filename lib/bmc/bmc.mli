@@ -3,17 +3,22 @@
     The verification questions of the paper that are not purely
     set-algebraic all reduce to reachability over products of monitors:
     projected trace-set inclusion (Def. 2 clause 3), trace-set equality
-    (Example 6), and deadlock (Examples 4–5).  One breadth-first product
-    walk over interned monitor states answers all three, and counts
+    (Example 6), deadlock (Examples 4–5), and the response obligations
+    of the liveness extension ([posl.live]).  One breadth-first product
+    walk over interned monitor states answers all of them, and counts
     states ({!count_states}); when the reachable space is exhausted, the
     verdict holds for {e all} depths over the given alphabet and is
-    reported {!Exact}.
+    reported {!Exact}.  {!enabled} and {!count_traces} read the walk's
+    successor rows ([Tset.step_id]); {!enumerate} steps structural
+    states, as the reference the tests compare the walk against.
 
     Every counterexample ({!check_inclusion_antichain}, {!check_equal},
-    {!find_deadlock}) is {e self-certifying}: it is replayed through the
-    denotational reference semantics [Tset.mem_naive] before being
-    reported, and {!Posl_verdict.Verdict.Uncertified} is raised if the
-    replay disagrees with the exploration. *)
+    {!find_deadlock}, {!find_unanswered}) is {e self-certifying}: it is
+    replayed through the denotational reference semantics
+    [Tset.mem_naive] before being reported, and
+    {!Posl_verdict.Verdict.Uncertified} is raised if the replay
+    disagrees with the exploration.  Each is the lexicographically-least
+    shortest one. *)
 
 module Tset = Posl_tset.Tset
 module Event = Posl_trace.Event
@@ -70,18 +75,36 @@ val find_deadlock :
     enabled, if any — the lexicographically-least one of length below
     [depth]. *)
 
+val find_unanswered :
+  Tset.ctx ->
+  alphabet:Event.t array ->
+  depth:int ->
+  trigger:Eventset.t ->
+  response:Eventset.t ->
+  Tset.t ->
+  Trace.t verdict
+(** A response obligation: [Refuted h] for the first trace [h] of
+    length at most [depth] that leaves a trigger open (triggers minus
+    responses along [h], the count clipped at 0 after each event, is
+    above 0) at a state from which no response event is reachable
+    within [depth + 1] steps.  [Holds Exact] when the (state, open
+    count) pairs are exhausted first, [Holds (Bounded depth)] when the
+    walk is cut. *)
+
 val enabled :
   Tset.ctx -> alphabet:Event.t array -> Tset.t -> Trace.t -> Event.t list
-(** The events that may extend [h] within the trace set. *)
+(** The events that may extend [h] within the trace set, in alphabet
+    order; [h] is replayed through the successor rows. *)
 
 val count_traces :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> int array
 (** Member-trace counts per length [0..depth], by dynamic programming
-    over monitor states (no trace explosion). *)
+    over the successor rows of interned states (no trace explosion). *)
 
 val enumerate :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> Trace.t list
-(** All member traces up to [depth] — tests and tiny examples only. *)
+(** All member traces up to [depth], stepping structural states
+    ([Tset.step]) — the reference for tests and tiny examples only. *)
 
 val count_states :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> int

@@ -32,41 +32,28 @@ let weakest_common_refinement g1 g2 =
   then Ok (Compose.interface g1 g2)
   else Result.map_error (fun f -> f) (Compose.compose g1 g2)
 
-(* A shortest non-empty trace of the composition, if any. *)
-let nonempty_witness ctx ~depth comp =
+(* A shortest non-empty trace of the composition, if any: by prefix
+   closure, the first event the walk's rows enable after ε. *)
+let nonempty_witness ctx comp =
   let alphabet = Spec.concrete_alphabet (Tset.universe ctx) comp in
   let t = Spec.tset comp in
-  let n = Tset.node ctx t in
-  match Tset.start n with
-  | None -> None
-  | Some st0 ->
-      let first =
-        Array.to_list alphabet
-        |> List.find_map (fun e ->
-               match Tset.step n st0 e with
-               | Some _ -> Some (Trace.of_list [ e ])
-               | None -> None)
-      in
-      (match first with
-      | Some h ->
-          (* Witnesses are self-certifying: replay through the
-             reference semantics before reporting. *)
-          if Tset.mem_naive ctx t h then Some h
-          else
-            Verdict.uncertified
-              "consistency witness %a is not a trace of the composition"
-              Trace.pp h
-      | None ->
-          (* No single-event trace; deeper behaviour cannot exist either
-             (prefix closure), but keep the exploration honest. *)
-          ignore depth;
-          None)
+  match Bmc.enabled ctx ~alphabet t Trace.empty with
+  | [] -> None
+  | e :: _ ->
+      let h = Trace.of_list [ e ] in
+      (* Witnesses are self-certifying: replay through the reference
+         semantics before reporting. *)
+      if Tset.mem_naive ctx t h then Some h
+      else
+        Verdict.uncertified
+          "consistency witness %a is not a trace of the composition" Trace.pp h
 
-(** [verdict ?depth ctx g1 g2] decides non-trivial consistency: holds
-    with a [Consistency_witness] trace, refuted when only ε is common,
-    and {e vacuous} (carrying the composability failure) when the
-    question is not externally answerable. *)
-let verdict ?(depth = 6) ctx g1 g2 : Verdict.t =
+(** [verdict ctx g1 g2] decides non-trivial consistency: holds with a
+    [Consistency_witness] trace, refuted when only ε is common, and
+    {e vacuous} (carrying the composability failure) when the question
+    is not externally answerable.  No depth: prefix closure makes the
+    search one event deep, so the verdict is exact. *)
+let verdict ctx g1 g2 : Verdict.t =
   match weakest_common_refinement g1 g2 with
   | Error f ->
       {
@@ -76,7 +63,7 @@ let verdict ?(depth = 6) ctx g1 g2 : Verdict.t =
         provenance = Verdict.no_provenance;
       }
   | Ok comp -> (
-      match nonempty_witness ctx ~depth comp with
+      match nonempty_witness ctx comp with
       | Some h ->
           Verdict.holds ~confidence:Exact
             ~evidence:[ Verdict.Consistency_witness h ] ()
@@ -89,7 +76,7 @@ let verdict ?(depth = 6) ctx g1 g2 : Verdict.t =
             ])
 
 (** Boolean convenience wrapper: non-trivially consistent? *)
-let consistent ?depth ctx g1 g2 = Verdict.is_holds (verdict ?depth ctx g1 g2)
+let consistent ctx g1 g2 = Verdict.is_holds (verdict ctx g1 g2)
 
 (** Every common refinement is below the weakest one: if ∆ refines both
     specifications, it refines their composition (Lemma 6 part 2 /

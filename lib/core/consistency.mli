@@ -8,7 +8,8 @@
     only for composable specifications.
 
     The API is verdict-first, mirroring {!Refine}: {!verdict} is the
-    one entrypoint and takes the same [?depth]. *)
+    one entrypoint.  It takes no depth: prefix closure makes the
+    witness search one event deep, so every verdict is exact. *)
 
 module Tset = Posl_tset.Tset
 module Verdict = Posl_verdict.Verdict
@@ -19,13 +20,14 @@ val weakest_common_refinement :
     specifications; Def. 11 composition otherwise (requires
     composability). *)
 
-val verdict : ?depth:int -> Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
+val verdict : Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
 (** Non-trivial consistency: holds with a [Consistency_witness] trace
-    (certified against [Tset.mem_naive] before being reported),
+    (the first event [Bmc.enabled] reports after ε, certified against
+    [Tset.mem_naive] before being reported),
     refuted when only ε is common, vacuous with the composability
     failure as evidence when not externally determinable. *)
 
-val consistent : ?depth:int -> Tset.ctx -> Spec.t -> Spec.t -> bool
+val consistent : Tset.ctx -> Spec.t -> Spec.t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)
 
 val common_refinement_bound :

@@ -23,13 +23,6 @@ let of_set (s : Oid.Set.t) =
   let os = Oset.of_list (Oid.Set.elements s) in
   Eventset.between os os
 
-(** [of_sets s1 s2] — I(S₁,S₂) from the proof of Lemma 15: events with
-    one end point in [S₁] and the other in [S₂]. *)
-let of_sets (s1 : Oid.Set.t) (s2 : Oid.Set.t) =
-  Eventset.between
-    (Oset.of_list (Oid.Set.elements s1))
-    (Oset.of_list (Oid.Set.elements s2))
-
 (** [alpha0 ~objs' ~objs] — the set α₀ of Def. 14 (properness): events
     that involve an object of [objs′] on at least one side while
     {e neither} side is in [objs].  These are the events a refinement

@@ -17,9 +17,6 @@ val pair : Oid.t -> Oid.t -> Eventset.t
 val of_set : Oid.Set.t -> Eventset.t
 (** I(S) of Def. 8: every event with both end points in [S]. *)
 
-val of_sets : Oid.Set.t -> Oid.Set.t -> Eventset.t
-(** I(S₁,S₂) from the proof of Lemma 15: one end point in each set. *)
-
 val alpha0 : objs':Oid.Set.t -> objs:Oid.Set.t -> Eventset.t
 (** The set α₀ of Def. 14 (properness): events involving an object of
     [objs'] on at least one side while neither side is in [objs] — the

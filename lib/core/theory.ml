@@ -346,14 +346,6 @@ let theorem18 ctx ~depth ~gamma' ~gamma ~delta : outcome =
 let refinement_reflexive ctx ~depth gamma : outcome =
   Refine.verdict ~depth ctx gamma gamma
 
-let refinement_transitive ctx ~depth ~g1 ~g2 ~g3 : outcome =
-  if
-    not
-      (Refine.refines ~depth ctx g1 g2
-      && Refine.refines ~depth ctx g2 g3)
-  then Verdict.vacuous "premises Γ₁ ⊑ Γ₂ ⊑ Γ₃ do not hold"
-  else Refine.verdict ~depth ctx g1 g3
-
 (** {1 Composition laws} (Property 12: commutative and associative) *)
 
 let composition_commutative ctx ~depth g d : outcome =

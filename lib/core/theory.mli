@@ -113,14 +113,6 @@ val theorem18 :
 
 val refinement_reflexive : Tset.ctx -> depth:int -> Spec.t -> outcome
 
-val refinement_transitive :
-  Tset.ctx ->
-  depth:int ->
-  g1:Spec.t ->
-  g2:Spec.t ->
-  g3:Spec.t ->
-  outcome
-
 val composition_commutative :
   Tset.ctx -> depth:int -> Spec.t -> Spec.t -> outcome
 (** Property 12 (commutativity), as trace-set equality. *)

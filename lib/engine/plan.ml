@@ -28,9 +28,6 @@ module Oid = Posl_ident.Oid
 
 type mode = Auto | Off
 
-let pp_mode ppf m =
-  Format.pp_print_string ppf (match m with Auto -> "auto" | Off -> "off")
-
 type outcome =
   | Derived of Verdict.t
   | Fallback of string

@@ -20,8 +20,6 @@ type mode =
   | Auto  (** decompose composite queries when a rule applies *)
   | Off  (** always check directly (the pre-planner behaviour) *)
 
-val pp_mode : Format.formatter -> mode -> unit
-
 type outcome =
   | Derived of Posl_verdict.Verdict.t
       (** All side conditions and premises hold exactly; the verdict

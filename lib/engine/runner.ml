@@ -60,7 +60,7 @@ let run_file ?(depth = 6) ?(extra_objects = 2) (f : file) : result list =
         job (Job.proper ~refined ~abstract ~context:(find context))
     | Chk_consistent (l, r) ->
         let l, r = find2 l r in
-        Consistency.verdict ~depth ctx l r
+        Consistency.verdict ctx l r
     | Chk_equals (l, r) ->
         let left, right = find2 l r in
         job (Job.equal ~left ~right)

@@ -25,12 +25,16 @@
       deadlock free when Γ‖∆ is?
 
     All checks are relative to a universe sample and a depth, like the
-    trace clause of refinement; verdicts carry witnesses. *)
+    trace clause of refinement.  Each is a question of [posl.bmc]'s
+    product walk: deadlock freedom is {!Bmc.find_deadlock}, a response
+    obligation {!Bmc.find_unanswered} (the obligation search cut at
+    the depth, the response probe at the depth plus one).  Witnesses
+    are certified against the reference semantics and are the
+    lexicographically-least shortest refuting traces. *)
 
 open Posl_sets
 module Tset = Posl_tset.Tset
 module Trace = Posl_trace.Trace
-module Event = Posl_trace.Event
 module Bmc = Posl_bmc.Bmc
 module Spec = Posl_core.Spec
 module Compose = Posl_core.Compose
@@ -45,10 +49,6 @@ type obligation = {
 
 let obligation ~name ~trigger ~response = { name; trigger; response }
 
-let pp_obligation ppf o =
-  Format.fprintf ppf "%s: every open %a answerable by %a" o.name Eventset.pp
-    o.trigger Eventset.pp o.response
-
 (** A live specification: safety plus liveness obligations. *)
 type t = {
   spec : Spec.t;
@@ -62,155 +62,40 @@ let v ?(deadlock_free = true) ?(obligations = []) spec =
 let spec t = t.spec
 let obligations t = t.obligations
 
-type violation =
-  | Deadlock of Trace.t
-      (** a reachable trace after which nothing is enabled *)
-  | Unanswerable of obligation * Trace.t
-      (** a reachable trace with an open trigger from which no response
-          event is reachable *)
-
-let evidence_of_violation = function
-  | Deadlock h -> Verdict.Deadlock h
-  | Unanswerable (o, h) ->
-      Verdict.Unanswerable { obligation = o.name; trace = h }
-
-(* Forward reachability of a response event from a monitor state,
-   memoized per state: BFS over monitor states looking for any enabled
-   response transition.  [depth] bounds the search. *)
-let response_reachable ~alphabet ~depth node response =
-  let module SM = Map.Make (struct
-    type t = Tset.state
-
-    let compare = Tset.compare_state
-  end) in
-  let memo = ref SM.empty in
-  let rec search visited frontier d =
-    match frontier with
-    | [] -> false
-    | _ when d > depth -> false
-    | _ ->
-        let next = ref [] in
-        let found = ref false in
-        List.iter
-          (fun st ->
-            if not !found then
-              Array.iter
-                (fun e ->
-                  match Tset.step node st e with
-                  | None -> ()
-                  | Some st' ->
-                      if Eventset.mem e response then found := true
-                      else if not (SM.mem st' !visited) then begin
-                        visited := SM.add st' () !visited;
-                        next := st' :: !next
-                      end)
-                alphabet)
-          frontier;
-        !found || search visited !next (d + 1)
-  in
-  fun st ->
-    match SM.find_opt st !memo with
-    | Some r -> r
-    | None ->
-        let visited = ref (SM.singleton st ()) in
-        let r = search visited [ st ] 0 in
-        memo := SM.add st r !memo;
-        r
-
-(* Exploration of (monitor state, open-trigger count) pairs; the open
-   count is [#trigger - #response] along the path.  Because the monitor
-   is deterministic, the same state can be reached with different open
-   counts, so the pair is the exploration key. *)
-let check_obligation ctx ~alphabet ~depth tset ob : (Bmc.confidence, Trace.t) result
-    =
-  let node = Tset.node ctx tset in
-  match Tset.start node with
-  | None -> Ok Bmc.Exact
-  | Some st0 ->
-      let reachable = response_reachable ~alphabet ~depth node ob.response in
-      let module KM = Map.Make (struct
-        type t = Tset.state * int
-
-        let compare (s1, n1) (s2, n2) =
-          let c = Tset.compare_state s1 s2 in
-          if c <> 0 then c else Int.compare n1 n2
-      end) in
-      let visited = ref (KM.singleton (st0, 0) ()) in
-      let exception Violation of Trace.t in
-      let rec level d frontier =
-        if frontier = [] then Ok Bmc.Exact
-        else if d >= depth then Ok (Bmc.Bounded depth)
-        else begin
-          let next = ref [] in
-          List.iter
-            (fun ((st, opened), h) ->
-              Array.iter
-                (fun e ->
-                  match Tset.step node st e with
-                  | None -> ()
-                  | Some st' ->
-                      let opened' =
-                        opened
-                        + (if Eventset.mem e ob.trigger then 1 else 0)
-                        - (if Eventset.mem e ob.response then 1 else 0)
-                      in
-                      let opened' = max 0 opened' in
-                      let h' = Trace.snoc h e in
-                      if opened' > 0 && not (reachable st') then
-                        raise (Violation h');
-                      if not (KM.mem (st', opened') !visited) then begin
-                        visited := KM.add (st', opened') () !visited;
-                        next := ((st', opened'), h') :: !next
-                      end)
-                alphabet)
-            frontier;
-          level (d + 1) !next
-        end
-      in
-      (try level 0 [ ((st0, 0), Trace.empty) ]
-       with Violation h ->
-         (* Self-certification: the witness must be a genuine trace of
-            the specification under the reference semantics. *)
-         if not (Trace.is_empty h || Tset.mem_naive ctx tset h) then
-           Verdict.uncertified
-             "obligation witness %a is not a trace of the specification"
-             Trace.pp h;
-         Error h)
-
-(* Check all liveness requirements of a live specification. *)
-let check ctx ~depth (t : t) : (Bmc.confidence, violation) result =
-  let u = Tset.universe ctx in
-  let alphabet = Spec.concrete_alphabet u t.spec in
-  let deadlock_verdict =
-    if not t.deadlock_free then Ok Bmc.Exact
-    else
-      match Bmc.find_deadlock ctx ~alphabet ~depth (Spec.tset t.spec) with
-      | Some h -> Error (Deadlock h)
-      | None -> Ok (Bmc.Bounded depth)
-  in
-  match deadlock_verdict with
-  | Error _ as e -> e
-  | Ok c0 ->
-      List.fold_left
-        (fun acc ob ->
-          match acc with
-          | Error _ as e -> e
-          | Ok c -> (
-              match
-                check_obligation ctx ~alphabet ~depth (Spec.tset t.spec) ob
-              with
-              | Error h -> Error (Unanswerable (ob, h))
-              | Ok c' -> Ok (Verdict.meet c c')))
-        (Ok c0) t.obligations
-
 (** [verdict ?depth ctx t]: all liveness requirements of a live
-    specification (deadlock freedom when required, every obligation)
-    as a structured verdict. *)
+    specification (deadlock freedom when required, then every
+    obligation in order) as a structured verdict.  Each is one question
+    of the product walk ({!Bmc.find_deadlock}, {!Bmc.find_unanswered});
+    the first refutation is the verdict, with its certified witness as
+    [Deadlock] or [Unanswerable] evidence. *)
 let verdict ?(depth = 6) ctx (t : t) : Verdict.t =
+  let alphabet = Spec.concrete_alphabet (Tset.universe ctx) t.spec in
+  let tset = Spec.tset t.spec in
+  let deadlock () =
+    match Bmc.find_deadlock ctx ~alphabet ~depth tset with
+    | Some h -> Bmc.Refuted (Verdict.Deadlock h)
+    | None -> Bmc.Holds (Bmc.Bounded depth)
+  in
+  let answered ob () =
+    match
+      Bmc.find_unanswered ctx ~alphabet ~depth ~trigger:ob.trigger
+        ~response:ob.response tset
+    with
+    | Bmc.Refuted h ->
+        Bmc.Refuted (Verdict.Unanswerable { obligation = ob.name; trace = h })
+    | Bmc.Holds c -> Bmc.Holds c
+  in
+  let rec all c = function
+    | [] -> Verdict.holds ~confidence:c ()
+    | check :: rest -> (
+        match check () with
+        | Bmc.Refuted ev -> Verdict.refuted [ ev ]
+        | Bmc.Holds c' -> all (Verdict.meet c c') rest)
+  in
   Verdict.with_context ~procedure:Verdict.Bounded_search ~depth
-    (match check ctx ~depth t with
-    | Ok c -> Verdict.holds ~confidence:c ()
-    | Error v -> Verdict.refuted [ evidence_of_violation v ])
+    (all Bmc.Exact
+       ((if t.deadlock_free then [ deadlock ] else [])
+       @ List.map answered t.obligations))
 
 (** Boolean convenience wrapper. *)
 let live ?depth ctx t = Verdict.is_holds (verdict ?depth ctx t)

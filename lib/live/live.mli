@@ -9,7 +9,10 @@
     phenomenon checkable.
 
     All checks are relative to a universe sample and a depth, like the
-    trace clause of refinement; verdicts carry witnesses. *)
+    trace clause of refinement, and each is a question of [posl.bmc]'s
+    product walk; this module keeps no search of its own.  Verdicts
+    carry certified witnesses, each the lexicographically-least
+    shortest refuting trace. *)
 
 open Posl_sets
 module Tset = Posl_tset.Tset
@@ -29,8 +32,6 @@ val obligation :
 (** Whenever a trace has more [trigger] than [response] events, some
     [response] event must remain reachable. *)
 
-val pp_obligation : Format.formatter -> obligation -> unit
-
 type t
 (** A live specification: safety plus obligations. *)
 
@@ -40,29 +41,14 @@ val v : ?deadlock_free:bool -> ?obligations:obligation list -> Spec.t -> t
 val spec : t -> Spec.t
 val obligations : t -> obligation list
 
-type violation =
-  | Deadlock of Trace.t
-      (** a reachable trace after which nothing is enabled *)
-  | Unanswerable of obligation * Trace.t
-      (** a reachable trace with an open trigger from which no response
-          is reachable *)
-
-val evidence_of_violation : violation -> Posl_verdict.Verdict.evidence
-(** [Deadlock] and [Unanswerable] as typed verdict evidence. *)
-
-val check_obligation :
-  Tset.ctx ->
-  alphabet:Posl_trace.Event.t array ->
-  depth:int ->
-  Tset.t ->
-  obligation ->
-  (Bmc.confidence, Trace.t) result
-
 val verdict : ?depth:int -> Tset.ctx -> t -> Posl_verdict.Verdict.t
 (** Deadlock freedom (when required) and every obligation, as a
     structured verdict (refutations carry [Deadlock] /
     [Unanswerable] evidence).  Mirrors {!Refine.verdict}, with the same
-    [depth] default. *)
+    [depth] default.  An obligation is refuted by a trace of length at
+    most [depth] leaving a trigger open where no response is reachable
+    within [depth + 1] steps ({!Bmc.find_unanswered}); deadlock
+    freedom, when no deadlock is found, is [Bounded depth]. *)
 
 val live : ?depth:int -> Tset.ctx -> t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)

@@ -8,8 +8,8 @@
     and measures what it queues. *)
 
 val default_domains : unit -> int
-(** [POSL_DOMAINS] from the environment, else
-    [min 4 (Domain.recommended_domain_count ())]. *)
+(** [POSL_DOMAINS] from the environment when it is a positive integer,
+    else 1: a run's domain count never depends on the host. *)
 
 type 'a pool
 

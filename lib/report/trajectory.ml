@@ -57,7 +57,6 @@ type t = {
   live_dir : string;
   slack : float;
   campaigns : campaign list;
-  runtime : (string * float) list;  (* live metrics snapshot, optional *)
   ok : bool;
 }
 
@@ -230,25 +229,6 @@ let compare_campaign ~slack ~name ~title base_rows live_rows =
   { name; title; status; checks;
     unmatched_baseline = List.rev unmatched_baseline; unmatched_live }
 
-(* --- live metrics snapshot ------------------------------------------ *)
-
-(* Unlabelled sample lines of a Prometheus text exposition, name ->
-   value.  Histogram buckets carry labels and are skipped; _sum/_count
-   lines come through, which is what the report wants. *)
-let parse_metrics text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         if line = "" || line.[0] = '#' || String.contains line '{' then None
-         else
-           match String.index_opt line ' ' with
-           | None -> None
-           | Some i -> (
-               let name = String.sub line 0 i in
-               let v = String.sub line (i + 1) (String.length line - i - 1) in
-               match float_of_string_opt (String.trim v) with
-               | Some f -> Some (name, f)
-               | None -> None))
-
 (* --- entry point ----------------------------------------------------- *)
 
 let campaign_number name =
@@ -278,7 +258,7 @@ let discover_campaigns dir =
       |> List.sort (fun a b ->
              compare (campaign_number a, a) (campaign_number b, b))
 
-let run ?(slack = 2.0) ?metrics_file ~baseline_dir ~live_dir () =
+let run ?(slack = 2.0) ~baseline_dir ~live_dir () =
   let names = discover_campaigns baseline_dir in
   let file dir name = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
   let against_live name (title, base_rows) =
@@ -301,20 +281,11 @@ let run ?(slack = 2.0) ?metrics_file ~baseline_dir ~live_dir () =
         Result.map (against_live name) (load_baseline (file baseline_dir name)))
       names
     |> Result.map @@ fun campaigns ->
-       let runtime =
-         match metrics_file with
-         | None -> []
-         | Some path -> (
-             match read_file path with
-             | exception Sys_error _ -> []
-             | text -> parse_metrics text)
-       in
        {
          baseline_dir;
          live_dir;
          slack;
          campaigns;
-         runtime;
          ok = List.for_all (fun c -> c.status = Pass) campaigns;
        }
 
@@ -361,8 +332,6 @@ let to_json t =
                    );
                  ])
              t.campaigns) );
-      ( "runtime",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) t.runtime) );
     ]
 
 let quantity c =
@@ -409,10 +378,4 @@ let to_markdown t =
       List.iter (fun k -> pf "- row only in live: `%s`\n" k) c.unmatched_live;
       if c.unmatched_baseline <> [] || c.unmatched_live <> [] then pf "\n")
     t.campaigns;
-  if t.runtime <> [] then begin
-    pf "## runtime snapshot\n\n";
-    pf "| metric | value |\n|---|---|\n";
-    List.iter (fun (k, v) -> pf "| %s | %g |\n" k v) t.runtime;
-    pf "\n"
-  end;
   Buffer.contents b

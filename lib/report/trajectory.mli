@@ -77,25 +77,20 @@ type t = {
   live_dir : string;
   slack : float;
   campaigns : campaign list;
-  runtime : (string * float) list;
-      (** unlabelled samples of the live metrics snapshot, if given *)
   ok : bool;  (** every campaign passed *)
 }
 
 val run :
   ?slack:float ->
-  ?metrics_file:string ->
   baseline_dir:string ->
   live_dir:string ->
   unit ->
   (t, string) result
 (** Compare baseline vs live: every [BENCH_*.json] under
-    [baseline_dir], in campaign-number order.  [?slack]
-    defaults to 2.0.  [?metrics_file] is a Prometheus text exposition
-    whose unlabelled samples are appended as a runtime section.
-    [Error] when no campaigns are found at all, or when a baseline file
-    is unreadable or does not declare a kind for every field (the
-    message names the file). *)
+    [baseline_dir], in campaign-number order.  [?slack] defaults to
+    2.0.  [Error] when no campaigns are found at all, or when a
+    baseline file is unreadable or does not declare a kind for every
+    field (the message names the file). *)
 
 val to_markdown : t -> string
 val to_json : t -> Json.t

@@ -106,6 +106,17 @@ for field in '"status"' '"confidence"' '"evidence"' '"provenance"' '"universe_di
 done
 echo "ok   batch --json verdict schema"
 
+# Without --domains or POSL_DOMAINS a batch runs on one domain,
+# whatever the host's core count.
+env -u POSL_DOMAINS "$BIN" batch "$SPECS/batch.manifest" \
+  --json "$tmp/default.json" >/dev/null 2>&1
+if grep -q '"domains":1[,}]' "$tmp/default.json"; then
+  echo "ok   batch defaults to one domain"
+else
+  echo "FAIL batch default: $tmp/default.json does not report \"domains\":1" >&2
+  fails=$((fails + 1))
+fi
+
 # -- compositional planner (batch --plan, "A||B" manifest tokens) ----
 # The fleet manifest's queries are composites: with the default
 # --plan auto the engine derives their verdicts from component
@@ -463,7 +474,11 @@ if cmp -s "$tmp/fleet/fleet.oun" "$tmp/fleet/fleet.oun.new" \
   echo "FAIL watch: the Gauge2 edit is not a same-size change" >&2
   fails=$((fails + 1))
 fi
-cat "$tmp/fleet/fleet.oun.new" >"$tmp/fleet/fleet.oun"
+# Overwrite in place without truncating: `cat new >file` leaves the file
+# empty until cat writes, and a poll landing in that window ran round 2
+# on an empty file (3–7 of 25 runs on a loaded 2-vCPU VM).
+dd if="$tmp/fleet/fleet.oun.new" of="$tmp/fleet/fleet.oun" bs=1M \
+  conv=notrunc status=none
 touch -r "$tmp/fleet/mtime.ref" "$tmp/fleet/fleet.oun"
 wait "$watch_pid"
 watch_exit=$?

@@ -1,6 +1,6 @@
 (* Differential oracles for the product walk: compiled-DFA decisions,
-   a serial level-wise exploration and deadlock by enumeration.  See
-   oracle.mli. *)
+   a serial level-wise exploration, and deadlock and response
+   obligations by enumeration.  See oracle.mli. *)
 
 open Posl_ident
 open Posl_sets
@@ -219,20 +219,52 @@ let tset_equal ctx ~depth (a : Spec.t) (b : Spec.t) =
         | Bmc.Holds c -> Verdict.holds ~confidence:c ()
         | Bmc.Refuted (h, side) -> fail h side)
 
-(* {1 Deadlock by enumeration} *)
+(* {1 Deadlock and obligations by enumeration} *)
+
+(* Traces in (length, alphabet position of each event) order. *)
+let in_walk_order (alphabet : Event.t array) traces =
+  let index e =
+    let rec go i = if Event.equal alphabet.(i) e then i else go (i + 1) in
+    go 0
+  in
+  let key h = (Trace.length h, List.map index (Trace.to_list h)) in
+  List.sort (fun h1 h2 -> compare (key h1) (key h2)) traces
 
 let first_stuck ctx ~(alphabet : Event.t array) ~depth t =
   if not (Tset.mem_naive ctx t Trace.empty) then Some Trace.empty
   else if depth <= 0 then None
   else
-    let index e =
-      let rec go i = if Event.equal alphabet.(i) e then i else go (i + 1) in
-      go 0
-    in
-    let key h = (Trace.length h, List.map index (Trace.to_list h)) in
     Bmc.enumerate ctx ~alphabet ~depth:(depth - 1) t
-    |> List.sort (fun h1 h2 -> compare (key h1) (key h2))
+    |> in_walk_order alphabet
     |> List.find_opt (fun h ->
            Array.for_all
              (fun e -> not (Tset.mem_naive ctx t (Trace.snoc h e)))
              alphabet)
+
+let first_unanswered ctx ~(alphabet : Event.t array) ~depth ~trigger ~response
+    t =
+  let opened h =
+    List.fold_left
+      (fun k e ->
+        max 0
+          (k
+          + Bool.to_int (Eventset.mem e trigger)
+          - Bool.to_int (Eventset.mem e response)))
+      0 (Trace.to_list h)
+  in
+  (* some member extension of h by 1 to k events ends in a response *)
+  let rec answerable h k =
+    k > 0
+    && Array.exists
+         (fun e ->
+           let h' = Trace.snoc h e in
+           Tset.mem_naive ctx t h'
+           && (Eventset.mem e response || answerable h' (k - 1)))
+         alphabet
+  in
+  Bmc.enumerate ctx ~alphabet ~depth t
+  |> in_walk_order alphabet
+  |> List.find_opt (fun h ->
+         (not (Trace.is_empty h))
+         && opened h > 0
+         && not (answerable h (depth + 1)))

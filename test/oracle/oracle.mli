@@ -4,8 +4,9 @@
     procedure: compiled DFAs for refinement clause 3 and trace-set
     equality, a serial level-wise exploration with structural
     de-duplication for depth-cut inclusion, and trace enumeration with
-    the denotational semantics ([Tset.mem_naive]) for deadlock.  None
-    uses the walk's interning, successor rows or antichain. *)
+    the denotational semantics ([Tset.mem_naive]) for deadlock and
+    response obligations.  None uses the walk's interning, successor
+    rows or antichain. *)
 
 open Posl_sets
 module Tset = Posl_tset.Tset
@@ -65,3 +66,17 @@ val first_stuck :
     [depth] that no event of the alphabet extends, by enumeration
     ({!Bmc.enumerate}) and [Tset.mem_naive]; [Some ε] when even ε is
     outside the set. *)
+
+val first_unanswered :
+  Tset.ctx ->
+  alphabet:Event.t array ->
+  depth:int ->
+  trigger:Eventset.t ->
+  response:Eventset.t ->
+  Tset.t ->
+  Trace.t option
+(** The first trace, in (length, alphabet) order, of length 1 to
+    [depth] that leaves a trigger open (triggers minus responses, the
+    count clipped at 0 after each event, above 0) and has no member
+    extension of 1 to [depth + 1] events that ends in a response, by
+    enumeration ({!Bmc.enumerate}) and [Tset.mem_naive]. *)

@@ -129,6 +129,25 @@ let gen_stuck =
     ( Spec.concrete_alphabet sc.Gen.universe g,
       if cut then Tset.conj [ Spec.tset g; Tset.prs r ] else Spec.tset g )
 
+(* [gen_stuck] with a response obligation over its own events: the
+   triggers a random subset of them, the response one of them (or none,
+   when the alphabet is empty), so that a cut often leaves it out of
+   reach. *)
+let gen_obligation =
+  let open G in
+  let* alphabet, t = gen_stuck in
+  let events = Array.to_list alphabet in
+  let set =
+    List.fold_left
+      (fun s e -> Eventset.union s (Eventset.of_event e))
+      Eventset.empty
+  in
+  let* trigger = Gen.sub_list events in
+  let* response =
+    match events with [] -> pure [] | _ -> map (fun e -> [ e ]) (oneofl events)
+  in
+  pure (alphabet, t, set trigger, set response)
+
 let qsuite =
   [
     Util.qtest ~count:40 "count_traces matches enumerate"
@@ -162,6 +181,23 @@ let qsuite =
               (Bmc.find_deadlock gctx ~alphabet ~depth t)
               (Oracle.first_stuck gctx ~alphabet ~depth t))
           [ 1; 2; 3 ]);
+    (* The obligation walk against enumeration at depths 1 and 2:
+       refuted exactly when some trace leaves a trigger open with no
+       response reachable, and then by the first such trace in
+       (length, alphabet) order. *)
+    Util.qtest ~count:200 "obligations agree with enumeration" gen_obligation
+      (fun (alphabet, t, trigger, response) ->
+        List.for_all
+          (fun depth ->
+            match
+              ( Bmc.find_unanswered gctx ~alphabet ~depth ~trigger ~response t,
+                Oracle.first_unanswered gctx ~alphabet ~depth ~trigger
+                  ~response t )
+            with
+            | Bmc.Holds _, None -> true
+            | Bmc.Refuted h, Some h' -> Trace.equal h h'
+            | _ -> false)
+          [ 1; 2 ]);
   ]
 
 (* A counter unbounded below, #OW - #CW <= 1: its reachable monitor

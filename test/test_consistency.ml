@@ -16,12 +16,12 @@ let depth = 4
 let test_viewpoints_consistent () =
   (* The paper's viewpoints of o are non-trivially consistent: their
      merge admits real behaviour. *)
-  (let v = Consistency.verdict ~depth ctx Ex.write Ex.read2 in
+  (let v = Consistency.verdict ctx Ex.write Ex.read2 in
    match (Verdict.is_holds v, Verdict.witness_traces v) with
    | true, h :: _ ->
        Util.check_bool "witness non-empty" false (Posl_trace.Trace.is_empty h)
    | _ -> Alcotest.failf "Write/Read2: %s" (Verdict.to_string v));
-  let v = Consistency.verdict ~depth ctx Ex.read Ex.write in
+  let v = Consistency.verdict ctx Ex.read Ex.write in
   if not (Verdict.is_holds v) then
     Alcotest.failf "Read/Write: %s" (Verdict.to_string v)
 
@@ -45,7 +45,7 @@ let test_contradicting_specs_trivial () =
      weakest common refinement admits only ε. *)
   let a = mk_order "OwFirst" Ex.m_ow Ex.m_cw in
   let b = mk_order "CwFirst" Ex.m_cw Ex.m_ow in
-  let v = Consistency.verdict ~depth ctx a b in
+  let v = Consistency.verdict ctx a b in
   if not (Verdict.is_refuted v) then
     Alcotest.failf "expected trivial consistency: %s" (Verdict.to_string v)
 
@@ -72,7 +72,7 @@ let test_not_composable_reported () =
            (Mset.singleton (Mth.v "m")))
       Tset.all
   in
-  let v = Consistency.verdict ~depth ctx nosy two in
+  let v = Consistency.verdict ctx nosy two in
   if not (Verdict.is_vacuous v) then
     Alcotest.failf "expected not-composable: %s" (Verdict.to_string v)
 

@@ -53,6 +53,29 @@ let test_obligation_violation_detected () =
       Alcotest.fail "expected unanswerable, got deadlock"
   | _ -> Alcotest.fail "expected an obligation violation"
 
+(* Refutations are the walk's: the lexicographically-least shortest
+   witness.  In Write an OW then a W leaves a W without its OK; the
+   least such trace is the fixed client's, not a fresh object's. *)
+let test_witness_is_lex_least () =
+  let calls m =
+    Eventset.calls ~callers:Oset.full ~callees:Oset.full (Mset.singleton m)
+  in
+  let w_ok =
+    Live.obligation ~name:"W->OK" ~trigger:(calls Ex.m_w)
+      ~response:(calls Ex.m_ok)
+  in
+  let lspec = Live.v ~deadlock_free:false ~obligations:[ w_ok ] Ex.write in
+  match (Live.verdict ~depth ctx lspec).Verdict.evidence with
+  | [ Verdict.Unanswerable { trace = h; _ } ] ->
+      Alcotest.check Util.trace "lex-least shortest witness"
+        (Util.tr
+           [
+             Util.ev "c" "o" "OW";
+             Util.ev ~arg:(Posl_ident.Value.v "d1") "c" "o" "W";
+           ])
+        h
+  | _ -> Alcotest.fail "expected W->OK to be unanswerable in Write"
+
 let test_deadlock_detected () =
   let comp = Compose.interface Ex.client2 Ex.write_acc in
   let lspec = Live.v comp in
@@ -122,6 +145,8 @@ let test_compositional_deadlock_preservation () =
 
 let suite =
   [
+    Alcotest.test_case "obligation witness is the lex-least shortest" `Quick
+      test_witness_is_lex_least;
     Alcotest.test_case "Write satisfies its bracket obligation" `Quick
       test_write_is_live;
     Alcotest.test_case "unanswerable obligation detected" `Quick

@@ -231,9 +231,8 @@ let test_trajectory_missing_field () =
     (Util.contains_substring ~needle:{|"live":null|}
        (Json.to_string (Trajectory.to_json t)))
 
-(* Sub-millisecond baseline timings are not gated (noise), and the
-   runtime metrics snapshot lands in the report. *)
-let test_trajectory_noise_floor_and_metrics () =
+(* Sub-millisecond baseline timings are not gated (noise). *)
+let test_trajectory_noise_floor () =
   with_temp_dir @@ fun base ->
   with_temp_dir @@ fun live ->
   write_file (Filename.concat base "BENCH_P5.json")
@@ -241,28 +240,11 @@ let test_trajectory_noise_floor_and_metrics () =
        "kinds":[{"pass":"key","total_ms":"timing"}]}|};
   write_file (Filename.concat live "BENCH_P5.json")
     {|{"campaign":"P5","title":"fast","rows":[{"pass":"x","total_ms":0.9}]}|};
-  let metrics = Filename.concat live "metrics.prom" in
-  write_file metrics
-    "# HELP posl_gc_heap_words h\n# TYPE posl_gc_heap_words gauge\n\
-     posl_gc_heap_words 123456\n\
-     lat_ms_bucket{le=\"1\"} 3\n";
   let t =
-    trajectory_ok
-      (Trajectory.run ~metrics_file:metrics ~baseline_dir:base ~live_dir:live
-         ())
+    trajectory_ok (Trajectory.run ~baseline_dir:base ~live_dir:live ())
   in
   Util.check_bool "4.5x on a 0.2ms baseline is not a regression" true
-    t.Trajectory.ok;
-  Util.check_bool "unlabelled runtime sample captured" true
-    (List.assoc_opt "posl_gc_heap_words" t.Trajectory.runtime = Some 123456.);
-  Util.check_bool "labelled bucket line skipped" true
-    (not
-       (List.exists
-          (fun (k, _) -> k = "lat_ms_bucket"
-          ) t.Trajectory.runtime));
-  Util.check_bool "runtime section rendered" true
-    (Util.contains_substring ~needle:"posl_gc_heap_words"
-       (Trajectory.to_markdown t))
+    t.Trajectory.ok
 
 (* The baseline's declared kind decides, never the field's name: a
    [*_ms] field declared [info] is not checked, a [*_over_*] ratio
@@ -388,8 +370,8 @@ let suite =
       test_trajectory_missing_live;
     Alcotest.test_case "trajectory: a missing gated field fails" `Quick
       test_trajectory_missing_field;
-    Alcotest.test_case "trajectory: noise floor and runtime snapshot" `Quick
-      test_trajectory_noise_floor_and_metrics;
+    Alcotest.test_case "trajectory: noise floor" `Quick
+      test_trajectory_noise_floor;
     Alcotest.test_case "trajectory: the declared kind gates, not the name"
       `Quick test_trajectory_kinds_not_names;
     Alcotest.test_case "trajectory: key fields form the row identity" `Quick
