@@ -416,7 +416,11 @@ let consistent_cmd =
       (let* specs, universe = load ~extra file in
        let* a = resolve specs ~file left in
        let* b = resolve specs ~file right in
-       let v = Posl_core.Consistency.verdict (Tset.ctx universe) a b in
+       let v =
+         Verdict.with_context
+           ~universe_digest:(Job.universe_digest universe)
+           (Posl_core.Consistency.verdict (Tset.ctx universe) a b)
+       in
        print_verdict ~json
          ~label:(Printf.sprintf "consistent(%s, %s)" left right)
          ~kind:"consistent" v)

@@ -5,7 +5,15 @@
     subset-constructed rhs monitor is monotone — any violation
     reachable from the larger macro is reachable from the smaller.
     Only ⊆-minimal macro-states per lhs state are retained, which is
-    sound both for refutation and for [Exact]-on-exhaustion. *)
+    sound both for refutation and for [Exact]-on-exhaustion.
+
+    The order does not read how many symmetric objects a pair has in use
+    (see [Bmc]): a pair first reached with objects 0 to m − 1 in use is
+    invariant under renaming the others, so the steps the walk takes
+    from it reach a relabelling of everything reachable from it,
+    whatever count a later, subsumed arrival carries.  Keying pairs by
+    that count as well would visit each state once per count (28 → 56
+    pairs on [fleet.manifest] without the planner). *)
 
 type t
 

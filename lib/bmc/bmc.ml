@@ -21,12 +21,23 @@
     is {!Bounded} by the depth.  Replaying a trace ({!enabled}) and
     counting traces ({!count_traces}) read the same successor rows;
     only {!enumerate}, the structural reference the tests compare
-    against, steps structural states. *)
+    against, steps structural states.
+
+    The escape questions (inclusion, equality) and the stuck question
+    (deadlock) explore each orbit of interchangeable objects once: the
+    universe objects a question does not mention ({!symmetric}) are
+    brought into use in universe order only, so a question over k of
+    them walks one relabelling of each trace instead of up to k!.
+    Witnesses and confidences are those of the full walk.  State
+    counting and Live's reach and obligation questions keep the full
+    walk. *)
 
 module Tset = Posl_tset.Tset
 module Event = Posl_trace.Event
 module Trace = Posl_trace.Trace
 module Eventset = Posl_sets.Eventset
+module Oid = Posl_ident.Oid
+module Universe = Posl_ident.Universe
 module Verdict = Posl_verdict.Verdict
 module Telemetry = Posl_telemetry.Telemetry
 module Metrics = Posl_telemetry.Metrics
@@ -101,6 +112,137 @@ let certify_unanswered ctx t h =
       "obligation witness %a is not a trace of the specification" Trace.pp h;
   h
 
+(** {1 Symmetric objects}
+
+    A question's {e symmetric objects} are the universe objects, in
+    universe order, that it cannot tell apart:
+
+    - neither monitor ([Tset.mentioned]) nor the projection
+      ([Eventset.mentioned]) names them, and both monitors are
+      {!Tset.finitary}: a [Pointwise] predicate may single out any
+      object, while a [Forall_obj] body is assumed uniform over the sort
+      members it does not name;
+    - the concrete alphabet is closed under swapping any two of them;
+    - every event that uses the later of two but not the earlier comes
+      after its swap.  That is the order [Eventset.sample] lists events
+      in (rect by rect, callers then callees in universe order), the
+      order [Spec.concrete_alphabet] and [Theory.tset_equal] pass on;
+      another order keeps the full walk.
+
+    Renaming symmetric objects then maps the walk's graph onto itself,
+    answers included.  A walk with them admits only steps that bring
+    them into use in universe order: a pair carries m, how many are in
+    use (objects 0 to m − 1), and a step is taken only when each
+    symmetric object it uses is below m or is the next one (m, then
+    m + 1).  The steps left out are mirror images of steps taken.
+    Three facts make this exact:
+
+    - every trace has a relabelling in first-use order, of the same
+      length, which answers iff the trace does;
+    - the lexicographically-least shortest answer is in first-use order
+      already: a trace that brings object b into use while a lower a is
+      unused has a twin with a and b swapped, equal up to that event
+      and alphabet-earlier at it.  So the walk's witness is the full
+      walk's;
+    - a state first reached with objects 0 to m − 1 in use looks the
+      same under any renaming of the others, so the steps taken from it
+      reach a relabelling of everything reachable from it, under any
+      count.  A pair is therefore visited once, whatever count it
+      arrives with, and a pruned pair's answers map to the pruning
+      pair's by monotonicity and symmetry: exhaustion stays [Exact].
+
+    This is the simplest form of Ip and Dill's scalarsets ("Better
+    Verification Through Symmetry", FMSD 1996). *)
+
+(* For each alphabet event, the least and the greatest index of a
+   symmetric object it uses ([lo = hi] when one, [-1] when none). *)
+type uses = { lo : int array; hi : int array }
+
+(* The symmetric objects' uses by the events of [alphabet], or [None]
+   when fewer than two objects qualify — then nothing more is
+   computed. *)
+let symmetric ctx ~(alphabet : Event.t array) ~proj (monitors : Tset.t list)
+    : uses option =
+  if not (List.for_all Tset.finitary monitors) then None
+  else
+    let objects (os, _, _) = os in
+    let named =
+      List.fold_left
+        (fun acc t -> Oid.Set.union acc (objects (Tset.mentioned t)))
+        (objects (Eventset.mentioned proj))
+        monitors
+    in
+    let sym =
+      Universe.objects (Tset.universe ctx)
+      |> List.filter (fun o -> not (Oid.Set.mem o named))
+      |> Array.of_list
+    in
+    let k = Array.length sym in
+    if k < 2 then None
+    else
+      let index o =
+        let rec find i =
+          if i = k then -1 else if Oid.equal sym.(i) o then i else find (i + 1)
+        in
+        find 0
+      in
+      let n = Array.length alphabet in
+      let lo = Array.make n (-1) and hi = Array.make n (-1) in
+      (* each event's position, which the order check reads: an
+         alphabet listing an event twice keeps the full walk *)
+      let position = Hashtbl.create n in
+      let exception Asymmetric in
+      let locate s e =
+        let a = index (Event.caller e) and b = index (Event.callee e) in
+        lo.(s) <- (if a < 0 || b < 0 then max a b else min a b);
+        hi.(s) <- max a b;
+        if Hashtbl.mem position e then raise_notrace Asymmetric;
+        Hashtbl.add position e s
+      in
+      let swap a b e =
+        let rename o =
+          if Oid.equal o sym.(a) then sym.(b)
+          else if Oid.equal o sym.(b) then sym.(a)
+          else o
+        in
+        Event.make ?arg:(Event.arg e)
+          ~caller:(rename (Event.caller e))
+          ~callee:(rename (Event.callee e))
+          (Event.mth e)
+      in
+      (* the swap of every event exists, and comes first where the
+         event uses the later object only *)
+      let check s e =
+        let uses x = x = lo.(s) || x = hi.(s) in
+        for a = 0 to k - 2 do
+          for b = a + 1 to k - 1 do
+            if uses a || uses b then
+              match Hashtbl.find_opt position (swap a b e) with
+              | None -> raise_notrace Asymmetric
+              | Some s' ->
+                  if uses b && (not (uses a)) && s' > s then
+                    raise_notrace Asymmetric
+          done
+        done
+      in
+      try
+        Array.iteri locate alphabet;
+        Array.iteri (fun s e -> if hi.(s) >= 0 then check s e) alphabet;
+        Some { lo; hi }
+      with Asymmetric -> None
+
+(* The count of symmetric objects in use after the step at symbol [s]
+   from a pair with [m] in use, or [-1] when the step brings one into
+   use out of universe order. *)
+let introduce { lo; hi } m s =
+  let hi = hi.(s) in
+  if hi < m then m
+  else
+    let lo = lo.(s) in
+    if lo < m || lo = hi then if hi = m then m + 1 else -1
+    else if lo = m && hi = m + 1 then m + 2
+    else -1
+
 (** {1 The product walk}
 
     One breadth-first walk over the product of a [lhs] monitor with a
@@ -133,6 +275,12 @@ let certify_unanswered ctx t h =
     order, so the first answer found carries the lexicographically-least
     shortest trace.
 
+    With [~sym] (the escape and stuck questions, when two or more
+    objects are symmetric) a frontier pair also carries how many
+    symmetric objects are in use, and a step that would bring one into
+    use out of universe order is not taken; the pair order ignores the
+    count ({!symmetric} says why).  Without it every step is taken.
+
     With [~complete:false] the walk cuts at [depth]: states at depth
     [depth] are admitted but not expanded.  With [~complete:true] it
     runs past [depth] until the frontier is exhausted or more than
@@ -156,9 +304,12 @@ let budget = 200_000
 
 exception Answer of Trace.t
 
-let rec walk ~complete ctx ~(alphabet : Event.t array) ~depth question
+let rec walk ~complete ?sym ctx ~(alphabet : Event.t array) ~depth question
     (lhs : Tset.node) (l0 : int) : outcome * int * Antichain.stats =
   let n = Array.length alphabet in
+  (* [count m s]: symmetric objects in use after a step at [s] from [m],
+     [-1] for a step not taken *)
+  let count = match sym with Some u -> introduce u | None -> fun m _ -> m in
   let eids = Array.map (Tset.event_id ctx) alphabet in
   (* Successor cells are the nodes' own rows ({!Tset.step_id}), filled
      lazily — rhs states are only stepped at symbols where the lhs
@@ -244,15 +395,19 @@ let rec walk ~complete ctx ~(alphabet : Event.t array) ~depth question
      however deep the walk goes; only an answer's trace is turned
      round. *)
   let answer rev_h = raise (Answer (Trace.of_list (List.rev rev_h))) in
-  let expand (l, r, rev_h) next =
+  let expand (l, r, m, rev_h) next =
     let live = ref false in
     for s = 0 to n - 1 do
-      let l' = lcell l s in
-      if l' >= 0 then begin
-        live := true;
-        let r' = if rmask.(s) then rstep l' r s else r in
-        if r' < 0 then answer (alphabet.(s) :: rev_h);
-        if admit l' r' then next := (l', r', alphabet.(s) :: rev_h) :: !next
+      let m' = count m s in
+      if m' >= 0 then begin
+        let l' = lcell l s in
+        if l' >= 0 then begin
+          live := true;
+          let r' = if rmask.(s) then rstep l' r s else r in
+          if r' < 0 then answer (alphabet.(s) :: rev_h);
+          if admit l' r' then
+            next := (l', r', m', alphabet.(s) :: rev_h) :: !next
+        end
       end
     done;
     if stuck && not !live then answer rev_h
@@ -267,7 +422,7 @@ let rec walk ~complete ctx ~(alphabet : Event.t array) ~depth question
         level (d + 1) (List.rev !next)
   in
   let outcome =
-    try level 0 [ (l0, r0, []) ] with Answer h -> Found h
+    try level 0 [ (l0, r0, 0, []) ] with Answer h -> Found h
   in
   (outcome, !admitted, Antichain.stats ac)
 
@@ -302,8 +457,9 @@ let check_inclusion_antichain ?(complete = true) (ctx : Tset.ctx)
               let complete =
                 complete && Tset.finitary lhs && Tset.finitary rhs
               in
+              let sym = symmetric ctx ~alphabet ~proj [ lhs; rhs ] in
               let outcome, admitted, st =
-                walk ~complete ctx ~alphabet ~depth
+                walk ~complete ?sym ctx ~alphabet ~depth
                   (Escape (proj, rnode, rhs0))
                   lnode (Tset.intern_state ctx lhs0)
               in
@@ -313,7 +469,8 @@ let check_inclusion_antichain ?(complete = true) (ctx : Tset.ctx)
                 Telemetry.set_attrs
                   [ ("pairs", string_of_int admitted);
                     ("prunes", string_of_int st.Antichain.pruned);
-                    ("dropped", string_of_int st.Antichain.dropped) ];
+                    ("dropped", string_of_int st.Antichain.dropped);
+                    ("symmetric", string_of_bool (Option.is_some sym)) ];
               (match outcome with
               | Found h -> Refuted (certify_inclusion ctx ~lhs ~proj ~rhs h)
               | Exhausted -> Holds Exact
@@ -349,8 +506,9 @@ let find_deadlock ctx ~(alphabet : Event.t array) ~depth (t : Tset.t) :
       (* not even ε: degenerate, report as stuck *)
       Some (certify_deadlock ctx ~alphabet t Trace.empty)
   | Some st0 -> (
+      let sym = symmetric ctx ~alphabet ~proj:Eventset.empty [ t ] in
       match
-        walk ~complete:false ctx ~alphabet ~depth Stuck n
+        walk ~complete:false ?sym ctx ~alphabet ~depth Stuck n
           (Tset.intern_state ctx st0)
       with
       | Found h, _, _ -> Some (certify_deadlock ctx ~alphabet t h)

@@ -18,7 +18,43 @@
     [Tset.mem_naive] before being reported, and
     {!Posl_verdict.Verdict.Uncertified} is raised if the replay
     disagrees with the exploration.  Each is the lexicographically-least
-    shortest one. *)
+    shortest one.
+
+    {2 Symmetric objects}
+
+    A universe sample pads the objects a file's specs mention with
+    fresh ones, and one question often mentions fewer still.  The
+    escape questions ({!check_inclusion_antichain}, {!check_equal}) and
+    the stuck question ({!find_deadlock}) explore each orbit of the
+    objects they cannot tell apart once.  Those {e symmetric objects}
+    are the universe objects, in universe order, that neither monitor
+    ([Tset.mentioned]) nor the projection ([Eventset.mentioned]) names,
+    when both monitors are [Tset.finitary] (a [Pointwise] predicate may
+    single out any object) and the concrete alphabet is closed under
+    swapping any two of them and lists every event that uses the later
+    of two but not the earlier after its swap — the order
+    [Eventset.sample] produces.  Another order, or fewer than two such
+    objects, keeps the full walk.
+
+    The walk then takes only steps that bring symmetric objects into
+    use in universe order.  It is exact, for three reasons:
+
+    - the walk's graph is invariant under permutations of the symmetric
+      objects, so every violation has a representative in first-use
+      order, of the same length;
+    - the lexicographically-least shortest violating trace is such a
+      representative, because an out-of-order introduction has an
+      alphabet-earlier renamed twin: witnesses do not change;
+    - a state first reached with some symmetric objects in use is
+      invariant under permutations of the others, so a pair is visited
+      once whatever count of objects in use it arrives with, and a
+      dominated pair's violations map to the dominating pair's by
+      monotonicity and symmetry: exhaustion stays [Exact].
+
+    {!count_states} (the state-count metric) and {!find_unanswered}
+    (whose response probes start at states whose objects in use they do
+    not know) keep the full walk, as do {!enabled} and
+    {!count_traces}. *)
 
 module Tset = Posl_tset.Tset
 module Event = Posl_trace.Event
@@ -50,8 +86,9 @@ val check_inclusion_antichain :
     Decided on the fly over interned state ids with memoized successor
     rows, pruning frontier pairs whose rhs macro-state ([Product]
     subset construction) is subsumed by an already-visited one
-    ({!Antichain}).  Refutations are the lexicographically-least
-    shortest violating trace, a genuine [lhs] trace.
+    ({!Antichain}), and bringing symmetric objects into use in universe
+    order only.  Refutations are the lexicographically-least shortest
+    violating trace, a genuine [lhs] trace.
 
     With [complete] (default [true]), the walk continues past [depth]
     until the frontier is exhausted ([Exact]) or more than 200_000
@@ -73,7 +110,8 @@ val find_deadlock :
   Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> Trace.t option
 (** A shortest reachable trace after which no event of the alphabet is
     enabled, if any — the lexicographically-least one of length below
-    [depth]. *)
+    [depth].  Symmetric objects are brought into use in universe order
+    only. *)
 
 val find_unanswered :
   Tset.ctx ->

@@ -52,28 +52,33 @@ let nonempty_witness ctx comp =
     [Consistency_witness] trace, refuted when only ε is common, and
     {e vacuous} (carrying the composability failure) when the question
     is not externally answerable.  No depth: prefix closure makes the
-    search one event deep, so the verdict is exact. *)
+    search one event deep, so the verdict is exact.  The procedure is
+    [Symbolic] for a composability failure and [Automata] for an
+    answer read from the composition's successor rows; the caller adds
+    the universe digest. *)
 let verdict ctx g1 g2 : Verdict.t =
   match weakest_common_refinement g1 g2 with
   | Error f ->
-      {
-        Verdict.status = Vacuous;
-        confidence = None;
-        evidence = [ Compose.evidence_of_failure f ];
-        provenance = Verdict.no_provenance;
-      }
-  | Ok comp -> (
-      match nonempty_witness ctx comp with
-      | Some h ->
-          Verdict.holds ~confidence:Exact
-            ~evidence:[ Verdict.Consistency_witness h ] ()
-      | None ->
-          Verdict.refuted ~confidence:Exact
-            [
-              Verdict.Note
-                "only trivially consistent: the weakest common refinement \
-                 admits no non-empty trace";
-            ])
+      Verdict.with_context ~procedure:Verdict.Symbolic
+        {
+          Verdict.status = Vacuous;
+          confidence = None;
+          evidence = [ Compose.evidence_of_failure f ];
+          provenance = Verdict.no_provenance;
+        }
+  | Ok comp ->
+      Verdict.with_context ~procedure:Verdict.Automata
+        (match nonempty_witness ctx comp with
+        | Some h ->
+            Verdict.holds ~confidence:Exact
+              ~evidence:[ Verdict.Consistency_witness h ] ()
+        | None ->
+            Verdict.refuted ~confidence:Exact
+              [
+                Verdict.Note
+                  "only trivially consistent: the weakest common refinement \
+                   admits no non-empty trace";
+              ])
 
 (** Boolean convenience wrapper: non-trivially consistent? *)
 let consistent ctx g1 g2 = Verdict.is_holds (verdict ctx g1 g2)

@@ -25,7 +25,10 @@ val verdict : Tset.ctx -> Spec.t -> Spec.t -> Verdict.t
     (the first event [Bmc.enabled] reports after ε, certified against
     [Tset.mem_naive] before being reported),
     refuted when only ε is common, vacuous with the composability
-    failure as evidence when not externally determinable. *)
+    failure as evidence when not externally determinable.  The
+    provenance names the procedure: [Symbolic] for a composability
+    failure, [Automata] otherwise; depth and universe digest are left
+    to the caller. *)
 
 val consistent : Tset.ctx -> Spec.t -> Spec.t -> bool
 (** [Verdict.is_holds] of {!verdict}. *)

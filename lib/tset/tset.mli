@@ -214,4 +214,15 @@ val mem_naive : ctx -> t -> Posl_trace.Trace.t -> bool
 (** {1 Utilities} *)
 
 val mentioned : t -> Oid.Set.t * Mth.Set.t * Value.Set.t
+(** The identifiers the trace set names: [Spec.adequate_universe] builds
+    universes from them, and the product walk of [posl.bmc] treats the
+    universe objects that neither side of a question names as
+    interchangeable, breaking the symmetry among them.  A [Forall_obj]
+    body is read at one witness of its sort: bodies are assumed uniform
+    over the sort members they do not name (true of every predicate in
+    the paper, where the bound variable ranges over an anonymous
+    environment sort).  A [Pointwise] predicate names nothing but may
+    single out any object, so the walk breaks no symmetry for a monitor
+    that is not {!finitary}. *)
+
 val pp : Format.formatter -> t -> unit

@@ -237,6 +237,30 @@ for field in '"kind"' '"holds"' '"verdict"' '"evidence"'; do
 done
 echo "ok   single-query --json fields"
 
+# A consistency verdict says how and where it was decided, like every
+# other query's.
+"$BIN" consistent "$SPECS/paper.oun" Write Read2 --json >"$tmp/consistent.json" 2>/dev/null
+for field in '"procedure":null' '"universe_digest":null'; do
+  if grep -q "$field" "$tmp/consistent.json"; then
+    echo "FAIL consistent --json: $field" >&2
+    fails=$((fails + 1))
+  fi
+done
+echo "ok   consistent --json procedure and universe digest"
+
+# Universe adequacy: 4 fresh environment objects decide every query of
+# batch.manifest as the default 2 do.
+"$BIN" batch "$SPECS/batch.manifest" --json "$tmp/extra2.json" >/dev/null 2>&1
+"$BIN" batch "$SPECS/batch.manifest" --extra-objects 4 --json "$tmp/extra4.json" >/dev/null 2>&1
+if [ "$(grep -o '"status":"[a-z]*"' "$tmp/extra2.json")" != \
+     "$(grep -o '"status":"[a-z]*"' "$tmp/extra4.json")" ] \
+   || ! grep -q '"status"' "$tmp/extra4.json"; then
+  echo "FAIL batch --extra-objects 4: statuses differ from the default's" >&2
+  fails=$((fails + 1))
+else
+  echo "ok   batch --extra-objects 4 decides as 2 do"
+fi
+
 # Everything the CLI claims is JSON must actually parse as JSON — and
 # every embedded verdict object must round-trip through the typed
 # parser.  Validated natively by the tool itself (posl-check json),

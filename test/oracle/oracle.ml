@@ -69,7 +69,7 @@ let word_trace alphabet w = Trace.of_list (List.map (fun s -> alphabet.(s)) w)
    the rhs DFA over the projected symbols lifted back (symbols outside
    α(Γ) self-loop), then plain language inclusion.  [None] when either
    monitor does not compile. *)
-let inclusion_dfa ctx ~(alphabet : Event.t array) ~proj ~lhs ~rhs =
+let inclusion ctx ~(alphabet : Event.t array) ~proj ~lhs ~rhs =
   let keep =
     List.filter
       (fun i -> Eventset.mem alphabet.(i) proj)
@@ -163,7 +163,7 @@ let refine route ?(depth = 6) ctx (gamma' : Spec.t) (gamma : Spec.t) =
       let alphabet = Spec.concrete_alphabet (Tset.universe ctx) gamma' in
       let lhs = Spec.tset gamma' and rhs = Spec.tset gamma in
       let automata () =
-        match inclusion_dfa ctx ~alphabet ~proj ~lhs ~rhs with
+        match inclusion ctx ~alphabet ~proj ~lhs ~rhs with
         | Some (Ok ()) ->
             Some (Verdict.Automata, Verdict.holds ~confidence:Exact ())
         | Some (Error h) ->

@@ -28,6 +28,17 @@ val compile :
     sink, all others accepting); [None] when the space exceeds
     [max_states] (default 200_000) or a closure overflows. *)
 
+val inclusion :
+  Tset.ctx ->
+  alphabet:Event.t array ->
+  proj:Eventset.t ->
+  lhs:Tset.t ->
+  rhs:Tset.t ->
+  (unit, Trace.t) result option
+(** Inclusion ([h/proj ∈ rhs] for every [lhs] trace) on compiled DFAs,
+    unbounded: [Error h] with the lexicographically-least shortest
+    violating trace; [None] when either monitor does not compile. *)
+
 val inclusion_levelwise :
   Tset.ctx ->
   alphabet:Event.t array ->

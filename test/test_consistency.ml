@@ -47,7 +47,9 @@ let test_contradicting_specs_trivial () =
   let b = mk_order "CwFirst" Ex.m_cw Ex.m_ow in
   let v = Consistency.verdict ctx a b in
   if not (Verdict.is_refuted v) then
-    Alcotest.failf "expected trivial consistency: %s" (Verdict.to_string v)
+    Alcotest.failf "expected trivial consistency: %s" (Verdict.to_string v);
+  Util.check_bool "read from the successor rows" true
+    (v.Verdict.provenance.procedure = Some Verdict.Automata)
 
 let test_not_composable_reported () =
   (* A spec peeking into another component's internals: consistency is
@@ -74,7 +76,9 @@ let test_not_composable_reported () =
   in
   let v = Consistency.verdict ctx nosy two in
   if not (Verdict.is_vacuous v) then
-    Alcotest.failf "expected not-composable: %s" (Verdict.to_string v)
+    Alcotest.failf "expected not-composable: %s" (Verdict.to_string v);
+  Util.check_bool "decided symbolically" true
+    (v.Verdict.provenance.procedure = Some Verdict.Symbolic)
 
 let test_bound_property () =
   (* RW refines both Read and Write, so it refines their composition. *)

@@ -599,26 +599,88 @@ let ctx_per_universe () =
         Hashtbl.add ctxs key c;
         c
 
-(* Universe adequacy: the default of 2 fresh environment objects
-   decides every fence query as 3 do.  Status and confidence must agree
-   query by query; evidence may not, since a witness can name a
-   different fresh object. *)
-let test_fence_universe_adequate () =
-  let answers extra_objects =
-    let ctx = ctx_per_universe () in
-    List.map
-      (fun (r : Engine.request) ->
-        (r.Engine.label, Job.run (ctx r) ~depth:r.Engine.depth r.Engine.query))
-      (fence_requests ~extra_objects ())
+(* Every ordered refine and equal pair of the ATM viewpoints, in the
+   universe of the whole file. *)
+let atm_requests ~extra_objects =
+  let text =
+    In_channel.with_open_bin (Util.spec_file "atm.oun") In_channel.input_all
   in
-  let two = answers 2 and three = answers 3 in
-  Util.check_int "same queries" (List.length two) (List.length three);
+  match Manifest.specs_of_source ~extra_objects ~file:"atm.oun" text with
+  | Error e -> Alcotest.failf "atm.oun: %s" (Manifest.input_error_detail e)
+  | Ok (specs, universe) ->
+      List.concat_map
+        (fun a ->
+          List.concat_map
+            (fun b ->
+              if a == b then []
+              else
+                List.map
+                  (Engine.request ~depth:6 ~universe)
+                  [
+                    Job.refine ~refined:a ~abstract:b;
+                    Job.equal ~left:a ~right:b;
+                  ])
+            specs)
+        specs
+
+(* A seeded posl.gen corpus: 20 generated specs, each with a generated
+   refinement, asked both ways and for equality.  Generated once, so
+   every universe size asks about the same spec values. *)
+let generated =
+  lazy
+    (G.generate ~rand:(Random.State.make [| 7 |]) ~n:20
+       (let open G in
+        let* g = Gen.spec Util.sc [ Oid.v "k0" ] in
+        let* g' = Gen.refinement_of Util.sc g in
+        pure (g', g)))
+
+let generated_requests ~extra_objects =
+  List.concat_map
+    (fun (g', g) ->
+      List.map
+        (Engine.of_specs ~depth:6 ~extra_objects)
+        [
+          Job.refine ~refined:g' ~abstract:g;
+          Job.refine ~refined:g ~abstract:g';
+          Job.equal ~left:g' ~right:g;
+        ])
+    (Lazy.force generated)
+
+(* The adequacy differential's answers with [extra_objects] fresh
+   objects: the fence corpus, the ATM pairs and the generated corpus,
+   on one context per universe.  Computed once per size. *)
+let adequacy_answers =
+  let memo = Hashtbl.create 3 in
+  fun extra_objects ->
+    match Hashtbl.find_opt memo extra_objects with
+    | Some answers -> answers
+    | None ->
+        let ctx = ctx_per_universe () in
+        let answers =
+          List.map
+            (fun (r : Engine.request) ->
+              ( r.Engine.label,
+                Job.run (ctx r) ~depth:r.Engine.depth r.Engine.query ))
+            (fence_requests ~extra_objects ()
+            @ atm_requests ~extra_objects
+            @ generated_requests ~extra_objects)
+        in
+        Hashtbl.add memo extra_objects answers;
+        answers
+
+(* Universe adequacy: the default of 2 fresh environment objects
+   decides every query of the differential as [more] do.  Status and
+   confidence must agree query by query; evidence may not, since a
+   witness can name a different fresh object. *)
+let test_universe_adequate more () =
+  let two = adequacy_answers 2 and other = adequacy_answers more in
+  Util.check_int "same queries" (List.length two) (List.length other);
   List.iter2
     (fun (label, a) (_, b) ->
       if a.V.status <> b.V.status || a.V.confidence <> b.V.confidence then
-        Alcotest.failf "%s: %s with 2 extra objects, %s with 3" label
-          (V.to_string a) (V.to_string b))
-    two three
+        Alcotest.failf "%s: %s with 2 extra objects, %s with %d" label
+          (V.to_string a) (V.to_string b) more)
+    two other
 
 (* Answer every query on one context per universe and on a fresh
    context: a context's memo tables (compiled automata, successor rows,
@@ -897,7 +959,9 @@ let suite =
       `Quick test_count_classes_key_apart;
     Alcotest.test_case "store keys are pinned" `Quick test_store_keys_pinned;
     Alcotest.test_case "fence corpus: 2 extra objects decide as 3 do" `Slow
-      test_fence_universe_adequate;
+      (test_universe_adequate 3);
+    Alcotest.test_case "fence corpus: 2 extra objects decide as 4 do" `Slow
+      (test_universe_adequate 4);
     Alcotest.test_case "one shared context ≡ fresh contexts" `Slow
       test_shared_ctx_equals_fresh;
     Alcotest.test_case "session keys ≡ fresh keys" `Slow

@@ -33,6 +33,7 @@ let () =
       ("ag", Test_ag.suite);
       ("strategies", Test_strategies.suite);
       ("antichain", Test_antichain.suite);
+      ("symmetry", Test_symmetry.suite);
       ("telemetry", Test_telemetry.suite);
       ("serve", Test_serve.suite);
       ("watch", Test_watch.suite);
