@@ -137,9 +137,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let specs_of_source ~extra_objects ~file text =
-  match Lang.specs_of_string text with
-  | Ok specs -> Ok (specs, Spec.adequate_universe ~extra_objects specs)
+let parse_of_source ?prior ~extra_objects ~file text =
+  match Lang.elaborate ?prior text with
+  | Ok p -> Ok (p, Spec.adequate_universe ~extra_objects (Lang.specs p))
   | Error e ->
       Error
         {
@@ -147,6 +147,11 @@ let specs_of_source ~extra_objects ~file text =
           input_offset = Some (offset_of_pos text e.Lang.pos);
           input_message = Format.asprintf "%s: %a" file Lang.pp_error e;
         }
+
+let specs_of_source ~extra_objects ~file text =
+  Result.map
+    (fun (p, universe) -> (Lang.specs p, universe))
+    (parse_of_source ~extra_objects ~file text)
 
 let file_loader_typed ~extra_objects () =
   let cache : (string, (Spec.t list * Universe.t, input_error) result) Hashtbl.t

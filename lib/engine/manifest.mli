@@ -131,8 +131,21 @@ val specs_of_source :
 (** Parse spec-file {e text} already in hand: specs plus their
     adequate universe, or a typed error positioned in [file].  The one
     spec-file loader: {!file_loader_typed}, the server and the watch
-    loop (which reads and digests file content itself) all parse
-    through it. *)
+    loop (which reads and digests file content itself, through
+    {!parse_of_source}) all parse through it. *)
+
+val parse_of_source :
+  ?prior:Posl_lang.Lang.parse ->
+  extra_objects:int ->
+  file:string ->
+  string ->
+  (Posl_lang.Lang.parse * Universe.t, input_error) result
+(** {!specs_of_source}, keeping the parse, elaborated against [prior]
+    ({!Posl_lang.Lang.elaborate}): a declaration [prior] already holds,
+    source positions aside, keeps its specification value.  The watch
+    loop passes each file's last good parse, so an edit of one
+    declaration leaves its neighbours' values, keys and monitors in
+    place.  Without [prior], {!specs_of_source} exactly. *)
 
 val request_of_entry :
   ?path:string ->

@@ -32,7 +32,7 @@ exception Unknown_spec of string * pos
 
 (* @raise Job.Overflow when a closure outgrows the context's cap. *)
 let run_file ?(depth = 6) ?(extra_objects = 2) (f : file) : result list =
-  let specs = Posl_lang.Elab.elab_file f in
+  let specs = (Posl_lang.Elab.elab_file f).Posl_lang.Elab.specs in
   let ctx = Tset.ctx (Spec.adequate_universe ~extra_objects specs) in
   let eval (a : assertion) =
     (* names resolve left to right, so error reporting is deterministic *)

@@ -203,4 +203,35 @@ let elab_spec (d : spec_decl) : Spec.t =
   | Error e ->
       err d.spec_pos "spec %s is not well-formed: %a" d.spec_name Spec.pp_error e
 
-let elab_file (f : file) : Spec.t list = List.map elab_spec (Ast.specs f)
+(** A file's elaboration: its declarations in file order, source
+    positions stripped, and the specification each elaborated to. *)
+type parse = { decls : spec_decl list; specs : Spec.t list }
+
+(** Elaborate a file's declarations in order, against [prior] (see
+    {!Lang.elaborate}).  [elab_spec] reads nothing outside its
+    declaration, so an equal declaration elaborates to an equal value,
+    and the prior's comes with its content key and its monitors.  A
+    prior declaration elaborated without error, so the first error is
+    still the first failing declaration's. *)
+let elab_file ?prior (f : file) : parse =
+  (* the value of the first unused prior declaration equal to [d], and
+     the pool without it *)
+  let rec take d = function
+    | [] -> None
+    | (d', s) :: rest when d' = d -> Some (s, rest)
+    | p :: rest -> Option.map (fun (s, rest) -> (s, p :: rest)) (take d rest)
+  in
+  let pool =
+    match prior with Some p -> List.combine p.decls p.specs | None -> []
+  in
+  let _, elaborated =
+    List.fold_left_map
+      (fun pool d ->
+        let key = { d with spec_pos = dummy_pos } in
+        match take key pool with
+        | Some (s, pool) -> (pool, (key, s))
+        | None -> (pool, (key, elab_spec d)))
+      pool (Ast.specs f)
+  in
+  let decls, specs = List.split elaborated in
+  { decls; specs }

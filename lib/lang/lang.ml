@@ -20,14 +20,23 @@ let parse_string (src : string) : (Ast.file, error) result =
   | exception Lexer.Lex_error (message, pos) -> Error { message; pos }
   | exception Parser.Parse_error (message, pos) -> Error { message; pos }
 
-(** Parse and elaborate a source string into specifications. *)
-let specs_of_string (src : string) : (Posl_core.Spec.t list, error) result =
+type parse = Elab.parse
+
+let specs (p : parse) = p.Elab.specs
+
+(** Parse and elaborate a source string, against a prior parse of the
+    same file ({!Elab.elab_file}). *)
+let elaborate ?prior (src : string) : (parse, error) result =
   match parse_string src with
   | Error e -> Error e
   | Ok f -> (
-      match Elab.elab_file f with
-      | specs -> Ok specs
+      match Elab.elab_file ?prior f with
+      | p -> Ok p
       | exception Elab.Elab_error (message, pos) -> Error { message; pos })
+
+(** Parse and elaborate a source string into specifications. *)
+let specs_of_string (src : string) : (Posl_core.Spec.t list, error) result =
+  Result.map specs (elaborate src)
 
 let lookup (specs : Posl_core.Spec.t list) (name : string) :
     Posl_core.Spec.t option =

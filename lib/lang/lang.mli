@@ -22,7 +22,26 @@ exception Error of string * Ast.pos
 val parse_string : string -> (Ast.file, error) result
 (** Lex + parse only. *)
 
+type parse
+(** A file's elaboration: its specifications, each kept with its
+    declaration, source positions aside. *)
+
+val specs : parse -> Posl_core.Spec.t list
+(** In file order. *)
+
+val elaborate : ?prior:parse -> string -> (parse, error) result
+(** Lex + parse + elaborate, against [prior], an earlier parse of the
+    same file: a declaration equal to one of [prior]'s, source positions
+    aside, gets that declaration's specification value back (physically
+    equal), and with it the content key and the context nodes the value
+    already holds; any other declaration is elaborated afresh.  Each
+    prior declaration is matched at most once, in file order, so two
+    identical declarations keep two values.  Elaboration reads nothing
+    outside a declaration, so the specifications are the ones a parse
+    without [prior] gives, up to physical identity, and so are the
+    errors. *)
+
 val specs_of_string : string -> (Posl_core.Spec.t list, error) result
-(** Lex + parse + elaborate. *)
+(** Lex + parse + elaborate: [specs] of [elaborate] without a prior. *)
 
 val lookup : Posl_core.Spec.t list -> string -> Posl_core.Spec.t option

@@ -116,6 +116,18 @@ type state =
   | S_restrict of state
   | S_product of state list list  (* set of composites, sorted *)
 
+(* A monitor state with its structural hash, taken once: hashing a
+   state is the costly part of interning it, and a resize of the
+   state-id table re-hashes its keys. *)
+type hashed = { st_hash : int; st : state }
+
+module State_ids = Hashtbl.Make (struct
+  type t = hashed
+
+  let equal a b = a.st_hash = b.st_hash && compare a.st b.st = 0
+  let hash k = k.st_hash
+end)
+
 exception Closure_overflow of int
 (** Raised when the hidden-event closure of a [Product] monitor exceeds
     the context's cap; verdicts derived after catching this exception
@@ -211,7 +223,7 @@ and ctx = {
   closure_cap : int;
   prs_cache : prs_cache;
   lock : Mutex.t;  (* guards every table below *)
-  state_ids : (state, int) Hashtbl.t;
+  state_ids : int State_ids.t;
   mutable states : state array;  (* id -> state; doubling array *)
   mutable state_count : int;
   comp_ids : (state list, int) Hashtbl.t;  (* product composite -> id *)
@@ -233,17 +245,15 @@ and ctx = {
 
 (* Tables start small: a typical context interns a handful of states
    (a served submission, under five), contexts are never retired, and
-   every table grows on demand.  [state_ids] is the exception: its keys
-   are monitor states, whose structural hash is the costly part of
-   interning, and a resize hashes every key again (64 buckets made
-   watch-edit's p90 2% slower). *)
+   every table grows on demand; [state_ids] keeps each state's hash, so
+   growing it hashes no state again. *)
 let ctx ?(closure_cap = 20_000) universe =
   {
     universe;
     closure_cap;
     prs_cache = Prs_cache.create ();
     lock = Mutex.create ();
-    state_ids = Hashtbl.create 1024;
+    state_ids = State_ids.create 64;
     states = Array.make 64 S_all;
     state_count = 0;
     comp_ids = Hashtbl.create 16;
@@ -261,7 +271,6 @@ let prs_cache c = c.prs_cache
 (** {1 Interning} *)
 
 let locked c f = Mutex.protect c.lock f
-let drop_nodes c = locked c (fun () -> Registry.reset c.nodes)
 
 (* [a] itself when index [i] is in range, else a copy at least twice as
    long, padded with [pad]. *)
@@ -286,14 +295,15 @@ let intern_composite c comp =
       i
 
 let intern_state c (st : state) : int =
+  let key = { st_hash = Hashtbl.hash st; st } in
   locked c @@ fun () ->
-  match Hashtbl.find_opt c.state_ids st with
+  match State_ids.find_opt c.state_ids key with
   | Some id -> id
   | None ->
       let id = c.state_count in
       c.states <- fit c.states id S_all;
       c.states.(id) <- st;
-      Hashtbl.add c.state_ids st id;
+      State_ids.add c.state_ids key id;
       c.state_count <- id + 1;
       Metrics.incr interned_states_c;
       (match st with

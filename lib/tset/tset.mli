@@ -169,21 +169,16 @@ val node : ctx -> t -> node
     physically stable, so one spec keeps one node however many
     questions it appears in; a structurally-equal-but-distinct value
     gets its own node (costing only sharing, never soundness).  The
-    context holds its nodes weakly: a node lives as long as its trace
-    set does, so a re-parsed spec's old node (its rows, classifiers and
-    children) is freed with the old parse, while the states and events
-    it interned stay in the context.  A lookup compares construction
-    identities before it reads a key, so resolving a new parse never
-    touches, and never keeps alive, the node of a superseded one.
-    Resolve once per loop, not once per step. *)
-
-val drop_nodes : ctx -> unit
-(** Let go of every node the context holds, whatever its trace set's
-    lifetime: a later {!node} mints afresh (its rows are stepped again;
-    the states and events interned stay).  For a caller that knows the
-    nodes it resolved will not be asked for again, so they need not
-    outlive its step: a watch round, since a file's parse is only
-    checked in the round that re-parsed it.  Thread-safe. *)
+    context holds its nodes weakly and nothing else lets go of them: a
+    node lives exactly as long as its trace set.  A spec value a
+    re-parse keeps (an unchanged declaration's) keeps its node and the
+    rows already filled; an edited spec's old node (its rows,
+    classifiers and children) is freed with the last value holding its
+    trace set, while the states and events it interned stay in the
+    context.  A lookup compares construction identities before it reads
+    a key, so resolving a new parse never touches, and never keeps
+    alive, the node of a superseded one.  Resolve once per loop, not
+    once per step. *)
 
 val start : node -> state option
 (** [None] iff even the empty trace is outside the set (degenerate). *)

@@ -10,7 +10,7 @@ module Engine = Posl_engine.Engine
 module Plan = Posl_engine.Plan
 module Job = Posl_engine.Job
 module Spec = Posl_core.Spec
-module Tset = Posl_tset.Tset
+module Lang = Posl_lang.Lang
 module Verdict = Posl_verdict.Verdict
 module J = Verdict.Json
 module Telemetry = Posl_telemetry.Telemetry
@@ -124,7 +124,8 @@ type file_state = {
   mutable stamp : stamp option;
       (* of the stat before the last read, once settled ([look]) *)
   mutable fdigest : string;  (* content MD5 of the last read, "" = unread *)
-  mutable good : (Spec.t list * Universe.t) option;  (* last good parse *)
+  mutable good : (Lang.parse * Universe.t) option;
+      (* last good parse, the prior a re-parse is elaborated against *)
   mutable last_error : Manifest.input_error option;
   mutable gen : int;  (* moved whenever [ukey] or [keys] moves *)
   mutable ukey : string;  (* universe digest of [good] *)
@@ -133,11 +134,13 @@ type file_state = {
          one [Lang.lookup] resolves); [None] = opaque body *)
 }
 
+(* A slot keeps no request: a request runs in the round that built it
+   and in no other, and kept it would hold its [A||B] composite, and
+   that composite's node, until the slot is rebuilt. *)
 type slot = {
   mutable gen : int;  (* file generation [token] was last confirmed at *)
   token : string option;  (* dependency token, [None] = never reuse *)
-  request : (Engine.request, Manifest.input_error) result;
-      (* [Error]: the query does not elaborate *)
+  elaborates : bool;  (* [false]: the query does not elaborate *)
   mutable standing : (string * Verdict.t) option;  (* label, verdict *)
 }
 
@@ -323,7 +326,7 @@ let resolve t es =
 let loader t : Manifest.typed_loader =
  fun path ->
   match Hashtbl.find_opt t.files path with
-  | Some { good = Some v; _ } -> Ok v
+  | Some { good = Some (p, universe); _ } -> Ok (Lang.specs p, universe)
   | Some { last_error = Some e; _ } -> Error e
   | Some { last_error = None; _ } | None ->
       Error
@@ -358,9 +361,11 @@ let same_keys =
    read only when its stamp moved ([look]) and re-parsed only when its
    content hash moved, and its generation moves only when its universe
    or a spec's key did, so a standing breakage is reported once and a
-   comment-only edit moves nothing.  Spanned as [watch.refresh], with
-   the number of files read as [hashed]: on an idle round this poll is
-   all the work. *)
+   comment-only edit moves nothing.  A re-parse is elaborated against
+   the last good one, so a declaration the edit did not touch keeps its
+   spec value, and with it its key and the monitors its questions
+   resolved.  Spanned as [watch.refresh], with the number of files read
+   as [hashed]: on an idle round this poll is all the work. *)
 let refresh t =
   Telemetry.with_span "watch.refresh" @@ fun () ->
   let diags = ref [] and moved = ref false in
@@ -405,19 +410,19 @@ let refresh t =
           fs.fdigest <- d;
           match
             Result.bind content
-              (Manifest.specs_of_source ~extra_objects:t.extra_objects
-                 ~file:path)
+              (Manifest.parse_of_source ?prior:(Option.map fst fs.good)
+                 ~extra_objects:t.extra_objects ~file:path)
           with
-          | Ok (specs, universe) ->
+          | Ok ((parse, universe) as good) ->
               fs.last_error <- None;
               let ukey = Job.universe_digest universe in
-              let keys = key_map ~universe specs in
+              let keys = key_map ~universe (Lang.specs parse) in
               if
                 Option.is_none fs.good
                 || (not (String.equal ukey fs.ukey))
                 || not (same_keys keys fs.keys)
               then begin
-                fs.good <- Some (specs, universe);
+                fs.good <- Some good;
                 fs.ukey <- ukey;
                 fs.keys <- keys;
                 fs.gen <- fs.gen + 1;
@@ -454,11 +459,11 @@ let slot_token fs (e : Manifest.entry) =
 (* The one reuse rule.  A slot at its file's current generation stands;
    otherwise its token is rebuilt, and an equal token confirms the slot
    at the new generation.  Anything else rebuilds the request, carrying
-   the standing verdict over for flip detection.  Returns the slot and
-   whether it was rebuilt; [round] stores a rebuilt slot. *)
+   the standing verdict over for flip detection.  Returns the slot and,
+   when it was rebuilt, its request; [round] stores a rebuilt slot. *)
 let confirm t load { line = e; fs; query; _ } =
   match query.slot with
-  | Some slot when slot.gen = fs.gen -> (slot, false)
+  | Some slot when slot.gen = fs.gen -> (slot, None)
   | stored -> (
       let token = slot_token fs e in
       match stored with
@@ -466,15 +471,16 @@ let confirm t load { line = e; fs; query; _ } =
         when Option.is_some token && Option.equal String.equal slot.token token
         ->
           slot.gen <- fs.gen;
-          (slot, false)
+          (slot, None)
       | _ ->
+          let request = Manifest.request_of_entry ~path:t.manifest ~load e in
           ( {
               gen = fs.gen;
               token;
-              request = Manifest.request_of_entry ~path:t.manifest ~load e;
+              elaborates = Result.is_ok request;
               standing = Option.bind stored (fun s -> s.standing);
             },
-            true ))
+            Some request ))
 
 let round t diags =
   let t0 = Telemetry.now_ns () in
@@ -483,12 +489,12 @@ let round t diags =
   Telemetry.with_span "watch.round"
     ~attrs:[ ("round", string_of_int t.round) ]
   @@ fun () ->
-  (* Partition: run what was rebuilt; a slot with no request is errored
-     and keeps its standing verdict.  A query that does not elaborate
-     over its file's good parse (an unknown name, a token that does not
-     compose) is a diagnostic when its slot is rebuilt, as a broken
-     file is one when its content changes; a file that has no good
-     parse was reported as such. *)
+  (* Partition: run what was rebuilt; a slot whose query does not
+     elaborate is errored and keeps its standing verdict.  A query that
+     does not elaborate over its file's good parse (an unknown name, a
+     token that does not compose) is a diagnostic when its slot is
+     rebuilt, as a broken file is one when its content changes; a file
+     that has no good parse was reported as such. *)
   let load = loader t in
   (* per distinct query: the slot its first line confirmed or rebuilt
      this round, which its repeats share *)
@@ -497,7 +503,7 @@ let round t diags =
   let slots =
     List.map
       (fun en ->
-        let slot, fresh =
+        let slot, rebuilt =
           match outcomes.(en.at) with
           | Some outcome -> outcome
           | None ->
@@ -505,15 +511,13 @@ let round t diags =
               outcomes.(en.at) <- Some outcome;
               outcome
         in
-        (match slot.request with
-        | Error err ->
+        (match rebuilt with
+        | Some (Ok req) -> to_run := (slot, req) :: !to_run
+        | Some (Error err) ->
             incr errored;
-            if
-              fresh && Option.is_some en.fs.good
-              && not (List.mem err !diags)
-            then diags := err :: !diags
-        | Ok req when fresh -> to_run := (slot, req) :: !to_run
-        | Ok _ -> incr reused);
+            if Option.is_some en.fs.good && not (List.mem err !diags) then
+              diags := err :: !diags
+        | None -> if slot.elaborates then incr reused else incr errored);
         slot)
       t.entries
   in
@@ -522,19 +526,14 @@ let round t diags =
     match to_run with
     | [] -> ([], None)
     | _ ->
+        (* The monitors this round resolves live as long as their trace
+           sets: the next parse of a file hands the declarations it
+           leaves alone their values back, rows filled, while the
+           composites built for this round die with its requests. *)
         let rs, stats =
           Engine.run_jobs ?domains:t.domains ~plan:t.plan t.session
             (List.map snd to_run)
         in
-        (* The monitors this round resolved served its parse alone: a
-           later edit of the file brings a new parse, with new monitors.
-           Letting go of them now, not when that edit supersedes the
-           parse, keeps watch-edit's major heap a fifth smaller
-           (EXPERIMENTS, "Stat-gated polls"). *)
-        List.iter
-          (fun (_, (req : Engine.request)) ->
-            Tset.drop_nodes (Engine.session_ctx t.session req.Engine.universe))
-          to_run;
         (rs, Some stats)
   in
   let flips = ref [] in
@@ -547,14 +546,14 @@ let round t diags =
       | Some _ | None -> ());
       slot.standing <- Some (label, v))
     to_run results;
-  (* Stored only now that their verdicts landed, so a stored slot with a
-     request always has one: if the engine raised, the next round
+  (* Stored only now that their verdicts landed, so a stored slot that
+     elaborates always has one: if the engine raised, the next round
      rebuilds and re-runs them. *)
   List.iter
     (fun en ->
       match outcomes.(en.at) with
-      | Some (slot, true) -> en.query.slot <- Some slot
-      | Some (_, false) | None -> ())
+      | Some (slot, Some _) -> en.query.slot <- Some slot
+      | Some (_, None) | None -> ())
     t.entries;
   let flips = List.rev !flips in
   let failing =

@@ -21,11 +21,14 @@
       clock follows the watcher's to within the window.  A file server
       whose clock lags the watcher's by more is the exception (a clock
       that runs ahead only costs reads);
-    - a changed spec file is {e re-parsed alone}, once; its universe
-      digest and the {!Posl_engine.Digest.spec_key} of each spec name
-      (the first spec of a name, as name resolution picks) are taken
-      then, and the file's {e generation} moves only when one of them
-      did — so a comment-only edit runs no round;
+    - a changed spec file is {e re-parsed alone}, once, against its
+      last good parse ({!Posl_engine.Manifest.parse_of_source}): a
+      declaration the edit left alone, source positions aside, keeps its
+      spec value.  Its universe digest and the
+      {!Posl_engine.Digest.spec_key} of each spec name (the first spec
+      of a name, as name resolution picks) are taken then, and the
+      file's {e generation} moves only when one of them did — so a
+      comment-only edit runs no round;
     - one rule decides what a round re-runs: a query re-runs iff its
       {e dependency token} — its file's universe digest plus the
       [spec_key] of every composition part it names
@@ -43,14 +46,16 @@
       each with its full typed verdict, plus the
       [queries_invalidated] / [queries_reused] / [flips] counters.
 
-    Memory follows the live parses: each spec value keeps its own
-    content key ({!Posl_core.Spec.keyed}), a context holds the
-    monitors it resolves weakly, keyed by the trace set's
-    construction identity, and a round lets go of the monitors it
-    resolved once its verdicts have landed ({!Posl_tset.Tset.drop_nodes}),
-    since a file's parse is only checked in the round that re-parsed
-    it.  A superseded parse is garbage once every slot built on it
-    has been rebuilt, whatever lookups the rounds after it make.
+    Memory follows the live spec values: each keeps its own content
+    key ({!Posl_core.Spec.keyed}), and a context holds the monitor it
+    resolves for a trace set weakly, keyed by the trace set's
+    construction identity, so the monitor lives exactly as long as the
+    value.  A value the re-parse kept brings its key and its monitors'
+    filled successor rows to the next round that asks about it.  A
+    query's slot keeps its verdict, not its request, so a composite
+    built for one round's [A||B] question dies after that round, and an
+    edited declaration's old value once its file's good parse has moved
+    on, whatever lookups the rounds after it make.
 
     Each poll's stamp check, reads and re-parse are instrumented with
     a [watch.refresh] telemetry span, whose [hashed] attribute counts

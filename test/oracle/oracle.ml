@@ -268,3 +268,35 @@ let first_unanswered ctx ~(alphabet : Event.t array) ~depth ~trigger ~response
          (not (Trace.is_empty h))
          && opened h > 0
          && not (answerable h (depth + 1)))
+
+(* {1 Counting} *)
+
+let count_members ctx ~(alphabet : Event.t array) ~depth t =
+  let module SM = Map.Make (struct
+    type t = Tset.state
+
+    let compare = Tset.compare_state
+  end) in
+  let counts = Array.make (depth + 1) 0 in
+  let n = Tset.node ctx t in
+  (* [level d states]: the states of length-[d] members, each with the
+     number of members reaching it *)
+  let rec level d states =
+    counts.(d) <- SM.fold (fun _ k acc -> acc + k) states 0;
+    if d < depth then
+      SM.fold
+        (fun st k next ->
+          Array.fold_left
+            (fun next e ->
+              match Tset.step n st e with
+              | Some st' ->
+                  SM.update st'
+                    (fun k' -> Some (k + Option.value ~default:0 k'))
+                    next
+              | None -> next)
+            next alphabet)
+        states SM.empty
+      |> level (d + 1)
+  in
+  Option.iter (fun st0 -> level 0 (SM.singleton st0 1)) (Tset.start n);
+  counts

@@ -91,3 +91,11 @@ val first_unanswered :
     count clipped at 0 after each event, above 0) and has no member
     extension of 1 to [depth + 1] events that ends in a response, by
     enumeration ({!Bmc.enumerate}) and [Tset.mem_naive]. *)
+
+val count_members :
+  Tset.ctx -> alphabet:Event.t array -> depth:int -> Tset.t -> int array
+(** Member traces by length, [0] to [depth], over the alphabet, by the
+    recursion of {!Bmc.enumerate} ([Tset.start], then [Tset.step] on
+    structural states) building no trace: each length's states are
+    merged up to [Tset.compare_state], each with the number of members
+    reaching it.  No interning and no successor rows. *)

@@ -163,6 +163,142 @@ let test_empty_traces_defaults_to_all () =
   Util.check_bool "any alphabet trace accepted" true
     (Spec.mem ctx s (Util.tr [ Util.ev "c" "o" "M" ]))
 
+(* --- elaboration against a prior parse ---------------------------- *)
+
+let elaborate ?prior src =
+  match Lang.elaborate ?prior src with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "parse/elab error: %a" Lang.pp_error e
+
+let index_of ~needle src =
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length src then
+      Alcotest.failf "needle not found: %s" needle
+    else if String.sub src i n = needle then i
+    else find (i + 1)
+  in
+  find 0
+
+(* [src] with the first occurrence of [needle] replaced by [by] *)
+let edit ~needle ~by src =
+  let i = index_of ~needle src and n = String.length needle in
+  String.sub src 0 i ^ by ^ String.sub src (i + n) (String.length src - i - n)
+
+(* The declaration of [name] in [source_read_write], through the brace
+   that closes it, the first at the start of a line. *)
+let decl name =
+  let src = source_read_write in
+  let i = index_of ~needle:("spec " ^ name ^ " {") src in
+  let rest = String.sub src i (String.length src - i) in
+  String.sub rest 0 (index_of ~needle:"\n}" rest + 2)
+
+let check_reused name a b =
+  List.iter2
+    (fun x y ->
+      Util.check_bool
+        (Printf.sprintf "%s: %s is the prior's value" name (Spec.name x))
+        true (x == y))
+    a b
+
+let test_prior_reuses_unchanged () =
+  let prior = elaborate source_read_write in
+  let edited =
+    edit ~needle:"<x,o,OW> <x,o,W(_)>* <x,o,CW>" ~by:"<x,o,OW> <x,o,CW>"
+      source_read_write
+  in
+  match (Lang.specs prior, Lang.specs (elaborate ~prior edited)) with
+  | [ read; write; read2; rw ], [ read'; write'; read2'; rw' ] ->
+      check_reused "unchanged" [ read; read2; rw ] [ read'; read2'; rw' ];
+      Util.check_bool "the edited declaration is fresh" false (write == write');
+      let h =
+        Util.tr
+          [
+            Util.ev "c" "o" "OW";
+            Util.ev ~arg:(Posl_ident.Value.v "d1") "c" "o" "W";
+            Util.ev "c" "o" "CW";
+          ]
+      in
+      Util.check_bool "the prior Write admits a write" true
+        (Spec.mem Util.paper_ctx write h);
+      Util.check_bool "the edited Write does not" false
+        (Spec.mem Util.paper_ctx write' h)
+  | _ -> Alcotest.fail "four specs"
+
+(* Matching ignores source positions: a declaration moved below another,
+   or pushed down by an inserted comment, keeps its value. *)
+let test_prior_ignores_positions () =
+  let prior = elaborate source_read_write in
+  let find p n = Option.get (Lang.lookup (Lang.specs p) n) in
+  let moved =
+    elaborate ~prior
+      (String.concat "\n" (List.map decl [ "Write"; "RW"; "Read"; "Read2" ]))
+  in
+  Alcotest.(check (list string))
+    "file order"
+    [ "Write"; "RW"; "Read"; "Read2" ]
+    (List.map Spec.name (Lang.specs moved));
+  List.iter
+    (fun n ->
+      Util.check_bool (n ^ " moved, reused") true
+        (find moved n == find prior n))
+    [ "Read"; "Write"; "Read2"; "RW" ];
+  check_reused "under a comment" (Lang.specs prior)
+    (Lang.specs
+       (elaborate ~prior ("// a new first line\n" ^ source_read_write)))
+
+(* Two identical declarations: each prior value answers once, in file
+   order, so a re-parse keeps two distinct values, and a third copy
+   finds no unused one. *)
+let test_prior_duplicates () =
+  let twice = String.concat "\n" (List.map decl [ "Read"; "Write"; "Read" ]) in
+  let prior = elaborate twice in
+  check_reused "duplicates" (Lang.specs prior)
+    (Lang.specs (elaborate ~prior twice));
+  match
+    ( Lang.specs prior,
+      Lang.specs (elaborate ~prior (twice ^ "\n" ^ decl "Read")) )
+  with
+  | [ r1; w; r2 ], [ r1'; w'; r2'; r3 ] ->
+      Util.check_bool "two values" false (r1 == r2);
+      check_reused "first three" [ r1; w; r2 ] [ r1'; w'; r2' ];
+      Util.check_bool "the third copy is fresh" true (r3 != r1 && r3 != r2)
+  | _ -> Alcotest.fail "three specs, then four"
+
+(* An edited declaration that fails to elaborate, after declarations the
+   prior holds: the message and the byte offset are those of a parse
+   without the prior. *)
+let test_prior_errors () =
+  let module Manifest = Posl_engine.Manifest in
+  let paper =
+    In_channel.with_open_bin (Util.spec_file "paper.oun") In_channel.input_all
+  in
+  let parse ?prior text =
+    Manifest.parse_of_source ?prior ~extra_objects:2 ~file:"paper.oun" text
+  in
+  let prior =
+    match parse paper with
+    | Ok (p, _) -> p
+    | Error e -> Alcotest.failf "paper.oun: %s" (Manifest.input_error_detail e)
+  in
+  (* RW2's count clause loses its second counter's declaration *)
+  let broken =
+    edit ~needle:"and #OW - #CW <= 1;\n  traces prs <c,_,_>*;"
+      ~by:"and #OW - #CX <= 1;\n  traces prs <c,_,_>*;" paper
+  in
+  match (parse broken, parse ~prior broken) with
+  | Error cold, Error warm ->
+      Alcotest.(check string) "message" (Manifest.input_error_detail cold)
+        (Manifest.input_error_detail warm);
+      Alcotest.(check (option int)) "offset" cold.Manifest.input_offset
+        warm.Manifest.input_offset;
+      Util.check_bool "at RW2" true
+        (cold.Manifest.input_offset = Some (index_of ~needle:"spec RW2" paper));
+      Util.check_bool "names the method" true
+        (Util.contains_substring ~needle:"method CX"
+           (Manifest.input_error_message warm))
+  | _ -> Alcotest.fail "the edit must not elaborate"
+
 let suite =
   [
     Alcotest.test_case "parse the paper's specs" `Quick test_parse_paper_specs;
@@ -177,4 +313,12 @@ let suite =
       test_forall_body_errors;
     Alcotest.test_case "traces default to all" `Quick
       test_empty_traces_defaults_to_all;
+    Alcotest.test_case "a prior parse keeps unchanged declarations" `Quick
+      test_prior_reuses_unchanged;
+    Alcotest.test_case "a prior parse ignores positions" `Quick
+      test_prior_ignores_positions;
+    Alcotest.test_case "a prior parse matches duplicates once" `Quick
+      test_prior_duplicates;
+    Alcotest.test_case "a prior parse keeps errors as they were" `Quick
+      test_prior_errors;
   ]

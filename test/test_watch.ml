@@ -561,6 +561,153 @@ let test_watch_script () =
   (* the two new queries already ran a step earlier *)
   expect "revert B" (Some [ 4; 9; 0; 1; 2 ]) (fun () -> write_file b paper)
 
+(* RW2's write bound, and the looser one of the edits below: RW also
+   has the bound, so the needle takes in RW2's next clause. *)
+let rw2_bound = "#OW - #CW <= 1;\n  traces prs <c,_,_>*;"
+let rw2_loose = "#OW - #CW <= 2;\n  traces prs <c,_,_>*;"
+
+(* Reuse as work: an edit of RW2 alone re-runs RW2's queries, and the
+   declarations it leaves alone keep their spec values, so their nodes,
+   already resolved, are not resolved again.  The round resolves 4
+   nodes' automata from the context's DFA cache; a watcher that mints
+   every node afresh on each re-parse resolves 8.  The walk itself does
+   the same work: the same 8 pairs, and no compile. *)
+let test_watch_reuse_work () =
+  let dir = fresh_dir () in
+  List.iter
+    (fun f -> write_file (Filename.concat dir f) (read_file (spec_file f)))
+    [ "batch.manifest"; "paper.oun"; "atm.oun" ];
+  let paper = Filename.concat dir "paper.oun" in
+  let w = Watch.create (Filename.concat dir "batch.manifest") in
+  ignore (poll_round w);
+  write_file paper (replace ~needle:rw2_bound ~by:rw2_loose (read_file paper));
+  let r = poll_round w in
+  (* four queries, one of them on two manifest lines *)
+  check_int "RW2's queries re-run" 5 r.Watch.invalidated;
+  match r.Watch.stats with
+  | None -> Alcotest.fail "the round ran no job"
+  | Some st ->
+      check_int "DFA cache hits" 4 st.Engine.dfa_cache_hits;
+      check_int "antichain pairs" 8 st.Engine.antichain_pairs;
+      check_int "DFA compiles" 0 st.Engine.dfa_compiles
+
+(* A seeded session of 44 edits over fleet.oun and paper.oun, each
+   rewriting one declaration: trace edits, a vocabulary edit (one method
+   renamed, so the universe moves) every fourth step, the fleet's
+   declarations reordered once, and a duplicate of Write added to
+   paper.oun and later removed.  After every poll the standing verdicts
+   agree with a cold batch. *)
+let test_watch_seeded_edits () =
+  let dir = fresh_dir () in
+  let manifest = Filename.concat dir "edits.manifest" in
+  let fleet_path = Filename.concat dir "fleet.oun"
+  and paper_path = Filename.concat dir "paper.oun" in
+  let fleet = read_file (spec_file "fleet.oun")
+  and paper = read_file (spec_file "paper.oun") in
+  write_file manifest
+    (String.concat "\n"
+       [
+         "use fleet.oun";
+         "refine Gauge2||Log Gauge||Log";
+         "refine Gauge2||Clock Gauge||Clock";
+         "refine Log2||Clock Log||Clock";
+         "equal GaugeR||Log Gauge||Log";
+         "refine Gauge2||Log2 Gauge||Log";
+         "compose Gauge||Log Clock";
+         "use paper.oun";
+         "refine Read2 Read";
+         "refine RW2 RW";
+         "refine RW2 WriteAcc";
+         "proper RW2 WriteAcc Client";
+         "deadlock Client WriteAcc";
+         "refine Client2 Client";
+         "equal Write Write";
+         "";
+       ]);
+  (* (file, needle, replacement): each rewrites one declaration *)
+  let trace_edits =
+    [|
+      (`Fleet, gauger_line, gauger_doubled);
+      (`Fleet, gauge2_line, gauge2_edited);
+      ( `Fleet,
+        "<x,l,BEGIN> <x,l,APPEND(_)>* <x,l,END>",
+        "<x,l,BEGIN> <x,l,END>" );
+      (`Paper, rw2_bound, rw2_loose);
+      (`Paper, "<x,o,CW>))*;\n  traces prs <c,_,_>*;", "<x,o,CW>))*;");
+      (`Paper, "(<c,o,W(_)> <c,om,OK>)*", "(<c,o,W(_)> <c,om,OK> <c,om,OK>)*");
+    |]
+  and vocab_edits =
+    [|
+      (`Fleet, "-> k : TICK;", "-> k : TOCK;");
+      (`Fleet, "-> l : APPEND(data);", "-> l : ADD(data);");
+      (`Paper, "-> o : R(data);", "-> o : RD(data);");
+      ( `Paper,
+        "OK, OW;\n  traces prs (<c,o,W(_)> <c,om,OK> <c,o,OW>)*;",
+        "ACK, OW;\n  traces prs (<c,o,W(_)> <c,om,ACK> <c,o,OW>)*;" );
+    |]
+  in
+  let on = Hashtbl.create 16 in
+  let reordered = ref false and duplicated = ref false in
+  (* [name]'s declaration through its closing line, and the rest *)
+  let cut text name =
+    let at needle from =
+      let n = String.length needle in
+      let rec find j =
+        if String.sub text j n = needle then j else find (j + 1)
+      in
+      find from
+    in
+    let j = at ("spec " ^ name ^ " {") 0 in
+    let k = at "\n}\n" j + 3 in
+    ( String.sub text j (k - j),
+      String.sub text 0 j ^ String.sub text k (String.length text - k) )
+  in
+  let render file =
+    let base = match file with `Fleet -> fleet | `Paper -> paper in
+    let base =
+      match file with
+      | `Fleet when !reordered ->
+          let clock, rest = cut base "Clock" in
+          replace ~needle:"spec Gauge {" ~by:(clock ^ "\nspec Gauge {") rest
+      | `Paper when !duplicated -> base ^ "\n" ^ fst (cut base "Write")
+      | _ -> base
+    in
+    Array.fold_left
+      (fun text ((f, needle, by) as e) ->
+        if f = file && Hashtbl.mem on e then replace ~needle ~by text else text)
+      base
+      (Array.append trace_edits vocab_edits)
+  in
+  let write file =
+    write_file
+      (match file with `Fleet -> fleet_path | `Paper -> paper_path)
+      (render file)
+  in
+  write `Fleet;
+  write `Paper;
+  let w = Watch.create manifest in
+  ignore (poll_round w);
+  check_agrees_with_batch "cold" manifest w;
+  let rand = Random.State.make [| 30 |] in
+  for step = 1 to 44 do
+    let file =
+      match step with
+      | 10 -> duplicated := true; `Paper
+      | 30 -> duplicated := false; `Paper
+      | 22 -> reordered := true; `Fleet
+      | _ ->
+          let edits = if step mod 4 = 0 then vocab_edits else trace_edits in
+          let ((f, _, _) as e) =
+            edits.(Random.State.int rand (Array.length edits))
+          in
+          if Hashtbl.mem on e then Hashtbl.remove on e else Hashtbl.add on e ();
+          f
+    in
+    write file;
+    ignore (Watch.poll w);
+    check_agrees_with_batch (Printf.sprintf "step %d" step) manifest w
+  done
+
 (* --- the stat gate ------------------------------------------------------ *)
 
 (* A same-size edit of GaugeR that flips its equality query (the
@@ -848,6 +995,10 @@ let suite =
       test_watch_unknown_name;
     Alcotest.test_case "watch: scripted two-file session" `Quick
       test_watch_script;
+    Alcotest.test_case "watch: a re-parse keeps untouched nodes" `Quick
+      test_watch_reuse_work;
+    Alcotest.test_case "watch: seeded edits agree with a cold batch" `Quick
+      test_watch_seeded_edits;
     Alcotest.test_case "gate: an mtime put back is seen" `Quick
       test_gate_mtime_put_back;
     Alcotest.test_case "gate: a file renamed over is seen" `Quick
